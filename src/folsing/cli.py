@@ -41,7 +41,6 @@ from .errors import ToolkitError, ZeroInput
 from .fatou import (
     NumericGerm,
     attracting_directions,
-    backend,
     fatou_coordinate,
     orbit_census,
     repelling_directions,
@@ -122,10 +121,12 @@ def input_options(fn):
 
 def tower_options(fn):
     fn = click.option(
-        "--ext-degree", type=int, default=6, show_default=True,
+        "--ext-degree", type=click.IntRange(min=1), default=6,
+        show_default=True,
         help="Cap on the degree of a single algebraic extension.")(fn)
     fn = click.option(
-        "--tower-depth", type=int, default=3, show_default=True,
+        "--tower-depth", type=click.IntRange(min=0), default=3,
+        show_default=True,
         help="Cap on the number of nested algebraic extensions.")(fn)
     return fn
 
@@ -209,14 +210,6 @@ def payload_blowup(obj) -> dict:
         },
         "charts": charts,
     }
-
-
-def payload_resolution(obj, max_blowups: int = 64) -> dict:
-    tree = resolve_tree(obj, max_blowups=max_blowups)
-    _, ledger_ok = verify_ledger(tree)
-    payload = tree.to_json()
-    payload["ledger_ok"] = ledger_ok
-    return payload
 
 
 def payload_resolution_summary(obj, max_blowups: int = 64) -> dict:
@@ -334,7 +327,7 @@ def payload_fatou(coeffs: List[complex], z: complex, n_max: int,
     att = attracting_directions(estimate.a, estimate.p)
     rep = repelling_directions(estimate.a, estimate.p)
     return {
-        "backend": backend(),
+        "backend": "numpy",
         "estimate": estimate.to_json(),
         "attracting_directions": [[d.real, d.imag] for d in att],
         "repelling_directions": [[d.real, d.imag] for d in rep],
@@ -345,7 +338,7 @@ def payload_census(coeffs: List[complex], radius: float, max_iter: int,
                    grid: int, tol: float) -> dict:
     germ = NumericGerm(coeffs)
     census = orbit_census(germ, radius, max_iter=max_iter, grid=grid, tol=tol)
-    return {"backend": backend(), **census}
+    return {"backend": "numpy", **census}
 
 
 # =====================================================================
@@ -463,8 +456,8 @@ def cmd_blowup(expr, infile):
 @main.command("resolve")
 @input_options
 @tower_options
-@click.option("--max-blowups", type=int, default=64, show_default=True,
-              help="Abort after this many blow-ups.")
+@click.option("--max-blowups", type=click.IntRange(min=0), default=64,
+              show_default=True, help="Abort after this many blow-ups.")
 @click.option("--format", "fmt", type=click.Choice(["json", "dot"]),
               default="json", show_default=True)
 @click.option("--dot", "dot_path", type=click.Path(dir_okay=False),
@@ -489,8 +482,8 @@ def cmd_resolve(expr, infile, tower_depth, ext_degree, max_blowups, fmt,
 
 @main.command("linearize")
 @input_options
-@click.option("--order", type=int, default=8, show_default=True,
-              help="Truncation order of the conjugacy.")
+@click.option("--order", type=click.IntRange(min=1), default=8,
+              show_default=True, help="Truncation order of the conjugacy.")
 @toolkit_errors
 def cmd_linearize(expr, infile, order):
     """Linearize a nonresonant germ degree by degree."""
@@ -501,8 +494,8 @@ def cmd_linearize(expr, infile, order):
 @main.command("normal-form")
 @click.argument("kind", type=click.Choice(["resonant", "siegel", "dulac"]))
 @input_options
-@click.option("--order", type=int, default=8, show_default=True,
-              help="Truncation order of the conjugacy.")
+@click.option("--order", type=click.IntRange(min=1), default=8,
+              show_default=True, help="Truncation order of the conjugacy.")
 @toolkit_errors
 def cmd_normal_form(kind, expr, infile, order):
     """Reduce to a truncated normal form of the requested kind."""
@@ -513,8 +506,8 @@ def cmd_normal_form(kind, expr, infile, order):
 @input_options
 @click.option("--base", type=int, default=0, show_default=True,
               help="Index of the separatrix used as the base leaf.")
-@click.option("--order", type=int, default=6, show_default=True,
-              help="Truncation order of the holonomy germ.")
+@click.option("--order", type=click.IntRange(min=1), default=6,
+              show_default=True, help="Truncation order of the holonomy germ.")
 @toolkit_errors
 def cmd_holonomy(expr, infile, base, order):
     """Holonomy of a separatrix: exact multiplier, or the germ series."""
@@ -524,9 +517,10 @@ def cmd_holonomy(expr, infile, base, order):
 @main.command("first-integral")
 @input_options
 @tower_options
-@click.option("--order", type=int, default=8, show_default=True,
-              help="Formal order used in the leafwise checks.")
-@click.option("--max-blowups", type=int, default=64, show_default=True)
+@click.option("--order", type=click.IntRange(min=1), default=8,
+              show_default=True, help="Formal order used in the leafwise checks.")
+@click.option("--max-blowups", type=click.IntRange(min=0), default=64,
+              show_default=True)
 @toolkit_errors
 def cmd_first_integral(expr, infile, tower_depth, ext_degree, order,
                        max_blowups):

@@ -19,17 +19,12 @@ which Z = h(z)^p transforms the germ into a genuine power series in Z with
 leading nonlinear coefficient p*a.  The reduction is exact through degree
 4p+1; accuracy therefore degrades as the base point approaches the edge of
 the convergence disc.
-
-Hot loops (long orbit advance, census) run through compiled kernels when
-numba is importable; setting the environment variable FOLSING_PURE_NUMPY=1
-forces the plain numpy/Python path.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,81 +37,15 @@ from .errors import (
 )
 
 _COEFF_TOL = 1e-12
-PURE_NUMPY_ENV = "FOLSING_PURE_NUMPY"
 
 
 # --------------------------------------------------------------------------
-# backend selection
+# orbit kernels
 # --------------------------------------------------------------------------
-_kernels: Dict[str, object] = {}
-
-
-def _load_numba_kernels() -> Optional[dict]:
-    if "numba" in _kernels:
-        return _kernels["numba"]
-    try:
-        import numba
-    except ImportError:
-        _kernels["numba"] = None
-        return None
-
-    @numba.njit(cache=False)
-    def advance(coeffs, zs, steps, radius):
-        out = zs.copy()
-        for i in range(out.shape[0]):
-            z = out[i]
-            for _ in range(steps):
-                acc = 0j
-                for k in range(coeffs.shape[0] - 1, -1, -1):
-                    acc = acc * z + coeffs[k]
-                z = acc * z
-                if abs(z) > radius or z != z:
-                    z = complex(np.nan, np.nan)
-                    break
-            out[i] = z
-        return out
-
-    @numba.njit(cache=False)
-    def census(coeffs, zs, radius, max_iter, tol):
-        status = np.zeros(zs.shape[0], dtype=np.int8)
-        period = np.zeros(zs.shape[0], dtype=np.int64)
-        for i in range(zs.shape[0]):
-            z0 = zs[i]
-            prev = z0
-            z = z0
-            for k in range(1, max_iter + 1):
-                acc = 0j
-                for m in range(coeffs.shape[0] - 1, -1, -1):
-                    acc = acc * z + coeffs[m]
-                z = acc * z
-                if abs(z) > radius or z != z:
-                    status[i] = 2
-                    period[i] = k
-                    break
-                if abs(z - z0) < tol:
-                    status[i] = 1
-                    period[i] = k
-                    break
-                if abs(z - prev) < tol:
-                    status[i] = 3
-                    period[i] = k
-                    break
-                prev = z
-        return status, period
-
-    _kernels["numba"] = {"advance": advance, "census": census}
-    return _kernels["numba"]
-
-
-def backend() -> str:
-    """Active kernel backend: "numba" or "numpy"."""
-    if os.environ.get(PURE_NUMPY_ENV) == "1":
-        return "numpy"
-    return "numba" if _load_numba_kernels() else "numpy"
-
-
-def _advance_numpy(coeffs: np.ndarray, zs: np.ndarray, steps: int,
-                   radius: float) -> np.ndarray:
+def _advance(coeffs: np.ndarray, zs: np.ndarray, steps: int,
+             radius: float) -> np.ndarray:
+    if steps <= 0:
+        return zs.copy()
     if zs.shape[0] <= 4:
         # scalar Python loop beats numpy dispatch overhead for single orbits
         clist = [complex(c) for c in coeffs[::-1]]
@@ -145,8 +74,8 @@ def _advance_numpy(coeffs: np.ndarray, zs: np.ndarray, steps: int,
     return out
 
 
-def _census_numpy(coeffs: np.ndarray, zs: np.ndarray, radius: float,
-                  max_iter: int, tol: float) -> Tuple[np.ndarray, np.ndarray]:
+def _census_kernel(coeffs: np.ndarray, zs: np.ndarray, radius: float,
+                   max_iter: int, tol: float) -> Tuple[np.ndarray, np.ndarray]:
     n = zs.shape[0]
     status = np.zeros(n, dtype=np.int8)
     period = np.zeros(n, dtype=np.int64)
@@ -176,29 +105,6 @@ def _census_numpy(coeffs: np.ndarray, zs: np.ndarray, radius: float,
         if not live.any():
             break
     return status, period
-
-
-def _advance(coeffs: np.ndarray, zs: np.ndarray, steps: int, radius: float,
-             force: Optional[str] = None) -> np.ndarray:
-    if steps <= 0:
-        return zs.copy()
-    mode = force or backend()
-    if mode == "numba":
-        kern = _load_numba_kernels()
-        if kern is not None:
-            return kern["advance"](coeffs, zs, steps, radius)
-    return _advance_numpy(coeffs, zs, steps, radius)
-
-
-def _census_kernel(coeffs: np.ndarray, zs: np.ndarray, radius: float,
-                   max_iter: int, tol: float,
-                   force: Optional[str] = None) -> Tuple[np.ndarray, np.ndarray]:
-    mode = force or backend()
-    if mode == "numba":
-        kern = _load_numba_kernels()
-        if kern is not None:
-            return kern["census"](coeffs, zs, radius, max_iter, tol)
-    return _census_numpy(coeffs, zs, radius, max_iter, tol)
 
 
 # --------------------------------------------------------------------------

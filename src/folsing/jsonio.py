@@ -14,7 +14,6 @@ import json
 import math
 from fractions import Fraction
 from importlib import resources
-from pathlib import Path
 from typing import Any, List, Optional
 
 from .scalars import GaussianRational, TauScalar
@@ -53,11 +52,6 @@ def dumps(payload: Any) -> str:
     """Serialize a payload deterministically (sorted keys, fixed layout)."""
     return json.dumps(to_jsonable(payload), sort_keys=True, indent=2,
                       ensure_ascii=True) + "\n"
-
-
-def load(path) -> Any:
-    """Read a JSON document from ``path``."""
-    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def _floats_close(a: float, b: float) -> bool:

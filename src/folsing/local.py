@@ -8,10 +8,11 @@ exact rational square-root tests.  When s lives in a proper extension tower
 the (rare) realness/sign decisions fall back to the numeric embedding and the
 result is flagged as such.
 
-Intersection multiplicity of two plane curves at the origin is computed by a
-deterministic shear followed by the order of vanishing of the y-resultant,
-after stripping any common factor (a common branch through the origin gives
-multiplicity infinity).
+Intersection multiplicity of two plane curves at the origin is computed by
+Fulton's algorithm: the intersection axioms reduce I_0(F, G) to subtractions
+G <- G - c x^k F in K[x, y] and splittings F = y H, where each splitting adds
+the x-adic order of G(x, 0) to the count.  Only a common branch through the
+origin (a gcd vanishing there) makes the multiplicity infinite.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .towers import (
     tp_gcd,
     tp_is_zero,
     tp_mul,
-    tp_resultant,
     tp_scale,
     tp_trim,
 )
@@ -645,104 +645,41 @@ def _rf_divmod(F: list, H: list, rf: _RF):
 
 def intersection_number(f: MultiPoly, g: MultiPoly) -> Union[int, float]:
     """Intersection multiplicity of the plane curves f = 0 and g = 0 at the
-    origin (infinity when they share a branch through it)."""
+    origin (infinity when they share a branch through it), by Fulton's
+    algorithm (Algebraic Curves, section 3.3)."""
     if f.nvars != 2 or g.nvars != 2:
         raise ZeroInput("intersection numbers are planar (2 variables)")
-    if f.is_zero() or g.is_zero():
-        return math.inf
+    # a curve missing the origin meets nothing there, even the zero polynomial
     if not _is_zero(f.constant_term()) or not _is_zero(g.constant_term()):
         return 0
+    if f.is_zero() or g.is_zero():
+        return math.inf
+    # a common factor that is a unit at the origin leaves I_0 unchanged, so
+    # only one vanishing there matters and nothing needs dividing out
     h = gcd_xy(f, g)
     if h.total_degree() > 0 and _is_zero(h.constant_term()):
         return math.inf
-    if h.total_degree() > 0:
-        f = divide_exact_xy(f, h)
-        g = divide_exact_xy(g, h)
     tower = _common_tower(f, g)
-    for c in (0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7):
-        fc = _shear(f, c)
-        gc = _shear(g, c)
-        if not _shear_ok(fc, tower) or not _shear_ok(gc, tower):
+    zero = tower.zero()
+    F = {e: tower.element(c) for e, c in f.terms.items() if not _is_zero(c)}
+    G = {e: tower.element(c) for e, c in g.terms.items() if not _is_zero(c)}
+    total = 0
+    while (0, 0) not in F and (0, 0) not in G:
+        # r, s: degrees of F(x, 0) and G(x, 0), 0 when the slice vanishes
+        r = max((ex for ex, ey in F if ey == 0), default=0)
+        s = max((ex for ex, ey in G if ey == 0), default=0)
+        if r > s:
+            F, G, r, s = G, F, s, r
+        if r == 0:
+            # F = y H, so I(F, G) = ord_x G(x, 0) + I(H, G)
+            total += min(ex for ex, ey in G if ey == 0)
+            F = {(ex, ey - 1): c for (ex, ey), c in F.items()}
             continue
-        f0 = _axis_slice(fc, tower)
-        g0 = _axis_slice(gc, tower)
-        if not f0 or not g0:
-            continue  # a curve contains the test axis; shear again
-        common = tp_gcd(f0, g0)
-        if tp_deg(common) > 0:
-            low = min(k for k, cc in enumerate(common) if not _is_zero(cc))
-            if low != tp_deg(common):
-                continue  # common root off the origin on the test axis
-        res = _resultant_y(fc, gc, tower)
-        if tp_is_zero(res):
-            raise InternalInvariantViolation(
-                "vanishing resultant after removing common factors")
-        low = min(k for k, cc in enumerate(res) if not _is_zero(cc))
-        return low
-    raise InternalInvariantViolation("no admissible shear found")
-
-
-def _shear(p: MultiPoly, c: int) -> MultiPoly:
-    if c == 0:
-        return p
-    x = MultiPoly.variable(0, 2)
-    y = MultiPoly.variable(1, 2)
-    return p.substitute([x + y.scale(c), y])
-
-
-def _shear_ok(p: MultiPoly, tower: FieldTower) -> bool:
-    """Leading y-coefficient must be constant in x (no degree drop under
-    specialization)."""
-    dy = p.degree_in(1)
-    if dy < 0:
-        return False
-    lead = {e: c for e, c in p.terms.items() if e[1] == dy}
-    return all(e[0] == 0 for e in lead)
-
-
-def _axis_slice(p: MultiPoly, tower: FieldTower) -> list:
-    """p(0, y) as a univariate list."""
-    out: list = []
-    for (ex, ey), c in p.terms.items():
-        if ex:
-            continue
-        while len(out) <= ey:
-            out.append(tower.zero())
-        out[ey] = out[ey] + tower.element(c)
-    return tp_trim(out)
-
-
-def _resultant_y(f: MultiPoly, g: MultiPoly, tower: FieldTower) -> list:
-    """Res_y(f, g) as a polynomial in x, by evaluation and interpolation."""
-    from .towers import _interpolate
-
-    dx_f, dy_f = f.degree_in(0), f.degree_in(1)
-    dx_g, dy_g = g.degree_in(0), g.degree_in(1)
-    bound = dx_f * dy_g + dx_g * dy_f
-    xs, ys = [], []
-    j = 0
-    while len(xs) <= bound:
-        xv = tower.element(j)
-        fy = _eval_x(f, xv, tower)
-        gy = _eval_x(g, xv, tower)
-        if tp_deg(fy) != dy_f or tp_deg(gy) != dy_g:
-            j += 1
-            continue  # cannot happen with constant leading coeffs, kept for safety
-        r = tp_resultant(fy, gy)
-        xs.append(xv)
-        ys.append(r if isinstance(r, FieldElement) else tower.element(r))
-        j += 1
-    return _interpolate(xs, ys, tower)
-
-
-def _eval_x(p: MultiPoly, xv, tower: FieldTower) -> list:
-    out: list = []
-    powers = {0: tower.one()}
-    for (ex, ey), c in p.terms.items():
-        if ex not in powers:
-            powers[ex] = xv ** ex
-        v = tower.element(c) * powers[ex]
-        while len(out) <= ey:
-            out.append(tower.zero())
-        out[ey] = out[ey] + v
-    return tp_trim(out)
+        # I(F, G) = I(F, G - q x^(s-r) F), and deg G(x, 0) drops below s
+        q = G[(s, 0)] / F[(r, 0)]
+        for (ex, ey), c in F.items():
+            e = (ex + s - r, ey)
+            v = G.pop(e, zero) - q * c
+            if not v.is_zero():
+                G[e] = v
+    return total

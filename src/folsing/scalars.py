@@ -195,13 +195,6 @@ def format_gaussian(g: GaussianRational) -> str:
     return f"{_fmt_frac(re)}{imtxt}"  # imtxt already carries the minus sign
 
 
-def parse_gaussian(text: str) -> GaussianRational:
-    """Inverse of :func:`format_gaussian` (used for JSON round-trips)."""
-    from .parsing import parse_scalar_literal
-
-    return parse_scalar_literal(text)
-
-
 class TauScalar:
     """Polynomial in the transcendental symbol tau.
 

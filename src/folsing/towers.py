@@ -583,17 +583,6 @@ def tp_mul(p: list, q: list) -> list:
     return tp_trim([zero if c is None else c for c in out])
 
 
-def tp_pow(p: list, n: int) -> list:
-    out = [p[0] * 0 + 1] if p else [1]
-    base = p
-    while n:
-        if n & 1:
-            out = tp_mul(out, base)
-        base = tp_mul(base, base)
-        n >>= 1
-    return out
-
-
 def tp_divmod(p: list, q: list) -> Tuple[list, list]:
     p, q = tp_trim(list(p)), tp_trim(q)
     if not q:
@@ -677,12 +666,6 @@ def tp_compose(p: list, q: list) -> list:
     for c in reversed(p[:-1]):
         acc = tp_add(tp_mul(acc, q), [c])
     return acc
-
-
-def tp_shift(p: list, a) -> list:
-    """p(t + a)."""
-    one = (p or [a])[-1] * 0 + 1
-    return tp_compose(p, [a, one])
 
 
 def tp_resultant(f: list, g: list):

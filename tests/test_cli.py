@@ -234,6 +234,33 @@ class TestExitCodes:
         assert result.exit_code == 1
         assert json.loads(result.stderr)["error"] == "zero-input"
 
+    @pytest.mark.parametrize("args", [
+        ["linearize", "--expr", SADDLE, "--order", "-3"],
+        ["linearize", "--expr", SADDLE, "--order", "0"],
+        ["normal-form", "dulac", "--expr", SADDLE, "--order", "0"],
+        ["holonomy", "--expr", SADDLE, "--order", "0"],
+        ["first-integral", "--expr", SADDLE, "--order", "0"],
+        ["first-integral", "--expr", SADDLE, "--max-blowups", "-1"],
+        ["resolve", "--expr", CUSP, "--max-blowups", "-1"],
+        ["resolve", "--expr", CUSP, "--ext-degree", "0"],
+        ["resolve", "--expr", CUSP, "--tower-depth", "-1"],
+    ])
+    def test_usage_error_out_of_range_integer(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "is not in the range" in result.stderr
+        assert result.stdout == ""
+
+    def test_domain_error_blowup_budget(self, runner):
+        # I_0 = 39800 at the origin: the budget, not the multiplicity
+        # computation, ends the run
+        result = runner.invoke(main, ["resolve", "--expr",
+                                      "x^200*ddx + y^199*ddy"])
+        assert result.exit_code == 1
+        err = json.loads(result.stderr)
+        assert err["error"] == "blowup-budget-exceeded"
+        jsonio.validate(err, "error")
+
     def test_domain_error_resonance(self, runner):
         result = runner.invoke(main, ["linearize", "--expr",
                                       "x*ddx + 2*y*ddy + y^2*ddx"])

@@ -1,5 +1,5 @@
 """Floating-point parabolic dynamics: directions, petals, translation
-coordinate, orbit census, kernel backends."""
+coordinate, orbit census, orbit kernels."""
 
 import cmath
 import math
@@ -16,10 +16,8 @@ from folsing.errors import (
 from folsing.fatou import (
     NumericGerm,
     _advance,
-    _census_kernel,
     abel_residual,
     attracting_directions,
-    backend,
     fatou_coordinate,
     orbit_census,
     petal_points,
@@ -201,37 +199,20 @@ class TestOrbitCensus:
             orbit_census(rot, 0.3, max_iter=1000)
 
 
-class TestBackends:
+class TestAdvanceKernel:
     COEFFS = np.array([1.0, 1.0, 1.0], dtype=np.complex128)
 
-    def test_advance_agreement_scalar_and_batch(self):
-        small = np.array([-0.1 + 0.02j, -0.05 + 0j], dtype=np.complex128)
-        batch = np.array([-0.1 + 0.01j * k for k in range(9)],
-                         dtype=np.complex128)
-        for zs, steps in ((small, 10000), (batch, 5000)):
-            a = _advance(self.COEFFS, zs, steps, 0.5, force="numba")
-            b = _advance(self.COEFFS, zs, steps, 0.5, force="numpy")
-            assert np.nanmax(np.abs(a - b)) < 1e-12
-            assert np.isnan(a).sum() == np.isnan(b).sum()
-
-    def test_census_agreement(self):
-        zs = np.array([0.2, 0.1j, -0.15 + 0.1j, 0.25 - 0.2j],
+    def test_scalar_and_vectorized_branches_agree(self):
+        # nine orbits take the vectorized branch; one at a time they take
+        # the scalar branch (at most four points)
+        zs = np.array([-0.1 + 0.01j * k for k in range(8)] + [0.45],
                       dtype=np.complex128)
-        sa, pa = _census_kernel(self.COEFFS, zs, 0.4, 50000, 1e-9,
-                                force="numba")
-        sb, pb = _census_kernel(self.COEFFS, zs, 0.4, 50000, 1e-9,
-                                force="numpy")
-        assert (sa == sb).all() and (pa == pb).all()
-
-    def test_env_flag_forces_numpy(self, monkeypatch):
-        monkeypatch.setenv("FOLSING_PURE_NUMPY", "1")
-        assert backend() == "numpy"
-        est = fatou_coordinate(NumericGerm([1.0, 1.0]), -0.08, n_max=20000)
-        assert est.cauchy_increment < 1e-8
-
-    def test_backends_give_same_estimate(self, monkeypatch):
-        f = NumericGerm([1.0, 1.0, 1.0])
-        default = fatou_coordinate(f, -0.1, n_max=40000).value
-        monkeypatch.setenv("FOLSING_PURE_NUMPY", "1")
-        forced = fatou_coordinate(f, -0.1, n_max=40000).value
-        assert abs(default - forced) < 1e-9
+        for steps in (1, 500, 5000):
+            batch = _advance(self.COEFFS, zs, steps, 0.5)
+            single = np.concatenate(
+                [_advance(self.COEFFS, zs[i:i + 1], steps, 0.5)
+                 for i in range(zs.shape[0])])
+            assert (np.isnan(batch) == np.isnan(single)).all()
+            live = ~np.isnan(batch)
+            assert np.abs(batch[live] - single[live]).max() < 1e-12
+        assert np.isnan(batch).sum() == 1

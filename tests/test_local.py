@@ -24,6 +24,7 @@ from folsing.towers import TRIVIAL
 
 X = MultiPoly.variable(0, 2)
 Y = MultiPoly.variable(1, 2)
+SQRT2_TOWER, R2 = TRIVIAL.adjoin_root([-2, 0, 1], name="r2")
 
 
 def linear_field(a, b, c, d):
@@ -231,6 +232,10 @@ class TestIntersectionNumber:
 
     def test_nonsingular_point(self):
         assert intersection_number(X + 1, Y) == 0
+        # a curve missing the origin meets even the zero polynomial nowhere
+        one, zero = MultiPoly.constant(1, 2), MultiPoly.zero(2)
+        assert intersection_number(one, zero) == 0
+        assert intersection_number(zero, X + 1) == 0
 
     def test_common_branch_infinite(self):
         assert intersection_number(X * Y, X * (X + Y)) == math.inf
@@ -260,6 +265,17 @@ class TestIntersectionNumber:
     @settings(max_examples=9, deadline=None)
     def test_monomial_axes(self, a, b):
         assert intersection_number(X ** a, Y ** b) == a * b
+
+    def test_high_degree_monomial_axes(self):
+        assert intersection_number(X ** 200, Y ** 199) == 39800
+
+    def test_coefficients_in_extension(self):
+        # y - r2 x^2 and y + r2 x^2 differ by 2 r2 x^2, which meets
+        # y - r2 x^2 with multiplicity 2
+        f = Y - X * X * R2
+        g = Y + X * X * R2
+        assert intersection_number(f, g) == 2
+        assert intersection_number(f * f, g) == 4
 
 
 def _ord_subs(g: MultiPoly, xt: str, yt: str):
@@ -291,6 +307,25 @@ fulton_polys = st.builds(
 )
 
 
+def _sqrt2_poly(i, ci, j, cj, mixed):
+    terms = {**mixed, (i, 0): ci, (0, j): cj}
+    return MultiPoly(2, {e: SQRT2_TOWER.element(a) + R2 * b
+                         for e, (a, b) in terms.items()})
+
+
+sqrt2_coeffs = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any)
+
+# curves through the origin with coefficients a + b*sqrt(2); the pure powers
+# of x and y keep most pairs free of a common component, so that most values
+# are finite
+sqrt2_polys = st.builds(
+    _sqrt2_poly,
+    st.integers(1, 4), sqrt2_coeffs, st.integers(1, 4), sqrt2_coeffs,
+    st.dictionaries(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                    sqrt2_coeffs, max_size=3),
+)
+
+
 class TestFultonAxioms:
     @given(fulton_polys, fulton_polys)
     @settings(max_examples=40, deadline=None)
@@ -308,3 +343,10 @@ class TestFultonAxioms:
     @settings(max_examples=25, deadline=None)
     def test_invariance_under_combination(self, f, g, h):
         assert intersection_number(f, g + h * f) == intersection_number(f, g)
+
+    @given(sqrt2_polys, sqrt2_polys, sqrt2_polys)
+    @settings(max_examples=25, deadline=None)
+    def test_axioms_over_sqrt2(self, f, g, h):
+        value = intersection_number(f, g)
+        assert intersection_number(g, f) == value
+        assert intersection_number(f, g + h * f) == value
