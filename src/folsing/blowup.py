@@ -21,7 +21,13 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from .errors import InternalInvariantViolation, NotSingular, ZeroInput
+from .errors import (
+    InternalInvariantViolation,
+    NotSingular,
+    VariableCountMismatch,
+    WrongClass,
+    ZeroInput,
+)
 from .poly import (
     MultiPoly,
     OneFormGerm,
@@ -77,8 +83,11 @@ class TangentCone:
 def tangent_cone(obj) -> TangentCone:
     """Phi = x G_k - y F_k for the dual field (F, G) of order k."""
     field = dualize(obj) if isinstance(obj, OneFormGerm) else obj
-    if not isinstance(field, VectorFieldGerm) or field.nvars != 2:
-        raise TypeError("expected a planar vector field or 1-form")
+    if not isinstance(field, VectorFieldGerm):
+        raise WrongClass("expected a planar vector field or 1-form")
+    if field.nvars != 2:
+        raise VariableCountMismatch("tangent cone is planar (2 variables)",
+                                    nvars=field.nvars)
     if field.is_zero():
         raise ZeroInput("zero germ has no tangent cone")
     k = field.order_at_origin()

@@ -504,7 +504,7 @@ def cmd_normal_form(kind, expr, infile, order):
 
 @main.command("holonomy")
 @input_options
-@click.option("--base", type=int, default=0, show_default=True,
+@click.option("--base", type=click.IntRange(0, 1), default=0, show_default=True,
               help="Index of the separatrix used as the base leaf.")
 @click.option("--order", type=click.IntRange(min=1), default=6,
               show_default=True, help="Truncation order of the holonomy germ.")
@@ -557,7 +557,8 @@ def cmd_cp2_infinity(expr, infile):
 @input_options
 @click.option("--slope", default=None, metavar="RATIONAL",
               help="Single exact slope, e.g. 3 or -5/7.")
-@click.option("--count", type=int, default=5, show_default=True,
+@click.option("--count", type=click.IntRange(min=1), default=5,
+              show_default=True,
               help="Number of pseudorandom slopes when --slope is absent.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
@@ -613,15 +614,13 @@ def cmd_gen_jouanolou(degree, chart, plain):
 
 
 @cmd_gen.command("riccati-template")
-@click.option("--base-degree", type=int, default=2, show_default=True,
-              help="Degree of the base polynomial (at least 2).")
+@click.option("--base-degree", type=click.IntRange(min=2), default=2,
+              show_default=True, help="Degree of the base polynomial.")
 @click.option("--plain", is_flag=True,
               help="Print only the expression (suitable for --expr/--in).")
 @toolkit_errors
 def cmd_gen_riccati(base_degree, plain):
     """Fibration-compatible example, quadratic in the second variable."""
-    if base_degree < 2:
-        raise click.UsageError("--base-degree must be at least 2")
     text = f"(x^{base_degree} - x)*ddx + (y^2 + x*y + 1)*ddy"
     field = parse_field(text)
     canonical = render_field(field)
@@ -655,7 +654,8 @@ def cmd_sectors(gamma, alpha, maxdeg):
               help='Comma-separated coefficients of z, z^2, ...: "1,1,0.5".')
 @click.option("--z", "z_text", required=True, metavar="COMPLEX",
               help='Query point, e.g. "-0.1" or "0.02+0.1i".')
-@click.option("--n-max", type=int, default=100000, show_default=True,
+@click.option("--n-max", type=click.IntRange(min=1), default=100000,
+              show_default=True,
               help="Iteration budget.")
 @click.option("--tol", type=float, default=1e-8, show_default=True,
               help="Convergence tolerance on the averaged increment.")
@@ -671,8 +671,10 @@ def cmd_fatou(coeffs, z_text, n_max, tol):
               help='Comma-separated coefficients of z, z^2, ...')
 @click.option("--radius", type=float, required=True,
               help="Radius of the sampling disc.")
-@click.option("--max-iter", type=int, default=1000000, show_default=True)
-@click.option("--grid", type=int, default=20, show_default=True,
+@click.option("--max-iter", type=click.IntRange(min=1), default=1000000,
+              show_default=True)
+@click.option("--grid", type=click.IntRange(min=1), default=20,
+              show_default=True,
               help="Sample points per axis.")
 @click.option("--tol", type=float, default=1e-9, show_default=True,
               help="Return/collision tolerance.")

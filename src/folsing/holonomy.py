@@ -215,7 +215,7 @@ class GermSeries:
                 prev = max(e for e in powers if e < k)
                 acc = powers[prev]
                 for _ in range(k - prev):
-                    acc = (acc * inner).truncate(order)
+                    acc = acc.mul_trunc(inner, order)
                 powers[k] = acc
             out = out + powers[k].scale(self.coeffs[k])
         return GermSeries({e[0]: c for e, c in out.terms.items()}, order)

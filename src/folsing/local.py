@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     InternalInvariantViolation,
+    VariableCountMismatch,
     WrongClass,
     ZeroInput,
 )
@@ -164,7 +165,10 @@ def classify_singularity(obj, point: Optional[Sequence] = None) -> SingularityCl
     if isinstance(obj, OneFormGerm):
         obj = dualize(obj)
     if not isinstance(obj, VectorFieldGerm):
-        raise TypeError("expected a vector field or 1-form")
+        raise WrongClass("expected a vector field or 1-form")
+    if obj.nvars != 2:
+        raise VariableCountMismatch("classification is planar (2 variables)",
+                                    nvars=obj.nvars)
     vf = obj
     if point is not None:
         vf = vf.translate(list(point))
@@ -248,6 +252,9 @@ def eigen_pair(vf: VectorFieldGerm, adjoin: bool = True,
     adjoined (one extension); otherwise NotSingular/ValueError style errors
     propagate from the tower layer.
     """
+    if vf.nvars != 2:
+        raise VariableCountMismatch("eigenvalue pair is planar (2 variables)",
+                                    nvars=vf.nvars)
     j = vf.linear_part_matrix()
     a, b = j[0]
     c, d = j[1]

@@ -74,11 +74,14 @@ def _monomials(nvars: int, degree: int):
             yield (k,) + rest
 
 
-def _compose_trunc(poly: MultiPoly, maps: Sequence[MultiPoly], order: int) -> MultiPoly:
-    """poly(maps), discarding all terms of total degree above ``order``.
+def _compose_trunc(polys: Sequence[MultiPoly], maps: Sequence[MultiPoly],
+                   order: int) -> List[MultiPoly]:
+    """Each poly(maps), discarding all terms of total degree above ``order``.
 
-    Assumes every map vanishes at the origin, so a source monomial of
-    degree above ``order`` cannot contribute and is skipped outright.
+    The truncated powers of the maps are built once and shared by all of
+    ``polys``.  Assumes every map vanishes at the origin, so a source
+    monomial of degree above ``order`` cannot contribute and is skipped
+    outright.
     """
     n = maps[0].nvars
     caches: List[Dict[int, MultiPoly]] = [dict() for _ in maps]
@@ -91,20 +94,23 @@ def _compose_trunc(poly: MultiPoly, maps: Sequence[MultiPoly], order: int) -> Mu
         if e == 1:
             p = maps[j].truncate(order)
         else:
-            p = (power(j, e - 1) * maps[j]).truncate(order)
+            p = power(j, e - 1).mul_trunc(maps[j], order)
         cache[e] = p
         return p
 
-    out = MultiPoly.zero(n)
-    for exps, coeff in poly.terms.items():
-        if sum(exps) > order:
-            continue
-        term = MultiPoly.constant(coeff, n)
-        for j, e in enumerate(exps):
-            if e:
-                term = (term * power(j, e)).truncate(order)
-        out = out + term
-    return out.truncate(order)
+    out = []
+    for poly in polys:
+        acc = MultiPoly.zero(n)
+        for exps, coeff in poly.terms.items():
+            if sum(exps) > order:
+                continue
+            term = MultiPoly.constant(coeff, n)
+            for j, e in enumerate(exps):
+                if e:
+                    term = term.mul_trunc(power(j, e), order)
+            acc = acc + term
+        out.append(acc)
+    return out
 
 
 def _diagonal_lambdas(field: VectorFieldGerm) -> Tuple:
@@ -172,10 +178,11 @@ def solve_conjugacy(field: VectorFieldGerm, decide: Decide, order: int,
 
     for d in range(2, order + 1):
         maps = [variables[i] + h[i] for i in range(n)]
+        composed = _compose_trunc(nonlinear, maps, d)
         for i in range(n):
-            defect = _compose_trunc(nonlinear[i], maps, d)
+            defect = composed[i]
             for j in range(n):
-                defect = defect - (h[i].derivative(j) * g[j]).truncate(d)
+                defect = defect - h[i].derivative(j).mul_trunc(g[j], d)
             slice_d = defect.homogeneous_component(d)
             for exps in _monomials(n, d):
                 rhs = slice_d.coefficient(exps)
@@ -204,14 +211,14 @@ def conjugacy_residual(field: VectorFieldGerm, result: ConjugacyResult) -> List[
     """DH * X_reduced - X(H), truncated at the working order (all zero iff valid)."""
     n = field.nvars
     order = result.order
+    rhs = _compose_trunc(field.components, result.transform, order)
     out = []
     for i in range(n):
         lhs = MultiPoly.zero(n)
         for j in range(n):
-            lhs = lhs + (result.transform[i].derivative(j)
-                         * result.normal_form.components[j]).truncate(order)
-        rhs = _compose_trunc(field.components[i], result.transform, order)
-        out.append((lhs - rhs).truncate(order))
+            lhs = lhs + result.transform[i].derivative(j).mul_trunc(
+                result.normal_form.components[j], order)
+        out.append(lhs - rhs[i])
     return out
 
 
@@ -399,9 +406,8 @@ def center_manifold_series(field: VectorFieldGerm, order: int) -> MultiPoly:
     c = MultiPoly.zero(n)
     mu_inv = _inv(lam[0])
     for k in range(2, order + 1):
-        maps = [c, y2]
-        rhs = (c.derivative(1) * _compose_trunc(comp_b, maps, k)).truncate(k) \
-            - _compose_trunc(a_nl, maps, k)
+        b_of_c, a_of_c = _compose_trunc([comp_b, a_nl], [c, y2], k)
+        rhs = c.derivative(1).mul_trunc(b_of_c, k) - a_of_c
         coeff = rhs.homogeneous_component(k).coefficient((0, k))
         if not scalar_is_zero(coeff):
             c = c + MultiPoly.monomial(coeff * mu_inv, (0, k))
@@ -443,9 +449,8 @@ def saddle_node_prepare(field: VectorFieldGerm, order: int = 12) -> SaddleNodeDa
     y2 = MultiPoly.variable(1, 2)
     lift = [y1 + c, y2]
     comp_a, comp_b = work.components
-    shifted_a = _compose_trunc(comp_a - (c.derivative(1) * comp_b).truncate(order),
-                               lift, order)
-    shifted_b = _compose_trunc(comp_b, lift, order)
+    shifted_a, shifted_b = _compose_trunc(
+        [comp_a - c.derivative(1).mul_trunc(comp_b, order), comp_b], lift, order)
 
     center_slice_a = shifted_a.substitute([MultiPoly.zero(2), y2]).truncate(order)
     if not center_slice_a.is_zero():

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -192,11 +193,26 @@ class MultiPoly:
             return self.scale(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
+        return self.mul_trunc(other, math.inf)
+
+    __rmul__ = __mul__
+
+    def mul_trunc(self, other: "MultiPoly",
+                  order: Union[int, float]) -> "MultiPoly":
+        """``(self * other).truncate(order)``, skipping every term pair whose
+        degree sum exceeds ``order`` instead of forming and discarding it;
+        ``order`` may be ``math.inf``."""
         self._check(other)
+        right = [(e2, c2, sum(e2)) for e2, c2 in other.terms.items()]
         out: Dict[Exponent, object] = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+            room = order - sum(e1)
+            if room < 0:
+                continue
+            for e2, c2, d2 in right:
+                if d2 > room:
+                    continue
+                e = tuple(map(add, e1, e2))
                 p = c1 * c2
                 if e in out:
                     s = out[e] + p
@@ -207,8 +223,6 @@ class MultiPoly:
                 else:
                     out[e] = p
         return MultiPoly(self.nvars, out)
-
-    __rmul__ = __mul__
 
     def scale(self, c) -> "MultiPoly":
         c = _coerce_scalar(c)
@@ -413,7 +427,7 @@ class TruncatedSeries:
         p, n = self._mix(other)
         if p is None:
             return NotImplemented
-        return TruncatedSeries(self.poly * p, n)
+        return TruncatedSeries(self.poly.mul_trunc(p, n), n)
 
     __rmul__ = __mul__
 
@@ -435,7 +449,7 @@ class TruncatedSeries:
         power = MultiPoly.constant(1, self.nvars)
         sign = -1
         for _ in range(self.order):
-            power = (power * v).truncate(self.order)
+            power = power.mul_trunc(v, self.order)
             if power.is_zero():
                 break
             acc = acc + power.scale(sign)

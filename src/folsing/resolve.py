@@ -30,6 +30,7 @@ from .blowup import (
 from .errors import (
     BlowupBudgetExceeded,
     NonIsolatedSingularity,
+    WrongClass,
     ZeroInput,
 )
 from .local import SingularityClass, classify_singularity, intersection_number
@@ -192,8 +193,10 @@ def resolve(obj, max_blowups: int = DEFAULT_MAX_BLOWUPS) -> ResolutionTree:
         form = dualize(obj)
     elif isinstance(obj, OneFormGerm):
         form = obj
+    elif isinstance(obj, MultiPoly) and obj.is_zero():
+        raise ZeroInput("identically zero germ")
     else:
-        raise TypeError("expected a planar vector field or 1-form")
+        raise WrongClass("expected a planar vector field or 1-form")
     if form.is_zero():
         raise ZeroInput("identically zero germ")
     tower = coefficient_tower(form.a, form.b) or TRIVIAL

@@ -1,7 +1,10 @@
 """Exact base scalars: Gaussian rationals and polynomials in the symbol tau.
 
 GaussianRational is the ground field for every exact computation in the
-package: a + b*i with a, b rational, stored as normalized Fractions.
+package: (a + b*i)/d stored as an integer triple (a, b, d) with d > 0 and
+gcd(a, b, d) = 1, so each element has exactly one representation.  Sums
+and products work on Python ints and normalize with one gcd per result;
+the real and imaginary parts are exposed as Fractions.
 
 TauScalar is a polynomial in a single transcendental symbol tau (representing
 the loop period 2*pi*i in holonomy series).  No relation beyond the ring
@@ -12,6 +15,7 @@ multiplication.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 from .errors import DivisionByZero
@@ -29,77 +33,131 @@ def _frac(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
-class GaussianRational:
-    """Exact element of Q(i)."""
+_new = object.__new__
 
-    __slots__ = ("re", "im")
+
+def _lowest(a: int, b: int, d: int) -> "GaussianRational":
+    """(a + b*i)/d from ints already in lowest terms with d > 0."""
+    out = _new(GaussianRational)
+    out._a = a
+    out._b = b
+    out._d = d
+    return out
+
+
+def _triple(a: int, b: int, d: int) -> "GaussianRational":
+    """(a + b*i)/d from ints with d > 0, reduced by gcd(a, b, d)."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            return _lowest(a // g, b // g, d // g)
+    return _lowest(a, b, d)
+
+
+class GaussianRational:
+    """Exact element of Q(i): (a + b*i)/d in lowest terms.
+
+    Immutable: ``re`` and ``im`` are read-only, and the triple is private.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: RatLike = 0, im: RatLike = 0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
-
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError("GaussianRational is immutable")
+        re, im = _frac(re), _frac(im)
+        p, q = re.numerator, re.denominator
+        r, s = im.numerator, im.denominator
+        if q == s:
+            a, b, d = p, r, q
+        else:
+            # d = lcm(q, s); a prime of d divides q or s to the full power,
+            # so it misses p or r and the triple is already in lowest terms
+            d = q // gcd(q, s) * s
+            a, b = p * (d // q), r * (d // s)
+        self._a = a
+        self._b = b
+        self._d = d
 
     # -- constructors -------------------------------------------------
     @classmethod
     def coerce(cls, x) -> "GaussianRational":
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return cls(x, 0)
-        raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
+        g = _co(x)
+        if g is NotImplemented:
+            raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
+        return g
+
+    # -- parts ----------------------------------------------------------
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- predicates ---------------------------------------------------
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self._a == 0 and self._b == 0
 
     def is_one(self) -> bool:
-        return self.re == 1 and self.im == 0
+        return self._a == 1 and self._b == 0 and self._d == 1
 
     def is_rational(self) -> bool:
-        return self.im == 0
+        return self._b == 0
 
     # -- ring/field ops -----------------------------------------------
     def __add__(self, other):
-        other = _co(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = _co(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _triple(self._a + other._a, self._b + other._b, d1)
+        return _triple(self._a * d2 + other._a * d1,
+                       self._b * d2 + other._b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _lowest(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        other = _co(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            other = _co(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _triple(self._a - other._a, self._b - other._b, d1)
+        return _triple(self._a * d2 - other._a * d1,
+                       self._b * d2 - other._b * d1, d1 * d2)
 
     def __rsub__(self, other):
         other = _co(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussianRational(other.re - self.re, other.im - self.im)
+        return other - self
 
     def __mul__(self, other):
-        other = _co(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = _co(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        d = self._d * other._d
+        if b1 == 0 and b2 == 0:
+            return _triple(a1 * a2, 0, d)
+        return _triple(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussianRational":
-        n = self.re * self.re + self.im * self.im
+        a, b = self._a, self._b
+        n = a * a + b * b
         if n == 0:
             raise DivisionByZero("inverse of zero Gaussian rational")
-        return GaussianRational(self.re / n, -self.im / n)
+        d = self._d
+        return _triple(a * d, -b * d, n)
 
     def __truediv__(self, other):
         other = _co(other)
@@ -128,16 +186,22 @@ class GaussianRational:
         return out
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _lowest(self._a, -self._b, self._d)
 
     # -- comparison / hashing ----------------------------------------
     def __eq__(self, other):
-        other = _co(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not GaussianRational:
+            other = _co(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return (self._a == other._a and self._b == other._b
+                and self._d == other._d)
 
     def __hash__(self):
+        # the hash of the pair of Fractions (re, im); an int hashes like
+        # the Fraction with the same value
+        if self._d == 1:
+            return hash((self._a, self._b))
         return hash((self.re, self.im))
 
     def sort_key(self):
@@ -145,12 +209,12 @@ class GaussianRational:
 
     # -- conversions --------------------------------------------------
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(self._a / self._d, self._b / self._d)
 
     def as_fraction(self) -> Fraction:
-        if self.im != 0:
+        if self._b != 0:
             raise ValueError("not a rational number")
-        return self.re
+        return Fraction(self._a, self._d)
 
     def __repr__(self):
         return f"GaussianRational({format_gaussian(self)})"
@@ -164,7 +228,7 @@ def _co(x):
     if isinstance(x, GaussianRational):
         return x
     if isinstance(x, (int, Fraction)):
-        return GaussianRational(x, 0)
+        return _lowest(x.numerator, 0, x.denominator)
     return NotImplemented
 
 
@@ -173,26 +237,30 @@ ONE = GaussianRational(1, 0)
 I = GaussianRational(0, 1)
 
 
-def _fmt_frac(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+def _fmt_ratio(n: int, d: int) -> str:
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def format_gaussian(g: GaussianRational) -> str:
     """Canonical string in the parser grammar: ``a/b``, ``c/d*i``, ``a/b+c/d*i``."""
-    re, im = g.re, g.im
-    if im == 0:
-        return _fmt_frac(re)
-    if im == 1:
+    a, b, d = g._a, g._b, g._d
+    if b == 0:
+        return _fmt_ratio(a, d)
+    if b == d:
         imtxt = "i"
-    elif im == -1:
+    elif b == -d:
         imtxt = "-i"
     else:
-        imtxt = f"{_fmt_frac(im)}*i"
-    if re == 0:
+        imtxt = f"{_fmt_ratio(b, d)}*i"
+    if a == 0:
         return imtxt
-    if im > 0:
-        return f"{_fmt_frac(re)}+{imtxt}"
-    return f"{_fmt_frac(re)}{imtxt}"  # imtxt already carries the minus sign
+    if b > 0:
+        return f"{_fmt_ratio(a, d)}+{imtxt}"
+    return f"{_fmt_ratio(a, d)}{imtxt}"  # imtxt already carries the minus sign
 
 
 class TauScalar:

@@ -172,7 +172,7 @@ class FieldTower:
         if isinstance(x, (int, Fraction)):
             x = GaussianRational(x, 0)
         if isinstance(x, GaussianRational):
-            if self.base == "rational" and x.im != 0:
+            if self.base == "rational" and not x.is_rational():
                 raise TowerMismatch("imaginary constant in a rational-base tower")
             return FieldElement(self, self._const_rep(x))
         raise TypeError(f"cannot coerce {type(x).__name__} into tower")
@@ -279,7 +279,7 @@ class FieldElement:
 
     def is_rational(self) -> bool:
         g = self.as_gaussian_or_none()
-        return g is not None and g.im == 0
+        return g is not None and g.is_rational()
 
     # -- conversions ----------------------------------------------------
     def as_gaussian_or_none(self) -> Optional[GaussianRational]:
@@ -294,9 +294,9 @@ class FieldElement:
 
     def as_fraction(self) -> Fraction:
         g = self.as_gaussian_or_none()
-        if g is None or g.im != 0:
+        if g is None or not g.is_rational():
             raise ValueError("element is not rational")
-        return g.re
+        return g.as_fraction()
 
     def __complex__(self) -> complex:
         return _rep_complex(self.rep, self.tower)
@@ -478,7 +478,7 @@ def _rep_complex(rep, tower: FieldTower) -> complex:
 
 def _rep_key(rep, depth: int):
     if depth == 0:
-        return (rep.re, rep.im)
+        return rep.sort_key()
     return tuple(_rep_key(r, depth - 1) for r in rep)
 
 

@@ -244,12 +244,39 @@ class TestExitCodes:
         ["resolve", "--expr", CUSP, "--max-blowups", "-1"],
         ["resolve", "--expr", CUSP, "--ext-degree", "0"],
         ["resolve", "--expr", CUSP, "--tower-depth", "-1"],
+        ["holonomy", "--expr", SADDLE, "--base", "7"],
+        ["holonomy", "--expr", SADDLE, "--base", "-1"],
+        ["orbit-census", "--coeffs", "1,1", "--radius", "0.3", "--grid", "0"],
+        ["orbit-census", "--coeffs", "1,1", "--radius", "0.3",
+         "--max-iter", "-1"],
+        ["cp2", "tangency", "--expr", JOUANOLOU2, "--count", "-1"],
+        ["cp2", "tangency", "--expr", JOUANOLOU2, "--count", "0"],
+        ["fatou", "--coeffs", "1,1", "--z", "-0.1", "--n-max", "0"],
+        ["gen", "riccati-template", "--base-degree", "1"],
     ])
     def test_usage_error_out_of_range_integer(self, runner, args):
         result = runner.invoke(main, args)
         assert result.exit_code == 2
         assert "is not in the range" in result.stderr
         assert result.stdout == ""
+
+    @pytest.mark.parametrize("args, code", [
+        (["analyze", "--in", "lorenz.vf"], "variable-count-mismatch"),
+        (["holonomy", "--in", "lorenz.vf"], "variable-count-mismatch"),
+        (["blowup", "--in", "lorenz.vf"], "variable-count-mismatch"),
+        # parses to a bare zero polynomial, not a field
+        (["resolve", "--expr", "0*ddx+0*ddy"], "zero-input"),
+    ])
+    def test_domain_error_not_a_planar_field(self, runner, args, code):
+        args = [str(shipped_corpus_root() / a) if a.endswith(".vf") else a
+                for a in args]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        err = json.loads(result.stderr)
+        assert err["error"] == code
+        jsonio.validate(err, "error")
 
     def test_domain_error_blowup_budget(self, runner):
         # I_0 = 39800 at the origin: the budget, not the multiplicity

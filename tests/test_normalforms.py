@@ -15,6 +15,7 @@ from folsing.errors import (
     ZeroDivisorDelta,
 )
 from folsing.normalforms import (
+    _compose_trunc,
     center_manifold_series,
     conjugacy_residual,
     diagonalize_linear_part,
@@ -257,3 +258,26 @@ class TestResidualProperty:
         field = _field_with_tail(1, 0, cs)
         result = dulac_reduce(field, order=8)
         assert_conjugates(field, result)
+
+
+def _poly(exps, coeffs):
+    return MultiPoly(2, dict(zip(exps, coeffs)))
+
+
+class TestComposeTrunc:
+    rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    sources = st.lists(rationals, min_size=8, max_size=8)
+    maps = st.lists(rationals, min_size=5, max_size=5)
+
+    @given(st.lists(sources, min_size=1, max_size=3), maps, maps,
+           st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_list_form_matches_single_calls(self, srcs, m1, m2, order):
+        # sources may carry constant and linear terms; maps vanish at 0
+        polys = [_poly([(0, 0), (1, 0), (0, 1)] + TAIL_EXPS[:5], s)
+                 for s in srcs]
+        maps = [_poly([(1, 0), (0, 1)] + TAIL_EXPS[:3], m) for m in (m1, m2)]
+        together = _compose_trunc(polys, maps, order)
+        assert together == [_compose_trunc([p], maps, order)[0]
+                            for p in polys]
+        assert together == [p.substitute(maps).truncate(order) for p in polys]

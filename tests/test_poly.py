@@ -36,6 +36,19 @@ small_polys = st.builds(
     ),
 )
 
+SQRT2, R2 = TRIVIAL.adjoin_root([-2, 0, 1], name="r2")
+
+# coefficients a + b*sqrt(2) with rational a
+sqrt2_polys = st.builds(
+    lambda d: MultiPoly(2, {e: SQRT2.element(a) + R2 * b
+                            for e, (a, b) in d.items()}),
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        st.tuples(st.fractions(-5, 5, max_denominator=6), st.integers(-3, 3)),
+        max_size=5,
+    ),
+)
+
 
 class TestMultiPoly:
     def test_constructor_prunes_zero(self):
@@ -63,6 +76,14 @@ class TestMultiPoly:
     @settings(max_examples=30, deadline=None)
     def test_distributive(self, p, q, r):
         assert p * (q + r) == p * q + p * r
+
+    @given(st.one_of(small_polys, sqrt2_polys),
+           st.one_of(small_polys, sqrt2_polys), st.integers(0, 7))
+    @settings(max_examples=60, deadline=None)
+    def test_mul_trunc_is_truncated_product(self, p, q, n):
+        # same terms, inserted in the same order
+        assert list(p.mul_trunc(q, n).terms.items()) == \
+            list((p * q).truncate(n).terms.items())
 
     def test_evaluate(self):
         p = X * X + Y.scale(3)

@@ -1,9 +1,10 @@
 """Exact Gaussian-rational scalars and tau-polynomials."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from folsing.errors import DivisionByZero
 from folsing.scalars import (
@@ -19,6 +20,41 @@ from folsing.scalars import (
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 gaussians = st.builds(GaussianRational, rationals, rationals)
+
+# real and imaginary parts for the Fraction-pair reference; zero parts are
+# drawn often so that the all-real fast path is exercised
+parts = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-10 ** 6, 10 ** 6).map(Fraction),
+    st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                 max_denominator=10 ** 5),
+)
+
+
+def _reference_format(re: Fraction, im: Fraction) -> str:
+    """The canonical text computed on a pair of Fractions."""
+    def frac(f):
+        return str(f.numerator) if f.denominator == 1 \
+            else f"{f.numerator}/{f.denominator}"
+
+    if im == 0:
+        return frac(re)
+    imtxt = "i" if im == 1 else "-i" if im == -1 else f"{frac(im)}*i"
+    if re == 0:
+        return imtxt
+    return f"{frac(re)}+{imtxt}" if im > 0 else f"{frac(re)}{imtxt}"
+
+
+def _assert_matches_pair(g, re: Fraction, im: Fraction):
+    assert (g.re, g.im) == (re, im)
+    assert g == GaussianRational(re, im)
+    assert hash(g) == hash((re, im))
+    assert format_gaussian(g) == _reference_format(re, im)
+    assert g.sort_key() == (re, im)
+    # the stored triple (a + b*i)/d is in lowest terms
+    a, b, d = g._a, g._b, g._d
+    assert d > 0 and gcd(a, b, d) == 1
+    assert (Fraction(a, d), Fraction(b, d)) == (re, im)
 
 
 class TestGaussianRational:
@@ -79,6 +115,30 @@ class TestGaussianRational:
     def test_complex_value(self):
         z = complex(GaussianRational(Fraction(1, 2), Fraction(-1, 4)))
         assert z == 0.5 - 0.25j
+
+    @given(st.tuples(parts, parts), st.tuples(parts, parts))
+    @settings(max_examples=300, deadline=None)
+    def test_triple_matches_fraction_pair(self, p, q):
+        (a, b), (c, d) = p, q
+        x, y = GaussianRational(a, b), GaussianRational(c, d)
+        _assert_matches_pair(x, a, b)
+        _assert_matches_pair(x + y, a + c, b + d)
+        _assert_matches_pair(x - y, a - c, b - d)
+        _assert_matches_pair(x * y, a * c - b * d, a * d + b * c)
+        _assert_matches_pair(-x, -a, -b)
+        _assert_matches_pair(x + c, a + c, b)
+        _assert_matches_pair(c * x, c * a, c * b)
+        _assert_matches_pair(c - x, c - a, -b)
+        assert (x == y) == (p == q)
+        assert (x == c) == (p == (c, 0))
+        n = c * c + d * d
+        if n:
+            _assert_matches_pair(y.inverse(), c / n, -d / n)
+            _assert_matches_pair(x / y, (a * c + b * d) / n,
+                                 (b * c - a * d) / n)
+        else:
+            with pytest.raises(DivisionByZero):
+                x / y
 
     def test_sort_key_orders(self):
         xs = [GaussianRational(1, 0), GaussianRational(0, 1), GaussianRational(-1, 2)]
