@@ -37,7 +37,7 @@ from .cp2 import (
     tangency_count,
     tangency_samples,
 )
-from .errors import ToolkitError, ZeroInput
+from .errors import ToolkitError, WrongClass, ZeroInput
 from .fatou import (
     NumericGerm,
     attracting_directions,
@@ -157,7 +157,7 @@ def _as_field(obj) -> VectorFieldGerm:
         return obj
     if hasattr(obj, "is_zero") and obj.is_zero():
         raise ZeroInput("zero expression is not a vector field or 1-form")
-    raise click.UsageError("expected a vector field or 1-form expression")
+    raise WrongClass("expected a vector field or 1-form expression")
 
 
 def _parse_complex(text: str) -> complex:

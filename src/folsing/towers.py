@@ -8,15 +8,17 @@ leaves), so structural equality is mathematical equality.
 
 The module also provides a small dense univariate-polynomial toolkit (the
 ``tp_*`` functions) over any of the package's exact scalars, and complete
-univariate factorization over a tower: sympy handles the base field (QQ or
-QQ_I) and a Trager norm descent lifts factorizations through the extension
-levels.  Degree and depth caps convert runaway extensions into clean errors.
+univariate factorization over a tower: Zassenhaus (module ``zassenhaus``)
+factors over Q, the norm f * conj(f) reaches Q(i), and a Trager norm
+descent lifts factorizations through the extension levels.  Degree and
+depth caps convert runaway extensions into clean errors.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,6 +33,7 @@ from .errors import (
     TowerMismatch,
 )
 from .scalars import GaussianRational, ONE, ZERO, format_gaussian
+from .zassenhaus import factor_squarefree
 
 DEFAULT_DEPTH_CAP = 3
 DEFAULT_DEGREE_CAP = 6
@@ -739,35 +742,46 @@ def _factor_squarefree(f: list, tower: FieldTower) -> List[list]:
 
 
 def _factor_base(f: list, tower: FieldTower) -> List[list]:
-    """Factor a squarefree monic polynomial over Q(i) or Q via sympy."""
-    import sympy
+    """Factor a squarefree monic polynomial over Q(i) or Q."""
+    coeffs = [c.rep for c in f]
+    if tower.base == "gaussian":
+        factors = _factor_gaussian(coeffs)
+    else:
+        factors = _factor_rational(coeffs)
+    return [[tower.element(c) for c in h] for h in factors]
 
-    t = sympy.Symbol("t")
-    expr = 0
-    for k, c in enumerate(f):
-        g = c.as_gaussian_or_none()
-        if g is None:
-            raise InternalInvariantViolation("non-constant rep in depth-0 tower")
-        expr += (sympy.Rational(g.re.numerator, g.re.denominator)
-                 + sympy.Rational(g.im.numerator, g.im.denominator) * sympy.I) * t ** k
-    domain = "QQ_I" if tower.base == "gaussian" else "QQ"
-    poly = sympy.Poly(expr, t, domain=domain)
-    _, fac = poly.factor_list()
+
+def _factor_rational(f: List[GaussianRational]) -> List[list]:
+    """Monic irreducible factors over Q of a squarefree monic polynomial with
+    rational coefficients: Zassenhaus on its primitive integer multiple."""
+    fr = [c.as_fraction() for c in f]
+    den = lcm(*(c.denominator for c in fr))
+    # primitive: each prime power of den divides some denominator fully
+    F = [c.numerator * (den // c.denominator) for c in fr]
+    return [[GaussianRational(Fraction(c, G[-1])) for c in G]
+            for G in factor_squarefree(F)]
+
+
+def _factor_gaussian(f: List[GaussianRational]) -> List[list]:
+    """Monic irreducible factors over Q(i) of a squarefree polynomial, by the
+    Trager norm: for g(t) = f(t - s*i) with N = g * conj(g) squarefree, the
+    irreducible factors of g are gcd(g, h) for the factors h of N over Q."""
+    n = tp_deg(f)
+    # N is squarefree iff g and conj(g) are coprime; each pair of roots of
+    # f and conj(f) rules out at most one shift s
+    for s in range(n * n + 1):
+        g = tp_compose(f, [GaussianRational(0, -s), ONE]) if s else f
+        conj = [c.conjugate() for c in g]
+        if tp_deg(tp_gcd(g, conj)) == 0:
+            break
+    else:
+        raise InternalInvariantViolation("no squarefree norm shift found")
+    norm = tp_mul(g, conj)
     out = []
-    for g, mult in fac:
-        if mult != 1:
-            raise InternalInvariantViolation("sympy returned a repeated factor of a squarefree input")
-        ge = sympy.expand(g.as_expr())
-        deg = sympy.degree(ge, t)
-        cs = []
-        for k in range(int(deg) + 1):
-            ck = sympy.expand(ge.coeff(t, k))
-            re, im = ck.as_real_imag()
-            cs.append(tower.element(GaussianRational(
-                Fraction(int(sympy.Rational(re).p), int(sympy.Rational(re).q)),
-                Fraction(int(sympy.Rational(im).p), int(sympy.Rational(im).q)),
-            )))
-        out.append(tp_monic(cs))
+    for h in _factor_rational(norm):
+        h = tp_gcd(g, h)
+        if tp_deg(h) >= 1:
+            out.append(tp_compose(h, [GaussianRational(0, s), ONE]) if s else h)
     return out
 
 
@@ -803,34 +817,27 @@ def _factor_trager(f: list, tower: FieldTower) -> List[list]:
 def _norm_resultant(g: list, m: list, tower: FieldTower, prefix: FieldTower) -> list:
     """N(t) = Res_u(m(u), G(u, t)) in K[t], where G is g with the top generator
     replaced by the variable u; computed by evaluation/interpolation in t."""
-    deg_bound = tp_deg(g) * (len(m) - 1)
-    points = []
     values = []
-    j = 0
-    while len(points) <= deg_bound:
-        x = prefix.element(j)
+    for j in range(tp_deg(g) * (len(m) - 1) + 1):
         gx = tp_eval(g, tower.element(j))  # element of tower
         pu = tp_trim([FieldElement(prefix, r) for r in gx.rep])
         rv = tp_resultant(m, pu) if pu else prefix.zero()
-        points.append(x)
         values.append(rv if isinstance(rv, FieldElement) else prefix.element(rv))
-        j += 1
-    return _interpolate(points, values, prefix)
+    return _interpolate(values, prefix)
 
 
-def _interpolate(xs: list, ys: list, field: FieldTower) -> list:
-    """Lagrange interpolation over an exact field (ascending coefficients)."""
-    n = len(xs)
-    acc: list = []
-    for i in range(n):
-        num = [field.one()]
-        denom = field.one()
-        for j in range(n):
-            if j == i:
-                continue
-            num = tp_mul(num, [-xs[j], field.one()])
-            denom = denom * (xs[i] - xs[j])
-        acc = tp_add(acc, tp_scale(num, ys[i] * denom.inverse()))
+def _interpolate(ys: list, field: FieldTower) -> list:
+    """The polynomial taking the values ys at t = 0, 1, ..., len(ys) - 1
+    (ascending coefficients), by Newton divided differences."""
+    c = list(ys)
+    n = len(c)
+    for j in range(1, n):
+        inv = Fraction(1, j)  # the nodes i and i - j lie j apart
+        for i in range(n - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) * inv
+    acc = [c[-1]]
+    for k in range(n - 2, -1, -1):
+        acc = tp_add(tp_mul(acc, [field.element(-k), field.one()]), [c[k]])
     return acc
 
 

@@ -7,12 +7,16 @@ corpus runner including its failure and empty-directory behavior.
 """
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import folsing
 from folsing import jsonio
 from folsing.cli import corpus_run, main, shipped_corpus_root
 
@@ -278,6 +282,21 @@ class TestExitCodes:
         assert err["error"] == code
         jsonio.validate(err, "error")
 
+    @pytest.mark.parametrize("command", [
+        ["analyze"], ["blowup"], ["linearize"], ["normal-form", "dulac"],
+        ["holonomy"], ["first-integral"], ["resolve"], ["cp2", "degree"],
+        ["cp2", "infinity"], ["cp2", "tangency"],
+    ])
+    def test_domain_error_not_a_field(self, runner, command):
+        # a polynomial, not a vector field or 1-form: the same error
+        # document and exit status from every command
+        result = runner.invoke(main, command + ["--expr", "x^2"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        err = json.loads(result.stderr)
+        assert err["error"] == "wrong-class"
+        jsonio.validate(err, "error")
+
     def test_domain_error_blowup_budget(self, runner):
         # I_0 = 39800 at the origin: the budget, not the multiplicity
         # computation, ends the run
@@ -337,6 +356,37 @@ class TestCorpus:
     def test_runner_function_directly(self):
         report = corpus_run()
         assert report["passed"] == report["total"] == 9
+
+
+class TestColdPath:
+    # commands run one after another in one fresh interpreter, as a user's
+    # shell would start them; exact factorization must not pull in sympy
+    SCRIPT = """
+import json, sys
+from folsing.cli import main, shipped_corpus_root
+root = shipped_corpus_root()
+codes = []
+for args in (["resolve", "--in", str(root / "cusp.vf")],
+             ["holonomy", "--in", str(root / "euler.vf")],
+             ["first-integral", "--in", str(root / "saddle_2_3.vf")],
+             ["corpus", "run"]):
+    try:
+        main(args)
+    except SystemExit as exc:
+        codes.append(exc.code)
+print(json.dumps({"codes": codes, "sympy": "sympy" in sys.modules}),
+      file=sys.stderr)
+"""
+
+    def test_no_sympy_import(self):
+        src = str(Path(folsing.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src if not path else src + os.pathsep + path)
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        report = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert report == {"codes": [0, 0, 0, 0], "sympy": False}
 
 
 # ---------------------------------------------------------------------

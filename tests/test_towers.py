@@ -216,3 +216,106 @@ class TestFactorization:
             for _ in range(m):
                 acc = tp_mul(acc, f)
         assert tp_trim(acc) == P
+
+
+I = GaussianRational(0, 1)
+SD4 = [1, 0, -10, 0, 1]                       # roots +-sqrt2 +-sqrt3
+SD8 = [576, 0, -960, 0, 352, 0, -40, 0, 1]    # roots +-sqrt2 +-sqrt3 +-sqrt5
+
+
+def product(tower, *factors):
+    """Product of polynomials given as ascending coefficient lists."""
+    acc = [tower.one()]
+    for f in factors:
+        acc = tp_mul(acc, [tower.element(c) for c in f])
+    return acc
+
+
+def factor_strings(coeffs, tower):
+    _, fac = factor_univariate(coeffs, tower)
+    return [([str(c) for c in h], m) for h, m in fac]
+
+
+class TestBaseFactorization:
+    """Factorizations over Q and Q(i) whose answers are known in closed form."""
+
+    @pytest.mark.parametrize("tower", [TRIVIAL_RATIONAL, TRIVIAL],
+                             ids=["Q", "Q(i)"])
+    @pytest.mark.parametrize("poly", [SD4, SD8], ids=["sd4", "sd8"])
+    def test_swinnerton_dyer_irreducible(self, poly, tower):
+        # they split mod every prime into factors of degree <= 2, so the
+        # modular factors must be recombined before irreducibility shows
+        assert factor_strings(poly, tower) == [([str(c) for c in poly], 1)]
+
+    def test_t4_plus_1(self):
+        assert factor_strings([1, 0, 0, 0, 1], TRIVIAL_RATIONAL) == [
+            (["1", "0", "0", "0", "1"], 1)]
+        assert factor_strings([1, 0, 0, 0, 1], TRIVIAL) == [
+            (["-i", "0", "1"], 1), (["i", "0", "1"], 1)]
+
+    def test_cyclotomic_12(self):
+        phi12 = [1, 0, -1, 0, 1]
+        assert factor_strings(phi12, TRIVIAL_RATIONAL) == [
+            (["1", "0", "-1", "0", "1"], 1)]
+        assert factor_strings(phi12, TRIVIAL) == [
+            (["-1", "-i", "1"], 1), (["-1", "i", "1"], 1)]
+
+    def test_non_rational_gaussian_product(self):
+        p = product(TRIVIAL, [-1 - 2 * I, 1], [I, 0, 1])
+        assert factor_strings(p, TRIVIAL) == [
+            (["-1-2*i", "1"], 1), (["i", "0", "1"], 1)]
+
+    def test_coefficients_past_64_bits(self):
+        big, bigger = 2 ** 70 + 3, 3 ** 50
+        p = product(TRIVIAL_RATIONAL, [-big, 1], [5, bigger, 1])
+        assert max(abs(c.as_fraction()) for c in p) > 2 ** 64
+        expected = [([str(-big), "1"], 1), (["5", str(bigger), "1"], 1)]
+        assert factor_strings(p, TRIVIAL_RATIONAL) == expected
+        p = product(TRIVIAL, [-big, 1], [5, bigger, 1], [2 ** 65 * I, 1])
+        assert factor_strings(p, TRIVIAL) == [
+            ([str(-big), "1"], 1), ([f"{2 ** 65}*i", "1"], 1),
+            (["5", str(bigger), "1"], 1)]
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _sympy_coeff(sympy, g):
+    re, im = g.re, g.im
+    return (sympy.Rational(re.numerator, re.denominator)
+            + sympy.I * sympy.Rational(im.numerator, im.denominator))
+
+
+def _fraction(r):
+    return Fraction(int(r.p), int(r.q))
+
+
+class TestFactorizationAgainstSympy:
+    """sympy's ``factor_list`` over QQ and QQ_I as a reference factorizer."""
+
+    @pytest.mark.parametrize("tower, domain",
+                             [(TRIVIAL_RATIONAL, "QQ"), (TRIVIAL, "QQ_I")],
+                             ids=["QQ", "QQ_I"])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_factor_list(self, sympy, tower, domain, data):
+        im = st.just(0) if tower is TRIVIAL_RATIONAL else st.integers(-4, 4)
+        scalar = st.builds(lambda a, b, d: GaussianRational(Fraction(a, d),
+                                                            Fraction(b, d)),
+                           st.integers(-4, 4), im, st.integers(1, 3))
+        factor = st.lists(scalar, min_size=2, max_size=5).filter(
+            lambda f: not f[-1].is_zero())
+        p = product(tower, *data.draw(st.lists(factor, min_size=1,
+                                               max_size=3)))
+        _, ours = factor_univariate(p, tower)
+        t = sympy.Symbol("t")
+        ref = sympy.Poly([_sympy_coeff(sympy, c.as_gaussian_or_none())
+                          for c in reversed(p)], t, domain=domain)
+        expected = sorted(
+            (tuple((_fraction(sympy.re(c)), _fraction(sympy.im(c)))
+                   for c in reversed(g.monic().all_coeffs())), m)
+            for g, m in ref.factor_list()[1])
+        got = sorted((tuple(c.sort_key() for c in h), m) for h, m in ours)
+        assert got == expected
