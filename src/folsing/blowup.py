@@ -36,6 +36,7 @@ from .poly import (
     dualize,
     lift_poly,
 )
+from .scalars import scalar_is_zero
 from .towers import (
     TRIVIAL,
     FieldTower,
@@ -242,7 +243,7 @@ def divisor_children(form: OneFormGerm, tower: Optional[FieldTower] = None
                     tower=tower))
     children.sort(key=_child_sort_key)
     # the direction at infinity: chart-2 origin
-    if _vanishes_at_origin(f2.a) and _vanishes_at_origin(f2.b):
+    if all(scalar_is_zero(p.constant_term()) for p in (f2.a, f2.b)):
         children.append(ChildPoint(2, tower=tower))
     return children, (f1, f2), (m1, m2)
 
@@ -265,12 +266,6 @@ def _slice_in_second_var(p: MultiPoly, tower: FieldTower) -> list:
             out.append(tower.zero())
         out[e1] = out[e1] + tower.element(c)
     return tp_trim(out)
-
-
-def _vanishes_at_origin(p: MultiPoly) -> bool:
-    c = p.constant_term()
-    z = getattr(c, "is_zero", None)
-    return z() if z is not None else c == 0
 
 
 def child_local_form(chart_forms: Tuple[OneFormGerm, OneFormGerm],

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import json
-import sys
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -657,7 +656,8 @@ def cmd_sectors(gamma, alpha, maxdeg):
 @click.option("--n-max", type=click.IntRange(min=1), default=100000,
               show_default=True,
               help="Iteration budget.")
-@click.option("--tol", type=float, default=1e-8, show_default=True,
+@click.option("--tol", type=click.FloatRange(min=0, min_open=True),
+              default=1e-8, show_default=True,
               help="Convergence tolerance on the averaged increment.")
 @toolkit_errors
 def cmd_fatou(coeffs, z_text, n_max, tol):
@@ -669,14 +669,16 @@ def cmd_fatou(coeffs, z_text, n_max, tol):
 @main.command("orbit-census")
 @click.option("--coeffs", required=True, metavar="LIST",
               help='Comma-separated coefficients of z, z^2, ...')
-@click.option("--radius", type=float, required=True,
+@click.option("--radius", type=click.FloatRange(min=0, min_open=True),
+              required=True,
               help="Radius of the sampling disc.")
 @click.option("--max-iter", type=click.IntRange(min=1), default=1000000,
               show_default=True)
 @click.option("--grid", type=click.IntRange(min=1), default=20,
               show_default=True,
               help="Sample points per axis.")
-@click.option("--tol", type=float, default=1e-9, show_default=True,
+@click.option("--tol", type=click.FloatRange(min=0, min_open=True),
+              default=1e-9, show_default=True,
               help="Return/collision tolerance.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
               default="json", show_default=True)

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .local import gcd_xy
 from .poly import MultiPoly, VectorFieldGerm, render_poly, wedge
-from .scalars import GaussianRational
+from .scalars import GaussianRational, row_reduce
 
 CHARTS = ("a", "b", "c")
 _CHART_INDEX = {"a": 0, "b": 1, "c": 2}
@@ -91,8 +91,7 @@ class HomogeneousField3:
                 raise WrongShapeError(h)
         common = _homogeneous_gcd3(comps)
         if common is not None:
-            comps = tuple(
-                _divide_exact_3(h, common) for h in comps)
+            comps = tuple(h.divide_exact(common) for h in comps)
             degree -= common.total_degree()
         self.components = comps
         self.degree = degree
@@ -203,22 +202,6 @@ def _homogeneous_gcd3(comps: Sequence[MultiPoly]) -> Optional[MultiPoly]:
     return g3
 
 
-def _divide_exact_3(h: MultiPoly, g: MultiPoly) -> MultiPoly:
-    if h.is_zero():
-        return h
-    from .local import divide_exact_xy
-
-    v = _homogeneous_valuation(g, 0)
-    reduced = h
-    if v:
-        reduced = reduced.divide_by_var_power(0, v)
-    g0 = g.divide_by_var_power(0, v) if v else g
-    target = _dehomogenize(reduced, 0)
-    divisor = _dehomogenize(g0, 0)
-    quotient = divide_exact_xy(target, divisor)
-    return _homogenize(quotient, 0, reduced.total_degree() - g0.total_degree())
-
-
 # --------------------------------------------------------------------------
 # chart conversions
 # --------------------------------------------------------------------------
@@ -287,10 +270,8 @@ def affine_chart_transfer(field: VectorFieldGerm, source: str, target: str) -> V
     p, q = transferred.components
     g = gcd_xy(p, q)
     if g.total_degree() > 0:
-        from .local import divide_exact_xy
-
-        p = divide_exact_xy(p, g)
-        q = divide_exact_xy(q, g)
+        p = p.divide_exact(g)
+        q = q.divide_exact(g)
     return VectorFieldGerm([p, q])
 
 
@@ -458,34 +439,11 @@ def fol_space_dimension(d: int) -> int:
             shifted[i] += 1
             row[cols[(i, tuple(shifted))]] = Fraction(1)
         rows.append(row)
-    rank = _rank(rows)
-    counted = len(cols) - rank - 1
+    counted = len(cols) - len(row_reduce(rows)[1]) - 1
     if counted != formula:
         raise InternalInvariantViolation(
             "dimension count mismatch", formula=formula, counted=counted)
     return formula
-
-
-def _rank(rows: List[List[Fraction]]) -> int:
-    rows = [list(r) for r in rows]
-    rank = 0
-    col = 0
-    ncols = len(rows[0]) if rows else 0
-    while rank < len(rows) and col < ncols:
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
 
 
 # --------------------------------------------------------------------------

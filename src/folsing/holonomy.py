@@ -21,7 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from .errors import (
     DicriticalInput,
@@ -32,7 +32,7 @@ from .errors import (
     ZeroInput,
 )
 from .errors import DegenerateEigenData
-from .local import divide_exact_xy, eigen_pair, gcd_xy
+from .local import eigen_pair, gcd_xy
 from .normalforms import diagonalize_linear_part, resonant_normal_form, _demote
 from .poly import (
     MultiPoly,
@@ -45,7 +45,14 @@ from .poly import (
     scalar_to_json,
 )
 from .resolve import resolve
-from .scalars import GaussianRational, TauScalar, scalar_is_zero
+from .scalars import (
+    GaussianRational,
+    TauScalar,
+    coerce_scalar,
+    row_reduce,
+    scalar_inverse,
+    scalar_is_zero,
+)
 from .towers import TRIVIAL, factor_univariate
 
 
@@ -154,18 +161,11 @@ def linear_holonomy(obj, base_index: int = 0):
     if scalar_is_zero(base):
         raise ZeroBaseEigenvalue(
             "separatrix eigenvalue vanishes; the return map is not linearizable")
-    ratio = _ratio(other, base)
+    ratio = other * scalar_inverse(base)
     frac = _as_real_fraction(ratio)
     if frac is not None:
         return ExactMultiplier(frac)
     return ComplexMultiplier(ratio)
-
-
-def _ratio(a, b):
-    inv = getattr(b, "inverse", None)
-    if inv is not None:
-        return a * inv()
-    return Fraction(a) / Fraction(b) if isinstance(a, (int, Fraction)) else a * (1 / b)
 
 
 def _as_real_fraction(v) -> Optional[Fraction]:
@@ -274,9 +274,7 @@ def saddle_node_holonomy(p: int, modulus, order: int = 6) -> GermSeries:
         for _ in range(j):
             c = c * lam if not isinstance(c, int) else lam * c
         # c = (-lam)^j with exact scalar arithmetic
-        G[p + 1 + j * p] = TauScalar.tau(1, GaussianRational.coerce(c)
-                                         if isinstance(c, (int, Fraction))
-                                         else c)
+        G[p + 1 + j * p] = TauScalar.tau(1, coerce_scalar(c))
         j += 1
 
     one = TauScalar.constant(GaussianRational(1))
@@ -398,8 +396,8 @@ def mattei_moussu_criterion(obj, order: int = 8, max_blowups: int = 64) -> Integ
     if isinstance(obj, OneFormGerm):
         common = gcd_xy(obj.a, obj.b)
         if common.total_degree() > 0:
-            obj = OneFormGerm(divide_exact_xy(obj.a, common),
-                              divide_exact_xy(obj.b, common))
+            obj = OneFormGerm(obj.a.divide_exact(common),
+                              obj.b.divide_exact(common))
     tree = resolve(obj, max_blowups=max_blowups)
     reasons: List[str] = []
     undecided = False
@@ -516,37 +514,13 @@ def _factor_cone(phi: MultiPoly, tower) -> List[Tuple[MultiPoly, int]]:
 
 def _solve_exact(rows: List[List[object]], rhs: List[object]) -> Optional[List[object]]:
     """Gaussian elimination over exact scalars; None when inconsistent."""
-    m = len(rows)
     n = len(rows[0]) if rows else 0
-    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        sel = None
-        for r in range(row, m):
-            if not scalar_is_zero(aug[r][col]):
-                sel = r
-                break
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        inv = getattr(aug[row][col], "inverse", None)
-        pivot_inv = inv() if inv else Fraction(1) / Fraction(aug[row][col])
-        aug[row] = [v * pivot_inv for v in aug[row]]
-        for r in range(m):
-            if r != row and not scalar_is_zero(aug[r][col]):
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if not scalar_is_zero(aug[r][n]):
-            return None
+    reduced, pivots = row_reduce([list(r) + [v] for r, v in zip(rows, rhs)])
+    if n in pivots:
+        return None
     solution = [Fraction(0)] * n
     for r, col in enumerate(pivots):
-        solution[col] = aug[r][n]
+        solution[col] = reduced[r][n]
     # columns without pivots stay zero; for our systems factors always
     # contribute, so a zero residue is caught by the caller
     return solution
@@ -582,7 +556,7 @@ def construct_first_integral_homogeneous(obj) -> FirstIntegralResult:
 
     columns = []
     for q, _ in factors:
-        cof = divide_exact_xy(phi, q)
+        cof = phi.divide_exact(q)
         columns.append((cof * q.derivative(0), cof * q.derivative(1)))
 
     degree = _homogeneous_degree(form.a if not form.a.is_zero() else form.b)

@@ -14,7 +14,7 @@ import json
 import math
 from fractions import Fraction
 from importlib import resources
-from typing import Any, List, Optional
+from typing import Any, List
 
 from .scalars import GaussianRational, TauScalar
 from .towers import FieldElement

@@ -13,6 +13,10 @@ Fulton's algorithm: the intersection axioms reduce I_0(F, G) to subtractions
 G <- G - c x^k F in K[x, y] and splittings F = y H, where each splitting adds
 the x-adic order of G(x, 0) to the count.  Only a common branch through the
 origin (a gcd vanishing there) makes the multiplicity infinite.
+
+``gcd_xy`` is the greatest common divisor in K[x, y], by primitive Euclid in
+y over K[x]; callers that remove a common factor divide it out with
+``MultiPoly.divide_exact``.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     InternalInvariantViolation,
@@ -34,19 +38,16 @@ from .poly import (
     VectorFieldGerm,
     coefficient_tower,
     dualize,
-    lift_poly,
 )
-from .scalars import GaussianRational
+from .scalars import GaussianRational, coerce_scalar, scalar_inverse, scalar_is_zero
 from .towers import (
     TRIVIAL,
     FieldElement,
     FieldTower,
-    tp_deg,
     tp_divmod,
     tp_gcd,
     tp_is_zero,
     tp_mul,
-    tp_scale,
     tp_trim,
 )
 
@@ -73,20 +74,9 @@ FINAL_TAGS = {
 }
 
 
-def _as_scalar(c):
-    if isinstance(c, (int, Fraction)):
-        return GaussianRational(c, 0)
-    return c
-
-
-def _is_zero(c) -> bool:
-    z = getattr(c, "is_zero", None)
-    return z() if z is not None else c == 0
-
-
 def _as_gaussian(c) -> Optional[GaussianRational]:
     """The Gaussian-rational value of an exact scalar, or None."""
-    c = _as_scalar(c)
+    c = coerce_scalar(c)
     if isinstance(c, GaussianRational):
         return c
     if isinstance(c, FieldElement):
@@ -133,11 +123,11 @@ class SingularityClass:
 
         out = {"tag": self.tag, "order": (None if self.order == math.inf else self.order)}
         if self.trace is not None:
-            out["trace"] = scalar_to_json(_as_scalar(self.trace))
+            out["trace"] = scalar_to_json(coerce_scalar(self.trace))
         if self.det is not None:
-            out["det"] = scalar_to_json(_as_scalar(self.det))
+            out["det"] = scalar_to_json(coerce_scalar(self.det))
         if self.s is not None:
-            out["s"] = scalar_to_json(_as_scalar(self.s))
+            out["s"] = scalar_to_json(coerce_scalar(self.s))
         if self.ratio is not None:
             out["ratio"] = str(self.ratio)
         if self.resonant_n is not None:
@@ -180,12 +170,12 @@ def classify_singularity(obj, point: Optional[Sequence] = None) -> SingularityCl
     j = vf.linear_part_matrix()
     a, b = j[0]
     c, d = j[1]
-    if all(_is_zero(v) for v in (a, b, c, d)):
+    if all(scalar_is_zero(v) for v in (a, b, c, d)):
         return SingularityClass(DEGENERATE, order)
-    tr = _as_scalar(a) + _as_scalar(d)
-    det = _as_scalar(a) * _as_scalar(d) - _as_scalar(b) * _as_scalar(c)
-    if _is_zero(det):
-        if _is_zero(tr):
+    tr = coerce_scalar(a) + coerce_scalar(d)
+    det = coerce_scalar(a) * coerce_scalar(d) - coerce_scalar(b) * coerce_scalar(c)
+    if scalar_is_zero(det):
+        if scalar_is_zero(tr):
             return SingularityClass(NILPOTENT, order, trace=tr, det=det)
         return SingularityClass(SADDLE_NODE, order, trace=tr, det=det)
     s = (tr * tr) / det
@@ -259,9 +249,9 @@ def eigen_pair(vf: VectorFieldGerm, adjoin: bool = True,
     a, b = j[0]
     c, d = j[1]
     base = tower or coefficient_tower(*vf.components) or TRIVIAL
-    tr = base.element(_as_scalar(a)) + base.element(_as_scalar(d))
-    det = base.element(_as_scalar(a)) * base.element(_as_scalar(d)) \
-        - base.element(_as_scalar(b)) * base.element(_as_scalar(c))
+    tr = base.element(coerce_scalar(a)) + base.element(coerce_scalar(d))
+    det = base.element(coerce_scalar(a)) * base.element(coerce_scalar(d)) \
+        - base.element(coerce_scalar(b)) * base.element(coerce_scalar(c))
     # t^2 - tr t + det
     char = [det, -tr, base.one()]
     from .towers import roots_in_tower
@@ -288,7 +278,7 @@ def detect_resonances(lambdas: Sequence, max_degree: int) -> List[Tuple[int, Tup
 
     Returns sorted (i, Q) pairs with 1-based component index i.
     """
-    lams = [_as_scalar(v) for v in lambdas]
+    lams = [coerce_scalar(v) for v in lambdas]
     n = len(lams)
     out = []
     for total in range(2, max_degree + 1):
@@ -301,7 +291,7 @@ def detect_resonances(lambdas: Sequence, max_degree: int) -> List[Tuple[int, Tup
                 acc = term if acc is None else acc + term
             for i in range(n):
                 delta = acc - lams[i]
-                if _is_zero(delta):
+                if scalar_is_zero(delta):
                     out.append((i + 1, q))
     out.sort(key=lambda iq: (iq[0], sum(iq[1]), iq[1]))
     return out
@@ -441,7 +431,7 @@ def _from_yx(rows: List[list]) -> MultiPoly:
     terms = {}
     for ey, row in enumerate(rows):
         for ex, c in enumerate(row):
-            if not _is_zero(c):
+            if not scalar_is_zero(c):
                 terms[(ex, ey)] = c
     return MultiPoly(2, terms)
 
@@ -516,9 +506,7 @@ def gcd_xy(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 def _gcd_normalize(p: MultiPoly) -> MultiPoly:
     if p.is_zero():
         return p
-    lead = p.sorted_terms()[-1][1]
-    inv = lead.inverse() if hasattr(lead, "inverse") else 1 / lead
-    return p.scale(inv)
+    return p.scale(scalar_inverse(p.sorted_terms()[-1][1]))
 
 
 def _pseudo_remainder(A: List[list], B: List[list], tower: FieldTower) -> List[list]:
@@ -547,109 +535,6 @@ def _padzip(a: list, b: list, tower: FieldTower):
     return zip(za, zb)
 
 
-def divide_exact_xy(f: MultiPoly, h: MultiPoly) -> MultiPoly:
-    """Exact division in K[x, y]; raises if h does not divide f."""
-    if h.is_zero():
-        raise ZeroInput("division by the zero polynomial")
-    if f.is_zero():
-        return f
-    tower = _common_tower(f, h)
-    F = _rows_trim(_to_yx(f, tower))
-    H = _rows_trim(_to_yx(h, tower))
-    if len(H) == 1:
-        out = []
-        for row in F:
-            if not row:
-                out.append(row)
-                continue
-            q, r = tp_divmod(row, H[0])
-            if not tp_is_zero(r):
-                raise InternalInvariantViolation("division not exact")
-            out.append(q)
-        return _from_yx(out)
-    # division in K(x)[y] with exactness checks via rational functions
-    rf = _RF(tower)
-    Fq = [rf.of_poly(row) for row in F]
-    Hq = [rf.of_poly(row) for row in H]
-    Q, R = _rf_divmod(Fq, Hq, rf)
-    if any(not rf.is_zero(c) for c in R):
-        raise InternalInvariantViolation("division not exact (remainder)")
-    out_rows = []
-    for c in Q:
-        num, den = c
-        if tp_deg(den) != 0:
-            # clear the constant denominator only; nontrivial one means not exact
-            raise InternalInvariantViolation("division not exact (denominator)")
-        inv = den[0].inverse() if hasattr(den[0], "inverse") else 1 / den[0]
-        out_rows.append(tp_scale(num, inv))
-    return _from_yx(out_rows)
-
-
-class _RF:
-    """Tiny rational-function helper over K[x]: values are (num, den) pairs."""
-
-    def __init__(self, tower: FieldTower):
-        self.tower = tower
-
-    def of_poly(self, p: list):
-        return (list(p), [self.tower.one()])
-
-    def is_zero(self, v) -> bool:
-        return tp_is_zero(v[0])
-
-    def add(self, a, b):
-        from .towers import tp_add
-
-        num = tp_add(tp_mul(a[0], b[1]), tp_mul(b[0], a[1]))
-        return self.reduce((num, tp_mul(a[1], b[1])))
-
-    def mul(self, a, b):
-        return self.reduce((tp_mul(a[0], b[0]), tp_mul(a[1], b[1])))
-
-    def neg(self, a):
-        return ([-c for c in a[0]], a[1])
-
-    def inv(self, a):
-        if tp_is_zero(a[0]):
-            raise ZeroInput("inverse of zero rational function")
-        return self.reduce((a[1], a[0]))
-
-    def reduce(self, a):
-        num, den = tp_trim(a[0]), tp_trim(a[1])
-        if tp_is_zero(num):
-            return ([], [self.tower.one()])
-        g = tp_gcd(num, den)
-        if tp_deg(g) > 0:
-            num, _ = tp_divmod(num, g)
-            den, _ = tp_divmod(den, g)
-        lead = den[-1]
-        inv = lead.inverse() if hasattr(lead, "inverse") else 1 / lead
-        return (tp_scale(num, inv), tp_scale(den, inv))
-
-
-def _rf_divmod(F: list, H: list, rf: _RF):
-    """Division of y-polynomials with rational-function coefficients."""
-    F = list(F)
-    while F and rf.is_zero(F[-1]):
-        F.pop()
-    H = list(H)
-    while H and rf.is_zero(H[-1]):
-        H.pop()
-    dh = len(H) - 1
-    lc_inv = rf.inv(H[-1])
-    Q = [rf.of_poly([]) for _ in range(max(0, len(F) - dh))]
-    R = F
-    while len(R) - 1 >= dh and R:
-        c = rf.mul(R[-1], lc_inv)
-        k = len(R) - 1 - dh
-        Q[k] = rf.add(Q[k], c)
-        for j in range(dh + 1):
-            R[k + j] = rf.add(R[k + j], rf.neg(rf.mul(c, H[j])))
-        while R and rf.is_zero(R[-1]):
-            R.pop()
-    return Q, R
-
-
 def intersection_number(f: MultiPoly, g: MultiPoly) -> Union[int, float]:
     """Intersection multiplicity of the plane curves f = 0 and g = 0 at the
     origin (infinity when they share a branch through it), by Fulton's
@@ -657,19 +542,19 @@ def intersection_number(f: MultiPoly, g: MultiPoly) -> Union[int, float]:
     if f.nvars != 2 or g.nvars != 2:
         raise ZeroInput("intersection numbers are planar (2 variables)")
     # a curve missing the origin meets nothing there, even the zero polynomial
-    if not _is_zero(f.constant_term()) or not _is_zero(g.constant_term()):
+    if not scalar_is_zero(f.constant_term()) or not scalar_is_zero(g.constant_term()):
         return 0
     if f.is_zero() or g.is_zero():
         return math.inf
     # a common factor that is a unit at the origin leaves I_0 unchanged, so
     # only one vanishing there matters and nothing needs dividing out
     h = gcd_xy(f, g)
-    if h.total_degree() > 0 and _is_zero(h.constant_term()):
+    if h.total_degree() > 0 and scalar_is_zero(h.constant_term()):
         return math.inf
     tower = _common_tower(f, g)
     zero = tower.zero()
-    F = {e: tower.element(c) for e, c in f.terms.items() if not _is_zero(c)}
-    G = {e: tower.element(c) for e, c in g.terms.items() if not _is_zero(c)}
+    F = {e: tower.element(c) for e, c in f.terms.items() if not scalar_is_zero(c)}
+    G = {e: tower.element(c) for e, c in g.terms.items() if not scalar_is_zero(c)}
     total = 0
     while (0, 0) not in F and (0, 0) not in G:
         # r, s: degrees of F(x, 0) and G(x, 0), 0 when the slice vanishes

@@ -19,8 +19,7 @@ with one zero eigenvalue (center manifold, shift, and the residue pair
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .errors import (
     DegenerateEigenData,
@@ -35,17 +34,10 @@ from .errors import (
 )
 from .local import classify_singularity, detect_resonances, domain_classification, eigen_pair
 from .poly import MultiPoly, TruncatedSeries, VectorFieldGerm, scalar_to_json
-from .scalars import scalar_is_zero
+from .scalars import scalar_inverse, scalar_is_zero
 
 Exponent = Tuple[int, ...]
 Decide = Callable[[int, Exponent, object], bool]
-
-
-def _inv(c):
-    inv = getattr(c, "inverse", None)
-    if inv is not None:
-        return inv()
-    return Fraction(1) / Fraction(c)
 
 
 def _demote(c):
@@ -61,7 +53,7 @@ def _demote(c):
 
 
 def _div(a, b):
-    return a * _inv(b)
+    return a * scalar_inverse(b)
 
 
 def _monomials(nvars: int, degree: int):
@@ -342,7 +334,7 @@ def diagonalize_linear_part(field: VectorFieldGerm, tower=None):
     det = p00 * p11 - p01 * p10
     if scalar_is_zero(det):
         raise DegenerateEigenData("eigenbasis is singular")
-    inv_det = _inv(det)
+    inv_det = scalar_inverse(det)
     q00, q01 = p11 * inv_det, (-1) * p01 * inv_det
     q10, q11 = (-1) * p10 * inv_det, p00 * inv_det
     n = 2
@@ -404,7 +396,7 @@ def center_manifold_series(field: VectorFieldGerm, order: int) -> MultiPoly:
     n = 2
     y2 = MultiPoly.variable(1, n)
     c = MultiPoly.zero(n)
-    mu_inv = _inv(lam[0])
+    mu_inv = scalar_inverse(lam[0])
     for k in range(2, order + 1):
         b_of_c, a_of_c = _compose_trunc([comp_b, a_nl], [c, y2], k)
         rhs = c.derivative(1).mul_trunc(b_of_c, k) - a_of_c
@@ -438,7 +430,7 @@ def saddle_node_prepare(field: VectorFieldGerm, order: int = 12) -> SaddleNodeDa
                                            MultiPoly.variable(0, 2)]),
         ])
         lam = (lam[1], lam[0])
-    diag = diag.scale(_inv(lam[0]))
+    diag = diag.scale(scalar_inverse(lam[0]))
 
     reduced = dulac_reduce(diag, order)
     work = reduced.normal_form

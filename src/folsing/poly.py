@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -23,24 +23,17 @@ from .errors import (
     VariableCountMismatch,
     ZeroInput,
 )
-from .scalars import GaussianRational, format_gaussian
+from .scalars import (
+    GaussianRational,
+    coerce_scalar,
+    format_gaussian,
+    scalar_inverse,
+    scalar_is_zero,
+)
 
 Exponent = Tuple[int, ...]
 
 DEFAULT_NAMES = {1: ("x",), 2: ("x", "y"), 3: ("x", "y", "z")}
-
-
-def _coerce_scalar(c):
-    if isinstance(c, (int, Fraction)):
-        return GaussianRational(c, 0)
-    return c
-
-
-def _scalar_zero(c) -> bool:
-    z = getattr(c, "is_zero", None)
-    if z is not None:
-        return z()
-    return c == 0
 
 
 def scalar_to_json(c):
@@ -62,8 +55,8 @@ class MultiPoly:
         pruned: Dict[Exponent, object] = {}
         if terms:
             for e, c in terms.items():
-                c = _coerce_scalar(c)
-                if not _scalar_zero(c):
+                c = coerce_scalar(c)
+                if not scalar_is_zero(c):
                     if len(e) != nvars:
                         raise VariableCountMismatch(
                             f"exponent {e} does not have {nvars} entries")
@@ -165,7 +158,7 @@ class MultiPoly:
         for e, c in other.terms.items():
             if e in out:
                 s = out[e] + c
-                if _scalar_zero(s):
+                if scalar_is_zero(s):
                     del out[e]
                 else:
                     out[e] = s
@@ -216,7 +209,7 @@ class MultiPoly:
                 p = c1 * c2
                 if e in out:
                     s = out[e] + p
-                    if _scalar_zero(s):
+                    if scalar_is_zero(s):
                         del out[e]
                     else:
                         out[e] = s
@@ -225,8 +218,8 @@ class MultiPoly:
         return MultiPoly(self.nvars, out)
 
     def scale(self, c) -> "MultiPoly":
-        c = _coerce_scalar(c)
-        if _scalar_zero(c):
+        c = coerce_scalar(c)
+        if scalar_is_zero(c):
             return MultiPoly.zero(self.nvars)
         return MultiPoly(self.nvars, {e: v * c for e, v in self.terms.items()})
 
@@ -268,7 +261,7 @@ class MultiPoly:
         """Evaluate at scalar values (one per variable)."""
         if len(values) != self.nvars:
             raise VariableCountMismatch("wrong number of values")
-        vals = [_coerce_scalar(v) for v in values]
+        vals = [coerce_scalar(v) for v in values]
         acc = None
         for e, c in self.sorted_terms():
             term = c
@@ -318,6 +311,37 @@ class MultiPoly:
             e2[var] -= k
             out[tuple(e2)] = c
         return MultiPoly(self.nvars, out)
+
+    def divide_exact(self, divisor: "MultiPoly") -> "MultiPoly":
+        """The quotient ``self / divisor``; raises unless it is a polynomial.
+
+        Leading-term division in lex order on the exponent tuples.  A single
+        polynomial is a Groebner basis of the ideal it generates, so the
+        remainder is zero exactly when ``divisor`` divides: a leading
+        monomial of the running remainder that the divisor's leading
+        monomial does not divide proves that it does not."""
+        self._check(divisor)
+        if divisor.is_zero():
+            raise ZeroInput("division by the zero polynomial")
+        lead = max(divisor.terms)
+        lead_inv = scalar_inverse(divisor.terms[lead])
+        tail = [(e, c) for e, c in divisor.terms.items() if e != lead]
+        rem = dict(self.terms)
+        quot: Dict[Exponent, object] = {}
+        while rem:
+            top = max(rem)
+            shift = tuple(map(sub, top, lead))
+            if min(shift) < 0:
+                raise InternalInvariantViolation("division not exact")
+            q = rem.pop(top) * lead_inv
+            quot[shift] = q
+            for e, c in tail:
+                e = tuple(map(add, shift, e))
+                v = rem.pop(e, None)
+                v = -(q * c) if v is None else v - q * c
+                if not scalar_is_zero(v):
+                    rem[e] = v
+        return MultiPoly(self.nvars, quot)
 
     def map_coefficients(self, fn) -> "MultiPoly":
         return MultiPoly(self.nvars, {e: fn(c) for e, c in self.terms.items()})
@@ -440,9 +464,9 @@ class TruncatedSeries:
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse of a unit series (nonzero constant term)."""
         c0 = self.poly.constant_term()
-        if _scalar_zero(c0):
+        if scalar_is_zero(c0):
             raise DivisionByZero("series has no constant term")
-        c0inv = c0.inverse() if hasattr(c0, "inverse") else 1 / c0
+        c0inv = scalar_inverse(c0)
         v = (self.poly - MultiPoly.constant(c0, self.nvars)).scale(c0inv)
         # Neumann sum 1 - v + v^2 - ... for 1/(1+v), truncated
         acc = MultiPoly.constant(1, self.nvars)
@@ -497,7 +521,7 @@ class VectorFieldGerm:
         return min(p.order_at_origin() for p in self.components)
 
     def is_singular_at_origin(self) -> bool:
-        return all(_scalar_zero(p.constant_term()) for p in self.components)
+        return all(scalar_is_zero(p.constant_term()) for p in self.components)
 
     def linear_part_matrix(self) -> List[List[object]]:
         """Jacobian at the origin: rows are components, columns variables."""

@@ -21,7 +21,6 @@ import math
 from typing import Dict, List, Optional, Tuple
 
 from .blowup import (
-    ChartTransform,
     ChildPoint,
     child_local_form,
     divisor_children,

@@ -381,14 +381,56 @@ def _hashable(v):
         return str(v)
 
 
-def scalar_is_zero(v) -> bool:
-    """Zero test across the scalar types used in the package."""
-    if isinstance(v, (int, Fraction)):
-        return v == 0
-    z = getattr(v, "is_zero", None)
-    if z is not None:
-        return z() if callable(z) else bool(z)
-    return v == 0
+def scalar_is_zero(c) -> bool:
+    """Zero test across the package's scalars: the ``is_zero`` method of
+    GaussianRational, FieldElement and TauScalar, else ``c == 0``."""
+    z = getattr(c, "is_zero", None)
+    return z() if z is not None else c == 0
+
+
+def scalar_inverse(c):
+    """Multiplicative inverse: the ``inverse`` method of the exact scalars,
+    else ``1 / c`` with an exact 1 (an int or a Fraction gives a Fraction)."""
+    inv = getattr(c, "inverse", None)
+    return inv() if inv is not None else Fraction(1) / c
+
+
+def coerce_scalar(c):
+    """An int or a Fraction as a GaussianRational; other scalars unchanged."""
+    if type(c) is GaussianRational:
+        # the common case, decided without isinstance(c, Fraction), which
+        # goes through the slower abstract-base-class check
+        return c
+    if isinstance(c, (int, Fraction)):
+        return GaussianRational(c, 0)
+    return c
+
+
+def row_reduce(rows):
+    """Gauss-Jordan elimination over exact scalars.
+
+    Returns the reduced row echelon form (a new list of rows; the input is
+    left alone) and the list of pivot columns, one per nonzero row."""
+    rows = [list(r) for r in rows]
+    m = len(rows)
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        top = len(pivots)
+        if top == m:
+            break
+        sel = next((r for r in range(top, m)
+                    if not scalar_is_zero(rows[r][col])), None)
+        if sel is None:
+            continue
+        rows[top], rows[sel] = rows[sel], rows[top]
+        inv = scalar_inverse(rows[top][col])
+        pivot_row = rows[top] = [v * inv for v in rows[top]]
+        for r in range(m):
+            factor = rows[r][col]
+            if r != top and not scalar_is_zero(factor):
+                rows[r] = [a - factor * b for a, b in zip(rows[r], pivot_row)]
+        pivots.append(col)
+    return rows, pivots
 
 
 def format_tau(t: TauScalar) -> str:

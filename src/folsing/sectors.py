@@ -23,7 +23,7 @@ falls back to the same tests with a configurable epsilon (default 1e-12).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
     DegenerateEigenData,
@@ -93,6 +93,18 @@ def _is_zero_value(v, eps) -> bool:
     if _is_exact(v):
         return v.is_zero()
     return abs(v) <= eps
+
+
+def _real_exponent(a):
+    """An exponent alpha_j: a float as given, an exact real value as a Fraction."""
+    if isinstance(a, float):
+        return a
+    if isinstance(a, (int, Fraction)):
+        return Fraction(a)
+    try:
+        return a.as_fraction()
+    except (AttributeError, ValueError):
+        raise DegenerateEigenData(f"alpha must be real, got {a}") from None
 
 
 def _angle_key(v, eps):
@@ -200,8 +212,7 @@ class EigenData:
         self.gamma = tuple(values)
         if alpha is None:
             alpha = [Fraction(0)] * len(values)
-        self.alpha = tuple(
-            Fraction(a) if not isinstance(a, float) else a for a in alpha)
+        self.alpha = tuple(_real_exponent(a) for a in alpha)
         if len(self.alpha) != len(self.gamma):
             raise DegenerateEigenData("alpha and gamma lengths differ")
 

@@ -32,7 +32,14 @@ from .errors import (
     TowerDepthExceeded,
     TowerMismatch,
 )
-from .scalars import GaussianRational, ONE, ZERO, format_gaussian
+from .scalars import (
+    GaussianRational,
+    ONE,
+    ZERO,
+    format_gaussian,
+    scalar_inverse,
+    scalar_is_zero,
+)
 from .zassenhaus import factor_squarefree
 
 DEFAULT_DEPTH_CAP = 3
@@ -525,16 +532,9 @@ def format_field_element(e: FieldElement) -> str:
 # Dense univariate polynomials over any exact scalar (ascending lists)
 # =====================================================================
 def tp_trim(p: list) -> list:
-    while p and _sc_is_zero(p[-1]):
+    while p and scalar_is_zero(p[-1]):
         p = p[:-1]
     return p
-
-
-def _sc_is_zero(c) -> bool:
-    z = getattr(c, "is_zero", None)
-    if z is not None:
-        return z()
-    return c == 0
 
 
 def tp_deg(p: list) -> int:
@@ -577,7 +577,7 @@ def tp_mul(p: list, q: list) -> list:
         return []
     out = [None] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
-        if _sc_is_zero(a):
+        if scalar_is_zero(a):
             continue
         for j, b in enumerate(q):
             ab = a * b
@@ -591,7 +591,7 @@ def tp_divmod(p: list, q: list) -> Tuple[list, list]:
     if not q:
         raise DivisionByZero("polynomial division by zero")
     dq = len(q) - 1
-    lead_inv = _sc_inv(q[-1])
+    lead_inv = scalar_inverse(q[-1])
     quot = []
     r = list(p)
     while len(r) - 1 >= dq and r:
@@ -611,18 +611,11 @@ def tp_divmod(p: list, q: list) -> Tuple[list, list]:
     return tp_trim(out), tp_trim(r)
 
 
-def _sc_inv(c):
-    inv = getattr(c, "inverse", None)
-    if inv is not None:
-        return inv()
-    return 1 / c
-
-
 def tp_monic(p: list) -> list:
     p = tp_trim(p)
     if not p:
         return p
-    return tp_scale(p, _sc_inv(p[-1]))
+    return tp_scale(p, scalar_inverse(p[-1]))
 
 
 def tp_gcd(p: list, q: list) -> list:

@@ -132,6 +132,15 @@ class TestBasicCommands:
             "(y, z) -> (y + a200 + a201*z, z + a300)"
         jsonio.validate(doc, "sectors")
 
+    def test_sectors_real_alpha(self, runner):
+        # exact real exponents are accepted; they leave the combinatorics
+        # (the whole document) unchanged
+        plain = invoke_ok(runner, ["sectors", "--gamma", "1,2"]).stdout
+        with_alpha = invoke_ok(runner, ["sectors", "--gamma", "1,2",
+                                        "--alpha", "1/2,-3"]).stdout
+        assert with_alpha == plain
+        jsonio.validate(json.loads(with_alpha), "sectors")
+
     def test_fatou(self, runner):
         doc = json_out(runner, ["fatou", "--coeffs", "1,1", "--z", "-0.1"])
         assert doc["estimate"]["p"] == 1
@@ -263,6 +272,33 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "is not in the range" in result.stderr
         assert result.stdout == ""
+
+    @pytest.mark.parametrize("args", [
+        ["orbit-census", "--coeffs", "1,1", "--radius", "-1"],
+        ["orbit-census", "--coeffs", "1,1", "--radius", "0"],
+        ["orbit-census", "--coeffs", "1,1", "--radius", "0.3", "--tol", "0"],
+        ["orbit-census", "--coeffs", "1,1", "--radius", "0.3",
+         "--tol", "-1e-9"],
+        ["fatou", "--coeffs", "1,1", "--z", "-0.1", "--tol", "0"],
+        ["fatou", "--coeffs", "1,1", "--z", "-0.1", "--tol", "-1"],
+    ])
+    def test_usage_error_nonpositive_float(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "is not in the range" in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("alpha", ["i,1", "1+i,0", "1", "1,2,3"])
+    def test_domain_error_bad_alpha(self, runner, alpha):
+        # alpha must hold one real exponent per gamma
+        result = runner.invoke(main, ["sectors", "--gamma", "1,2",
+                                      "--alpha", alpha])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        err = json.loads(result.stderr)
+        assert err["error"] == "degenerate-eigen-data"
+        jsonio.validate(err, "error")
 
     @pytest.mark.parametrize("args, code", [
         (["analyze", "--in", "lorenz.vf"], "variable-count-mismatch"),

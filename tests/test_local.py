@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 from folsing.local import (
     classify_singularity,
     detect_resonances,
-    divide_exact_xy,
     domain_classification,
     eigen_pair,
     fraction_sqrt,
@@ -211,7 +210,7 @@ class TestGcdXY:
 
     def test_divide_exact(self):
         f = (X + Y) ** 2 * (X - Y)
-        q = divide_exact_xy(f, X + Y)
+        q = f.divide_exact(X + Y)
         assert q == (X + Y) * (X - Y)
 
 

@@ -3,9 +3,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from folsing.errors import DivisionByZero, VariableCountMismatch
+from folsing.errors import (
+    DivisionByZero,
+    InternalInvariantViolation,
+    VariableCountMismatch,
+    ZeroInput,
+)
 from folsing.poly import (
     MultiPoly,
     OneFormGerm,
@@ -48,6 +53,29 @@ sqrt2_polys = st.builds(
         max_size=5,
     ),
 )
+
+gaussian_coeffs = st.builds(GaussianRational,
+                            st.fractions(-5, 5, max_denominator=6),
+                            st.integers(-3, 3))
+sqrt2_coeffs = st.builds(lambda a, b: SQRT2.element(a) + R2 * b,
+                         st.fractions(-5, 5, max_denominator=6),
+                         st.integers(-3, 3))
+
+
+@st.composite
+def division_cases(draw):
+    """(f, h, m): polynomials in 2 or 3 variables with coefficients in Q(i)
+    or Q(sqrt 2), h nonzero, and the exponent m of a monomial."""
+    nvars = draw(st.sampled_from([2, 3]))
+    coeffs = draw(st.sampled_from([gaussian_coeffs, sqrt2_coeffs]))
+    polys = st.builds(
+        lambda d: MultiPoly(nvars, d),
+        st.dictionaries(st.tuples(*[st.integers(0, 2)] * nvars), coeffs,
+                        max_size=4))
+    f = draw(polys)
+    h = draw(polys.filter(lambda p: not p.is_zero()))
+    m = draw(st.tuples(*[st.integers(0, 3)] * nvars))
+    return f, h, m
 
 
 class TestMultiPoly:
@@ -135,6 +163,32 @@ class TestMultiPoly:
         assert str(p) == "x+y+x^2"
         assert render_poly(MultiPoly.zero(2)) == "0"
         assert str(X.scale(Fraction(-1, 2))) == "-1/2*x"
+
+
+class TestDivideExact:
+    @given(division_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_quotient_of_product(self, case):
+        f, h, _ = case
+        assert (f * h).divide_exact(h) == f
+
+    @given(division_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_non_multiple_raises(self, case):
+        f, h, m = case
+        # x^m is a multiple of h only when h is a monomial dividing it
+        if len(h.terms) == 1:
+            (e,) = h.terms
+            assume(any(a > b for a, b in zip(e, m)))
+        with pytest.raises(InternalInvariantViolation):
+            (f * h + MultiPoly.monomial(1, m)).divide_exact(h)
+
+    @given(division_cases())
+    @settings(max_examples=20, deadline=None)
+    def test_zero_divisor(self, case):
+        f, h, _ = case
+        with pytest.raises(ZeroInput):
+            f.divide_exact(MultiPoly.zero(f.nvars))
 
 
 class TestTruncatedSeries:
