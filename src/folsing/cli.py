@@ -13,8 +13,10 @@ parser accepts; floating-point numbers occur only in the numeric
 
 from __future__ import annotations
 
+import cmath
 import functools
 import json
+import math
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -107,6 +109,19 @@ def toolkit_errors(fn):
     return wrapper
 
 
+class PositiveFloat(click.FloatRange):
+    """A float > 0; unlike ``FloatRange`` it also rejects nan and inf."""
+
+    def __init__(self):
+        super().__init__(min=0, min_open=True)
+
+    def convert(self, value, param, ctx):
+        value = super().convert(value, param, ctx)
+        if not math.isfinite(value):
+            self.fail(f"{value!r} is not a finite number.", param, ctx)
+        return value
+
+
 def input_options(fn):
     fn = click.option(
         "--in", "infile", type=click.Path(exists=True, dir_okay=False),
@@ -163,9 +178,12 @@ def _parse_complex(text: str) -> complex:
     """Accept Python complex syntax with either i or j as the unit."""
     cleaned = text.strip().replace(" ", "").replace("i", "j")
     try:
-        return complex(cleaned)
+        value = complex(cleaned)
     except ValueError:
         raise click.UsageError(f"cannot read {text!r} as a complex number")
+    if not cmath.isfinite(value):
+        raise click.UsageError(f"{text!r} is not a finite complex number")
+    return value
 
 
 def _parse_complex_list(text: str) -> List[complex]:
@@ -656,7 +674,7 @@ def cmd_sectors(gamma, alpha, maxdeg):
 @click.option("--n-max", type=click.IntRange(min=1), default=100000,
               show_default=True,
               help="Iteration budget.")
-@click.option("--tol", type=click.FloatRange(min=0, min_open=True),
+@click.option("--tol", type=PositiveFloat(),
               default=1e-8, show_default=True,
               help="Convergence tolerance on the averaged increment.")
 @toolkit_errors
@@ -669,7 +687,7 @@ def cmd_fatou(coeffs, z_text, n_max, tol):
 @main.command("orbit-census")
 @click.option("--coeffs", required=True, metavar="LIST",
               help='Comma-separated coefficients of z, z^2, ...')
-@click.option("--radius", type=click.FloatRange(min=0, min_open=True),
+@click.option("--radius", type=PositiveFloat(),
               required=True,
               help="Radius of the sampling disc.")
 @click.option("--max-iter", type=click.IntRange(min=1), default=1000000,
@@ -677,7 +695,7 @@ def cmd_fatou(coeffs, z_text, n_max, tol):
 @click.option("--grid", type=click.IntRange(min=1), default=20,
               show_default=True,
               help="Sample points per axis.")
-@click.option("--tol", type=click.FloatRange(min=0, min_open=True),
+@click.option("--tol", type=PositiveFloat(),
               default=1e-9, show_default=True,
               help="Return/collision tolerance.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]),

@@ -167,6 +167,12 @@ class SlowConvergence(ToolkitError):
     code = "slow-convergence"
 
 
+class FloatOverflow(ToolkitError):
+    """A floating-point result is not finite, so no JSON can carry it."""
+
+    code = "float-overflow"
+
+
 # ---------------------------------------------------------------- internal
 class InternalInvariantViolation(ToolkitError):
     """An invariant the library guarantees internally failed; always a bug."""

@@ -25,16 +25,20 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
+    FloatOverflow,
     NotInPetal,
     SlowConvergence,
     ZeroInput,
     ZeroLeadingCoefficient,
 )
+
+# numpy is imported inside the functions that compute with it, so importing
+# the package (and every exact command) does not pay for it.
+if TYPE_CHECKING:
+    import numpy as np
 
 _COEFF_TOL = 1e-12
 
@@ -44,6 +48,8 @@ _COEFF_TOL = 1e-12
 # --------------------------------------------------------------------------
 def _advance(coeffs: np.ndarray, zs: np.ndarray, steps: int,
              radius: float) -> np.ndarray:
+    import numpy as np
+
     if steps <= 0:
         return zs.copy()
     if zs.shape[0] <= 4:
@@ -76,6 +82,8 @@ def _advance(coeffs: np.ndarray, zs: np.ndarray, steps: int,
 
 def _census_kernel(coeffs: np.ndarray, zs: np.ndarray, radius: float,
                    max_iter: int, tol: float) -> Tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     n = zs.shape[0]
     status = np.zeros(n, dtype=np.int8)
     period = np.zeros(n, dtype=np.int64)
@@ -118,6 +126,8 @@ class NumericGerm:
 
     def __init__(self, coefficients: Sequence[complex],
                  radius: Optional[float] = None):
+        import numpy as np
+
         arr = np.asarray(list(coefficients), dtype=np.complex128)
         if arr.ndim != 1 or arr.shape[0] == 0:
             raise ZeroInput("germ needs at least the degree-1 coefficient")
@@ -132,6 +142,8 @@ class NumericGerm:
         self.radius = float(radius)
 
     def evaluate(self, z):
+        import numpy as np
+
         acc = np.zeros_like(np.asarray(z, dtype=np.complex128))
         for c in self.coeffs[::-1]:
             acc = acc * z + c
@@ -169,6 +181,8 @@ class NumericGerm:
 def attracting_directions(a: complex, p: int) -> np.ndarray:
     """The p unit vectors v with a v^p negative real (initial-velocity
     directions along which orbits approach the fixed point)."""
+    import numpy as np
+
     if p < 1 or int(p) != p:
         raise ZeroInput("direction count p must be a positive integer")
     a = complex(a)
@@ -182,6 +196,8 @@ def attracting_directions(a: complex, p: int) -> np.ndarray:
 
 def repelling_directions(a: complex, p: int) -> np.ndarray:
     """The p unit vectors v with a v^p positive real."""
+    import numpy as np
+
     if p < 1 or int(p) != p:
         raise ZeroInput("direction count p must be a positive integer")
     a = complex(a)
@@ -198,6 +214,8 @@ def repelling_directions(a: complex, p: int) -> np.ndarray:
 # --------------------------------------------------------------------------
 def _series_compose(f: np.ndarray, g: np.ndarray, order: int) -> np.ndarray:
     """Coefficients (z^1..z^order) of f(g(z)) for series fixing 0."""
+    import numpy as np
+
     out = np.zeros(order, dtype=np.complex128)
     current = None
     for k in range(f.shape[0]):
@@ -220,6 +238,8 @@ def _series_compose(f: np.ndarray, g: np.ndarray, order: int) -> np.ndarray:
 
 def _series_inverse(h: np.ndarray, order: int) -> np.ndarray:
     """Compositional inverse of a series h(z) = z + ..., to z^order."""
+    import numpy as np
+
     if abs(h[0] - 1.0) > _COEFF_TOL:
         raise ZeroInput("series inverse requires unit linear coefficient")
     inv = np.zeros(order, dtype=np.complex128)
@@ -239,6 +259,8 @@ def _reduce_to_single_petal(coeffs: np.ndarray, a: complex, p: int
     except the invariant one at 2p+1; after that the push-forward through
     z -> z^p is the exact polynomial Z (1 + a Z + c Z^2)^p.
     """
+    import numpy as np
+
     order = 4 * p + 2
     cur = np.zeros(order, dtype=np.complex128)
     cur[:min(order, coeffs.shape[0])] = coeffs[:order]
@@ -292,6 +314,8 @@ def _infinity_chart_data(gcoeffs: np.ndarray) -> Tuple[complex, complex, complex
     In w = -1/(a' Z) the germ reads w + 1 + e1/w + e2/w^2 + e3/w^3 + ...;
     the e_j come from the reciprocal of 1 + (G_2) Z + (G_3) Z^2 + ...
     """
+    import numpy as np
+
     c = np.zeros(5, dtype=np.complex128)
     c[:min(5, gcoeffs.shape[0])] = gcoeffs[:5]
     a = c[1]
@@ -374,6 +398,8 @@ def fatou_coordinate(f: NumericGerm, z: complex, n_max: int = 100000,
     in a petal is checked operationally: the real part in the inverted
     chart must grow for 50 consecutive steps early in the orbit.
     """
+    import numpy as np
+
     if not f.is_tangent_to_identity():
         raise ZeroInput("translation coordinate requires a germ tangent "
                         "to the identity")
@@ -433,6 +459,9 @@ def fatou_coordinate(f: NumericGerm, z: complex, n_max: int = 100000,
     phi_half = phi_at(z_half, n_half)
     phi_full = phi_at(z_final, n_max)
     increment = abs(phi_full - phi_half)
+    if not all(map(cmath.isfinite, (e1, phi_half, phi_full, increment))):
+        raise FloatOverflow("the estimate left the finite doubles",
+                            query=[z.real, z.imag])
     if increment > cauchy_tol:
         raise SlowConvergence(
             "estimate not Cauchy at the requested tolerance",
@@ -471,6 +500,8 @@ def orbit_census(h: NumericGerm, radius: float, max_iter: int = 1000000,
     within tol), finite (collides with its previous point within tol,
     i.e. the orbit closure is numerically a finite set), else undecided.
     """
+    import numpy as np
+
     if radius > h.radius:
         raise ZeroInput("census radius exceeds the germ's evaluation radius",
                         radius=radius, evaluation_radius=h.radius)

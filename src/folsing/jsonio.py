@@ -49,9 +49,13 @@ def to_jsonable(obj: Any) -> Any:
 
 
 def dumps(payload: Any) -> str:
-    """Serialize a payload deterministically (sorted keys, fixed layout)."""
+    """Serialize a payload deterministically (sorted keys, fixed layout).
+
+    NaN and infinities are not JSON, so a payload holding one raises
+    ``ValueError`` instead of producing an unreadable document.
+    """
     return json.dumps(to_jsonable(payload), sort_keys=True, indent=2,
-                      ensure_ascii=True) + "\n"
+                      ensure_ascii=True, allow_nan=False) + "\n"
 
 
 def _floats_close(a: float, b: float) -> bool:

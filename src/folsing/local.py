@@ -16,7 +16,8 @@ origin (a gcd vanishing there) makes the multiplicity infinite.
 
 ``gcd_xy`` is the greatest common divisor in K[x, y], by primitive Euclid in
 y over K[x]; callers that remove a common factor divide it out with
-``MultiPoly.divide_exact``.
+``MultiPoly.divide_exact``.  Coprime inputs, the usual case, skip Euclid:
+two univariate gcds of slices at integer points certify coprimality first.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .towers import (
     TRIVIAL,
     FieldElement,
     FieldTower,
+    tp_deg,
     tp_divmod,
     tp_gcd,
     tp_is_zero,
@@ -471,6 +473,8 @@ def gcd_xy(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     if g.is_zero():
         return _gcd_normalize(f)
     tower = _common_tower(f, g)
+    if _certified_coprime(f, g, tower):
+        return MultiPoly.constant(tower.one(), 2)
     A = _rows_trim(_to_yx(f, tower))
     B = _rows_trim(_to_yx(g, tower))
     ca, cb = _content(A, tower), _content(B, tower)
@@ -501,6 +505,40 @@ def gcd_xy(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     else:
         acc_rows = [tp_mul(row, cg) if row else row for row in pp]
     return _gcd_normalize(_from_yx(acc_rows))
+
+
+def _slice(p: MultiPoly, var: int, t: int, tower: FieldTower) -> list:
+    """p with variable ``var`` set to t, as a coefficient list in the other."""
+    other = 1 - var
+    out = [tower.zero()] * (p.degree_in(other) + 1)
+    for exps, c in p.terms.items():
+        out[exps[other]] = out[exps[other]] + tower.element(c) * t ** exps[var]
+    return tp_trim(out)
+
+
+def _certified_coprime(f: MultiPoly, g: MultiPoly, tower: FieldTower) -> bool:
+    """True when f and g provably share no non-constant factor.
+
+    Let h divide f and g with deg_y h >= 1.  Its leading coefficient in y
+    divides those of f and g, so at any x = t where neither of theirs
+    vanishes, h(t, y) keeps its degree and divides gcd(f(t, y), g(t, y)).
+    Constant slice gcds at such a t for x, and likewise for y, leave no room
+    for h.  A non-constant slice gcd proves nothing (t may be unlucky), so
+    False only means "not certified".
+    """
+    for var in (0, 1):
+        other = 1 - var
+        t = 1
+        while True:
+            fs, gs = _slice(f, var, t, tower), _slice(g, var, t, tower)
+            # leading coefficients vanish at finitely many t
+            if (tp_deg(fs) == f.degree_in(other)
+                    and tp_deg(gs) == g.degree_in(other)):
+                break
+            t += 1
+        if tp_deg(tp_gcd(fs, gs)) > 0:
+            return False
+    return True
 
 
 def _gcd_normalize(p: MultiPoly) -> MultiPoly:

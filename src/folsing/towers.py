@@ -21,8 +21,6 @@ from fractions import Fraction
 from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .errors import (
     DivisionByZero,
     ExtensionDegreeExceeded,
@@ -262,7 +260,12 @@ TRIVIAL_RATIONAL = FieldTower("rational")
 
 def _chosen_root(coeffs_complex: List[complex]) -> complex:
     """Deterministic embedding: the root of the (ascending) polynomial that is
-    smallest in the rounded (re, im) lexicographic order."""
+    smallest in the rounded (re, im) lexicographic order.
+
+    The one float computation of the exact core, so numpy is imported here
+    and not at module level."""
+    import numpy as np
+
     arr = np.roots(list(reversed(coeffs_complex)))
     cands = sorted(
         (complex(r) for r in arr),

@@ -288,6 +288,34 @@ class TestExitCodes:
         assert "is not in the range" in result.stderr
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("args", [
+        ["orbit-census", "--coeffs", "1,1", "--radius", "nan"],
+        ["orbit-census", "--coeffs", "1,1", "--radius", "inf"],
+        ["orbit-census", "--coeffs", "1,1", "--radius", "0.3", "--tol", "nan"],
+        ["fatou", "--coeffs", "1,1", "--z", "-0.1", "--tol", "nan"],
+        ["fatou", "--coeffs", "1,1", "--z", "-0.1", "--tol", "inf"],
+        ["fatou", "--coeffs", "1,1", "--z", "nan"],
+        ["fatou", "--coeffs", "1,1", "--z", "1e400"],
+        ["fatou", "--coeffs", "1,nan", "--z", "-0.1"],
+        ["orbit-census", "--coeffs", "1,1e999", "--radius", "0.3"],
+    ])
+    def test_usage_error_non_finite_float(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "finite" in result.stderr
+        assert result.stdout == ""
+        assert "NaN" not in result.stderr and "Infinity" not in result.stderr
+
+    def test_domain_error_float_overflow(self, runner):
+        # finite input whose petal chart overflows the doubles
+        result = runner.invoke(main, ["fatou", "--coeffs", "1,1e200",
+                                      "--z", "-1e-201"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        err = json.loads(result.stderr)
+        assert err["error"] == "float-overflow"
+        jsonio.validate(err, "error")
+
     @pytest.mark.parametrize("alpha", ["i,1", "1+i,0", "1", "1,2,3"])
     def test_domain_error_bad_alpha(self, runner, alpha):
         # alpha must hold one real exponent per gamma
@@ -396,33 +424,63 @@ class TestCorpus:
 
 class TestColdPath:
     # commands run one after another in one fresh interpreter, as a user's
-    # shell would start them; exact factorization must not pull in sympy
+    # shell would start them; exact commands must load neither sympy nor
+    # numpy, which only the floating-point commands need
     SCRIPT = """
 import json, sys
 from folsing.cli import main, shipped_corpus_root
 root = shipped_corpus_root()
-codes = []
-for args in (["resolve", "--in", str(root / "cusp.vf")],
+codes, loaded = [], {}
+for args in (["analyze", "--in", str(root / "cusp.vf")],
+             ["resolve", "--in", str(root / "cusp.vf")],
              ["holonomy", "--in", str(root / "euler.vf")],
              ["first-integral", "--in", str(root / "saddle_2_3.vf")],
-             ["corpus", "run"]):
+             ["blowup", "--in", str(root / "hamiltonian_xy.vf")],
+             ["cp2", "degree", "--in", str(root / "jouanolou2.vf")],
+             ["corpus", "run"],
+             ["fatou", "--coeffs", "1,1", "--z", "-0.05"]):
     try:
         main(args)
     except SystemExit as exc:
         codes.append(exc.code)
-print(json.dumps({"codes": codes, "sympy": "sympy" in sys.modules}),
+    loaded[args[0]] = sorted(m for m in ("numpy", "sympy") if m in sys.modules)
+print(json.dumps({"codes": codes, "loaded": loaded}), file=sys.stderr)
+"""
+
+    # the package namespace resolves without numpy until a float is computed
+    IMPORT_SCRIPT = """
+import json, sys
+import folsing
+before = "numpy" in sys.modules
+missing = [n for n in folsing.__all__ if not hasattr(folsing, n)]
+from folsing import NumericGerm, fatou_coordinate
+fatou_coordinate(NumericGerm([1, 1]), -0.05)
+print(json.dumps({"numpy_on_import": before, "missing": missing,
+                  "numpy_after_fatou": "numpy" in sys.modules}),
       file=sys.stderr)
 """
 
-    def test_no_sympy_import(self):
+    @staticmethod
+    def _report(script):
         src = str(Path(folsing.__file__).resolve().parents[1])
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ,
                    PYTHONPATH=src if not path else src + os.pathsep + path)
-        proc = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env,
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
-        report = json.loads(proc.stderr.strip().splitlines()[-1])
-        assert report == {"codes": [0, 0, 0, 0], "sympy": False}
+        return json.loads(proc.stderr.strip().splitlines()[-1])
+
+    def test_exact_commands_import_neither_sympy_nor_numpy(self):
+        report = self._report(self.SCRIPT)
+        assert report["codes"] == [0] * 8
+        exact = dict(report["loaded"])
+        assert exact.pop("fatou") == ["numpy"]
+        assert exact == {name: [] for name in exact}
+
+    def test_package_import_defers_numpy(self):
+        assert self._report(self.IMPORT_SCRIPT) == {
+            "numpy_on_import": False, "missing": [],
+            "numpy_after_fatou": True}
 
 
 # ---------------------------------------------------------------------
@@ -444,6 +502,12 @@ class TestJsonIO:
         assert data["q"] == "5/2"
         assert isinstance(data["g"], str)
         assert data["z"] == [1.5, -2.0]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       complex(0, float("-inf"))])
+    def test_dumps_refuses_non_finite(self, value):
+        with pytest.raises(ValueError):
+            jsonio.dumps({"v": value})
 
     def test_diff_json_reports_paths(self):
         diffs = jsonio.diff_json({"a": [1, 2], "b": "x"},

@@ -1,9 +1,14 @@
-"""Static check: every module-level import in the package is used.
+"""Static checks on the imports of the package.
 
-No linter is a dependency of the project, so this walks the syntax tree of
-each module in ``src/folsing`` with the standard library's ``ast``: a name
-bound by a module-level ``import`` must be read somewhere in the module
-(annotations written as strings included) or be listed in ``__all__``.
+No linter is a dependency of the project, so these walk the syntax tree of
+each module in ``src/folsing`` with the standard library's ``ast``:
+
+- a name bound by a module-level ``import`` must be read somewhere in the
+  module (annotations written as strings included) or be listed in
+  ``__all__``;
+- no module imports numpy when it is itself imported.  The exact core never
+  computes with floats, and a cold command should not pay for numpy; the
+  functions that do compute with it import it in their bodies.
 """
 
 import ast
@@ -79,3 +84,49 @@ def test_checker_flags_an_unused_import(tmp_path):
                     "__all__ = ['Dict']\n\n"
                     "def f(x: 'List[int]'):\n    return sys.argv\n")
     assert unused_imports(path) == ["m.py:1 os"]
+
+
+def _import_time_nodes(body):
+    """Statements run when the module is imported: function bodies and
+    ``if TYPE_CHECKING:`` blocks excluded, class bodies included."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        yield node
+        if (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+                and node.test.id == "TYPE_CHECKING"):
+            yield from _import_time_nodes(node.orelse)
+            continue
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            yield from _import_time_nodes(getattr(node, field, []))
+
+
+def import_time_numpy(path: Path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = []
+    for node in _import_time_nodes(tree.body):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "numpy" for name in names):
+            out.append(f"{path.name}:{node.lineno}")
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_numpy_at_import_time(path):
+    assert import_time_numpy(path) == []
+
+
+def test_checker_flags_import_time_numpy(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("from typing import TYPE_CHECKING\n"
+                    "if TYPE_CHECKING:\n    import numpy as np\n"
+                    "try:\n    from numpy import roots\n"
+                    "except ImportError:\n    roots = None\n"
+                    "class C:\n    import numpy.linalg\n"
+                    "def f():\n    import numpy as np\n    return np\n")
+    assert import_time_numpy(path) == ["m.py:5", "m.py:9"]

@@ -1,6 +1,7 @@
 """Linear classification, resonances, hull domains, intersection numbers."""
 
 import math
+import signal
 from fractions import Fraction
 
 import pytest
@@ -18,12 +19,27 @@ from folsing.local import (
 )
 from folsing.parsing import parse_field, parse_poly
 from folsing.poly import MultiPoly, VectorFieldGerm, dualize
+from folsing.resolve import resolve, verify_ledger
 from folsing.scalars import GaussianRational
 from folsing.towers import TRIVIAL
 
 X = MultiPoly.variable(0, 2)
 Y = MultiPoly.variable(1, 2)
 SQRT2_TOWER, R2 = TRIVIAL.adjoin_root([-2, 0, 1], name="r2")
+
+
+def _within(seconds, fn, *args):
+    """fn(*args), failing the test once it runs past a wall-clock budget."""
+    def overrun(signum, frame):
+        raise TimeoutError(f"over the {seconds} s budget")
+
+    old = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def linear_field(a, b, c, d):
@@ -207,6 +223,41 @@ class TestGcdXY:
 
     def test_coprime(self):
         assert gcd_xy(X, Y).total_degree() == 0
+
+    # a random coprime pair of degrees 7 and 8 with integer coefficients:
+    # primitive Euclid in y over Q[x] alone took 51 s on it
+    COPRIME_7 = ("2*y^2 + 6*y^3 - 7*y^4 + 6*y^5 + 6*x + 8*x*y - 5*x*y^3"
+                 " + 3*x*y^6 - 7*x^2 - 8*x^2*y^2 + 6*x^2*y^5 + 3*x^3"
+                 " + 4*x^3*y + 5*x^3*y^3 - 5*x^3*y^4 - 6*x^4 + 9*x^5*y^2"
+                 " + 9*x^6*y")
+    COPRIME_8 = ("-9*y^2 - 4*y^3 + y^4 + 9*y^5 - 3*y^6 + 9*y^7 + 6*x*y^2"
+                 " + 4*x*y^4 - 9*x*y^5 - 6*x*y^7 - 8*x^2*y + 8*x^2*y^3"
+                 " - x^2*y^4 - 8*x^2*y^5 - 8*x^3*y + 4*x^3*y^2 + x^3*y^5"
+                 " + 3*x^4*y + 3*x^4*y^3 + 8*x^4*y^4 + 7*x^5*y - 2*x^5*y^3"
+                 " + 4*x^6 + 7*x^6*y + 9*x^7*y")
+
+    def test_coprime_high_degree_within_budget(self):
+        f, g = parse_poly(self.COPRIME_7), parse_poly(self.COPRIME_8)
+        assert _within(10, gcd_xy, f, g) == MultiPoly.constant(1, 2)
+        assert _within(10, intersection_number, f, g) == 2
+
+    def test_shared_branch_within_budget(self):
+        # the slice gcds see the common cusp, so Euclid must find it
+        h = parse_poly("y^2 - x^3")
+        f = h * parse_poly(self.COPRIME_7).truncate(3)
+        g = h * parse_poly(self.COPRIME_8).truncate(3)
+        assert _within(10, gcd_xy, f, g) == h.scale(-1)  # x^3 - y^2
+        assert _within(10, intersection_number, f, g) == math.inf
+
+    def test_common_factor_in_one_variable(self):
+        # x^2 + 1 divides both: slices at y = s see it, slices at x = t do not
+        u = X * X + MultiPoly.constant(1, 2)
+        assert gcd_xy(u * (X + Y), u * (Y - X * X)) == u
+
+    def test_resolve_coprime_components_within_budget(self):
+        field = parse_field("(x^4-y^3)*(x^2+y^5)*ddx+(x^7+y^6)*ddy")
+        tree = _within(30, resolve, field)
+        assert verify_ledger(tree)[1]
 
     def test_divide_exact(self):
         f = (X + Y) ** 2 * (X - Y)
