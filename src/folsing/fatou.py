@@ -408,66 +408,69 @@ def fatou_coordinate(f: NumericGerm, z: complex, n_max: int = 100000,
     if z == 0:
         raise NotInPetal("the fixed point itself lies in no petal")
 
-    if p == 1:
-        gcoeffs = f.coeffs
-        z_start = z
-        radius_g = f.radius
-    else:
-        gcoeffs, hinv = _reduce_to_single_petal(f.coeffs, a, p)
-        z_start = _eval_poly_germ(hinv, z) ** p
-        radius_g = (1.5 * f.radius) ** p
+    # overflow and invalid operations yield inf or nan; the explicit
+    # finiteness checks below decide the outcome, so numpy stays silent
+    with np.errstate(all="ignore"):
+        if p == 1:
+            gcoeffs = f.coeffs
+            z_start = z
+            radius_g = f.radius
+        else:
+            gcoeffs, hinv = _reduce_to_single_petal(f.coeffs, a, p)
+            z_start = _eval_poly_germ(hinv, z) ** p
+            radius_g = (1.5 * f.radius) ** p
 
-    a_eff, e1, e2, e3 = _infinity_chart_data(gcoeffs)
-    d1, d2 = _phi_correction(e1, e2, e3)
+        a_eff, e1, e2, e3 = _infinity_chart_data(gcoeffs)
+        d1, d2 = _phi_correction(e1, e2, e3)
 
-    def phi_at(zval: complex, n: int) -> complex:
-        w = -1.0 / (a_eff * zval)
-        return w - e1 * cmath.log(w) + d1 / w + d2 / w / w - n
+        def phi_at(zval: complex, n: int) -> complex:
+            w = -1.0 / (a_eff * zval)
+            return w - e1 * cmath.log(w) + d1 / w + d2 / w / w - n
 
-    # petal scan: require 50 consecutive increases of Re(w)
-    scan_limit = min(petal_scan, max(n_max // 2, 1))
-    zc = z_start
-    prev_re = (-1.0 / (a_eff * zc)).real
-    run = 0
-    steps_done = 0
-    in_petal = False
-    for k in range(1, scan_limit + 1):
-        zc = _eval_poly_germ(gcoeffs, zc)
-        steps_done = k
-        if not (abs(zc) <= radius_g) or zc != zc:
-            raise NotInPetal("orbit left the evaluation disc",
-                             step=k, query=[z.real, z.imag])
-        w_re = (-1.0 / (a_eff * zc)).real
-        run = run + 1 if w_re > prev_re else 0
-        prev_re = w_re
-        if run >= 50:
-            in_petal = True
-            break
-    if not in_petal:
-        raise NotInPetal("no sustained growth in the inverted chart",
-                         scanned=steps_done, query=[z.real, z.imag])
+        # petal scan: require 50 consecutive increases of Re(w)
+        scan_limit = min(petal_scan, max(n_max // 2, 1))
+        zc = z_start
+        prev_re = (-1.0 / (a_eff * zc)).real
+        run = 0
+        steps_done = 0
+        in_petal = False
+        for k in range(1, scan_limit + 1):
+            zc = _eval_poly_germ(gcoeffs, zc)
+            steps_done = k
+            if not (abs(zc) <= radius_g) or zc != zc:
+                raise NotInPetal("orbit left the evaluation disc",
+                                 step=k, query=[z.real, z.imag])
+            w_re = (-1.0 / (a_eff * zc)).real
+            run = run + 1 if w_re > prev_re else 0
+            prev_re = w_re
+            if run >= 50:
+                in_petal = True
+                break
+        if not in_petal:
+            raise NotInPetal("no sustained growth in the inverted chart",
+                             scanned=steps_done, query=[z.real, z.imag])
 
-    n_half = n_max // 2
-    arr = np.array([zc], dtype=np.complex128)
-    arr = _advance(gcoeffs, arr, n_half - steps_done, radius_g)
-    z_half = complex(arr[0])
-    arr = _advance(gcoeffs, arr, n_max - n_half, radius_g)
-    z_final = complex(arr[0])
-    if z_half != z_half or z_final != z_final:
-        raise NotInPetal("orbit left the evaluation disc during refinement",
-                         query=[z.real, z.imag])
-    phi_half = phi_at(z_half, n_half)
-    phi_full = phi_at(z_final, n_max)
-    increment = abs(phi_full - phi_half)
-    if not all(map(cmath.isfinite, (e1, phi_half, phi_full, increment))):
-        raise FloatOverflow("the estimate left the finite doubles",
-                            query=[z.real, z.imag])
-    if increment > cauchy_tol:
-        raise SlowConvergence(
-            "estimate not Cauchy at the requested tolerance",
-            increment=increment, tolerance=cauchy_tol, n_max=n_max)
-    return FatouEstimate(phi_full, n_max, complex(e1), increment, p,
-                         complex(a), z, steps_done)
+        n_half = n_max // 2
+        arr = np.array([zc], dtype=np.complex128)
+        arr = _advance(gcoeffs, arr, n_half - steps_done, radius_g)
+        z_half = complex(arr[0])
+        arr = _advance(gcoeffs, arr, n_max - n_half, radius_g)
+        z_final = complex(arr[0])
+        if z_half != z_half or z_final != z_final:
+            raise NotInPetal("orbit left the evaluation disc during refinement",
+                             query=[z.real, z.imag])
+        phi_half = phi_at(z_half, n_half)
+        phi_full = phi_at(z_final, n_max)
+        increment = abs(phi_full - phi_half)
+        if not all(map(cmath.isfinite, (e1, phi_half, phi_full, increment))):
+            raise FloatOverflow("the estimate left the finite doubles",
+                                query=[z.real, z.imag])
+        if increment > cauchy_tol:
+            raise SlowConvergence(
+                "estimate not Cauchy at the requested tolerance",
+                increment=increment, tolerance=cauchy_tol, n_max=n_max)
+        return FatouEstimate(phi_full, n_max, complex(e1), increment, p,
+                             complex(a), z, steps_done)
 
 
 def abel_residual(f: NumericGerm, phi: Callable[[complex], complex],
@@ -507,12 +510,21 @@ def orbit_census(h: NumericGerm, radius: float, max_iter: int = 1000000,
                         radius=radius, evaluation_radius=h.radius)
     if grid % 2:
         grid += 1  # even grid keeps the fixed point off the sample set
-    xs = np.linspace(-radius, radius, grid)
+    # scaling the unit grid, unlike linspace(-radius, radius), never forms
+    # the difference 2 * radius, which overflows for radius near the top
+    # of the doubles
+    xs = radius * np.linspace(-1.0, 1.0, grid)
+    if not np.isfinite(xs).all():
+        # only a caller passing a non-finite radius gets here
+        raise FloatOverflow("the census grid left the finite doubles")
     re, im = np.meshgrid(xs, xs)
     pts = (re + 1j * im).ravel()
-    pts = pts[np.abs(pts) <= radius]
-    status, period = _census_kernel(
-        h.coeffs, pts.astype(np.complex128), radius, int(max_iter), tol)
+    # an orbit that overflows becomes inf or nan and counts as escaping, as
+    # the kernel's own comparison with the radius decides
+    with np.errstate(all="ignore"):
+        pts = pts[np.abs(pts) <= radius]
+        status, period = _census_kernel(
+            h.coeffs, pts.astype(np.complex128), radius, int(max_iter), tol)
     hist: Dict[int, int] = {}
     for s, k in zip(status, period):
         if s == 1:

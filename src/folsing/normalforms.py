@@ -8,6 +8,15 @@ callback decides which, per component and monomial.  The divisor of the
 solve step is delta = <Q, lambda> - lambda_i, so solving a monomial with
 vanishing delta and a nonzero right-hand side is an error.
 
+The solve is triangular: the degree-d slice of X(id + h) reads h only
+below degree d.  So the composition is built online (a relaxed power
+series, after van der Hoeven, "Relax, but don't be too lazy", JSC 2002):
+one table per solve holds the degree slices of every needed product of
+powers of the maps, and each degree adds one slice per entry instead of
+recomposing from scratch.  The center manifold series runs on the same
+engine.  The certificate ``conjugacy_residual`` deliberately composes
+once more, independently, with ``_compose_trunc``.
+
 On top of the engine sit the named reductions: full linearization in the
 absence of small divisors and resonances, the minimal resonant model,
 separatrix straightening for saddles, the zero-eigenvalue reduction that
@@ -19,6 +28,7 @@ with one zero eigenvalue (center manifold, shift, and the residue pair
 
 from __future__ import annotations
 
+from operator import add
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .errors import (
@@ -34,7 +44,7 @@ from .errors import (
 )
 from .local import classify_singularity, detect_resonances, domain_classification, eigen_pair
 from .poly import MultiPoly, TruncatedSeries, VectorFieldGerm, scalar_to_json
-from .scalars import scalar_inverse, scalar_is_zero
+from .scalars import coerce_scalar, scalar_inverse, scalar_is_zero
 
 Exponent = Tuple[int, ...]
 Decide = Callable[[int, Exponent, object], bool]
@@ -70,10 +80,16 @@ def _compose_trunc(polys: Sequence[MultiPoly], maps: Sequence[MultiPoly],
                    order: int) -> List[MultiPoly]:
     """Each poly(maps), discarding all terms of total degree above ``order``.
 
-    The truncated powers of the maps are built once and shared by all of
-    ``polys``.  Assumes every map vanishes at the origin, so a source
-    monomial of degree above ``order`` cannot contribute and is skipped
-    outright.
+    One-shot composition with ``mul_trunc``: the truncated powers of the
+    maps are built once and shared by all of ``polys``.  Assumes every map
+    vanishes at the origin, so a source monomial of degree above ``order``
+    cannot contribute and is skipped outright.
+
+    The solvers grow their compositions online (``_OnlineComposition``);
+    this second path stays on purpose.  ``conjugacy_residual`` certifies
+    a solver's answer with it, so a wrong slice of the solver's table
+    cannot cancel out of the check, and ``saddle_node_prepare`` uses it
+    for its single shift along the center manifold.
     """
     n = maps[0].nvars
     caches: List[Dict[int, MultiPoly]] = [dict() for _ in maps]
@@ -103,6 +119,115 @@ def _compose_trunc(polys: Sequence[MultiPoly], maps: Sequence[MultiPoly],
             acc = acc + term
         out.append(acc)
     return out
+
+
+Slice = Dict[Exponent, object]
+
+
+def _pruned(terms: Slice) -> Slice:
+    return {e: c for e, c in terms.items() if not scalar_is_zero(c)}
+
+
+def _add_product(acc: Slice, a: Slice, b: Slice, sign: int = 1) -> None:
+    """acc += sign * a * b for {exponent: scalar} dicts; zeros stay in acc."""
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            p = c1 * c2 if sign > 0 else -(c1 * c2)
+            acc[e] = acc[e] + p if e in acc else p
+
+
+def _derivative_slice(terms: Slice, var: int) -> Slice:
+    out = {}
+    for e, c in terms.items():
+        k = e[var]
+        if k:
+            out[e[:var] + (k - 1,) + e[var + 1:]] = c * k
+    return out
+
+
+def _merged(slices: List[Slice]) -> Slice:
+    return {e: c for s in slices for e, c in s.items()}
+
+
+def _unit_slice(j: int, n: int) -> Slice:
+    return {tuple(int(k == j) for k in range(n)): coerce_scalar(1)}
+
+
+class _OnlineComposition:
+    """Degree slices of ``polys(maps)`` while the maps are still being solved for.
+
+    ``maps[j][m]`` is the degree-m slice of the j-th map as an
+    ``{exponent: scalar}`` dict; ``maps[j][0]`` is empty, because every map
+    vanishes at the origin.  The caller appends slice m of every map before
+    it asks for slice m + 1 of the composition.
+
+    The table holds T[Q][k], the degree-k slice of prod_j maps[j]^Q_j.  With
+    j the first index where Q_j > 0, T[Q][k] = sum_m maps[j][m] T[Q - e_j][k - m]
+    and T[e_j] = maps[j].  Every source monomial has degree at least 2, so
+    slice k of the composition reads only map slices below k: each table
+    slice is computed once, when it is first asked for, and never changes.
+    """
+
+    __slots__ = ("maps", "sources", "table")
+
+    def __init__(self, polys: Sequence[MultiPoly], maps: List[List[Slice]]):
+        self.maps = maps
+        self.sources = []
+        for poly in polys:
+            terms = []
+            for q, c in poly.terms.items():
+                if sum(q) < 2:
+                    raise InternalInvariantViolation(
+                        "online composition needs source monomials of degree >= 2",
+                        exponents=list(q))
+                terms.append((q, c, sum(q)))
+            self.sources.append(terms)
+        self.table: Dict[Exponent, Dict[int, Slice]] = {}
+
+    def slice(self, d: int) -> List[Slice]:
+        """The degree-d slice of each poly(maps), as new dicts the caller owns."""
+        out = []
+        for terms in self.sources:
+            acc: Slice = {}
+            for q, c, degree in terms:
+                if degree > d:
+                    continue
+                for e, t in self._power(q, d).items():
+                    p = c * t
+                    acc[e] = acc[e] + p if e in acc else p
+            out.append(_pruned(acc))
+        return out
+
+    def _power(self, q: Exponent, k: int) -> Slice:
+        j = 0
+        while not q[j]:
+            j += 1
+        rest = q[:j] + (q[j] - 1,) + q[j + 1:]
+        low = sum(rest)
+        if not low:
+            return self.maps[j][k]
+        row = self.table.get(q)
+        if row is None:
+            row = self.table[q] = {}
+        got = row.get(k)
+        if got is not None:
+            return got
+        factor = self.maps[j]
+        acc: Slice = {}
+        for m in range(1, k - low + 1):
+            a = factor[m]
+            if not a:
+                continue
+            b = self._power(rest, k - m)
+            for e1, c1 in a.items():
+                unit = c1.is_one()
+                for e2, c2 in b.items():
+                    e = tuple(map(add, e1, e2))
+                    p = c2 if unit else c1 * c2
+                    acc[e] = acc[e] + p if e in acc else p
+        got = row[k] = _pruned(acc)
+        return got
 
 
 def _diagonal_lambdas(field: VectorFieldGerm) -> Tuple:
@@ -163,24 +288,33 @@ def solve_conjugacy(field: VectorFieldGerm, decide: Decide, order: int,
     n = field.nvars
     linear = field.homogeneous_component(1)
     nonlinear = [field.components[i] - linear.components[i] for i in range(n)]
-    variables = [MultiPoly.variable(j, n) for j in range(n)]
-    h = [MultiPoly.zero(n) for _ in range(n)]
-    g = [MultiPoly.zero(n) for _ in range(n)]
+    # degree slices: maps[j] of x_j + h_j, hs[i] of h_i, gs[i] of g_i, and
+    # dh[i][j] of d(h_i)/dx_j; index = degree, the lowest entries empty
+    maps = [[{}, _unit_slice(j, n)] for j in range(n)]
+    engine = _OnlineComposition(nonlinear, maps)
+    hs: List[List[Slice]] = [[{}, {}] for _ in range(n)]
+    gs: List[List[Slice]] = [[{}, {}] for _ in range(n)]
+    dh: List[List[List[Slice]]] = [[[{}] for _ in range(n)] for _ in range(n)]
     kept: Dict[Tuple[int, Exponent], object] = {}
 
     for d in range(2, order + 1):
-        maps = [variables[i] + h[i] for i in range(n)]
-        composed = _compose_trunc(nonlinear, maps, d)
+        composed = engine.slice(d)
+        # <Q, lambda> for every Q of degree d; delta subtracts lambda_i
+        weights = [(exps, sum(q * lam[j] for j, q in enumerate(exps) if q))
+                   for exps in _monomials(n, d)]
         for i in range(n):
+            # degree-d slice of X(id + h) - Dh * g
             defect = composed[i]
             for j in range(n):
-                defect = defect - h[i].derivative(j).mul_trunc(g[j], d)
-            slice_d = defect.homogeneous_component(d)
-            for exps in _monomials(n, d):
-                rhs = slice_d.coefficient(exps)
-                rhs_zero = scalar_is_zero(rhs)
-                delta = sum((q * lam[j] for j, q in enumerate(exps) if q),
-                            start=0 * lam[i]) - lam[i]
+                for a in range(1, d - 1):
+                    if dh[i][j][a] and gs[j][d - a]:
+                        _add_product(defect, dh[i][j][a], gs[j][d - a], -1)
+            h_d: Slice = {}
+            g_d: Slice = {}
+            for exps, weight in weights:
+                rhs = defect.get(exps)
+                rhs_zero = rhs is None or scalar_is_zero(rhs)
+                delta = weight - lam[i]
                 if decide(i, exps, delta):
                     if scalar_is_zero(delta):
                         if rhs_zero:
@@ -189,18 +323,31 @@ def solve_conjugacy(field: VectorFieldGerm, decide: Decide, order: int,
                             "resonant coefficient cannot be removed",
                             component=i + 1, exponents=list(exps))
                     if not rhs_zero:
-                        h[i] = h[i] + MultiPoly.monomial(_div(rhs, delta), exps)
+                        h_d[exps] = _div(rhs, delta)
                 elif not rhs_zero:
-                    g[i] = g[i] + MultiPoly.monomial(rhs, exps)
+                    g_d[exps] = rhs
                     kept[(i, exps)] = rhs
+            hs[i].append(h_d)
+            gs[i].append(g_d)
+        for i in range(n):
+            maps[i].append(hs[i][d])
+            for j in range(n):
+                dh[i][j].append(_derivative_slice(hs[i][d], j))
 
-    transform = [variables[i] + h[i] for i in range(n)]
-    normal = VectorFieldGerm([linear.components[i] + g[i] for i in range(n)])
+    variables = [MultiPoly.variable(j, n) for j in range(n)]
+    transform = [variables[i] + MultiPoly(n, _merged(hs[i])) for i in range(n)]
+    normal = VectorFieldGerm([linear.components[i] + MultiPoly(n, _merged(gs[i]))
+                              for i in range(n)])
     return ConjugacyResult(pattern, order, lam, transform, normal, kept)
 
 
 def conjugacy_residual(field: VectorFieldGerm, result: ConjugacyResult) -> List[MultiPoly]:
-    """DH * X_reduced - X(H), truncated at the working order (all zero iff valid)."""
+    """DH * X_reduced - X(H), truncated at the working order (all zero iff valid).
+
+    X(H) comes from the one-shot ``_compose_trunc``, never from the online
+    table that produced H: a wrong slice of that table would otherwise
+    cancel out of the certificate.
+    """
     n = field.nvars
     order = result.order
     rhs = _compose_trunc(field.components, result.transform, order)
@@ -393,17 +540,29 @@ def center_manifold_series(field: VectorFieldGerm, order: int) -> MultiPoly:
     comp_a, comp_b = field.components
     linear = field.homogeneous_component(1)
     a_nl = comp_a - linear.components[0]
-    n = 2
-    y2 = MultiPoly.variable(1, n)
-    c = MultiPoly.zero(n)
     mu_inv = scalar_inverse(lam[0])
+    # degree slices of c, of c' and of B(c, y2); the map y2 is linear
+    cs: List[Slice] = [{}, {}]
+    dc: List[Slice] = [{}]
+    bs: List[Slice] = [{}, {}]
+    maps = [cs, [{}, _unit_slice(1, 2)]]
+    engine = _OnlineComposition([comp_b, a_nl], maps)
     for k in range(2, order + 1):
-        b_of_c, a_of_c = _compose_trunc([comp_b, a_nl], [c, y2], k)
-        rhs = c.derivative(1).mul_trunc(b_of_c, k) - a_of_c
-        coeff = rhs.homogeneous_component(k).coefficient((0, k))
-        if not scalar_is_zero(coeff):
-            c = c + MultiPoly.monomial(coeff * mu_inv, (0, k))
-    return c
+        b_k, a_k = engine.slice(k)
+        # degree-k slice of c' B(c, y2) - A(c, y2): c' starts in degree 1
+        # and B in degree 2, so it reads c only below degree k
+        rhs = {e: -v for e, v in a_k.items()}
+        for a in range(1, k - 1):
+            _add_product(rhs, dc[a], bs[k - a])
+        coeff = rhs.get((0, k))
+        c_k = {}
+        if coeff is not None and not scalar_is_zero(coeff):
+            c_k[(0, k)] = coeff * mu_inv
+        cs.append(c_k)
+        dc.append(_derivative_slice(c_k, 1))
+        bs.append(b_k)
+        maps[1].append({})
+    return MultiPoly(2, _merged(cs))
 
 
 def saddle_node_prepare(field: VectorFieldGerm, order: int = 12) -> SaddleNodeData:

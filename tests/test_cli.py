@@ -42,6 +42,20 @@ def json_out(runner, args):
     return json.loads(invoke_ok(runner, args).stdout)
 
 
+def run_python(args):
+    """Run a fresh interpreter on this checkout's package, so that
+    everything the process writes to stderr, warnings included, is seen."""
+    src = str(Path(folsing.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def run_cli_process(args):
+    return run_python(["-m", "folsing.cli", *args])
+
+
 # ---------------------------------------------------------------------
 # basic commands and schema validity
 # ---------------------------------------------------------------------
@@ -316,6 +330,31 @@ class TestExitCodes:
         assert err["error"] == "float-overflow"
         jsonio.validate(err, "error")
 
+    @pytest.mark.parametrize("args, code", [
+        (["fatou", "--coeffs", "1,1e200", "--z", "-1e-201"], "float-overflow"),
+        (["fatou", "--coeffs", "1,1", "--z", "-1e-320"], "not-in-petal"),
+    ])
+    def test_float_error_is_the_only_stderr(self, args, code):
+        # numpy's floating-point warnings would precede the document
+        proc = run_cli_process(args)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        err = json.loads(proc.stderr)
+        assert err["error"] == code
+        jsonio.validate(err, "error")
+
+    def test_census_radius_at_the_top_of_the_doubles(self):
+        proc = run_cli_process(["orbit-census", "--coeffs", "1",
+                                "--radius", "1e308", "--grid", "4"])
+        if proc.returncode == 0:
+            assert proc.stderr == ""
+            assert json.loads(proc.stdout)["total"] > 0
+        else:
+            assert proc.returncode == 1
+            err = json.loads(proc.stderr)
+            assert err["error"] == "float-overflow"
+            jsonio.validate(err, "error")
+
     @pytest.mark.parametrize("alpha", ["i,1", "1+i,0", "1", "1,2,3"])
     def test_domain_error_bad_alpha(self, runner, alpha):
         # alpha must hold one real exponent per gamma
@@ -462,12 +501,7 @@ print(json.dumps({"numpy_on_import": before, "missing": missing,
 
     @staticmethod
     def _report(script):
-        src = str(Path(folsing.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ,
-                   PYTHONPATH=src if not path else src + os.pathsep + path)
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = run_python(["-c", script])
         return json.loads(proc.stderr.strip().splitlines()[-1])
 
     def test_exact_commands_import_neither_sympy_nor_numpy(self):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from folsing.errors import (
+    FloatOverflow,
     NotInPetal,
     SlowConvergence,
     ZeroInput,
@@ -197,6 +198,40 @@ class TestOrbitCensus:
         rot = NumericGerm([cmath.exp(2j * math.pi / 5)])
         assert orbit_census(rot, 0.3, max_iter=1000) == \
             orbit_census(rot, 0.3, max_iter=1000)
+
+    def test_radius_at_the_top_of_the_doubles(self):
+        # a linear germ accepts any radius; the grid must not overflow
+        c = orbit_census(NumericGerm([1.0]), 1e308, max_iter=10, grid=4)
+        assert c["total"] == c["periodic"] == 4
+
+    @pytest.mark.parametrize("radius", [math.inf, math.nan])
+    def test_non_finite_radius(self, radius):
+        with pytest.raises(FloatOverflow):
+            orbit_census(NumericGerm([1.0]), radius, max_iter=10, grid=4)
+
+
+class TestFloatErrorState:
+    """numpy's floating-point state is set once per call, not per step."""
+
+    @pytest.fixture()
+    def entries(self, monkeypatch):
+        seen = []
+        original = np.errstate
+
+        def counting(**kwargs):
+            seen.append(kwargs)
+            return original(**kwargs)
+
+        monkeypatch.setattr(np, "errstate", counting)
+        return seen
+
+    def test_fatou_enters_once(self, entries):
+        fatou_coordinate(reciprocal_model(), -0.05, n_max=20000)
+        assert entries == [{"all": "ignore"}]
+
+    def test_census_enters_once(self, entries):
+        orbit_census(NumericGerm([1.0, 1.0]), 0.4, max_iter=1000)
+        assert entries == [{"all": "ignore"}]
 
 
 class TestAdvanceKernel:

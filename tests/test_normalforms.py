@@ -1,21 +1,27 @@
 """Conjugacy engine: named reductions, residual identities, residue data."""
 
+import functools
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from folsing import normalforms
 from folsing.errors import (
     LinearPartNotPrepared,
     NotPoincareDomain,
     ResonanceObstruction,
+    ToolkitError,
     TruncationTooSmall,
     WrongClass,
     ZeroDivisorDelta,
 )
 from folsing.normalforms import (
     _compose_trunc,
+    _diagonal_lambdas,
+    _div,
+    _monomials,
     center_manifold_series,
     conjugacy_residual,
     diagonalize_linear_part,
@@ -28,7 +34,9 @@ from folsing.normalforms import (
     solve_conjugacy,
 )
 from folsing.parsing import parse_field
-from folsing.poly import MultiPoly, VectorFieldGerm
+from folsing.poly import MultiPoly, VectorFieldGerm, scalar_to_json
+from folsing.scalars import scalar_inverse, scalar_is_zero
+from folsing.towers import TRIVIAL
 
 
 def assert_conjugates(field, result):
@@ -281,3 +289,198 @@ class TestComposeTrunc:
         assert together == [_compose_trunc([p], maps, order)[0]
                             for p in polys]
         assert together == [p.substitute(maps).truncate(order) for p in polys]
+
+
+# ---------------------------------------------------------------------------
+# the online engine against the recompose-per-degree solver it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_solve(field, decide, order, pattern):
+    """Recompose X(id + h) from scratch at every degree (the former solver)."""
+    lam = _diagonal_lambdas(field)
+    n = field.nvars
+    linear = field.homogeneous_component(1)
+    nonlinear = [field.components[i] - linear.components[i] for i in range(n)]
+    variables = [MultiPoly.variable(j, n) for j in range(n)]
+    h = [MultiPoly.zero(n) for _ in range(n)]
+    g = [MultiPoly.zero(n) for _ in range(n)]
+    kept = {}
+    for d in range(2, order + 1):
+        maps = [variables[i] + h[i] for i in range(n)]
+        composed = _compose_trunc(nonlinear, maps, d)
+        for i in range(n):
+            defect = composed[i]
+            for j in range(n):
+                defect = defect - h[i].derivative(j).mul_trunc(g[j], d)
+            slice_d = defect.homogeneous_component(d)
+            for exps in _monomials(n, d):
+                rhs = slice_d.coefficient(exps)
+                rhs_zero = scalar_is_zero(rhs)
+                delta = sum((q * lam[j] for j, q in enumerate(exps) if q),
+                            start=0 * lam[i]) - lam[i]
+                if decide(i, exps, delta):
+                    if scalar_is_zero(delta):
+                        if rhs_zero:
+                            continue
+                        raise ZeroDivisorDelta(
+                            "resonant coefficient cannot be removed",
+                            component=i + 1, exponents=list(exps))
+                    if not rhs_zero:
+                        h[i] = h[i] + MultiPoly.monomial(_div(rhs, delta), exps)
+                elif not rhs_zero:
+                    g[i] = g[i] + MultiPoly.monomial(rhs, exps)
+                    kept[(i, exps)] = rhs
+    transform = [variables[i] + h[i] for i in range(n)]
+    normal = VectorFieldGerm([linear.components[i] + g[i] for i in range(n)])
+    return transform, normal, kept
+
+
+def _reference_center_manifold(field, order):
+    """The former loop: compose B and A with (c, y2) afresh at every degree."""
+    lam = _diagonal_lambdas(field)
+    comp_a, comp_b = field.components
+    a_nl = comp_a - field.homogeneous_component(1).components[0]
+    y2 = MultiPoly.variable(1, 2)
+    c = MultiPoly.zero(2)
+    mu_inv = scalar_inverse(lam[0])
+    for k in range(2, order + 1):
+        b_of_c, a_of_c = _compose_trunc([comp_b, a_nl], [c, y2], k)
+        rhs = c.derivative(1).mul_trunc(b_of_c, k) - a_of_c
+        coeff = rhs.homogeneous_component(k).coefficient((0, k))
+        if not scalar_is_zero(coeff):
+            c = c + MultiPoly.monomial(coeff * mu_inv, (0, k))
+    return c
+
+
+@functools.lru_cache(maxsize=None)
+def _sqrt2():
+    return TRIVIAL.adjoin_root([-2, 0, 1], name="r2")[1]
+
+
+def _scalar(ring, a, b, den):
+    if ring == "integer":
+        return a
+    if ring == "rational":
+        return Fraction(a, den)
+    return a + b * _sqrt2()
+
+
+DECIDE = {
+    "linearize": lambda i, q, delta: True,
+    "resonant": lambda i, q, delta: not scalar_is_zero(delta),
+    "straighten": lambda i, q, delta: q[0] == 0 or q[1] == 0,
+    "center-clear": lambda i, q, delta: q[1] == 0,
+    "invariant-plane": lambda i, q, delta: (
+        q[2] == 0 if i == 2 else q[2] == 0 or (q[0] == 0 and q[1] == 0)),
+}
+
+# resonant and nonresonant spectra; "r2" stands for the square root of 2
+SPECTRA = {
+    2: [(1, Fraction(5, 2)), (2, 1), (1, -1), (1, 0), (3, 2), (1, "r2"),
+        ("r2", 1)],
+    3: [(1, Fraction(5, 2), Fraction(17, 3)), (1, 2, 3), (1, -1, 2),
+        (2, 0, "r2")],
+}
+
+HIGHER = {n: [e for d in (2, 3) for e in _monomials(n, d)] for n in (2, 3)}
+
+
+@st.composite
+def _germs(draw, nvars, spectra=None, ring=None):
+    ring = ring or draw(st.sampled_from(["integer", "rational", "sqrt2"]))
+    lam = draw(st.sampled_from(spectra or SPECTRA[nvars]))
+    coeff = st.tuples(st.integers(-3, 3), st.integers(-2, 2),
+                      st.integers(1, 4))
+    comps = []
+    for i in range(nvars):
+        terms = {tuple(int(k == i) for k in range(nvars)):
+                 _sqrt2() if lam[i] == "r2" else lam[i]}
+        for exps in draw(st.lists(st.sampled_from(HIGHER[nvars]),
+                                  max_size=3, unique=True)):
+            terms[exps] = _scalar(ring, *draw(coeff))
+        comps.append(MultiPoly(nvars, terms))
+    return VectorFieldGerm(comps)
+
+
+def _outcome(solve):
+    """The solver's result as text and JSON, or its error document."""
+    try:
+        transform, normal, kept = solve()
+    except ToolkitError as exc:
+        return ("error", type(exc).__name__, exc.to_json())
+    return ([str(p) for p in transform], [str(p) for p in normal.components],
+            sorted((key, scalar_to_json(c)) for key, c in kept.items()),
+            transform, normal.components, kept)
+
+
+def _engine(field, pattern, order):
+    result = solve_conjugacy(field, DECIDE[pattern], order, pattern=pattern)
+    return result.transform, result.normal_form, result.kept
+
+
+class TestOnlineEngineMatchesRecomposition:
+    @given(st.sampled_from(["linearize", "resonant", "straighten",
+                            "center-clear"]),
+           _germs(2), st.integers(2, 9))
+    @settings(max_examples=40, deadline=None)
+    def test_two_variables(self, pattern, field, order):
+        assert _outcome(lambda: _engine(field, pattern, order)) == _outcome(
+            lambda: _reference_solve(field, DECIDE[pattern], order, pattern))
+
+    @given(_germs(3), st.integers(2, 7))
+    @settings(max_examples=12, deadline=None)
+    def test_invariant_plane(self, field, order):
+        pattern = "invariant-plane"
+        assert _outcome(lambda: _engine(field, pattern, order)) == _outcome(
+            lambda: _reference_solve(field, DECIDE[pattern], order, pattern))
+
+    @given(_germs(2, spectra=[(1, 0), (2, 0), (Fraction(-1, 3), 0),
+                              ("r2", 0)]),
+           st.integers(2, 9))
+    @settings(max_examples=25, deadline=None)
+    def test_center_manifold(self, field, order):
+        new = center_manifold_series(field, order)
+        old = _reference_center_manifold(field, order)
+        assert str(new) == str(old) and new == old
+
+    @pytest.mark.parametrize("ring", ["integer", "rational", "sqrt2"])
+    @given(data=st.data())
+    @settings(max_examples=3, deadline=None)
+    def test_order_nine_each_ring(self, ring, data):
+        field = data.draw(_germs(2, spectra=[(1, Fraction(5, 2)), (2, 1)],
+                                 ring=ring))
+        pattern = data.draw(st.sampled_from(["linearize", "resonant"]))
+        assert _outcome(lambda: _engine(field, pattern, 9)) == _outcome(
+            lambda: _reference_solve(field, DECIDE[pattern], 9, pattern))
+
+
+class TestNoRecomposition:
+    """The solvers grow one table; only the certificate composes in one shot."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        seen = []
+        original = normalforms._compose_trunc
+
+        def counting(*args, **kwargs):
+            seen.append(args[2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(normalforms, "_compose_trunc", counting)
+        return seen
+
+    def test_linearize_never_composes(self, calls):
+        field = parse_field("(x + x^2 + y^3)*ddx + (5/2*y + x*y)*ddy")
+        poincare_linearize(field, order=8)
+        assert calls == []
+
+    def test_center_manifold_never_composes(self, calls):
+        center_manifold_series(parse_field("(x - y^2)*ddx + y^2*ddy"), order=8)
+        assert calls == []
+
+    def test_residual_composes_once(self, calls):
+        field = parse_field("(x + x^2 + y^3)*ddx + (5/2*y + x*y)*ddy")
+        result = poincare_linearize(field, order=8)
+        assert calls == []
+        assert_conjugates(field, result)
+        assert calls == [8]
