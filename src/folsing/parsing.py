@@ -11,6 +11,14 @@ Grammar summary (one expression per line, ``#`` starts a comment):
   (1-form components) are multiplicative atoms — at most one marker per
   monomial, and field markers never mix with form markers.
 
+Each expression is tokenized and parsed once, into a map from component
+marker to a 3-variable polynomial; ``parse_any`` dispatches on its markers
+to the same builders that ``parse_poly``, ``parse_field`` and
+``parse_form`` use.  Atoms are shared constants and products are
+``MultiPoly`` products.  The term pairs those products form are counted
+per parse, and an expansion past ``PAIR_BUDGET`` of them, such as
+``(1+x)^100000``, is a ParseError at the operator that would pass it.
+
 Rendering is the exact inverse on parser-produced objects: graded-lex term
 order, explicit ``*``, canonical scalar formatting.
 """
@@ -18,7 +26,6 @@ order, explicit ``*``, canonical scalar formatting.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .errors import ParseError
@@ -27,9 +34,10 @@ from .poly import (
     MultiPoly,
     OneFormGerm,
     VectorFieldGerm,
+    _trusted,
     render_poly,
 )
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _triple, power
 
 VAR_INDEX = {"x": 0, "x1": 0, "y": 1, "x2": 1, "z": 2, "x3": 2}
 FIELD_MARKERS = {"ddx": 0, "ddy": 1, "ddz": 2}
@@ -42,6 +50,10 @@ _TOKEN_RE = re.compile(
 )
 
 _ATOM_STARTS = {"number", "ident", "("}
+
+# Term pairs that the products of one parse may form in total.  A monomial
+# power costs one pair per step, so x^100000000 stays cheap.
+PAIR_BUDGET = 10 ** 6
 
 
 class _Token:
@@ -103,20 +115,33 @@ class _Value:
         return _Value({m: -p for m, p in self.parts.items()})
 
 
+_ONE = MultiPoly.constant(1, 3)
+_ATOMS = {name: _Value.of_poly(MultiPoly.variable(k, 3))
+          for name, k in VAR_INDEX.items()}
+_ATOMS["i"] = _Value.of_poly(MultiPoly.constant(GaussianRational(0, 1), 3))
+_ATOMS.update((m, _Value({m: _ONE})) for m in (*FIELD_MARKERS, *FORM_MARKERS))
+
+
 class _Parser:
     def __init__(self, tokens: List[_Token], line: int):
         self.tokens = tokens
         self.line = line
         self.k = 0
+        self.pairs = 0
 
     def peek(self) -> Optional[_Token]:
         return self.tokens[self.k] if self.k < len(self.tokens) else None
+
+    def end_col(self) -> int:
+        """The column just past the last token."""
+        last = self.tokens[-1]
+        return last.col + len(last.text)
 
     def next(self) -> _Token:
         t = self.peek()
         if t is None:
             raise ParseError("unexpected end of expression", line=self.line,
-                             col=(self.tokens[-1].col if self.tokens else 1))
+                             col=self.end_col())
         self.k += 1
         return t
 
@@ -125,8 +150,17 @@ class _Parser:
         if t is None or t.kind != kind:
             raise ParseError(
                 f"expected {kind!r}" + (f", found {t.text!r}" if t else ""),
-                line=self.line, col=(t.col if t else 1))
+                line=self.line, col=(t.col if t else self.end_col()))
         return self.next()
+
+    def product(self, p1: MultiPoly, p2: MultiPoly, at: _Token) -> MultiPoly:
+        """``p1 * p2``, charged to the parse's budget of term pairs."""
+        self.pairs += len(p1.terms) * len(p2.terms)
+        if self.pairs > PAIR_BUDGET:
+            raise ParseError(
+                f"expansion needs more than {PAIR_BUDGET} term products",
+                line=self.line, col=at.col)
+        return p1 * p2
 
     def fail_if_atom_follows(self):
         t = self.peek()
@@ -168,7 +202,7 @@ class _Parser:
                         "at most one component marker per monomial",
                         line=self.line, col=at.col)
                 m = m1 if m1 is not None else m2
-                prod = p1 * p2
+                prod = self.product(p1, p2, at)
                 out[m] = out[m] + prod if m in out else prod
         return _Value(out)
 
@@ -197,30 +231,26 @@ class _Parser:
             if v.markers():
                 raise ParseError("component markers cannot be raised to powers",
                                  line=self.line, col=caret.col)
-            base = v.plain()
-            return _Value.of_poly(base ** n)
+            return _Value.of_poly(power(
+                v.plain(), n, _ONE, lambda a, b: self.product(a, b, caret)))
         return v
 
     def parse_atom(self) -> _Value:
         t = self.next()
         if t.kind == "number":
-            if "/" in t.text:
-                num, den = t.text.split("/")
-                if int(den) == 0:
-                    raise ParseError("zero denominator", line=self.line, col=t.col)
-                c = GaussianRational(Fraction(int(num), int(den)), 0)
-            else:
-                c = GaussianRational(int(t.text), 0)
-            return _Value.of_poly(MultiPoly.constant(c, 3))
+            num, _, den = t.text.partition("/")
+            num, den = int(num), int(den or 1)
+            if den == 0:
+                raise ParseError("zero denominator", line=self.line, col=t.col)
+            if num == 0:
+                return _Value()
+            return _Value.of_poly(_trusted(3, {(0, 0, 0): _triple(num, 0, den)}))
         if t.kind == "ident":
-            name = t.text
-            if name == "i":
-                return _Value.of_poly(MultiPoly.constant(GaussianRational(0, 1), 3))
-            if name in VAR_INDEX:
-                return _Value.of_poly(MultiPoly.variable(VAR_INDEX[name], 3))
-            if name in FIELD_MARKERS or name in FORM_MARKERS:
-                return _Value({name: MultiPoly.constant(1, 3)})
-            raise ParseError(f"unknown symbol {name!r}", line=self.line, col=t.col)
+            atom = _ATOMS.get(t.text)
+            if atom is None:
+                raise ParseError(f"unknown symbol {t.text!r}",
+                                 line=self.line, col=t.col)
+            return atom
         if t.kind == "(":
             v = self.parse_expr()
             self.expect(")")
@@ -250,7 +280,7 @@ def _project(p: MultiPoly, nvars: int, line: int) -> MultiPoly:
                 f"expression uses variable {DEFAULT_NAMES[3][max(k for k in range(3) if e[k])]}"
                 f" but only {nvars} variables are allowed", line=line, col=1)
         out[e[:nvars]] = c
-    return MultiPoly(nvars, out)
+    return _trusted(nvars, out)
 
 
 def _auto_nvars(v: _Value) -> int:
@@ -275,8 +305,7 @@ def parse_scalar_literal(text: str, line: int = 1) -> GaussianRational:
     raise ParseError("scalar expression did not reduce to a constant", line=line, col=1)
 
 
-def parse_poly(text: str, nvars: Optional[int] = None, line: int = 1) -> MultiPoly:
-    v = _parse_value(text, line)
+def _poly_of(v: _Value, nvars: Optional[int], line: int) -> MultiPoly:
     if v.markers():
         raise ParseError("unexpected component marker in polynomial expression",
                          line=line, col=1)
@@ -284,8 +313,7 @@ def parse_poly(text: str, nvars: Optional[int] = None, line: int = 1) -> MultiPo
     return _project(v.plain(), n, line)
 
 
-def parse_field(text: str, nvars: Optional[int] = None, line: int = 1) -> VectorFieldGerm:
-    v = _parse_value(text, line)
+def _field_of(v: _Value, nvars: Optional[int], line: int) -> VectorFieldGerm:
     if v.markers() & set(FORM_MARKERS):
         raise ParseError("1-form markers in a vector-field expression",
                          line=line, col=1)
@@ -302,8 +330,7 @@ def parse_field(text: str, nvars: Optional[int] = None, line: int = 1) -> Vector
     return VectorFieldGerm(comps)
 
 
-def parse_form(text: str, line: int = 1) -> OneFormGerm:
-    v = _parse_value(text, line)
+def _form_of(v: _Value, line: int) -> OneFormGerm:
     if v.markers() & set(FIELD_MARKERS):
         raise ParseError("vector-field markers in a 1-form expression",
                          line=line, col=1)
@@ -319,6 +346,18 @@ def parse_form(text: str, line: int = 1) -> OneFormGerm:
     return OneFormGerm(a, b)
 
 
+def parse_poly(text: str, nvars: Optional[int] = None, line: int = 1) -> MultiPoly:
+    return _poly_of(_parse_value(text, line), nvars, line)
+
+
+def parse_field(text: str, nvars: Optional[int] = None, line: int = 1) -> VectorFieldGerm:
+    return _field_of(_parse_value(text, line), nvars, line)
+
+
+def parse_form(text: str, line: int = 1) -> OneFormGerm:
+    return _form_of(_parse_value(text, line), line)
+
+
 def parse_any(text: str, line: int = 1) -> Union[MultiPoly, VectorFieldGerm, OneFormGerm]:
     """Parse an expression whose kind is decided by its markers."""
     v = _parse_value(text, line)
@@ -328,10 +367,10 @@ def parse_any(text: str, line: int = 1) -> Union[MultiPoly, VectorFieldGerm, One
         raise ParseError("cannot mix vector-field and 1-form markers",
                          line=line, col=1)
     if has_field:
-        return parse_field(text, line=line)
+        return _field_of(v, None, line)
     if has_form:
-        return parse_form(text, line=line)
-    return parse_poly(text, line=line)
+        return _form_of(v, line)
+    return _poly_of(v, None, line)
 
 
 def iter_expressions(text: str) -> Iterator[Tuple[int, str]]:

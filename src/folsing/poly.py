@@ -3,6 +3,9 @@
 MultiPoly is a dict from exponent tuples to nonzero exact scalars
 (GaussianRational or tower FieldElement); all arithmetic is exact and
 coefficient coercion across compatible towers rides on the scalar operators.
+The public constructor validates the dict it is given; the results of
+MultiPoly's own arithmetic are normal by construction and are built with
+``_trusted``, which does not look at their coefficients again.
 TruncatedSeries wraps a polynomial payload together with the order through
 which it is trusted; every operation propagates the minimum trusted order.
 VectorFieldGerm and OneFormGerm are thin wrappers holding components, with
@@ -27,6 +30,7 @@ from .scalars import (
     GaussianRational,
     coerce_scalar,
     format_gaussian,
+    power,
     scalar_inverse,
     scalar_is_zero,
 )
@@ -46,7 +50,17 @@ def scalar_to_json(c):
 
 
 class MultiPoly:
-    """Sparse exact polynomial in a fixed number of variables."""
+    """Sparse exact polynomial in a fixed number of variables.
+
+    Invariant: ``terms`` maps exponent tuples of length ``nvars`` to nonzero
+    exact scalars, none of them an ``int`` or a ``Fraction``.  The public
+    constructor establishes it from any dict.  The arithmetic methods keep
+    it without checking and build their results with ``_trusted``: the
+    coefficients lie in a field (Q(i), or a tower whose minimal polynomials
+    are kept irreducible) or in the domain Q(i)[tau], so a product of
+    nonzero scalars is nonzero, and every sum is zero-tested where it is
+    formed.
+    """
 
     __slots__ = ("nvars", "terms")
 
@@ -102,12 +116,12 @@ class MultiPoly:
         return min(sum(e) for e in self.terms)
 
     def homogeneous_component(self, d: int) -> "MultiPoly":
-        return MultiPoly(self.nvars,
-                         {e: c for e, c in self.terms.items() if sum(e) == d})
+        return _trusted(self.nvars,
+                        {e: c for e, c in self.terms.items() if sum(e) == d})
 
     def truncate(self, order: int) -> "MultiPoly":
-        return MultiPoly(self.nvars,
-                         {e: c for e, c in self.terms.items() if sum(e) <= order})
+        return _trusted(self.nvars,
+                        {e: c for e, c in self.terms.items() if sum(e) <= order})
 
     def coefficient(self, exps: Sequence[int]):
         return self.terms.get(tuple(exps), GaussianRational(0, 0))
@@ -164,12 +178,12 @@ class MultiPoly:
                     out[e] = s
             else:
                 out[e] = c
-        return MultiPoly(self.nvars, out)
+        return _trusted(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)) or hasattr(other, "tower"):
@@ -215,25 +229,18 @@ class MultiPoly:
                         out[e] = s
                 else:
                     out[e] = p
-        return MultiPoly(self.nvars, out)
+        return _trusted(self.nvars, out)
 
     def scale(self, c) -> "MultiPoly":
         c = coerce_scalar(c)
         if scalar_is_zero(c):
             return MultiPoly.zero(self.nvars)
-        return MultiPoly(self.nvars, {e: v * c for e, v in self.terms.items()})
+        return _trusted(self.nvars, {e: v * c for e, v in self.terms.items()})
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = MultiPoly.constant(1, self.nvars)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, MultiPoly.constant(1, self.nvars))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -255,7 +262,7 @@ class MultiPoly:
             e2 = list(e)
             e2[var] = k - 1
             out[tuple(e2)] = c * k
-        return MultiPoly(self.nvars, out)
+        return _trusted(self.nvars, out)
 
     def evaluate(self, values: Sequence):
         """Evaluate at scalar values (one per variable)."""
@@ -310,7 +317,7 @@ class MultiPoly:
             e2 = list(e)
             e2[var] -= k
             out[tuple(e2)] = c
-        return MultiPoly(self.nvars, out)
+        return _trusted(self.nvars, out)
 
     def divide_exact(self, divisor: "MultiPoly") -> "MultiPoly":
         """The quotient ``self / divisor``; raises unless it is a polynomial.
@@ -341,14 +348,10 @@ class MultiPoly:
                 v = -(q * c) if v is None else v - q * c
                 if not scalar_is_zero(v):
                     rem[e] = v
-        return MultiPoly(self.nvars, quot)
+        return _trusted(self.nvars, quot)
 
     def map_coefficients(self, fn) -> "MultiPoly":
         return MultiPoly(self.nvars, {e: fn(c) for e, c in self.terms.items()})
-
-    def numeric(self) -> "MultiPoly":
-        """Coefficients as complex floats (for numeric pipelines)."""
-        return MultiPoly(self.nvars, {e: complex(c) for e, c in self.terms.items()})
 
     # -- presentation ---------------------------------------------------
     def to_json(self):
@@ -359,6 +362,18 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self})"
+
+
+_new = object.__new__
+
+
+def _trusted(nvars: int, terms: Dict[Exponent, object]) -> MultiPoly:
+    """MultiPoly owning ``terms``, which must already satisfy the class
+    invariant; nothing is coerced, zero-tested or length-checked."""
+    out = _new(MultiPoly)
+    out.nvars = nvars
+    out.terms = terms
+    return out
 
 
 def render_poly(p: MultiPoly, names: Optional[Sequence[str]] = None) -> str:

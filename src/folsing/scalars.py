@@ -14,6 +14,7 @@ multiplication.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd
 from typing import Union
@@ -176,14 +177,7 @@ class GaussianRational:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, ONE)
 
     def conjugate(self) -> "GaussianRational":
         return _lowest(self._a, -self._b, self._d)
@@ -221,6 +215,21 @@ class GaussianRational:
 
     def __str__(self):
         return format_gaussian(self)
+
+
+def power(base, n: int, one, mul=operator.mul):
+    """``base**n`` for an integer ``n >= 0`` by square-and-multiply, with
+    ``one`` the answer for ``n == 0``; ``mul`` forms every product.  Bits
+    are read from the lowest, and the base is not squared past the top
+    one."""
+    out = None
+    while n:
+        if n & 1:
+            out = base if out is None else mul(out, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return one if out is None else out
 
 
 def _co(x):

@@ -35,6 +35,7 @@ from .scalars import (
     ONE,
     ZERO,
     format_gaussian,
+    power,
     scalar_inverse,
     scalar_is_zero,
 )
@@ -381,14 +382,7 @@ class FieldElement:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out = self.tower.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, self.tower.one())
 
     def __eq__(self, other):
         try:

@@ -256,6 +256,23 @@ class TestExitCodes:
         assert err["detail"]["line"] == 1
         jsonio.validate(err, "error")
 
+    @pytest.mark.parametrize("expr, col", [
+        ("(x", 3),
+        ("x^", 3),
+        ("(1+x)^100000*ddx", 6),
+    ])
+    def test_parse_error_column(self, expr, col):
+        # end of input is reported just past the last token; an expansion
+        # over the parser's budget at the operator that would pass it.  A
+        # fresh process, so that a lost budget times out instead of hanging
+        result = run_cli_process(["analyze", "--expr", expr])
+        assert result.returncode == 1
+        assert result.stdout == ""
+        err = json.loads(result.stderr)
+        assert err["error"] == "parse-error"
+        assert err["detail"]["col"] == col
+        jsonio.validate(err, "error")
+
     def test_domain_error_zero_input(self, runner):
         result = runner.invoke(main, ["analyze", "--expr", "0*ddx + 0*ddy"])
         assert result.exit_code == 1

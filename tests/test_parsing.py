@@ -1,10 +1,12 @@
 """Grammar: literals, variables, markers, errors, render round-trips."""
 
+import signal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from folsing import parsing
 from folsing.errors import ParseError
 from folsing.parsing import (
     iter_expressions,
@@ -183,3 +185,148 @@ class TestRoundTrip:
         w = OneFormGerm(p, q)
         got = parse_form(render_form(w))
         assert got == w
+
+
+def _within(seconds, fn, *args):
+    """fn(*args), failing the test once it runs past a wall-clock budget."""
+    def overrun(signum, frame):
+        raise TimeoutError(f"over the {seconds} s budget")
+
+    old = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+class TestErrorColumns:
+    @pytest.mark.parametrize("text, col", [
+        ("(x", 3),
+        ("x^", 3),
+        ("(x+y  ", 5),
+        ("2*x+", 5),
+    ])
+    def test_end_of_input_is_just_past_the_last_token(self, text, col):
+        with pytest.raises(ParseError) as ei:
+            parse_any(text)
+        assert ei.value.col == col
+
+
+class TestExpansionBudget:
+    def test_dense_power_fails_at_the_caret(self):
+        with pytest.raises(ParseError) as ei:
+            _within(20, parse_any, "(1+x)^100000*ddx")
+        assert ei.value.col == 6
+        assert "term products" in str(ei.value)
+        # the next parse starts from an empty budget
+        assert len(parse_poly("(1+x)^5").terms) == 6
+
+    def test_dense_product_fails_at_the_star(self):
+        with pytest.raises(ParseError) as ei:
+            _within(20, parse_any, "(1+x)^900*(1+y)^900")
+        assert ei.value.col == 10
+
+    def test_monomial_powers_stay_cheap(self):
+        p = _within(5, parse_poly, "x^100000000*y^200 + (x*y)^99999999")
+        assert p.terms == {(100000000, 200): GaussianRational(1),
+                           (99999999, 99999999): GaussianRational(1)}
+
+
+class TestOnePass:
+    def test_parse_any_tokenizes_once(self, monkeypatch):
+        calls = []
+        tokenize = parsing._tokenize
+
+        def counting(text, line):
+            calls.append(text)
+            return tokenize(text, line)
+
+        monkeypatch.setattr(parsing, "_tokenize", counting)
+        for text in ("x*ddx + y*ddy", "x*dx - y*dy", "x*y + 1"):
+            calls.clear()
+            parse_any(text)
+            assert calls == [text]
+
+    def test_literal_zero_is_the_zero_polynomial(self):
+        for text in ("0", "0/7", "0*x", "x - x", "0*ddx"):
+            assert parse_any(text).terms == {}
+        assert parse_poly("x + 0").terms == {(1, 0): GaussianRational(1)}
+
+
+# Expression trees: ("lit", text, value), ("var", name, k), (op, left, right)
+# for + - *, ("neg", t) and ("pow", t, n).  Rendered fully parenthesised,
+# parsed, and compared with the same tree evaluated in MultiPoly arithmetic.
+_unsigned = st.fractions(min_value=0, max_value=7, max_denominator=5)
+literals = st.one_of(
+    st.integers(0, 9).map(lambda n: ("lit", str(n), GaussianRational(n))),
+    _unsigned.map(lambda q: ("lit", str(q), GaussianRational(q))),
+    st.tuples(_unsigned, _unsigned).map(
+        lambda ab: ("lit", f"({ab[0]}+{ab[1]}*i)", GaussianRational(*ab))),
+)
+leaves = st.one_of(literals, st.sampled_from([("var", "x", 0), ("var", "y", 1)]))
+trees = st.recursive(
+    leaves,
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from(["+", "-", "*"]), sub, sub),
+        st.tuples(st.just("neg"), sub),
+        st.tuples(st.just("pow"), sub, st.integers(0, 3)),
+    ),
+    max_leaves=8,
+)
+
+
+def _render(t) -> str:
+    kind = t[0]
+    if kind in ("lit", "var"):
+        return t[1]
+    if kind == "neg":
+        return f"-({_render(t[1])})"
+    if kind == "pow":
+        return f"({_render(t[1])})^{t[2]}"
+    return f"({_render(t[1])}){kind}({_render(t[2])})"
+
+
+def _evaluate(t) -> MultiPoly:
+    kind = t[0]
+    if kind == "lit":
+        return MultiPoly.constant(t[2], 2)
+    if kind == "var":
+        return MultiPoly.variable(t[2], 2)
+    if kind == "neg":
+        return -_evaluate(t[1])
+    if kind == "pow":
+        return _evaluate(t[1]) ** t[2]
+    a, b = _evaluate(t[1]), _evaluate(t[2])
+    return a + b if kind == "+" else a - b if kind == "-" else a * b
+
+
+class TestParseAgainstEvaluation:
+    @given(trees)
+    @settings(max_examples=80, deadline=None)
+    def test_poly(self, t):
+        want = _evaluate(t)
+        assert parse_poly(_render(t), nvars=2).terms == want.terms
+        assert parse_any(_render(t)).terms == want.terms
+
+    @given(trees, trees)
+    @settings(max_examples=50, deadline=None)
+    def test_field(self, f, g):
+        text = f"({_render(f)})*ddx + ddy*({_render(g)})"
+        want = [_evaluate(f).terms, _evaluate(g).terms]
+        got = parse_field(text, nvars=2)
+        assert [p.terms for p in got.components] == want
+        if any(want):
+            assert [p.terms for p in parse_any(text).components] == want
+
+    @given(trees, trees)
+    @settings(max_examples=50, deadline=None)
+    def test_form(self, a, b):
+        text = f"dx*({_render(a)}) - ({_render(b)})*dy"
+        want = [_evaluate(a).terms, (-_evaluate(b)).terms]
+        got = parse_form(text)
+        assert [got.a.terms, got.b.terms] == want
+        if any(want):
+            w = parse_any(text)
+            assert [w.a.terms, w.b.terms] == want

@@ -273,3 +273,59 @@ class TestGerms:
     def test_jet(self):
         v = VectorFieldGerm([X ** 4 + X, Y])
         assert v.jet(2).components[0] == X
+
+
+@st.composite
+def trusted_cases(draw):
+    """(p, q, c, k): two polynomials in 2 variables with coefficients all in
+    Q(i) or all in Q(sqrt 2), a nonzero scalar of the same kind, and a
+    degree."""
+    coeffs = draw(st.sampled_from([gaussian_coeffs, sqrt2_coeffs]))
+    polys = st.builds(
+        lambda d: MultiPoly(2, d),
+        st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                        coeffs, max_size=5))
+    c = draw(coeffs.filter(lambda c: not c.is_zero()))
+    return draw(polys), draw(polys), c, draw(st.integers(0, 6))
+
+
+class TestTrustedResults:
+    """Arithmetic results skip the validating constructor; they must still
+    hold its invariant."""
+
+    @staticmethod
+    def results(p, q, c, k):
+        yield p * q
+        yield (p + q) * (p - q)  # the cross terms cancel inside one product
+        yield p.mul_trunc(q, k)
+        yield p + q
+        yield p - q
+        yield -p
+        yield p.scale(c)
+        yield p.scale(3)
+        yield p * Fraction(-1, 2)
+        yield p.derivative(0)
+        yield p.derivative(1)
+        yield p.truncate(k)
+        yield p.homogeneous_component(k)
+        yield p ** (k % 4)
+        yield (p * X * X).divide_by_var_power(0, 2)
+        if not q.is_zero():
+            yield (p * q).divide_exact(q)
+
+    @given(trusted_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_invariant_holds(self, case):
+        for r in self.results(*case):
+            assert r.nvars == 2
+            for e, c in r.terms.items():
+                assert type(e) is tuple and len(e) == 2
+                assert not isinstance(c, (int, Fraction))
+                assert not c.is_zero()
+            assert MultiPoly(2, r.terms).terms == r.terms
+
+    def test_public_constructor_still_validates(self):
+        p = MultiPoly(2, {(1, 0): 3, (0, 1): Fraction(0), (0, 0): GaussianRational(0)})
+        assert p.terms == {(1, 0): GaussianRational(3, 0)}
+        with pytest.raises(VariableCountMismatch):
+            MultiPoly(2, {(1,): 1})

@@ -15,6 +15,7 @@ from folsing.scalars import (
     TauScalar,
     ZERO,
     format_gaussian,
+    power,
     scalar_is_zero,
 )
 
@@ -177,3 +178,21 @@ def test_scalar_is_zero_universal():
     assert scalar_is_zero(0) and scalar_is_zero(Fraction(0))
     assert scalar_is_zero(ZERO) and not scalar_is_zero(ONE)
     assert scalar_is_zero(TauScalar.constant(0)) and not scalar_is_zero(TAU)
+
+
+def test_power_squares_no_further_than_the_top_bit():
+    # n = 0 returns `one`; otherwise bit_length - 1 squares and one product
+    # per further set bit
+    products = []
+
+    def mul(a, b):
+        products.append((a, b))
+        return a * b
+
+    for n in range(70):
+        products.clear()
+        assert power(3, n, 1, mul) == 3 ** n
+        want = n.bit_length() - 1 + bin(n).count("1") - 1 if n else 0
+        assert len(products) == want
+    g = GaussianRational(Fraction(2, 3), -1)
+    assert g ** 5 == g * g * g * g * g and g ** -2 == (g * g).inverse()
