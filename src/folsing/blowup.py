@@ -28,11 +28,13 @@ from .errors import (
     WrongClass,
     ZeroInput,
 )
+from .local import line_slice
 from .poly import (
     MultiPoly,
     OneFormGerm,
     VectorFieldGerm,
     coefficient_tower,
+    compose,
     dualize,
     lift_poly,
 )
@@ -43,7 +45,6 @@ from .towers import (
     factor_univariate,
     tp_deg,
     tp_gcd,
-    tp_trim,
 )
 
 CHART_NAMES = {1: ("x", "t"), 2: ("s", "y")}
@@ -117,13 +118,15 @@ def blow_up_form(form: OneFormGerm, chart: int,
     y = MultiPoly.variable(1, 2)
     if chart == 1:
         # (x, t) -> (x, t x); the second variable slot plays the role of t
-        a_new = form.a.substitute([x, y * x]) + y * form.b.substitute([x, y * x])
-        b_new = x * form.b.substitute([x, y * x])
+        a, b = compose([form.a, form.b], [x, y * x])
+        a_new = a + y * b
+        b_new = x * b
         var = 0
     else:
         # (s, y) -> (s y, y); the first variable slot plays the role of s
-        a_new = y * form.a.substitute([x * y, y])
-        b_new = x * form.a.substitute([x * y, y]) + form.b.substitute([x * y, y])
+        a, b = compose([form.a, form.b], [x * y, y])
+        a_new = y * a
+        b_new = x * a + b
         var = 1
     a_new = a_new.divide_by_var_power(var, power)
     b_new = b_new.divide_by_var_power(var, power)
@@ -158,7 +161,7 @@ def composed_components(field: VectorFieldGerm, chart: int) -> VectorFieldGerm:
         sub = [x, y * x]
     else:
         sub = [x * y, y]
-    return VectorFieldGerm([p.substitute(sub) for p in field.components])
+    return VectorFieldGerm(compose(field.components, sub))
 
 
 def wedge_certificate(field: VectorFieldGerm, transformed: VectorFieldGerm,
@@ -220,8 +223,8 @@ def divisor_children(form: OneFormGerm, tower: Optional[FieldTower] = None
     f1, m1 = blow_up_form(form, 1)
     f2, m2 = blow_up_form(form, 2)
     # dual-field components restricted to the exceptional line x = 0
-    a_slice = _slice_in_second_var(f1.a, tower)
-    b_slice = _slice_in_second_var(f1.b, tower)
+    a_slice = line_slice(f1.a, 0, 0, tower)
+    b_slice = line_slice(f1.b, 0, 0, tower)
     if not a_slice and not b_slice:
         raise InternalInvariantViolation(
             "transformed form vanishes on the exceptional line")
@@ -254,18 +257,6 @@ def _child_sort_key(c: ChildPoint):
                 else (0,))
     return (c.galois_multiplicity,
             tuple(x.sort_key() for x in c.minpoly))
-
-
-def _slice_in_second_var(p: MultiPoly, tower: FieldTower) -> list:
-    """p(0, t) as a univariate coefficient list over the tower."""
-    out: list = []
-    for (e0, e1), c in p.terms.items():
-        if e0:
-            continue
-        while len(out) <= e1:
-            out.append(tower.zero())
-        out[e1] = out[e1] + tower.element(c)
-    return tp_trim(out)
 
 
 def child_local_form(chart_forms: Tuple[OneFormGerm, OneFormGerm],

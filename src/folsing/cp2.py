@@ -24,8 +24,8 @@ from .errors import (
     VariableCountMismatch,
     ZeroInput,
 )
-from .local import gcd_xy
-from .poly import MultiPoly, VectorFieldGerm, render_poly, wedge
+from .local import gcd_xy, line_slice
+from .poly import MultiPoly, VectorFieldGerm, coefficient_tower, compose, render_poly, wedge
 from .scalars import GaussianRational, row_reduce
 
 CHARTS = ("a", "b", "c")
@@ -223,7 +223,7 @@ def homogeneous_to_affine(field: HomogeneousField3, chart: str = "a") -> VectorF
     sub[i] = one
     sub[rest[0]] = xv
     sub[rest[1]] = yv
-    h = [c.substitute(sub) for c in field.components]
+    h = compose(field.components, sub)
     p = h[rest[0]] - xv * h[i]
     q = h[rest[1]] - yv * h[i]
     if p.is_zero() and q.is_zero():
@@ -374,7 +374,8 @@ def tangency_count(field: VectorFieldGerm, lam) -> Union[int, _Sentinel]:
     p, q = field.components
     xv = MultiPoly.variable(0, 1)
     sub = [xv, xv.scale(lam)]
-    t = p.substitute(sub).scale(lam) - q.substitute(sub)
+    p_sub, q_sub = compose([p, q], sub)
+    t = p_sub.scale(lam) - q_sub
     if t.is_zero():
         return LINE_INVARIANT
     return t.total_degree()
@@ -568,11 +569,8 @@ def riccati_recognize(field: VectorFieldGerm):
 def _base_fibers(p: MultiPoly) -> List[RiccatiFiber]:
     from .towers import TRIVIAL, factor_univariate
 
-    coeffs = [GaussianRational(0)] * (p.degree_in(0) + 1)
-    for e, cval in p.terms.items():
-        coeffs[e[0]] = cval
-    tower = TRIVIAL
-    _, factors = factor_univariate(coeffs, tower)
+    tower = coefficient_tower(p) or TRIVIAL
+    _, factors = factor_univariate(line_slice(p, 1, 0, tower), tower)
     out = []
     for fac, mult in factors:
         if len(fac) == 2:

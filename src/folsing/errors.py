@@ -61,6 +61,12 @@ class NotMonic(ToolkitError):
     code = "not-monic"
 
 
+class CoefficientTooLarge(ToolkitError):
+    """A coefficient has more decimal digits than Python converts to text."""
+
+    code = "coefficient-too-large"
+
+
 # ---------------------------------------------------------------- poly-series
 class ZeroInput(ToolkitError):
     code = "zero-input"

@@ -46,38 +46,22 @@ _COEFF_TOL = 1e-12
 # --------------------------------------------------------------------------
 # orbit kernels
 # --------------------------------------------------------------------------
-def _advance(coeffs: np.ndarray, zs: np.ndarray, steps: int,
-             radius: float) -> np.ndarray:
-    import numpy as np
-
-    if steps <= 0:
-        return zs.copy()
-    if zs.shape[0] <= 4:
-        # scalar Python loop beats numpy dispatch overhead for single orbits
-        clist = [complex(c) for c in coeffs[::-1]]
-        out = zs.copy()
-        for i in range(out.shape[0]):
-            z = complex(out[i])
-            for _ in range(steps):
-                acc = 0j
-                for c in clist:
-                    acc = acc * z + c
-                z = acc * z
-                if not (abs(z) <= radius):
-                    z = complex("nan")
-                    break
-            out[i] = z
-        return out
-    out = zs.copy()
+def _advance(coeffs: Sequence[complex], z: complex, steps: int,
+             radius: float) -> complex:
+    """The orbit point ``steps`` iterates after z, or nan once it leaves the
+    disc of the given radius."""
+    # plain Python complex arithmetic: the caller may hand over a numpy
+    # complex scalar, with which this loop runs markedly slower
+    z = complex(z)
+    clist = [complex(c) for c in coeffs[::-1]]
     for _ in range(steps):
-        acc = np.zeros_like(out)
-        for c in coeffs[::-1]:
-            acc = acc * out + c
-        out = acc * out
-        out = np.where(np.abs(out) <= radius, out, complex("nan"))
-        if np.isnan(out).all():
-            break
-    return out
+        acc = 0j
+        for c in clist:
+            acc = acc * z + c
+        z = acc * z
+        if not (abs(z) <= radius):
+            return complex("nan")
+    return z
 
 
 def _census_kernel(coeffs: np.ndarray, zs: np.ndarray, radius: float,
@@ -451,11 +435,8 @@ def fatou_coordinate(f: NumericGerm, z: complex, n_max: int = 100000,
                              scanned=steps_done, query=[z.real, z.imag])
 
         n_half = n_max // 2
-        arr = np.array([zc], dtype=np.complex128)
-        arr = _advance(gcoeffs, arr, n_half - steps_done, radius_g)
-        z_half = complex(arr[0])
-        arr = _advance(gcoeffs, arr, n_max - n_half, radius_g)
-        z_final = complex(arr[0])
+        z_half = _advance(gcoeffs, zc, n_half - steps_done, radius_g)
+        z_final = _advance(gcoeffs, z_half, n_max - n_half, radius_g)
         if z_half != z_half or z_final != z_final:
             raise NotInPetal("orbit left the evaluation disc during refinement",
                              query=[z.real, z.imag])

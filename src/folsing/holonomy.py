@@ -32,13 +32,14 @@ from .errors import (
     ZeroInput,
 )
 from .errors import DegenerateEigenData
-from .local import eigen_pair, gcd_xy
+from .local import eigen_pair, gcd_xy, line_slice
 from .normalforms import diagonalize_linear_part, resonant_normal_form, _demote
 from .poly import (
     MultiPoly,
     OneFormGerm,
     VectorFieldGerm,
     coefficient_tower,
+    compose,
     dualize,
     lift_poly,
     render_poly,
@@ -49,6 +50,7 @@ from .scalars import (
     GaussianRational,
     TauScalar,
     coerce_scalar,
+    power,
     row_reduce,
     scalar_inverse,
     scalar_is_zero,
@@ -207,17 +209,9 @@ class GermSeries:
 
     def compose(self, other: "GermSeries") -> "GermSeries":
         order = min(self.order, other.order)
-        inner = MultiPoly(1, {(k,): v for k, v in other.coeffs.items()})
-        powers = {1: inner.truncate(order)}
-        out = MultiPoly.zero(1)
-        for k in sorted(self.coeffs):
-            if k not in powers:
-                prev = max(e for e in powers if e < k)
-                acc = powers[prev]
-                for _ in range(k - prev):
-                    acc = acc.mul_trunc(inner, order)
-                powers[k] = acc
-            out = out + powers[k].scale(self.coeffs[k])
+        outer, inner = (MultiPoly(1, {(k,): v for k, v in g.coeffs.items()})
+                        for g in (self, other))
+        out = compose([outer], [inner], order)[0]
         return GermSeries({e[0]: c for e, c in out.terms.items()}, order)
 
     def first_obstruction(self) -> Optional[Tuple[int, object]]:
@@ -227,10 +221,6 @@ class GermSeries:
             return None
         k = past_linear[0]
         return k, self.coeffs[k]
-
-    def is_identity(self) -> bool:
-        one = TauScalar.constant(GaussianRational(1))
-        return self.coeffs == {1: one} or (not self.coeffs)
 
     def to_json(self) -> dict:
         return {"order": self.order,
@@ -269,12 +259,7 @@ def saddle_node_holonomy(p: int, modulus, order: int = 6) -> GermSeries:
     G: Dict[int, TauScalar] = {}
     j = 0
     while p + 1 + j * p <= order:
-        coeff = (-1) ** j
-        c = coeff
-        for _ in range(j):
-            c = c * lam if not isinstance(c, int) else lam * c
-        # c = (-lam)^j with exact scalar arithmetic
-        G[p + 1 + j * p] = TauScalar.tau(1, coerce_scalar(c))
+        G[p + 1 + j * p] = TauScalar.tau(1, coerce_scalar(power(-lam, j, 1)))
         j += 1
 
     one = TauScalar.constant(GaussianRational(1))
@@ -491,15 +476,7 @@ def _factor_cone(phi: MultiPoly, tower) -> List[Tuple[MultiPoly, int]]:
     m0 = phi.order_in(0)
     rest = phi.divide_by_var_power(0, m0) if m0 else phi
     # rest(1, t): setting x = 1 leaves a univariate polynomial in t = y/x
-    t_poly_coeffs = []
-    deg_t = rest.degree_in(1)
-    for k in range(deg_t + 1):
-        c = None
-        for exps, coeff in rest.terms.items():
-            if exps[1] == k:
-                c = coeff if c is None else c + coeff
-        t_poly_coeffs.append(tower.element(c if c is not None else 0))
-    _, factors = factor_univariate(t_poly_coeffs, tower)
+    _, factors = factor_univariate(line_slice(rest, 0, 1, tower), tower)
     out: List[Tuple[MultiPoly, int]] = []
     if m0:
         out.append((MultiPoly.variable(0, 2), m0))

@@ -15,9 +15,13 @@ the x-adic order of G(x, 0) to the count.  Only a common branch through the
 origin (a gcd vanishing there) makes the multiplicity infinite.
 
 ``gcd_xy`` is the greatest common divisor in K[x, y], by primitive Euclid in
-y over K[x]; callers that remove a common factor divide it out with
-``MultiPoly.divide_exact``.  Coprime inputs, the usual case, skip Euclid:
-two univariate gcds of slices at integer points certify coprimality first.
+y over K[x] on ``MultiPoly`` itself: pseudo-remainders A lc(B) - lc(A) y^k B,
+with each content divided out by ``MultiPoly.divide_exact``, which callers
+that remove a common factor use too.  Coprime inputs, the usual case, skip
+Euclid: two univariate gcds of slices at integer points certify coprimality
+first.  ``line_slice`` is that restriction of a bivariate polynomial to a
+line x = t or y = t, as a coefficient list over a tower; the blow-up, the
+tangent-cone factorization and the Riccati fibers restrict with it too.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import (
-    InternalInvariantViolation,
     VariableCountMismatch,
     WrongClass,
     ZeroInput,
@@ -37,8 +40,10 @@ from .poly import (
     MultiPoly,
     OneFormGerm,
     VectorFieldGerm,
+    _trusted,
     coefficient_tower,
     dualize,
+    lift_poly,
 )
 from .scalars import GaussianRational, coerce_scalar, scalar_inverse, scalar_is_zero
 from .towers import (
@@ -46,10 +51,7 @@ from .towers import (
     FieldElement,
     FieldTower,
     tp_deg,
-    tp_divmod,
     tp_gcd,
-    tp_is_zero,
-    tp_mul,
     tp_trim,
 )
 
@@ -417,52 +419,42 @@ def _common_tower(*polys) -> FieldTower:
     return coefficient_tower(*polys) or TRIVIAL
 
 
-def _to_yx(p: MultiPoly, tower: FieldTower) -> List[list]:
-    """2-variable polynomial as list over y-degree of x-coefficient lists."""
-    dy = p.degree_in(1)
-    out: List[list] = [[] for _ in range(dy + 1)] if dy >= 0 else []
-    for (ex, ey), c in p.terms.items():
-        row = out[ey]
-        while len(row) <= ex:
-            row.append(tower.zero())
-        row[ex] = row[ex] + tower.element(c)
-    return [tp_trim(row) for row in out]
+def line_slice(p: MultiPoly, var: int, t: int, tower: FieldTower) -> list:
+    """p with variable ``var`` set to t, as a coefficient list over
+    ``tower`` in the other variable."""
+    other = 1 - var
+    out = [tower.zero()] * (p.degree_in(other) + 1)
+    for exps, c in p.terms.items():
+        out[exps[other]] = out[exps[other]] + tower.element(c) * t ** exps[var]
+    return tp_trim(out)
 
 
-def _from_yx(rows: List[list]) -> MultiPoly:
-    terms = {}
-    for ey, row in enumerate(rows):
-        for ex, c in enumerate(row):
-            if not scalar_is_zero(c):
-                terms[(ex, ey)] = c
-    return MultiPoly(2, terms)
+def _lead_y(p: MultiPoly, shift: int) -> MultiPoly:
+    """The leading coefficient of p in y, times y^shift."""
+    d = p.degree_in(1)
+    return _trusted(2, {(ex, shift): c for (ex, ey), c in p.terms.items() if ey == d})
 
 
-def _content(rows: List[list], tower: FieldTower) -> list:
-    g: list = []
-    for row in rows:
-        if row:
-            g = tp_gcd(g, row) if g else tp_gcd(row, row)
-    return g or [tower.one()]
+def _primitive(p: MultiPoly, tower: FieldTower) -> Tuple[list, MultiPoly]:
+    """Content of a nonzero p in K[x][y] (the monic gcd of its coefficients
+    in y, as a list over x) and the primitive part p / content."""
+    content: list = []
+    for coeff in p.coeffs_in(1).values():
+        content = tp_gcd(content, line_slice(coeff, 1, 0, tower))
+    return content, p.divide_exact(_x_poly(content))
 
 
-def _rows_divide_content(rows: List[list], cont: list) -> List[list]:
-    out = []
-    for row in rows:
-        if not row:
-            out.append(row)
-            continue
-        q, r = tp_divmod(row, cont)
-        if not tp_is_zero(r):
-            raise InternalInvariantViolation("content division not exact")
-        out.append(q)
-    return out
+def _x_poly(coeffs: list) -> MultiPoly:
+    return MultiPoly(2, {(k, 0): c for k, c in enumerate(coeffs)})
 
 
-def _rows_trim(rows: List[list]) -> List[list]:
-    while rows and not rows[-1]:
-        rows = rows[:-1]
-    return rows
+def _pseudo_remainder(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """Pseudo-remainder of a by b in y over K[x] (fraction-free)."""
+    db = b.degree_in(1)
+    lc_b = _lead_y(b, 0)
+    while a and a.degree_in(1) >= db:
+        a = a * lc_b - _lead_y(a, a.degree_in(1) - db) * b
+    return a
 
 
 def gcd_xy(f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -475,45 +467,17 @@ def gcd_xy(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     tower = _common_tower(f, g)
     if _certified_coprime(f, g, tower):
         return MultiPoly.constant(tower.one(), 2)
-    A = _rows_trim(_to_yx(f, tower))
-    B = _rows_trim(_to_yx(g, tower))
-    ca, cb = _content(A, tower), _content(B, tower)
-    A = _rows_trim(_rows_divide_content(A, ca))
-    B = _rows_trim(_rows_divide_content(B, cb))
-    cg = tp_gcd(ca, cb)
-    # primitive pseudo-remainder loop in y
-    while True:
-        if len(B) == 0:
-            pp = A
-            break
-        if len(B) == 1:
-            # B is a unit times content already stripped -> gcd of primitives is 1
-            pp = None
-            break
-        if len(A) < len(B):
-            A, B = B, A
+    ca, a = _primitive(lift_poly(f, tower), tower)
+    cb, b = _primitive(lift_poly(g, tower), tower)
+    content = _x_poly(tp_gcd(ca, cb))
+    while b.degree_in(1) > 0:
+        if a.degree_in(1) < b.degree_in(1):
+            a, b = b, a
             continue
-        R = _pseudo_remainder(A, B, tower)
-        R = _rows_trim(R)
-        if R:
-            cr = _content(R, tower)
-            R = _rows_trim(_rows_divide_content(R, cr))
-        A, B = B, R
-    acc_rows: List[list]
-    if pp is None:
-        acc_rows = [cg]
-    else:
-        acc_rows = [tp_mul(row, cg) if row else row for row in pp]
-    return _gcd_normalize(_from_yx(acc_rows))
-
-
-def _slice(p: MultiPoly, var: int, t: int, tower: FieldTower) -> list:
-    """p with variable ``var`` set to t, as a coefficient list in the other."""
-    other = 1 - var
-    out = [tower.zero()] * (p.degree_in(other) + 1)
-    for exps, c in p.terms.items():
-        out[exps[other]] = out[exps[other]] + tower.element(c) * t ** exps[var]
-    return tp_trim(out)
+        r = _pseudo_remainder(a, b)
+        a, b = b, (_primitive(r, tower)[1] if r else r)
+    # a nonzero b free of y is a unit times the stripped content
+    return _gcd_normalize(content * a if b.is_zero() else content)
 
 
 def _certified_coprime(f: MultiPoly, g: MultiPoly, tower: FieldTower) -> bool:
@@ -530,7 +494,7 @@ def _certified_coprime(f: MultiPoly, g: MultiPoly, tower: FieldTower) -> bool:
         other = 1 - var
         t = 1
         while True:
-            fs, gs = _slice(f, var, t, tower), _slice(g, var, t, tower)
+            fs, gs = line_slice(f, var, t, tower), line_slice(g, var, t, tower)
             # leading coefficients vanish at finitely many t
             if (tp_deg(fs) == f.degree_in(other)
                     and tp_deg(gs) == g.degree_in(other)):
@@ -545,32 +509,6 @@ def _gcd_normalize(p: MultiPoly) -> MultiPoly:
     if p.is_zero():
         return p
     return p.scale(scalar_inverse(p.sorted_terms()[-1][1]))
-
-
-def _pseudo_remainder(A: List[list], B: List[list], tower: FieldTower) -> List[list]:
-    """Pseudo-remainder of A by B in y over K[x] (fraction-free)."""
-    A = [list(r) for r in A]
-    lcB = B[-1]
-    while len(A) >= len(B) and _rows_trim(A):
-        lcA = A[-1]
-        shift = len(A) - len(B)
-        newA: List[list] = []
-        for k in range(len(A) - 1):
-            term = tp_mul(A[k], lcB)
-            if 0 <= k - shift < len(B) - 1:
-                term = [x - y for x, y in _padzip(term, tp_mul(B[k - shift], lcA), tower)]
-            newA.append(tp_trim(term))
-        A = _rows_trim(newA)
-        if not A:
-            break
-    return A
-
-
-def _padzip(a: list, b: list, tower: FieldTower):
-    n = max(len(a), len(b))
-    za = a + [tower.zero()] * (n - len(a))
-    zb = b + [tower.zero()] * (n - len(b))
-    return zip(za, zb)
 
 
 def intersection_number(f: MultiPoly, g: MultiPoly) -> Union[int, float]:

@@ -15,7 +15,7 @@ one table per solve holds the degree slices of every needed product of
 powers of the maps, and each degree adds one slice per entry instead of
 recomposing from scratch.  The center manifold series runs on the same
 engine.  The certificate ``conjugacy_residual`` deliberately composes
-once more, independently, with ``_compose_trunc``.
+once more, independently, with the one-shot ``poly.compose``.
 
 On top of the engine sit the named reductions: full linearization in the
 absence of small divisors and resonances, the minimal resonant model,
@@ -43,7 +43,7 @@ from .errors import (
     ZeroDivisorDelta,
 )
 from .local import classify_singularity, detect_resonances, domain_classification, eigen_pair
-from .poly import MultiPoly, TruncatedSeries, VectorFieldGerm, scalar_to_json
+from .poly import MultiPoly, TruncatedSeries, VectorFieldGerm, compose, scalar_to_json
 from .scalars import coerce_scalar, scalar_inverse, scalar_is_zero
 
 Exponent = Tuple[int, ...]
@@ -74,51 +74,6 @@ def _monomials(nvars: int, degree: int):
     for k in range(degree, -1, -1):
         for rest in _monomials(nvars - 1, degree - k):
             yield (k,) + rest
-
-
-def _compose_trunc(polys: Sequence[MultiPoly], maps: Sequence[MultiPoly],
-                   order: int) -> List[MultiPoly]:
-    """Each poly(maps), discarding all terms of total degree above ``order``.
-
-    One-shot composition with ``mul_trunc``: the truncated powers of the
-    maps are built once and shared by all of ``polys``.  Assumes every map
-    vanishes at the origin, so a source monomial of degree above ``order``
-    cannot contribute and is skipped outright.
-
-    The solvers grow their compositions online (``_OnlineComposition``);
-    this second path stays on purpose.  ``conjugacy_residual`` certifies
-    a solver's answer with it, so a wrong slice of the solver's table
-    cannot cancel out of the check, and ``saddle_node_prepare`` uses it
-    for its single shift along the center manifold.
-    """
-    n = maps[0].nvars
-    caches: List[Dict[int, MultiPoly]] = [dict() for _ in maps]
-
-    def power(j: int, e: int) -> MultiPoly:
-        cache = caches[j]
-        got = cache.get(e)
-        if got is not None:
-            return got
-        if e == 1:
-            p = maps[j].truncate(order)
-        else:
-            p = power(j, e - 1).mul_trunc(maps[j], order)
-        cache[e] = p
-        return p
-
-    out = []
-    for poly in polys:
-        acc = MultiPoly.zero(n)
-        for exps, coeff in poly.terms.items():
-            if sum(exps) > order:
-                continue
-            term = MultiPoly.constant(coeff, n)
-            for j, e in enumerate(exps):
-                if e:
-                    term = term.mul_trunc(power(j, e), order)
-            acc = acc + term
-        out.append(acc)
-    return out
 
 
 Slice = Dict[Exponent, object]
@@ -344,13 +299,13 @@ def solve_conjugacy(field: VectorFieldGerm, decide: Decide, order: int,
 def conjugacy_residual(field: VectorFieldGerm, result: ConjugacyResult) -> List[MultiPoly]:
     """DH * X_reduced - X(H), truncated at the working order (all zero iff valid).
 
-    X(H) comes from the one-shot ``_compose_trunc``, never from the online
-    table that produced H: a wrong slice of that table would otherwise
-    cancel out of the certificate.
+    X(H) comes from the one-shot ``compose``, never from the online table
+    that produced H: a wrong slice of that table would otherwise cancel out
+    of the certificate.
     """
     n = field.nvars
     order = result.order
-    rhs = _compose_trunc(field.components, result.transform, order)
+    rhs = compose(field.components, result.transform, order)
     out = []
     for i in range(n):
         lhs = MultiPoly.zero(n)
@@ -488,7 +443,7 @@ def diagonalize_linear_part(field: VectorFieldGerm, tower=None):
     z1 = MultiPoly.variable(0, n)
     z2 = MultiPoly.variable(1, n)
     images = [z1.scale(p00) + z2.scale(p01), z1.scale(p10) + z2.scale(p11)]
-    pulled = [comp.substitute(images) for comp in field.components]
+    pulled = compose(field.components, images)
     new_components = [
         pulled[0].scale(q00) + pulled[1].scale(q01),
         pulled[0].scale(q10) + pulled[1].scale(q11),
@@ -582,12 +537,8 @@ def saddle_node_prepare(field: VectorFieldGerm, order: int = 12) -> SaddleNodeDa
     diag, matrix, lam, tower = diagonalize_linear_part(field)
     if scalar_is_zero(lam[0]):
         # put the nonzero multiplier first
-        diag = VectorFieldGerm([
-            diag.components[1].substitute([MultiPoly.variable(1, 2),
-                                           MultiPoly.variable(0, 2)]),
-            diag.components[0].substitute([MultiPoly.variable(1, 2),
-                                           MultiPoly.variable(0, 2)]),
-        ])
+        swap = [MultiPoly.variable(1, 2), MultiPoly.variable(0, 2)]
+        diag = VectorFieldGerm(compose(diag.components[::-1], swap))
         lam = (lam[1], lam[0])
     diag = diag.scale(scalar_inverse(lam[0]))
 
@@ -600,16 +551,17 @@ def saddle_node_prepare(field: VectorFieldGerm, order: int = 12) -> SaddleNodeDa
     y2 = MultiPoly.variable(1, 2)
     lift = [y1 + c, y2]
     comp_a, comp_b = work.components
-    shifted_a, shifted_b = _compose_trunc(
+    shifted_a, shifted_b = compose(
         [comp_a - c.derivative(1).mul_trunc(comp_b, order), comp_b], lift, order)
 
-    center_slice_a = shifted_a.substitute([MultiPoly.zero(2), y2]).truncate(order)
+    # restrictions to the center manifold y1 = 0
+    on_center = [MultiPoly.zero(2), y2]
+    center_slice_a, b_slice = compose([shifted_a, shifted_b], on_center, order)
     if not center_slice_a.is_zero():
         raise InternalInvariantViolation(
             "center manifold fails to straighten the first component")
     transverse = shifted_a.divide_by_var_power(0, 1)
 
-    b_slice = shifted_b.substitute([MultiPoly.zero(2), y2]).truncate(order)
     if b_slice.is_zero():
         raise TruncationTooSmall(
             "center dynamics vanish through the working order; "
@@ -622,7 +574,7 @@ def saddle_node_prepare(field: VectorFieldGerm, order: int = 12) -> SaddleNodeDa
             required=2 * p + 1)
 
     unit = b_slice.divide_by_var_power(1, p_plus_1)
-    transverse_slice = transverse.substitute([MultiPoly.zero(2), y2])
+    transverse_slice = transverse.substitute(on_center)
     quotient = (TruncatedSeries(transverse_slice, p)
                 * TruncatedSeries(unit, p).inverse())
     modulus = quotient.poly.coefficient((0, p))

@@ -87,6 +87,15 @@ def _tokenize(text: str, line: int) -> List[_Token]:
     return out
 
 
+def _int(digits: str, line: int, col: int) -> int:
+    """A decimal literal as an int; one longer than the interpreter converts
+    (``sys.get_int_max_str_digits()``) is a parse error at its column."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError("number has too many digits", line=line, col=col) from None
+
+
 class _Value:
     """Intermediate parse value: marker -> 3-variable polynomial."""
 
@@ -227,7 +236,7 @@ class _Parser:
             if "/" in e.text:
                 raise ParseError("exponent must be a nonnegative integer",
                                  line=self.line, col=e.col)
-            n = int(e.text)
+            n = _int(e.text, self.line, e.col)
             if v.markers():
                 raise ParseError("component markers cannot be raised to powers",
                                  line=self.line, col=caret.col)
@@ -239,7 +248,7 @@ class _Parser:
         t = self.next()
         if t.kind == "number":
             num, _, den = t.text.partition("/")
-            num, den = int(num), int(den or 1)
+            num, den = _int(num, self.line, t.col), _int(den or "1", self.line, t.col)
             if den == 0:
                 raise ParseError("zero denominator", line=self.line, col=t.col)
             if num == 0:

@@ -280,22 +280,7 @@ class MultiPoly:
 
     def substitute(self, polys: Sequence["MultiPoly"]) -> "MultiPoly":
         """Substitute a polynomial for each variable (all with equal nvars)."""
-        if len(polys) != self.nvars:
-            raise VariableCountMismatch("wrong number of substitution polynomials")
-        nv = polys[0].nvars
-        acc = MultiPoly.zero(nv)
-        pow_cache: List[Dict[int, MultiPoly]] = [dict() for _ in polys]
-        for e, c in self.sorted_terms():
-            term = MultiPoly.constant(c, nv)
-            for var, k in enumerate(e):
-                if not k:
-                    continue
-                cache = pow_cache[var]
-                if k not in cache:
-                    cache[k] = polys[var] ** k
-                term = term * cache[k]
-            acc = acc + term
-        return acc
+        return compose([self], polys)[0]
 
     def translate(self, shifts: Sequence) -> "MultiPoly":
         """Shift the origin: substitute x_k -> x_k + shift_k."""
@@ -376,6 +361,65 @@ def _trusted(nvars: int, terms: Dict[Exponent, object]) -> MultiPoly:
     return out
 
 
+def compose(polys: Sequence[MultiPoly], maps: Sequence[MultiPoly],
+            order: Union[int, float] = math.inf) -> List[MultiPoly]:
+    """Each ``poly(maps)``, dropping every term of total degree above
+    ``order`` (which may be ``math.inf``).
+
+    One table of truncated powers of the maps, built with ``mul_trunc``,
+    serves all of ``polys``.  Every term of the image of x^E has degree at
+    least sum_j E_j ord_0(maps[j]), so a source monomial whose bound exceeds
+    ``order`` is skipped.  Only the E_j > 0 enter the sum: a map with a
+    constant term bounds nothing, and a zero map (order +inf) skips exactly
+    the monomials that contain its variable.
+    """
+    if any(poly.nvars != len(maps) for poly in polys):
+        raise VariableCountMismatch("wrong number of substitution polynomials")
+    nv = maps[0].nvars
+    orders = [m.order_at_origin() for m in maps]
+    tables: List[Dict[int, MultiPoly]] = [{1: m.truncate(order)} for m in maps]
+
+    def map_power(j: int, e: int) -> MultiPoly:
+        table = tables[j]
+        got = table.get(e)
+        if got is None:
+            if e - 1 in table:
+                got = table[e - 1].mul_trunc(table[1], order)
+            else:
+                # by squaring, so that a lone high power such as x^1000000
+                # in a blow-up chart costs about log2(e) products
+                half = map_power(j, e // 2)
+                got = half.mul_trunc(half, order)
+                if e & 1:
+                    table[e - 1] = got
+                    got = got.mul_trunc(table[1], order)
+            table[e] = got
+        return got
+
+    one = (0,) * nv
+    out = []
+    for poly in polys:
+        acc: Dict[Exponent, object] = {}
+        for exps, c in poly.terms.items():
+            if sum(e * o for e, o in zip(exps, orders) if e) > order:
+                continue
+            image = _trusted(nv, {one: c})
+            for j, e in enumerate(exps):
+                if e:
+                    image = image.mul_trunc(map_power(j, e), order)
+            for e, p in image.terms.items():
+                if e in acc:
+                    s = acc[e] + p
+                    if scalar_is_zero(s):
+                        del acc[e]
+                    else:
+                        acc[e] = s
+                else:
+                    acc[e] = p
+        out.append(_trusted(nv, acc))
+    return out
+
+
 def render_poly(p: MultiPoly, names: Optional[Sequence[str]] = None) -> str:
     """Canonical text rendering with graded-lex term order."""
     if p.is_zero():
@@ -422,10 +466,6 @@ class TruncatedSeries:
         self.poly = poly.truncate(order)
         self.order = order
 
-    @classmethod
-    def from_poly(cls, poly: MultiPoly, order: int) -> "TruncatedSeries":
-        return cls(poly, order)
-
     @property
     def nvars(self) -> int:
         return self.poly.nvars
@@ -471,10 +511,8 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        out = TruncatedSeries(MultiPoly.constant(1, self.nvars), self.order)
-        for _ in range(k):
-            out = out * self
-        return out
+        return power(self, k, TruncatedSeries(MultiPoly.constant(1, self.nvars),
+                                              self.order))
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse of a unit series (nonzero constant term)."""

@@ -15,11 +15,12 @@ multiplication.
 from __future__ import annotations
 
 import operator
+import sys
 from fractions import Fraction
 from math import gcd
 from typing import Union
 
-from .errors import DivisionByZero
+from .errors import CoefficientTooLarge, DivisionByZero
 
 RatLike = Union[int, Fraction]
 
@@ -251,7 +252,13 @@ def _fmt_ratio(n: int, d: int) -> str:
     if g != 1:
         n //= g
         d //= g
-    return str(n) if d == 1 else f"{n}/{d}"
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError:
+        # past the interpreter's limit on int-to-str conversion
+        raise CoefficientTooLarge(
+            "a coefficient has too many digits to print",
+            limit=sys.get_int_max_str_digits()) from None
 
 
 def format_gaussian(g: GaussianRational) -> str:

@@ -273,6 +273,30 @@ class TestExitCodes:
         assert err["detail"]["col"] == col
         jsonio.validate(err, "error")
 
+    @pytest.mark.parametrize("expr, col", [
+        ("1" * 5000 + "*x*ddx + y*ddy", 1),
+        ("x*ddx + y^" + "1" * 5000 + "*ddy", 11),
+    ], ids=["coefficient", "exponent"])
+    def test_literal_past_the_digit_limit(self, expr, col):
+        # longer than the interpreter converts to an int: a parse error at
+        # the literal, not a ValueError traceback
+        result = run_cli_process(["analyze", "--expr", expr])
+        assert result.returncode == 1
+        assert result.stdout == ""
+        err = json.loads(result.stderr)
+        assert err["error"] == "parse-error"
+        assert err["detail"]["col"] == col
+        jsonio.validate(err, "error")
+
+    def test_coefficient_past_the_digit_limit(self):
+        # 2^20000 parses as a power, but has too many digits to print
+        result = run_cli_process(["analyze", "--expr", "2^20000*x*ddx+y*ddy"])
+        assert result.returncode == 1
+        assert result.stdout == ""
+        err = json.loads(result.stderr)
+        assert err["error"] == "coefficient-too-large"
+        jsonio.validate(err, "error")
+
     def test_domain_error_zero_input(self, runner):
         result = runner.invoke(main, ["analyze", "--expr", "0*ddx + 0*ddy"])
         assert result.exit_code == 1

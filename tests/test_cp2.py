@@ -33,6 +33,7 @@ from folsing.errors import (
 from folsing.parsing import parse_field, parse_poly
 from folsing.poly import MultiPoly, VectorFieldGerm, wedge
 from folsing.scalars import GaussianRational
+from folsing.towers import TRIVIAL
 
 
 def mono3(*exps):
@@ -268,3 +269,16 @@ class TestRiccati:
         data = riccati_recognize(parse_field("x^2*ddx + (y^2 + 1)*ddy"))
         assert len(data.fibers) == 1
         assert data.fibers[0].multiplicity == 2
+
+    def test_fibers_over_the_coefficient_tower(self):
+        # (x^2 - r2*x)*ddx + (y^2 + 1)*ddy with r2^2 = 2: the base factors
+        # over Q(r2), not over Q(i), so its fibers live in that tower
+        tower, r2 = TRIVIAL.adjoin_root([-2, 0, 1], name="r2")
+        x, y = MultiPoly.variable(0, 2), MultiPoly.variable(1, 2)
+        field = VectorFieldGerm([x * x - x.scale(r2), y * y + 1])
+        data = riccati_recognize(field)
+        assert data
+        assert [(f.degree, f.multiplicity) for f in data.fibers] == [(1, 1), (1, 1)]
+        roots = {f.root for f in data.fibers}
+        assert roots == {tower.zero(), r2}
+        assert all(f.root.tower is tower for f in data.fibers)

@@ -8,7 +8,12 @@ each module in ``src/folsing`` with the standard library's ``ast``:
   ``__all__``;
 - no module imports numpy when it is itself imported.  The exact core never
   computes with floats, and a cold command should not pay for numpy; the
-  functions that do compute with it import it in their bodies.
+  functions that do compute with it import it in their bodies;
+- every undecorated function, method or class of the package is referenced
+  by name somewhere in ``src``, ``tests`` or ``perfbench``, so dead
+  definitions do not pile up.  Decorated ones (click commands, properties,
+  class methods) are reached through their decorators; dunders through
+  Python itself.
 """
 
 import ast
@@ -16,7 +21,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "folsing"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "folsing"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -130,3 +136,63 @@ def test_checker_flags_import_time_numpy(tmp_path):
                     "class C:\n    import numpy.linalg\n"
                     "def f():\n    import numpy as np\n    return np\n")
     assert import_time_numpy(path) == ["m.py:5", "m.py:9"]
+
+
+def _definitions(tree: ast.Module):
+    """Undecorated, non-dunder functions, methods and classes as {name: line}."""
+    out = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not node.decorator_list
+                and not (node.name.startswith("__") and node.name.endswith("__"))):
+            out.setdefault(node.name, node.lineno)
+    return out
+
+
+def _references(tree: ast.Module):
+    """Names a module reads, imports, reaches as attributes or spells as an
+    identifier string (``getattr(obj, "name")``, tables of names to patch)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update(alias.name.split(".")[-1] for alias in node.names)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and node.value.isidentifier()):
+            out.add(node.value)
+    return out
+
+
+def unreferenced_definitions(defining, referencing):
+    used = set()
+    for path in referencing:
+        used |= _references(ast.parse(path.read_text(), filename=str(path)))
+    out = []
+    for path in defining:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        out.extend(f"{path.name}:{line} {name}" for name, line in
+                   sorted(_definitions(tree).items(), key=lambda item: item[1])
+                   if name not in used)
+    return out
+
+
+def test_no_unreferenced_definitions():
+    referencing = [p for d in ("src", "tests", "perfbench")
+                   for p in sorted((ROOT / d).rglob("*.py"))]
+    assert unreferenced_definitions(MODULES, referencing) == []
+
+
+def test_checker_flags_an_unreferenced_definition(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("import functools\n"
+                    "class Dead:\n    def live(self):\n        return 1\n"
+                    "    def __eq__(self, other):\n        return True\n"
+                    "    @property\n    def prop(self):\n        return 2\n"
+                    "def helper():\n    return Live().live()\n"
+                    "def by_string():\n    return 3\n"
+                    "class Live:\n    pass\n"
+                    "getattr(Live, 'by_string')\n")
+    assert unreferenced_definitions([path], [path]) == ["m.py:2 Dead", "m.py:10 helper"]

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from folsing import local
 from folsing.local import (
     classify_singularity,
     detect_resonances,
@@ -263,6 +264,64 @@ class TestGcdXY:
         f = (X + Y) ** 2 * (X - Y)
         q = f.divide_exact(X + Y)
         assert q == (X + Y) * (X - Y)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _gaussians(gaussian):
+    im = st.integers(-3, 3) if gaussian else st.just(0)
+    return st.builds(lambda a, b, d: GaussianRational(Fraction(a, d), Fraction(b, d)),
+                     st.integers(-3, 3), im, st.integers(1, 3)).filter(
+                         lambda c: not c.is_zero())
+
+
+def _bivariate(scalars, degree):
+    exps = st.tuples(st.integers(0, degree), st.integers(0, degree)).filter(
+        lambda e: sum(e) <= degree)
+    return st.dictionaries(exps, scalars, min_size=1, max_size=4).map(
+        lambda terms: MultiPoly(2, terms))
+
+
+class TestGcdAgainstSympy:
+    """sympy's ``gcd`` over QQ and QQ_I as a reference for ``gcd_xy``.
+
+    Every draw plants a common factor, and the coprimality certificate is
+    switched off, so primitive Euclid runs each time."""
+
+    @pytest.mark.parametrize("domain", ["QQ", "QQ_I"])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_sympy_gcd(self, sympy, domain, data):
+        scalars = _gaussians(domain == "QQ_I")
+        f, g = (data.draw(_bivariate(scalars, 3)) for _ in range(2))
+        h = data.draw(_bivariate(scalars, 2))
+        f, g = f * h, g * h
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(local, "_certified_coprime", lambda *args: False)
+            ours = gcd_xy(f, g)
+        x, y = sympy.symbols("x y")
+
+        def to_sympy(p):
+            return sympy.Poly(sum((sympy.Rational(c.re.numerator, c.re.denominator)
+                                   + sympy.I * sympy.Rational(c.im.numerator,
+                                                              c.im.denominator))
+                                  * x ** ex * y ** ey
+                                  for (ex, ey), c in p.terms.items()),
+                              x, y, domain=domain)
+
+        ref = sympy.gcd(to_sympy(f), to_sympy(g))
+        terms = {}
+        for e, c in ref.terms():
+            re, im = (Fraction(int(v.p), int(v.q))
+                      for v in (sympy.re(c), sympy.im(c)))
+            terms[e] = GaussianRational(re, im)
+        ref = MultiPoly(2, terms)
+        lead = ref.sorted_terms()[-1][1]
+        assert ours == ref.scale(lead.inverse())
+        assert ours.total_degree() >= h.total_degree()
 
 
 class TestIntersectionNumber:

@@ -18,7 +18,6 @@ from folsing.errors import (
     ZeroDivisorDelta,
 )
 from folsing.normalforms import (
-    _compose_trunc,
     _diagonal_lambdas,
     _div,
     _monomials,
@@ -34,7 +33,7 @@ from folsing.normalforms import (
     solve_conjugacy,
 )
 from folsing.parsing import parse_field
-from folsing.poly import MultiPoly, VectorFieldGerm, scalar_to_json
+from folsing.poly import MultiPoly, VectorFieldGerm, compose, scalar_to_json
 from folsing.scalars import scalar_inverse, scalar_is_zero
 from folsing.towers import TRIVIAL
 
@@ -272,23 +271,40 @@ def _poly(exps, coeffs):
     return MultiPoly(2, dict(zip(exps, coeffs)))
 
 
+def _expanded(p, maps, order):
+    """p(maps) as the sum of c * prod maps[j]**e_j, written with * and **,
+    then truncated: independent of ``compose`` and its power table."""
+    n = maps[0].nvars
+    acc = MultiPoly.zero(n)
+    for exps, c in p.terms.items():
+        term = MultiPoly.constant(c, n)
+        for m, e in zip(maps, exps):
+            term = term * m ** e
+        acc = acc + term
+    return acc.truncate(order)
+
+
 class TestComposeTrunc:
     rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
     sources = st.lists(rationals, min_size=8, max_size=8)
     maps = st.lists(rationals, min_size=5, max_size=5)
+    # a map is zero, vanishes at the origin, or carries a constant term
+    shifts = st.one_of(st.none(), st.just(Fraction(0)), rationals)
+    orders = st.one_of(st.integers(0, 6), st.just(math.inf))
 
     @given(st.lists(sources, min_size=1, max_size=3), maps, maps,
-           st.integers(1, 6))
-    @settings(max_examples=40, deadline=None)
-    def test_list_form_matches_single_calls(self, srcs, m1, m2, order):
-        # sources may carry constant and linear terms; maps vanish at 0
+           shifts, shifts, orders)
+    @settings(max_examples=60, deadline=None)
+    def test_list_form_matches_single_calls(self, srcs, m1, m2, s1, s2, order):
+        # sources may carry constant and linear terms
         polys = [_poly([(0, 0), (1, 0), (0, 1)] + TAIL_EXPS[:5], s)
                  for s in srcs]
-        maps = [_poly([(1, 0), (0, 1)] + TAIL_EXPS[:3], m) for m in (m1, m2)]
-        together = _compose_trunc(polys, maps, order)
-        assert together == [_compose_trunc([p], maps, order)[0]
-                            for p in polys]
-        assert together == [p.substitute(maps).truncate(order) for p in polys]
+        maps = [MultiPoly.zero(2) if s is None else
+                _poly([(0, 0), (1, 0), (0, 1)] + TAIL_EXPS[:3], [s] + m)
+                for m, s in ((m1, s1), (m2, s2))]
+        together = compose(polys, maps, order)
+        assert together == [compose([p], maps, order)[0] for p in polys]
+        assert together == [_expanded(p, maps, order) for p in polys]
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +323,7 @@ def _reference_solve(field, decide, order, pattern):
     kept = {}
     for d in range(2, order + 1):
         maps = [variables[i] + h[i] for i in range(n)]
-        composed = _compose_trunc(nonlinear, maps, d)
+        composed = compose(nonlinear, maps, d)
         for i in range(n):
             defect = composed[i]
             for j in range(n):
@@ -344,7 +360,7 @@ def _reference_center_manifold(field, order):
     c = MultiPoly.zero(2)
     mu_inv = scalar_inverse(lam[0])
     for k in range(2, order + 1):
-        b_of_c, a_of_c = _compose_trunc([comp_b, a_nl], [c, y2], k)
+        b_of_c, a_of_c = compose([comp_b, a_nl], [c, y2], k)
         rhs = c.derivative(1).mul_trunc(b_of_c, k) - a_of_c
         coeff = rhs.homogeneous_component(k).coefficient((0, k))
         if not scalar_is_zero(coeff):
@@ -460,13 +476,13 @@ class TestNoRecomposition:
     @pytest.fixture()
     def calls(self, monkeypatch):
         seen = []
-        original = normalforms._compose_trunc
+        original = normalforms.compose
 
         def counting(*args, **kwargs):
             seen.append(args[2])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(normalforms, "_compose_trunc", counting)
+        monkeypatch.setattr(normalforms, "compose", counting)
         return seen
 
     def test_linearize_never_composes(self, calls):
