@@ -38,7 +38,12 @@ from .cp2 import (
     tangency_count,
     tangency_samples,
 )
-from .errors import ToolkitError, WrongClass, ZeroInput
+from .errors import (
+    IntegralDegreeExceeded,
+    ToolkitError,
+    WrongClass,
+    ZeroInput,
+)
 from .fatou import (
     NumericGerm,
     attracting_directions,
@@ -286,6 +291,10 @@ def payload_first_integral(obj, order: int = 8, max_blowups: int = 64) -> dict:
     if verdict.passes():
         try:
             result = construct_first_integral_homogeneous(obj)
+        except IntegralDegreeExceeded:
+            # a refusal to expand says nothing about the germ: the command
+            # fails instead of reporting a construction outcome
+            raise
         except ToolkitError as exc:
             payload["construction_error"] = exc.to_json()
         else:

@@ -138,6 +138,12 @@ class NonIntegerResidues(ToolkitError):
     code = "non-integer-residues"
 
 
+class IntegralDegreeExceeded(ToolkitError):
+    """A power-product first integral has a total degree above the cap."""
+
+    code = "integral-degree-exceeded"
+
+
 # ---------------------------------------------------------------- cp2-global
 class RadialInput(ToolkitError):
     code = "radial-input"

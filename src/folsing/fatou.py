@@ -19,6 +19,12 @@ which Z = h(z)^p transforms the germ into a genuine power series in Z with
 leading nonlinear coefficient p*a.  The reduction is exact through degree
 4p+1; accuracy therefore degrades as the base point approaches the edge of
 the convergence disc.
+
+Orbit kernels.  A real germ at a real point iterates in float arithmetic:
+with zero imaginary parts complex arithmetic does the same IEEE operations
+on the real parts, so every iterate is bit-identical in its real part to
+the complex one.  The census advances only the orbits still undecided and
+does its bookkeeping only on a step where one of them ends.
 """
 
 from __future__ import annotations
@@ -46,56 +52,93 @@ _COEFF_TOL = 1e-12
 # --------------------------------------------------------------------------
 # orbit kernels
 # --------------------------------------------------------------------------
+def _horner_coefficients(coeffs: Sequence[complex],
+                         radius: float) -> List[complex]:
+    """The coefficients of f(z)/z as Python complexes, top degree first, so
+    that Horner's scheme starts at the first entry.
+
+    Zero top coefficients only add signed zeros to the sum, so they are
+    dropped.  With no finite radius the disc test cannot see an orbit that
+    overflowed; a leading 0, as in a sum started at zero, turns such a point
+    into nan (0 * inf) one step later, and nan leaves every disc.
+    """
+    clist = [complex(c) for c in coeffs]
+    if math.isfinite(radius):
+        while len(clist) > 1 and clist[-1] == 0:
+            clist.pop()
+    else:
+        clist.append(0j)
+    return clist[::-1]
+
+
 def _advance(coeffs: Sequence[complex], z: complex, steps: int,
              radius: float) -> complex:
     """The orbit point ``steps`` iterates after z, or nan once it leaves the
-    disc of the given radius."""
-    # plain Python complex arithmetic: the caller may hand over a numpy
-    # complex scalar, with which this loop runs markedly slower
+    disc of the given radius.
+
+    A real germ at a real point with a finite radius iterates on Python
+    floats: with zero imaginary parts, complex ``*``, ``+`` and ``abs`` do the
+    same IEEE operations on the real parts, so the real part of every
+    iterate is the one complex arithmetic gives; only the sign of a zero
+    imaginary part can differ.
+    """
+    # plain Python numbers: the caller may hand over a numpy complex
+    # scalar, with which this loop runs markedly slower
     z = complex(z)
-    clist = [complex(c) for c in coeffs[::-1]]
+    clist = _horner_coefficients(coeffs, radius)
+    if (math.isfinite(radius) and z.imag == 0
+            and all(c.imag == 0 for c in clist)):
+        z = z.real
+        clist = [c.real for c in clist]
+    lead, rest = clist[0], clist[1:]
     for _ in range(steps):
-        acc = 0j
-        for c in clist:
+        acc = lead
+        for c in rest:
             acc = acc * z + c
         z = acc * z
         if not (abs(z) <= radius):
             return complex("nan")
-    return z
+    return complex(z)
 
 
 def _census_kernel(coeffs: np.ndarray, zs: np.ndarray, radius: float,
                    max_iter: int, tol: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Per start point: status (0 undecided, 1 periodic, 2 escaping,
+    3 finite) and the step that decided it.
+
+    Only the live orbits are kept, compacted: their indices, start points
+    and current points.  Status and period are written, and the arrays
+    compacted, only on a step where some orbit ends.
+    """
     import numpy as np
 
-    n = zs.shape[0]
-    status = np.zeros(n, dtype=np.int8)
-    period = np.zeros(n, dtype=np.int64)
-    z0 = zs.copy()
-    z = zs.copy()
-    live = np.ones(n, dtype=bool)
+    status = np.zeros(zs.shape[0], dtype=np.int8)
+    period = np.zeros(zs.shape[0], dtype=np.int64)
+    clist = _horner_coefficients(coeffs, radius)
+    lead, rest = clist[0], clist[1:]
+    idx = np.arange(zs.shape[0])
+    z0 = z = zs
     for k in range(1, max_iter + 1):
-        zl = z[live]
-        acc = np.zeros_like(zl)
-        for c in coeffs[::-1]:
-            acc = acc * zl + c
-        znew = acc * zl
-        escaped = ~(np.abs(znew) <= radius)
-        came_back = np.abs(znew - z0[live]) < tol
-        collided = np.abs(znew - zl) < tol
-        idx = np.flatnonzero(live)
-        status[idx[escaped]] = 2
-        period[idx[escaped]] = k
-        rest = ~escaped
-        status[idx[rest & came_back]] = 1
-        period[idx[rest & came_back]] = k
-        rest2 = rest & ~came_back
-        status[idx[rest2 & collided]] = 3
-        period[idx[rest2 & collided]] = k
-        z[idx] = znew
-        live[idx[escaped | (rest & came_back) | (rest2 & collided)]] = False
-        if not live.any():
+        if idx.shape[0] == 0:
             break
+        acc = lead
+        for c in rest:
+            acc = acc * z + c
+        znew = acc * z
+        escaped = ~(np.abs(znew) <= radius)
+        came_back = np.abs(znew - z0) < tol
+        collided = np.abs(znew - z) < tol
+        done = escaped | came_back | collided
+        if done.any():
+            # an orbit that both escapes and returns counts as escaping, one
+            # that returns and collides as periodic
+            ended = idx[done]
+            code = np.where(escaped, 2, np.where(came_back, 1, 3))
+            status[ended] = code[done]
+            period[ended] = k
+            keep = ~done
+            idx, z0, znew = idx[keep], z0[keep], znew[keep]
+        z = znew
     return status, period
 
 

@@ -210,10 +210,13 @@ class MultiPoly:
         degree sum exceeds ``order`` instead of forming and discarding it;
         ``order`` may be ``math.inf``."""
         self._check(other)
+        # inf - sum(e1) would convert the sum to a float, which overflows
+        # past the doubles; an int compares with inf exactly
+        bounded = order < math.inf
         right = [(e2, c2, sum(e2)) for e2, c2 in other.terms.items()]
         out: Dict[Exponent, object] = {}
         for e1, c1 in self.terms.items():
-            room = order - sum(e1)
+            room = order - sum(e1) if bounded else order
             if room < 0:
                 continue
             for e2, c2, d2 in right:

@@ -297,6 +297,23 @@ class TestExitCodes:
         assert err["error"] == "coefficient-too-large"
         jsonio.validate(err, "error")
 
+    @pytest.mark.parametrize("command, power, code", [
+        ("holonomy", 20000, "coefficient-too-large"),
+        ("first-integral", 20000, "integral-degree-exceeded"),
+        ("first-integral", 200, "integral-degree-exceeded"),
+    ])
+    def test_eigenvalue_ratio_past_the_budgets(self, command, power, code):
+        # the ratio -2^20000 has too many digits to print; as a residue
+        # ratio it, and the printable 2^200, ask for a first integral far
+        # above the degree cap
+        result = run_cli_process(
+            [command, "--expr", "x*ddx-2^%d*y*ddy" % power])
+        assert result.returncode == 1
+        assert result.stdout == ""
+        err = json.loads(result.stderr)
+        assert err["error"] == code
+        jsonio.validate(err, "error")
+
     def test_domain_error_zero_input(self, runner):
         result = runner.invoke(main, ["analyze", "--expr", "0*ddx + 0*ddy"])
         assert result.exit_code == 1

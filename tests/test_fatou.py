@@ -6,7 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from folsing import fatou
 from folsing.errors import (
     FloatOverflow,
     NotInPetal,
@@ -17,6 +19,7 @@ from folsing.errors import (
 from folsing.fatou import (
     NumericGerm,
     _advance,
+    _census_kernel,
     abel_residual,
     attracting_directions,
     fatou_coordinate,
@@ -250,3 +253,240 @@ class TestAdvanceKernel:
             got = _advance(self.COEFFS, z0, 500, 0.5)
             assert abs(got - z) < 1e-12 and abs(got) < 0.1
         assert _advance(self.COEFFS, 0.45, 0, 0.5) == 0.45
+
+
+# ---------------------------------------------------------------------------
+# the orbit kernels against the complex loops they replaced
+# ---------------------------------------------------------------------------
+
+def _reference_advance(coeffs, z, steps, radius):
+    """The former kernel: Horner on complex numbers from 0j, every
+    coefficient kept."""
+    z = complex(z)
+    clist = [complex(c) for c in coeffs[::-1]]
+    for _ in range(steps):
+        acc = 0j
+        for c in clist:
+            acc = acc * z + c
+        z = acc * z
+        if not (abs(z) <= radius):
+            return complex("nan")
+    return z
+
+
+def _reference_census_kernel(coeffs, zs, radius, max_iter, tol):
+    """The former kernel: a live mask over full-length arrays, scattered
+    into on every step."""
+    n = zs.shape[0]
+    status = np.zeros(n, dtype=np.int8)
+    period = np.zeros(n, dtype=np.int64)
+    z0 = zs.copy()
+    z = zs.copy()
+    live = np.ones(n, dtype=bool)
+    for k in range(1, max_iter + 1):
+        zl = z[live]
+        acc = np.zeros_like(zl)
+        for c in coeffs[::-1]:
+            acc = acc * zl + c
+        znew = acc * zl
+        escaped = ~(np.abs(znew) <= radius)
+        came_back = np.abs(znew - z0[live]) < tol
+        collided = np.abs(znew - zl) < tol
+        idx = np.flatnonzero(live)
+        status[idx[escaped]] = 2
+        period[idx[escaped]] = k
+        rest = ~escaped
+        status[idx[rest & came_back]] = 1
+        period[idx[rest & came_back]] = k
+        rest2 = rest & ~came_back
+        status[idx[rest2 & collided]] = 3
+        period[idx[rest2 & collided]] = k
+        z[idx] = znew
+        live[idx[escaped | (rest & came_back) | (rest2 & collided)]] = False
+        if not live.any():
+            break
+    return status, period
+
+
+_reals = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -3.0]),
+                   st.floats(-3.0, 3.0))
+_imaginary_parts = st.one_of(st.sampled_from([0.0, -0.0]), _reals)
+
+
+@st.composite
+def _germ_coefficients(draw, max_degree=6):
+    """Coefficients of z, z^2, ...: real or complex, negative and zero
+    entries, sometimes trailing zeros, as a list or a numpy array."""
+    real = draw(st.booleans())
+    parts = st.sampled_from([0.0, -0.0]) if real else _imaginary_parts
+    coeffs = draw(st.lists(st.builds(complex, _reals, parts),
+                           min_size=1, max_size=max_degree))
+    coeffs += [complex(0.0, draw(parts))] * draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        return np.asarray(coeffs, dtype=np.complex128)
+    return coeffs
+
+
+def _overflow_or(kernel, *args):
+    # complex abs raises once the modulus of a finite point passes the
+    # doubles; the kernels must agree on that too
+    try:
+        return kernel(*args)
+    except OverflowError:
+        return "overflow"
+
+
+def _check_advance(coeffs, z, steps, radius):
+    old = _overflow_or(_reference_advance, coeffs, z, steps, radius)
+    new = _overflow_or(_advance, coeffs, z, steps, radius)
+    if "overflow" in (old, new):
+        assert old == new
+        return
+    assert cmath.isnan(new) == cmath.isnan(old)
+    if not cmath.isnan(old):
+        assert new.real == old.real and new.imag == old.imag
+        if z.imag == 0 and all(complex(c).imag == 0 for c in coeffs):
+            assert new.imag == 0
+
+
+class TestKernelsMatchTheFormerLoops:
+    """The float path and the leading-coefficient Horner start change no
+    real part; the census writes the same statuses and periods."""
+
+    @given(_germ_coefficients(),
+           st.builds(complex,
+                     st.one_of(st.floats(-1.5, 1.5),
+                               st.sampled_from([1e160, -1e200])),
+                     _imaginary_parts),
+           st.integers(0, 500),
+           st.sampled_from([0.25, 0.5, 1.0, 4.0, 1e6, math.inf]))
+    @settings(max_examples=300, deadline=None)
+    def test_advance(self, coeffs, z, steps, radius):
+        _check_advance(coeffs, z, steps, radius)
+
+    @pytest.mark.parametrize("coeffs, z, radius", [
+        ([1.0, 1.0], -0.05, 0.5),                  # creeps along the petal
+        ([1.0, -2.0, 0.0, 0.0], 0.02, 0.25),       # trailing zeros
+        ([1.0, 1.0], 0.3, 0.5),                    # leaves the disc
+        ([1.0, 1.0], 0.3, math.inf),               # overflows
+        ([2.0], 1.0, math.inf),                    # overflows, linear
+        ([1.0, 1.0], complex(-0.05, -0.0), 0.5),   # negative zero part
+        ([1.0, 1.0], -0.05 + 0.01j, 0.5),          # off the real axis
+        ([1j, 0.5], 0.1, 1.0),                     # complex germ
+    ])
+    @pytest.mark.parametrize("steps", [0, 1, 7, 2000])
+    def test_advance_cases(self, coeffs, z, radius, steps):
+        _check_advance(coeffs, complex(z), steps, radius)
+
+    @pytest.mark.parametrize("coeffs, z", [
+        ([2.0], 1.0),                                  # real, linear
+        ([1.0, 1.0], 0.3),                             # real, quadratic
+        ([1.0, 1.0, 1.0], 0.9),                        # real, cubic
+        ([1.0, 1.0, 1.0], 1e200),                      # overflows mid-step
+        ([1 + 1.5j], 1.0718047316523855 + 0.13008166058780057j),
+        ([1.0, 0.5 - 1j, 0.0], 0.8 + 0.8j),
+    ])
+    @pytest.mark.parametrize("radius", [1e300, math.inf])
+    def test_advance_around_overflow(self, coeffs, z, radius):
+        # the steps on either side of the first one that leaves the finite
+        # doubles, where a kernel that lets an infinite point iterate on
+        # differs from one that turns it into nan
+        k, w = 0, complex(z)
+        while cmath.isfinite(w):
+            w = _reference_advance(coeffs, w, 1, math.inf)
+            k += 1
+        assert k < 5000
+        for steps in range(k - 1, k + 3):
+            _check_advance(coeffs, complex(z), steps, radius)
+
+    @staticmethod
+    def _both(coeffs, zs, radius, max_iter, tol=1e-9):
+        coeffs = np.asarray(coeffs, dtype=np.complex128)
+        zs = np.asarray(zs, dtype=np.complex128)
+        with np.errstate(all="ignore"):
+            old = _reference_census_kernel(coeffs, zs.copy(), radius,
+                                           max_iter, tol)
+            new = _census_kernel(coeffs, zs.copy(), radius, max_iter, tol)
+        for a, b in zip(old, new):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        return new
+
+    @staticmethod
+    def _grid(radius, n=12):
+        xs = radius * np.linspace(-1.0, 1.0, n)
+        re, im = np.meshgrid(xs, xs)
+        pts = (re + 1j * im).ravel()
+        return pts[np.abs(pts) <= radius]
+
+    def test_census_rational_rotation(self):
+        status, period = self._both([cmath.exp(2j * math.pi * 2 / 5)],
+                                    self._grid(0.3), 0.3, 100)
+        assert (status == 1).all() and (period == 5).all()
+
+    def test_census_irrational_rotation(self):
+        angle = math.sqrt(2) - 1
+        status, _ = self._both([cmath.exp(2j * math.pi * angle)],
+                               self._grid(0.3), 0.3, 2000)
+        assert (status == 0).all()
+
+    def test_census_escaping_and_colliding(self):
+        status, _ = self._both([1.0, 1.0], self._grid(0.4), 0.4, 5000,
+                               tol=1e-6)
+        assert set(status.tolist()) == {2, 3}
+
+    def test_census_collisions(self):
+        # a contraction: every orbit creeps into the fixed point
+        status, _ = self._both([0.5, 0.0], self._grid(0.4), 0.4, 200)
+        assert (status == 3).all()
+
+    def test_census_priority(self):
+        # the identity returns and collides at once: periodic, and escaping
+        # where the start point lies outside the disc
+        zs = self._grid(1.0)
+        status, period = self._both([1.0], zs, 0.5, 10)
+        assert np.array_equal(status, np.where(np.abs(zs) <= 0.5, 1, 2))
+        assert (period == 1).all()
+
+    def test_census_empty(self):
+        status, period = self._both([1.0, 1.0], [], 0.4, 1000)
+        assert status.shape == period.shape == (0,)
+
+    @given(_germ_coefficients(max_degree=4),
+           st.lists(st.builds(complex, st.floats(-1.0, 1.0),
+                              _imaginary_parts),
+                    max_size=12),
+           st.sampled_from([0.5, 1.0, 4.0, math.inf]),
+           st.integers(0, 300),
+           st.sampled_from([0.0, 1e-9, 1e-3]))
+    @settings(max_examples=150, deadline=None)
+    def test_census(self, coeffs, zs, radius, max_iter, tol):
+        self._both(coeffs, zs, radius, max_iter, tol)
+
+
+class TestKernelBoundary:
+    """Each public entry enters its orbit kernel through the module
+    attribute a fixed number of times, so a wrapper of ``fatou._advance``
+    or ``fatou._census_kernel`` counts calls, not steps."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        seen = []
+        for name in ("_advance", "_census_kernel"):
+            original = getattr(fatou, name)
+
+            def counting(*args, _name=name, _original=original):
+                seen.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(fatou, name, counting)
+        return seen
+
+    def test_fatou_coordinate_advances_twice(self, calls):
+        fatou_coordinate(reciprocal_model(), -0.05, n_max=20000)
+        fatou_coordinate(NumericGerm([1.0, 0.0, 1.0]), 0.06j, n_max=20000)
+        assert calls == ["_advance"] * 4
+
+    def test_orbit_census_enters_once(self, calls):
+        orbit_census(NumericGerm([1.0, 1.0]), 0.4, max_iter=1000)
+        assert calls == ["_census_kernel"]

@@ -6,11 +6,13 @@ import pytest
 
 from folsing.errors import (
     DicriticalInput,
+    IntegralDegreeExceeded,
     NonIntegerResidues,
     WrongClass,
     ZeroBaseEigenvalue,
 )
 from folsing.holonomy import (
+    INTEGRAL_DEGREE_CAP,
     ComplexMultiplier,
     ExactMultiplier,
     GermSeries,
@@ -211,6 +213,16 @@ class TestFirstIntegral:
     def test_saddle_duality_route(self):
         result = construct_first_integral_homogeneous(parse_field("2*x*ddx - y*ddy"))
         assert result.integral == parse_poly("x*y^2")
+
+    def test_degree_cap(self):
+        # x^n * y is cheap to expand, but its degree is what the cap bounds
+        n = INTEGRAL_DEGREE_CAP - 1
+        result = construct_first_integral_homogeneous(
+            parse_field("x*ddx - %d*y*ddy" % n))
+        assert result.integral == parse_poly("x^%d*y" % n)
+        with pytest.raises(IntegralDegreeExceeded):
+            construct_first_integral_homogeneous(
+                parse_field("x*ddx - %d*y*ddy" % (n + 1)))
 
     def test_dicritical_rejected(self):
         with pytest.raises(DicriticalInput):

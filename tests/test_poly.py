@@ -1,5 +1,6 @@
 """Polynomials, truncated series, germs, duality, wedge."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -112,6 +113,12 @@ class TestMultiPoly:
         # same terms, inserted in the same order
         assert list(p.mul_trunc(q, n).terms.items()) == \
             list((p * q).truncate(n).terms.items())
+
+    def test_mul_trunc_untruncated_past_the_doubles(self):
+        # an exponent sum is never converted to a float against order=inf
+        big = MultiPoly.monomial(1, (2 ** 2000, 0))
+        assert big.mul_trunc(Y, math.inf) == big * Y
+        assert big.mul_trunc(Y, 5) == MultiPoly.zero(2)
 
     def test_evaluate(self):
         p = X * X + Y.scale(3)
