@@ -177,14 +177,9 @@ def linear_holonomy(obj, base_index: int = 0):
 def _as_real_fraction(v) -> Optional[Fraction]:
     if isinstance(v, (int, Fraction)):
         return Fraction(v)
-    if isinstance(v, GaussianRational):
-        return v.re if v.im == 0 else None
     as_g = getattr(v, "as_gaussian_or_none", None)
-    if as_g is not None:
-        g = as_g()
-        if g is not None and g.im == 0:
-            return g.re
-    return None
+    g = as_g() if as_g is not None else None
+    return g.re if g is not None and g.is_rational() else None
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,6 @@ from .poly import (
 from .scalars import GaussianRational, coerce_scalar, scalar_inverse, scalar_is_zero
 from .towers import (
     TRIVIAL,
-    FieldElement,
     FieldTower,
     tp_deg,
     tp_gcd,
@@ -80,12 +79,8 @@ FINAL_TAGS = {
 
 def _as_gaussian(c) -> Optional[GaussianRational]:
     """The Gaussian-rational value of an exact scalar, or None."""
-    c = coerce_scalar(c)
-    if isinstance(c, GaussianRational):
-        return c
-    if isinstance(c, FieldElement):
-        return c.as_gaussian_or_none()
-    return None
+    as_g = getattr(coerce_scalar(c), "as_gaussian_or_none", None)
+    return as_g() if as_g is not None else None
 
 
 def fraction_sqrt(q: Fraction) -> Optional[Fraction]:

@@ -53,13 +53,10 @@ Decide = Callable[[int, Exponent, object], bool]
 def _demote(c):
     """Shrink a tower element that happens to be rational back to a plain scalar."""
     as_g = getattr(c, "as_gaussian_or_none", None)
-    if as_g is not None:
-        g = as_g()
-        if g is not None:
-            c = g
-    if hasattr(c, "re") and scalar_is_zero(getattr(c, "im")):
-        return c.re
-    return c
+    g = as_g() if as_g is not None else None
+    if g is None:
+        return c
+    return g.re if g.is_rational() else g
 
 
 def _div(a, b):

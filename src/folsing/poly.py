@@ -1,7 +1,8 @@
 """Sparse multivariate polynomials, truncated power series, and plane germs.
 
 MultiPoly is a dict from exponent tuples to nonzero exact scalars
-(GaussianRational or tower FieldElement); all arithmetic is exact and
+(GaussianRational, or FieldElement over a tower of depth >= 1: the
+elements of a depth-0 tower are GaussianRationals); all arithmetic is exact and
 coefficient coercion across compatible towers rides on the scalar operators.
 The public constructor validates the dict it is given; the results of
 MultiPoly's own arithmetic are normal by construction and are built with
@@ -27,6 +28,7 @@ from .errors import (
     ZeroInput,
 )
 from .scalars import (
+    ZERO,
     GaussianRational,
     coerce_scalar,
     format_gaussian,
@@ -124,7 +126,7 @@ class MultiPoly:
                         {e: c for e, c in self.terms.items() if sum(e) <= order})
 
     def coefficient(self, exps: Sequence[int]):
-        return self.terms.get(tuple(exps), GaussianRational(0, 0))
+        return self.terms.get(tuple(exps), ZERO)
 
     def constant_term(self):
         return self.coefficient((0,) * self.nvars)
@@ -279,7 +281,7 @@ class MultiPoly:
                 if k:
                     term = term * (v ** k) if k > 1 else term * v
             acc = term if acc is None else acc + term
-        return GaussianRational(0, 0) if acc is None else acc
+        return ZERO if acc is None else acc
 
     def substitute(self, polys: Sequence["MultiPoly"]) -> "MultiPoly":
         """Substitute a polynomial for each variable (all with equal nvars)."""

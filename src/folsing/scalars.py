@@ -206,6 +206,10 @@ class GaussianRational:
     def __complex__(self) -> complex:
         return complex(self._a / self._d, self._b / self._d)
 
+    def as_gaussian_or_none(self) -> "GaussianRational":
+        """The value in Q(i): ``self``, as for a tower element that lies there."""
+        return self
+
     def as_fraction(self) -> Fraction:
         if self._b != 0:
             raise ValueError("not a rational number")
@@ -418,7 +422,7 @@ def coerce_scalar(c):
         # goes through the slower abstract-base-class check
         return c
     if isinstance(c, (int, Fraction)):
-        return GaussianRational(c, 0)
+        return _co(c)
     return c
 
 

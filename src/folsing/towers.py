@@ -2,9 +2,12 @@
 
 A FieldTower is a chain of simple algebraic extensions: the base field is
 Q(i) (or plain Q), and each level adjoins a root of a monic irreducible
-polynomial over the level below.  Elements are stored as coordinate vectors
-over the power basis of each level (nested tuples with GaussianRational
-leaves), so structural equality is mathematical equality.
+polynomial over the level below.  The elements of a depth-0 tower are the
+GaussianRationals themselves.  Over a tower of depth >= 1 they are
+FieldElements, stored as coordinate vectors over the power basis of each
+level (nested tuples with GaussianRational leaves), so structural equality
+is mathematical equality.  The two mix freely: a FieldElement lifts a
+GaussianRational, an int or a Fraction into its own tower.
 
 The module also provides a small dense univariate-polynomial toolkit (the
 ``tp_*`` functions) over any of the package's exact scalars, and complete
@@ -34,6 +37,7 @@ from .scalars import (
     GaussianRational,
     ONE,
     ZERO,
+    _co,
     format_gaussian,
     power,
     scalar_inverse,
@@ -91,10 +95,7 @@ class FieldTower:
         self.parent = parent
         # minpoly coefficients as raw reps (exclude leading 1), per level,
         # used by the multiplication reduction.
-        self._mp_reps = []
-        for lev in levels:
-            self._mp_reps.append([c.rep if isinstance(c, FieldElement) else c
-                                  for c in lev.minpoly[:-1]])
+        self._mp_reps = [[_rep_of(c) for c in lev.minpoly[:-1]] for lev in levels]
 
     # -- identity ------------------------------------------------------
     @property
@@ -117,8 +118,7 @@ class FieldTower:
         for a, b in zip(self.levels, other.levels):
             if a.degree != b.degree:
                 return False
-            if [c.rep if isinstance(c, FieldElement) else c for c in a.minpoly] != \
-               [c.rep if isinstance(c, FieldElement) else c for c in b.minpoly]:
+            if [_rep_of(c) for c in a.minpoly] != [_rep_of(c) for c in b.minpoly]:
                 return False
         return True
 
@@ -169,22 +169,29 @@ class FieldTower:
         return tuple([self._const_rep(g, depth - 1)] +
                      [self._zero_rep(depth - 1) for _ in range(lev.degree - 1)])
 
-    def element(self, x) -> "FieldElement":
+    def element(self, x):
         """Coerce x (int, Fraction, GaussianRational, or prefix-tower element)
-        into this tower."""
-        if isinstance(x, FieldElement):
-            if x.tower == self:
-                return x if x.tower is self else FieldElement(self, x.rep)
-            if x.tower.is_prefix_of(self):
-                return FieldElement(self, self._lift_rep(x.rep, x.tower.depth))
-            raise TowerMismatch("element does not embed into this tower")
-        if isinstance(x, (int, Fraction)):
-            x = GaussianRational(x, 0)
-        if isinstance(x, GaussianRational):
-            if self.base == "rational" and not x.is_rational():
-                raise TowerMismatch("imaginary constant in a rational-base tower")
-            return FieldElement(self, self._const_rep(x))
-        raise TypeError(f"cannot coerce {type(x).__name__} into tower")
+        into this tower: a GaussianRational at depth 0, else a FieldElement."""
+        if type(x) is not GaussianRational:
+            if isinstance(x, FieldElement):
+                if x.tower == self:
+                    return x if x.tower is self else FieldElement(self, x.rep)
+                if x.tower.is_prefix_of(self):
+                    return FieldElement(self, self._lift_rep(x.rep, x.tower.depth))
+                raise TowerMismatch("element does not embed into this tower")
+            g = _co(x)
+            if g is NotImplemented:
+                raise TypeError(f"cannot coerce {type(x).__name__} into tower")
+            x = g
+        if self.base == "rational" and not x.is_rational():
+            raise TowerMismatch("imaginary constant in a rational-base tower")
+        if not self.levels:
+            return x
+        return FieldElement(self, self._const_rep(x))
+
+    def wrap(self, rep):
+        """The element with coordinates ``rep``: ``rep`` itself at depth 0."""
+        return FieldElement(self, rep) if self.levels else rep
 
     def _lift_rep(self, rep, from_depth: int):
         """Embed a rep of the depth-``from_depth`` prefix into this tower."""
@@ -196,11 +203,11 @@ class FieldTower:
             out = tuple([out] + [self._zero_rep(d - 1) for _ in range(lev.degree - 1)])
         return out
 
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, self._zero_rep())
+    def zero(self):
+        return self.wrap(self._zero_rep())
 
-    def one(self) -> "FieldElement":
-        return FieldElement(self, self._const_rep(ONE))
+    def one(self):
+        return self.wrap(self._const_rep(ONE))
 
     def gen(self, k: Optional[int] = None) -> "FieldElement":
         """Generator of level k (1-based; default: top level)."""
@@ -275,8 +282,15 @@ def _chosen_root(coeffs_complex: List[complex]) -> complex:
     return cands[0]
 
 
+def _rep_of(c):
+    """The coordinates of a tower element: a GaussianRational is its own."""
+    return c.rep if isinstance(c, FieldElement) else c
+
+
 class FieldElement:
-    """Element of a FieldTower: nested coordinate vector over the power bases."""
+    """Element of a FieldTower of depth >= 1: nested coordinate vector over
+    the power bases.  A depth-0 tower has GaussianRational elements instead.
+    """
 
     __slots__ = ("tower", "rep")
 
@@ -289,7 +303,7 @@ class FieldElement:
         return _rep_is_zero(self.rep, self.tower.depth)
 
     def is_one(self) -> bool:
-        return (self - 1).is_zero()
+        return self.rep == self.tower._const_rep(ONE)
 
     def is_rational(self) -> bool:
         g = self.as_gaussian_or_none()
@@ -394,7 +408,12 @@ class FieldElement:
         return a.rep == b.rep
 
     def __hash__(self):
-        return hash((self.tower.depth, _rep_key(self.rep, self.tower.depth)))
+        # the value at the lowest level it lies in, so that an element, its
+        # lift into a longer tower and an equal GaussianRational hash alike
+        rep, depth = self.rep, self.tower.depth
+        while depth and all(_rep_is_zero(r, depth - 1) for r in rep[1:]):
+            rep, depth = rep[0], depth - 1
+        return hash(rep)
 
     def __repr__(self):
         return f"FieldElement({self})"
@@ -452,12 +471,9 @@ def _rep_mul(a, b, tower: FieldTower, depth: int):
 
 def _rep_inv(rep, tower: FieldTower):
     depth = tower.depth
-    if depth == 0:
-        return rep.inverse()
     prefix = tower.parent if tower.parent is not None else FieldTower(tower.base, tower.levels[:-1])
-    a = tp_trim([FieldElement(prefix, r) for r in rep])
-    m = list(tower.levels[-1].minpoly[:-1]) + [prefix.one()]
-    m = [prefix.element(c) for c in m]
+    a = tp_trim([prefix.wrap(r) for r in rep])
+    m = [prefix.element(c) for c in tower.levels[-1].minpoly]
     g, s, _ = tp_xgcd(a, m)
     if tp_deg(g) != 0:
         raise InternalInvariantViolation("minimal polynomial not irreducible (inverse failed)")
@@ -466,7 +482,7 @@ def _rep_inv(rep, tower: FieldTower):
     n = tower.levels[-1].degree
     out = [tower._zero_rep(depth - 1)] * n
     for k, c in enumerate(inv[:n]):
-        out[k] = c.rep
+        out[k] = _rep_of(c)
     return tuple(out)
 
 
@@ -731,14 +747,11 @@ def _factor_squarefree(f: list, tower: FieldTower) -> List[list]:
     return _factor_trager(f, tower)
 
 
-def _factor_base(f: list, tower: FieldTower) -> List[list]:
+def _factor_base(f: List[GaussianRational], tower: FieldTower) -> List[list]:
     """Factor a squarefree monic polynomial over Q(i) or Q."""
-    coeffs = [c.rep for c in f]
     if tower.base == "gaussian":
-        factors = _factor_gaussian(coeffs)
-    else:
-        factors = _factor_rational(coeffs)
-    return [[tower.element(c) for c in h] for h in factors]
+        return _factor_gaussian(f)
+    return _factor_rational(f)
 
 
 def _factor_rational(f: List[GaussianRational]) -> List[list]:
@@ -810,9 +823,8 @@ def _norm_resultant(g: list, m: list, tower: FieldTower, prefix: FieldTower) -> 
     values = []
     for j in range(tp_deg(g) * (len(m) - 1) + 1):
         gx = tp_eval(g, tower.element(j))  # element of tower
-        pu = tp_trim([FieldElement(prefix, r) for r in gx.rep])
-        rv = tp_resultant(m, pu) if pu else prefix.zero()
-        values.append(rv if isinstance(rv, FieldElement) else prefix.element(rv))
+        pu = tp_trim([prefix.wrap(r) for r in gx.rep])
+        values.append(prefix.element(tp_resultant(m, pu)) if pu else prefix.zero())
     return _interpolate(values, prefix)
 
 

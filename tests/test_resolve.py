@@ -3,12 +3,15 @@
 import math
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from folsing.cli import main, shipped_corpus_root
 from folsing.errors import BlowupBudgetExceeded, NonIsolatedSingularity
 from folsing.parsing import parse_field, parse_form
 from folsing.poly import MultiPoly, VectorFieldGerm
 from folsing.resolve import resolve, verify_ledger
+from folsing.towers import FieldElement
 
 
 class TestSimpleCases:
@@ -172,3 +175,44 @@ class TestSerialization:
         dot = tree.to_dot()
         assert dot.startswith("digraph resolution {")
         assert "SiegelRational" in dot
+
+
+class TestNoDepthZeroWrapper:
+    """Over Q(i) and Q the tower elements are GaussianRationals: no
+    FieldElement of a depth-0 tower is ever built.  The wrapper cost about
+    a third of the throughput of resolution and first-integral jobs."""
+
+    @pytest.fixture()
+    def built_depths(self, monkeypatch):
+        depths = []
+        init = FieldElement.__init__
+
+        def recording_init(self, tower, rep):
+            depths.append(tower.depth)
+            init(self, tower, rep)
+
+        monkeypatch.setattr(FieldElement, "__init__", recording_init)
+        return depths
+
+    @pytest.mark.parametrize("command", ["resolve", "first-integral"])
+    def test_shipped_corpus(self, built_depths, command):
+        runner = CliRunner()
+        files = sorted((p for p in shipped_corpus_root().iterdir()
+                        if p.name.endswith(".vf")), key=lambda p: p.name)
+        assert files
+        wrapped_base = []
+        for path in files:
+            start = len(built_depths)
+            result = runner.invoke(main, [command, "--in", str(path)])
+            assert result.exit_code in (0, 1), (path.name, result.output)
+            if 0 in built_depths[start:]:
+                wrapped_base.append(path.name)
+        assert wrapped_base == []
+
+    def test_extensions_still_build_elements(self, built_depths):
+        # the conjugate tangent directions of this germ live in a depth-1
+        # tower, so the recorder does see FieldElements being built
+        result = CliRunner().invoke(
+            main, ["resolve", "--expr", "(x^2 + y^2)*ddx + 3*x*y*ddy"])
+        assert result.exit_code == 0
+        assert built_depths and min(built_depths) == 1

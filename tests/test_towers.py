@@ -1,5 +1,6 @@
 """Field towers: construction caps, arithmetic, factorization, embeddings."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,84 @@ class TestArithmetic:
 
 
 coeff = st.integers(min_value=-5, max_value=5)
+
+
+class TestDepthZeroElements:
+    """A depth-0 tower's elements are GaussianRationals, not wrappers."""
+
+    @pytest.mark.parametrize("tower", [TRIVIAL, TRIVIAL_RATIONAL],
+                             ids=["QQ_I", "QQ"])
+    @pytest.mark.parametrize("value", [3, Fraction(-2, 7), GaussianRational(5, 0)],
+                             ids=["int", "Fraction", "GaussianRational"])
+    def test_element_is_a_gaussian_rational(self, tower, value):
+        e = tower.element(value)
+        assert type(e) is GaussianRational and e == value
+
+    @pytest.mark.parametrize("tower", [TRIVIAL, TRIVIAL_RATIONAL],
+                             ids=["QQ_I", "QQ"])
+    def test_zero_and_one(self, tower):
+        assert type(tower.zero()) is GaussianRational and tower.zero().is_zero()
+        assert type(tower.one()) is GaussianRational and tower.one().is_one()
+
+    @pytest.mark.parametrize("tower", [TRIVIAL, TRIVIAL_RATIONAL],
+                             ids=["QQ_I", "QQ"])
+    def test_factors_are_gaussian_rationals(self, tower):
+        # 2 (t^2 + 1)(t - 1/2)^2: t^2 + 1 splits over Q(i) only
+        unit, fac = factor_univariate(
+            product(tower, [2], [1, 0, 1], [Fraction(-1, 2), 1], [Fraction(-1, 2), 1]),
+            tower)
+        assert type(unit) is GaussianRational and unit == 2
+        assert len(fac) == (3 if tower is TRIVIAL else 2)
+        assert all(type(c) is GaussianRational for h, _ in fac for c in h)
+
+
+OTHERS = [GaussianRational(Fraction(3, 2), -1), 3, Fraction(-2, 7)]
+
+
+class TestMixedOperands:
+    """A depth-1 element meets a GaussianRational, an int or a Fraction in
+    either operand order."""
+
+    @pytest.mark.parametrize("other", OTHERS, ids=["gaussian", "int", "fraction"])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                    operator.truediv],
+                             ids=["add", "sub", "mul", "truediv"])
+    def test_both_orders_agree_with_the_lift(self, sqrt2_tower, op, other):
+        T2, r2 = sqrt2_tower
+        e = r2 + Fraction(1, 3)
+        lifted = T2.element(other)
+        for got, want in ((op(e, other), op(e, lifted)),
+                          (op(other, e), op(lifted, e))):
+            assert got.tower is T2
+            assert got == want and want == got
+
+    @pytest.mark.parametrize("other", OTHERS, ids=["gaussian", "int", "fraction"])
+    def test_equality_both_orders(self, sqrt2_tower, other):
+        T2, r2 = sqrt2_tower
+        lifted = T2.element(other)
+        assert lifted == other and other == lifted
+        assert not (lifted != other) and not (other != lifted)
+        assert r2 != other and other != r2
+
+
+class TestHashAgreesWithEquality:
+    def test_base_value_hashes_like_its_gaussian_rational(self, sqrt2_tower):
+        T2, _ = sqrt2_tower
+        for g in (GaussianRational(3), GaussianRational(Fraction(1, 2), -4),
+                  GaussianRational(0)):
+            e = T2.element(g)
+            assert e == g and hash(e) == hash(g)
+            assert len({e, g}) == 1
+
+    def test_lift_hashes_like_the_element(self, sqrt2_tower, deep_tower):
+        T2, r2 = sqrt2_tower
+        T3, _ = deep_tower
+        v = r2 * 3 + Fraction(1, 5)
+        w = T3.element(v)
+        assert w == v and hash(w) == hash(v)
+        assert len({v, w}) == 1
+        g = GaussianRational(-7, 2)
+        assert hash(T3.element(g)) == hash(g) == hash(T3.element(T2.element(g)))
 
 
 class TestPolyToolkit:
