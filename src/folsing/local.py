@@ -45,7 +45,13 @@ from .poly import (
     dualize,
     lift_poly,
 )
-from .scalars import GaussianRational, coerce_scalar, scalar_inverse, scalar_is_zero
+from .scalars import (
+    GaussianRational,
+    coerce_scalar,
+    fraction_sqrt,
+    scalar_inverse,
+    scalar_is_zero,
+)
 from .towers import (
     TRIVIAL,
     FieldTower,
@@ -81,17 +87,6 @@ def _as_gaussian(c) -> Optional[GaussianRational]:
     """The Gaussian-rational value of an exact scalar, or None."""
     as_g = getattr(coerce_scalar(c), "as_gaussian_or_none", None)
     return as_g() if as_g is not None else None
-
-
-def fraction_sqrt(q: Fraction) -> Optional[Fraction]:
-    """Exact nonnegative square root of a rational, or None if irrational."""
-    if q < 0:
-        return None
-    n, d = q.numerator, q.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
 
 
 class SingularityClass:

@@ -4,7 +4,8 @@ GaussianRational is the ground field for every exact computation in the
 package: (a + b*i)/d stored as an integer triple (a, b, d) with d > 0 and
 gcd(a, b, d) = 1, so each element has exactly one representation.  Sums
 and products work on Python ints and normalize with one gcd per result;
-the real and imaginary parts are exposed as Fractions.
+the real and imaginary parts are exposed as Fractions.  ``fraction_sqrt``
+and ``gaussian_sqrt`` are the package's exact square roots in Q and Q(i).
 
 TauScalar is a polynomial in a single transcendental symbol tau (representing
 the loop period 2*pi*i in holonomy series).  No relation beyond the ring
@@ -17,8 +18,8 @@ from __future__ import annotations
 import operator
 import sys
 from fractions import Fraction
-from math import gcd
-from typing import Union
+from math import gcd, isqrt
+from typing import Optional, Union
 
 from .errors import CoefficientTooLarge, DivisionByZero
 
@@ -193,10 +194,14 @@ class GaussianRational:
                 and self._d == other._d)
 
     def __hash__(self):
-        # the hash of the pair of Fractions (re, im); an int hashes like
-        # the Fraction with the same value
-        if self._d == 1:
-            return hash((self._a, self._b))
+        # a real value hashes as the Fraction (or int) it equals, a
+        # non-real one as the pair of Fractions (re, im), in which an int
+        # part hashes like the Fraction with the same value
+        a, b, d = self._a, self._b, self._d
+        if b == 0:
+            return hash(a) if d == 1 else hash(Fraction(a, d))
+        if d == 1:
+            return hash((a, b))
         return hash((self.re, self.im))
 
     def sort_key(self):
@@ -249,6 +254,40 @@ def _co(x):
 ZERO = GaussianRational(0, 0)
 ONE = GaussianRational(1, 0)
 I = GaussianRational(0, 1)
+
+
+# -- exact square roots ---------------------------------------------------
+def fraction_sqrt(q: Fraction) -> Optional[Fraction]:
+    """Exact nonnegative square root of a rational, or None if irrational."""
+    if q < 0:
+        return None
+    n, d = q.numerator, q.denominator
+    rn, rd = isqrt(n), isqrt(d)
+    if rn * rn == n and rd * rd == d:
+        return Fraction(rn, rd)
+    return None
+
+
+def gaussian_sqrt(z: GaussianRational) -> Optional[GaussianRational]:
+    """A square root of z in Q(i), or None if z is not a square there.
+
+    z = (x + y*i)/d equals (x*d + y*d*i)/d^2, and Z[i] is integrally
+    closed, so z is a square exactly when w^2 = x*d + y*d*i for a Gaussian
+    integer w = u + v*i.  Then u^2 + v^2 = |w|^2 = n, the integer square
+    root of the norm, so u^2 = (n + x*d)/2 and v^2 = (n - x*d)/2, and
+    2*u*v = y*d fixes the sign of v.  The root returned is w/d with u >= 0
+    (and v >= 0 when u = 0).
+    """
+    d = z._d
+    x, y = z._a * d, z._b * d
+    n = isqrt(x * x + y * y)
+    if n * n != x * x + y * y:
+        return None
+    u2, v2 = (n + x) >> 1, (n - x) >> 1
+    u, v = isqrt(u2), isqrt(v2)
+    if u * u != u2 or v * v != v2 or u2 + v2 != n:
+        return None
+    return _triple(u, -v if y < 0 else v, d)
 
 
 def _fmt_ratio(n: int, d: int) -> str:

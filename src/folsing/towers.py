@@ -11,10 +11,12 @@ GaussianRational, an int or a Fraction into its own tower.
 
 The module also provides a small dense univariate-polynomial toolkit (the
 ``tp_*`` functions) over any of the package's exact scalars, and complete
-univariate factorization over a tower: Zassenhaus (module ``zassenhaus``)
-factors over Q, the norm f * conj(f) reaches Q(i), and a Trager norm
-descent lifts factorizations through the extension levels.  Degree and
-depth caps convert runaway extensions into clean errors.
+univariate factorization over a tower: a quadratic over Q or Q(i) splits
+by an exact square root of its discriminant, Zassenhaus (module
+``zassenhaus``) factors higher degrees over Q, the norm f * conj(f)
+reaches Q(i), and a Trager norm descent lifts factorizations through the
+extension levels.  Degree and depth caps convert runaway extensions into
+clean errors.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ from .scalars import (
     ZERO,
     _co,
     format_gaussian,
+    fraction_sqrt,
+    gaussian_sqrt,
     power,
     scalar_inverse,
     scalar_is_zero,
@@ -545,9 +549,13 @@ def format_field_element(e: FieldElement) -> str:
 # Dense univariate polynomials over any exact scalar (ascending lists)
 # =====================================================================
 def tp_trim(p: list) -> list:
-    while p and scalar_is_zero(p[-1]):
-        p = p[:-1]
-    return p
+    """p without its trailing zero coefficients: ``p`` itself if it has
+    none.  Coefficients are tower elements (or other scalars with an
+    ``is_zero`` method), not bare ints or Fractions."""
+    n = len(p)
+    while n and p[n - 1].is_zero():
+        n -= 1
+    return p if n == len(p) else p[:n]
 
 
 def tp_deg(p: list) -> int:
@@ -709,6 +717,9 @@ def factor_univariate(coeffs: Sequence, tower: FieldTower):
     Returns ``(unit, [(monic_irreducible_ascending_coeffs, multiplicity)])``
     with the product of unit and factor powers equal to the input.
     Factors are sorted deterministically (degree, then coefficient order).
+    The squarefree part is split by ``_factor_base`` over Q or Q(i) (a
+    quadratic there by an exact square root of its discriminant) and by
+    the Trager norm descent over a tower of depth >= 1.
     """
     p = tp_trim([tower.element(c) for c in coeffs])
     if not p:
@@ -748,10 +759,23 @@ def _factor_squarefree(f: list, tower: FieldTower) -> List[list]:
 
 
 def _factor_base(f: List[GaussianRational], tower: FieldTower) -> List[list]:
-    """Factor a squarefree monic polynomial over Q(i) or Q."""
-    if tower.base == "gaussian":
-        return _factor_gaussian(f)
-    return _factor_rational(f)
+    """Factor a squarefree monic polynomial over Q(i) or Q.
+
+    A quadratic t^2 + b*t + c splits exactly when its discriminant
+    b^2 - 4c has a square root s in the base field, into t - (-b +- s)/2;
+    otherwise it is irreducible.  Higher degrees go to Zassenhaus over Q,
+    and over Q(i) through the Trager norm first.
+    """
+    gaussian = tower.base == "gaussian"
+    if len(f) == 3:
+        c, b, _ = f
+        disc = b * b - 4 * c
+        s = gaussian_sqrt(disc) if gaussian else fraction_sqrt(disc.as_fraction())
+        if s is None:
+            return [f]
+        half = Fraction(1, 2)
+        return [[(b - s) * half, ONE], [(b + s) * half, ONE]]
+    return _factor_gaussian(f) if gaussian else _factor_rational(f)
 
 
 def _factor_rational(f: List[GaussianRational]) -> List[list]:

@@ -49,7 +49,8 @@ def _reference_format(re: Fraction, im: Fraction) -> str:
 def _assert_matches_pair(g, re: Fraction, im: Fraction):
     assert (g.re, g.im) == (re, im)
     assert g == GaussianRational(re, im)
-    assert hash(g) == hash((re, im))
+    # a real value hashes as the Fraction it equals, else as the pair
+    assert hash(g) == (hash(re) if im == 0 else hash((re, im)))
     assert format_gaussian(g) == _reference_format(re, im)
     assert g.sort_key() == (re, im)
     # the stored triple (a + b*i)/d is in lowest terms
@@ -145,6 +146,13 @@ class TestGaussianRational:
         xs = [GaussianRational(1, 0), GaussianRational(0, 1), GaussianRational(-1, 2)]
         ordered = sorted(xs, key=lambda g: g.sort_key())
         assert ordered[0] == GaussianRational(-1, 2)
+
+    @pytest.mark.parametrize("value", [3, 0, -7, Fraction(1, 2), Fraction(-9, 4)],
+                             ids=["3", "0", "-7", "1/2", "-9/4"])
+    def test_hash_agrees_with_an_equal_int_or_fraction(self, value):
+        g = GaussianRational(value)
+        assert g == value and hash(g) == hash(value)
+        assert len({g, value}) == 1 and {g: 1}[value] == 1
 
 
 class TestTauScalar:

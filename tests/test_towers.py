@@ -4,8 +4,11 @@ import operator
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+import folsing.towers as towers
+from folsing.cli import main, shipped_corpus_root
 from folsing.errors import (
     DivisionByZero,
     ExtensionDegreeExceeded,
@@ -14,7 +17,7 @@ from folsing.errors import (
     TowerDepthExceeded,
     TowerMismatch,
 )
-from folsing.scalars import GaussianRational
+from folsing.scalars import GaussianRational, fraction_sqrt, gaussian_sqrt
 from folsing.towers import (
     TRIVIAL,
     TRIVIAL_RATIONAL,
@@ -215,6 +218,13 @@ class TestHashAgreesWithEquality:
         g = GaussianRational(-7, 2)
         assert hash(T3.element(g)) == hash(g) == hash(T3.element(T2.element(g)))
 
+    @pytest.mark.parametrize("value", [3, Fraction(1, 2)], ids=["int", "Fraction"])
+    def test_real_base_value_hashes_like_its_int_or_fraction(self, sqrt2_tower, value):
+        T2, _ = sqrt2_tower
+        e = T2.element(value)
+        assert e == value and hash(e) == hash(value)
+        assert len({e, value, GaussianRational(value)}) == 1
+
 
 class TestPolyToolkit:
     @given(st.lists(coeff, min_size=1, max_size=5), st.lists(coeff, min_size=1, max_size=4))
@@ -380,21 +390,133 @@ class TestFactorizationAgainstSympy:
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_matches_factor_list(self, sympy, tower, domain, data):
-        im = st.just(0) if tower is TRIVIAL_RATIONAL else st.integers(-4, 4)
-        scalar = st.builds(lambda a, b, d: GaussianRational(Fraction(a, d),
-                                                            Fraction(b, d)),
-                           st.integers(-4, 4), im, st.integers(1, 3))
-        factor = st.lists(scalar, min_size=2, max_size=5).filter(
+        factor = st.lists(scalars(tower), min_size=2, max_size=5).filter(
             lambda f: not f[-1].is_zero())
         p = product(tower, *data.draw(st.lists(factor, min_size=1,
                                                max_size=3)))
-        _, ours = factor_univariate(p, tower)
-        t = sympy.Symbol("t")
-        ref = sympy.Poly([_sympy_coeff(sympy, c.as_gaussian_or_none())
-                          for c in reversed(p)], t, domain=domain)
-        expected = sorted(
-            (tuple((_fraction(sympy.re(c)), _fraction(sympy.im(c)))
-                   for c in reversed(g.monic().all_coeffs())), m)
-            for g, m in ref.factor_list()[1])
-        got = sorted((tuple(c.sort_key() for c in h), m) for h, m in ours)
-        assert got == expected
+        assert_matches_sympy(sympy, p, tower, domain)
+
+
+def scalars(tower):
+    """Gaussian rationals (rationals over the rational base) with small
+    numerators and denominators."""
+    im = st.just(0) if tower is TRIVIAL_RATIONAL else st.integers(-4, 4)
+    return st.builds(lambda a, b, d: GaussianRational(Fraction(a, d),
+                                                      Fraction(b, d)),
+                     st.integers(-4, 4), im, st.integers(1, 3))
+
+
+def assert_matches_sympy(sympy, p, tower, domain):
+    """factor_univariate(p) and sympy's factor_list give the same monic
+    factors with the same multiplicities."""
+    _, ours = factor_univariate(p, tower)
+    t = sympy.Symbol("t")
+    ref = sympy.Poly([_sympy_coeff(sympy, c.as_gaussian_or_none())
+                      for c in reversed(p)], t, domain=domain)
+    expected = sorted(
+        (tuple((_fraction(sympy.re(c)), _fraction(sympy.im(c)))
+               for c in reversed(g.monic().all_coeffs())), m)
+        for g, m in ref.factor_list()[1])
+    got = sorted((tuple(c.sort_key() for c in h), m) for h, m in ours)
+    assert got == expected
+
+
+@st.composite
+def quadratics(draw, tower):
+    """A quadratic over ``tower`` times a nonzero unit: half of them built
+    from drawn roots or a drawn discriminant, half drawn freely."""
+    scalar = scalars(tower)
+    one = tower.one()
+    unit = draw(scalar.filter(lambda u: not u.is_zero()))
+    kind = draw(st.sampled_from(["equal", "zero", "conjugate", "disc", "free",
+                                 "free", "free", "free"]))
+    if kind == "free":
+        return [draw(scalar), draw(scalar), unit]
+    if kind == "disc":
+        # b^2 - 4c = D: purely imaginary over Q(i), negative over Q
+        b = draw(scalar)
+        k = draw(st.integers(1, 12))
+        disc = GaussianRational(0, k) if tower is TRIVIAL else GaussianRational(-k)
+        p = [(b * b - disc) * Fraction(1, 4), b, one]
+    else:
+        # conjugate roots give rational coefficients over either base
+        r = draw(scalars(TRIVIAL) if kind == "conjugate" else scalar)
+        other = {"equal": r, "zero": 0 * r, "conjugate": r.conjugate()}[kind]
+        p = tp_mul([-r, one], [-other, one])
+    return [c * unit for c in p]
+
+
+class TestQuadraticsAgainstSympy:
+    """Quadratics over Q and Q(i) split by an exact square root of their
+    discriminant; sympy's ``factor_list`` is the reference."""
+
+    @pytest.mark.parametrize("tower, domain",
+                             [(TRIVIAL_RATIONAL, "QQ"), (TRIVIAL, "QQ_I")],
+                             ids=["QQ", "QQ_I"])
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_factor_list(self, sympy, tower, domain, data):
+        assert_matches_sympy(sympy, data.draw(quadratics(tower)), tower, domain)
+
+
+class TestExactSquareRoot:
+    @given(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6),
+           st.integers(1, 10 ** 4))
+    @settings(max_examples=200, deadline=None)
+    def test_square_of_a_gaussian_rational(self, a, b, d):
+        w = GaussianRational(Fraction(a, d), Fraction(b, d))
+        s = gaussian_sqrt(w * w)
+        assert s == w or s == -w
+
+    @given(st.fractions(max_denominator=10 ** 4))
+    @settings(max_examples=200, deadline=None)
+    def test_square_of_a_rational(self, q):
+        assert fraction_sqrt(q * q) == abs(q)
+        assert gaussian_sqrt(GaussianRational(q * q)) == abs(q)
+
+    @pytest.mark.parametrize("value, over_qi, over_q", [
+        (GaussianRational(0), GaussianRational(0), Fraction(0)),
+        (GaussianRational(2), None, None),
+        (GaussianRational(0, 1), None, None),
+        (GaussianRational(-1), GaussianRational(0, 1), None),
+    ], ids=["0", "2", "i", "-1"])
+    def test_named_values(self, value, over_qi, over_q):
+        assert gaussian_sqrt(value) == over_qi
+        if value.is_rational():
+            assert fraction_sqrt(value.as_fraction()) == over_q
+        # t^2 - value splits over a base exactly when the root lies in it
+        for tower, root in ((TRIVIAL, over_qi), (TRIVIAL_RATIONAL, over_q)):
+            if tower is TRIVIAL_RATIONAL and not value.is_rational():
+                continue
+            _, fac = factor_univariate([-value, 0, 1], tower)
+            assert sum(m for _, m in fac) == (1 if root is None else 2)
+
+
+class TestQuadraticsBypassTheFactorizer:
+    def test_corpus_sends_no_quadratic_to_zassenhaus_or_the_norm(self, monkeypatch):
+        """``resolve`` and ``first-integral`` on every shipped corpus file
+        factor their quadratics over Q and Q(i) in closed form."""
+        quadratics_seen, leaked = [], []
+
+        def spy_on(name, calls):
+            original = getattr(towers, name)
+
+            def spy(f, *args):
+                if tp_deg(f) == 2:
+                    calls.append((name, [str(c) for c in f]))
+                return original(f, *args)
+
+            monkeypatch.setattr(towers, name, spy)
+
+        spy_on("_factor_base", quadratics_seen)
+        spy_on("_factor_gaussian", leaked)
+        spy_on("_factor_rational", leaked)
+        runner = CliRunner()
+        for case in sorted(shipped_corpus_root().iterdir()):
+            if not case.name.endswith(".vf"):
+                continue
+            for command in ("resolve", "first-integral"):
+                result = runner.invoke(main, [command, "--in", str(case)])
+                assert result.exit_code in (0, 1), result.output
+        assert quadratics_seen
+        assert leaked == []
