@@ -354,13 +354,23 @@ class IntegralVerdict:
 
 
 def _leaf_formally_linearizable(node, order: int) -> bool:
-    field = dualize(node.form)
+    """Whether a Siegel leaf with eigenvalue ratio -m/n has no resonant
+    part through ``order``.
+
+    lambda_i = <Q, lambda> holds only in the degrees |Q| = 1 + k(m + n),
+    so the solve stops at the last such degree within ``order``.  The
+    solver works degree by degree and keeps only resonant terms, so it
+    keeps the same terms as a solve through ``order`` would.
+    """
+    m, n = node.classification.siegel_pair
+    top = order - (order - 1) % (m + n)
+    if top < 2:
+        return True
     try:
-        diag, _, _, _ = diagonalize_linear_part(field)
+        diag, _, _, _ = diagonalize_linear_part(dualize(node.form))
     except DegenerateEigenData:
         return False
-    result = resonant_normal_form(diag, order=order)
-    return not result.kept
+    return not resonant_normal_form(diag, order=top).kept
 
 
 def mattei_moussu_criterion(obj, order: int = 8, max_blowups: int = 64) -> IntegralVerdict:

@@ -19,9 +19,10 @@ y over K[x] on ``MultiPoly`` itself: pseudo-remainders A lc(B) - lc(A) y^k B,
 with each content divided out by ``MultiPoly.divide_exact``, which callers
 that remove a common factor use too.  Coprime inputs, the usual case, skip
 Euclid: two univariate gcds of slices at integer points certify coprimality
-first.  ``line_slice`` is that restriction of a bivariate polynomial to a
-line x = t or y = t, as a coefficient list over a tower; the blow-up, the
-tangent-cone factorization and the Riccati fibers restrict with it too.
+first; over Q and Q(i) they are taken modulo one prime.  ``line_slice`` is
+that restriction of a bivariate polynomial to a line x = t or y = t, as a
+coefficient list over a tower; the blow-up, the tangent-cone factorization
+and the Riccati fibers restrict with it too.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .scalars import (
     GaussianRational,
     coerce_scalar,
     fraction_sqrt,
+    gaussian_triple,
     scalar_inverse,
     scalar_is_zero,
 )
@@ -59,6 +61,7 @@ from .towers import (
     tp_gcd,
     tp_trim,
 )
+from .zassenhaus import _gcd, _trim
 
 NUMERIC_TOL = Fraction(1, 10 ** 9)
 
@@ -478,8 +481,11 @@ def _certified_coprime(f: MultiPoly, g: MultiPoly, tower: FieldTower) -> bool:
     vanishes, h(t, y) keeps its degree and divides gcd(f(t, y), g(t, y)).
     Constant slice gcds at such a t for x, and likewise for y, leave no room
     for h.  A non-constant slice gcd proves nothing (t may be unlucky), so
-    False only means "not certified".
+    False only means "not certified".  Over Q and Q(i) the slices are
+    taken modulo a prime (``_coprime_mod_p``).
     """
+    if tower.depth == 0:
+        return _coprime_mod_p(f, g)
     for var in (0, 1):
         other = 1 - var
         t = 1
@@ -493,6 +499,71 @@ def _certified_coprime(f: MultiPoly, g: MultiPoly, tower: FieldTower) -> bool:
         if tp_deg(tp_gcd(fs, gs)) > 0:
             return False
     return True
+
+
+# p = 1 (mod 4), so i has an image mod p: p = 5 (mod 8) makes 2 a
+# quadratic non-residue, and 2^((p - 1)/4) is a square root of -1
+CERT_PRIME = 2147483629
+CERT_I = pow(2, (CERT_PRIME - 1) // 4, CERT_PRIME)
+
+
+def _coprime_mod_p(f: MultiPoly, g: MultiPoly) -> bool:
+    """The slice certificate of ``_certified_coprime`` over Q(i), with the
+    slices reduced modulo p = CERT_PRIME and i sent to CERT_I.
+
+    That map is reduction modulo a prime P of Z[i] over p, defined on the
+    local ring R of Z[i] at P once p divides no denominator of f and g.  R
+    is a discrete valuation ring, so by Gauss's lemma a common factor h with
+    deg_y h >= 1 can be taken in R[x, y] with a nonzero reduction, and so
+    can its cofactors.  Where both leading coefficients in y survive at
+    x = t mod p, degrees add up only if h(t, y) mod p keeps deg_y h, so it
+    divides both slice gcds mod p: a constant gcd mod p leaves no room for
+    h, as in the exact certificate.
+    """
+    fr, gr = _residues(f), _residues(g)
+    if fr is None or gr is None:
+        return False
+    deg_f, deg_g = (f.degree_in(0), f.degree_in(1)), (g.degree_in(0), g.degree_in(1))
+    for var in (0, 1):
+        other = 1 - var
+        size_f, size_g = deg_f[other] + 1, deg_g[other] + 1
+        # lc(f) lc(g), a polynomial in the variable set to t, has at most
+        # deg f + deg g roots in it unless it vanishes mod p
+        for t in range(1, deg_f[var] + deg_g[var] + 2):
+            fs = _slice_mod(fr, var, t, size_f)
+            gs = _slice_mod(gr, var, t, size_g)
+            if len(fs) == size_f and len(gs) == size_g:
+                break
+        else:
+            return False
+        if len(_gcd(fs, gs, CERT_PRIME)) > 1:
+            return False
+    return True
+
+
+def _residues(p: MultiPoly) -> Optional[dict]:
+    """{exponents: coefficient mod CERT_PRIME} for p over Q(i), or None when
+    the prime divides a denominator."""
+    out = {}
+    for e, c in p.terms.items():
+        a, b, d = gaussian_triple(c)
+        if d % CERT_PRIME == 0:
+            return None
+        r = a + b * CERT_I
+        if d != 1:
+            r *= pow(d, -1, CERT_PRIME)
+        out[e] = r % CERT_PRIME
+    return out
+
+
+def _slice_mod(residues: dict, var: int, t: int, size: int) -> list:
+    """The residues with variable ``var`` set to t, as a trimmed coefficient
+    list mod CERT_PRIME of length at most ``size`` in the other variable."""
+    other = 1 - var
+    out = [0] * size
+    for e, r in residues.items():
+        out[e[other]] += r * pow(t, e[var], CERT_PRIME)
+    return _trim([c % CERT_PRIME for c in out])
 
 
 def _gcd_normalize(p: MultiPoly) -> MultiPoly:

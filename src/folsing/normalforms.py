@@ -43,8 +43,16 @@ from .errors import (
     ZeroDivisorDelta,
 )
 from .local import classify_singularity, detect_resonances, domain_classification, eigen_pair
-from .poly import MultiPoly, TruncatedSeries, VectorFieldGerm, compose, scalar_to_json
+from .poly import (
+    MultiPoly,
+    TruncatedSeries,
+    VectorFieldGerm,
+    coefficient_tower,
+    compose,
+    scalar_to_json,
+)
 from .scalars import coerce_scalar, scalar_inverse, scalar_is_zero
+from .towers import TRIVIAL
 
 Exponent = Tuple[int, ...]
 Decide = Callable[[int, Exponent, object], bool]
@@ -412,14 +420,14 @@ def diagonalize_linear_part(field: VectorFieldGerm, tower=None):
     """
     if field.nvars != 2:
         raise WrongClass("eigenbasis preparation handles two variables")
+    mat = field.linear_part_matrix()
+    if scalar_is_zero(mat[0][1]) and scalar_is_zero(mat[1][0]):
+        # the diagonal entries are the eigenvalues, already in the
+        # coefficients' tower: nothing to factor
+        tower = tower or coefficient_tower(*field.components) or TRIVIAL
+        return field, [[1, 0], [0, 1]], (mat[0][0], mat[1][1]), tower
     tower, lam1, lam2 = eigen_pair(field, tower=tower)
     lam1, lam2 = _demote(lam1), _demote(lam2)
-    mat = field.linear_part_matrix()
-    off_diagonal_zero = all(
-        scalar_is_zero(mat[i][j]) for i in range(2) for j in range(2) if i != j)
-    if off_diagonal_zero:
-        lam_a, lam_b = mat[0][0], mat[1][1]
-        return field, [[1, 0], [0, 1]], (lam_a, lam_b), tower
     if not scalar_is_zero(lam1 - lam2):
         v1 = _eigenvector(mat, lam1)
         v2 = _eigenvector(mat, lam2)

@@ -19,7 +19,7 @@ import operator
 import sys
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 from .errors import CoefficientTooLarge, DivisionByZero
 
@@ -249,6 +249,11 @@ def _co(x):
     if isinstance(x, (int, Fraction)):
         return _lowest(x.numerator, 0, x.denominator)
     return NotImplemented
+
+
+def gaussian_triple(z: GaussianRational) -> Tuple[int, int, int]:
+    """The integers (a, b, d) of z = (a + b*i)/d in lowest terms, d > 0."""
+    return z._a, z._b, z._d
 
 
 ZERO = GaussianRational(0, 0)

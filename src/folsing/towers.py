@@ -45,7 +45,6 @@ from .scalars import (
     gaussian_sqrt,
     power,
     scalar_inverse,
-    scalar_is_zero,
 )
 from .zassenhaus import factor_squarefree
 
@@ -598,7 +597,7 @@ def tp_mul(p: list, q: list) -> list:
         return []
     out = [None] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
-        if scalar_is_zero(a):
+        if a.is_zero():
             continue
         for j, b in enumerate(q):
             ab = a * b
@@ -719,7 +718,9 @@ def factor_univariate(coeffs: Sequence, tower: FieldTower):
     Factors are sorted deterministically (degree, then coefficient order).
     The squarefree part is split by ``_factor_base`` over Q or Q(i) (a
     quadratic there by an exact square root of its discriminant) and by
-    the Trager norm descent over a tower of depth >= 1.
+    the Trager norm descent over a tower of depth >= 1.  A quadratic skips
+    the squarefree part: its discriminant alone tells a square from a
+    squarefree polynomial.
     """
     p = tp_trim([tower.element(c) for c in coeffs])
     if not p:
@@ -728,11 +729,26 @@ def factor_univariate(coeffs: Sequence, tower: FieldTower):
     if tp_deg(p) == 0:
         return unit, []
     f = tp_monic(p)
+    if len(f) == 3:
+        # a monic quadratic is the square of t + b/2 when its discriminant
+        # vanishes, and squarefree otherwise
+        c, b, one = f
+        if (b * b - c * 4).is_zero():
+            return unit, [([b * Fraction(1, 2), one], 2)]
+        out = [(h, 1) for h in _factor_squarefree(f, tower)]
+    else:
+        out = _factor_with_multiplicities(f, tower)
+    out.sort(key=lambda fm: (tp_deg(fm[0]), [c.sort_key() for c in fm[0]]))
+    return unit, out
+
+
+def _factor_with_multiplicities(f: list, tower: FieldTower) -> List[tuple]:
+    """(factor, multiplicity) pairs of a monic f: the factors of its
+    squarefree part f / gcd(f, f'), each divided out as often as it goes."""
     radical, _ = tp_divmod(f, tp_gcd(f, tp_derivative(f)))
-    irr = _factor_squarefree(tp_monic(radical), tower)
     out = []
     rem = f
-    for h in irr:
+    for h in _factor_squarefree(tp_monic(radical), tower):
         mult = 0
         while True:
             q, r = tp_divmod(rem, h)
@@ -746,8 +762,7 @@ def factor_univariate(coeffs: Sequence, tower: FieldTower):
         out.append((h, mult))
     if tp_deg(rem) != 0:
         raise InternalInvariantViolation("factorization incomplete")
-    out.sort(key=lambda fm: (tp_deg(fm[0]), [c.sort_key() for c in fm[0]]))
-    return unit, out
+    return out
 
 
 def _factor_squarefree(f: list, tower: FieldTower) -> List[list]:

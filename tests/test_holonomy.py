@@ -1,9 +1,13 @@
 """Return-map multipliers, formal germs, invariant-function machinery."""
 
+import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from folsing import holonomy, normalforms
 from folsing.errors import (
     DicriticalInput,
     IntegralDegreeExceeded,
@@ -24,9 +28,12 @@ from folsing.holonomy import (
     saddle_node_holonomy,
     verify_first_integral,
 )
+from folsing.local import classify_singularity
+from folsing.normalforms import diagonalize_linear_part, resonant_normal_form
 from folsing.parsing import parse_field, parse_form, parse_poly
-from folsing.poly import MultiPoly, OneFormGerm, dualize
+from folsing.poly import MultiPoly, OneFormGerm, VectorFieldGerm, dualize
 from folsing.scalars import GaussianRational, TauScalar
+from folsing.towers import TRIVIAL
 
 
 class TestExactMultiplier:
@@ -165,6 +172,88 @@ class TestNecessaryConditions:
         js = verdict.to_json()
         assert js["verdict"] == "PassesNecessaryConditions"
         assert js["leaves"][0]["status"] == "ok"
+
+
+SQRT2, R2 = TRIVIAL.adjoin_root([-2, 0, 1], name="r2")
+
+
+def _leaf(field):
+    """A resolution leaf at ``field``, as far as the leaf check reads it."""
+    return SimpleNamespace(form=dualize(field),
+                           classification=classify_singularity(field))
+
+
+def _coefficients(name):
+    small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    if name == "Q":
+        return small
+    if name == "Q(i)":
+        return st.builds(GaussianRational, small, small)
+    return st.builds(lambda a, b: SQRT2.element(a) + R2 * b, small, small)
+
+
+@st.composite
+def siegel_saddles(draw):
+    """(field, m, n): eigenvalues -m c and n c for a drawn c, m + n in
+    2..10, and up to three terms of degree 2..6 per component over Q, Q(i)
+    or Q(sqrt 2).  Half the draws add each component's first resonant
+    monomial, x^(1+n) y^m and x^n y^(1+m), so resonant parts often stay."""
+    total = draw(st.integers(2, 10))
+    m = draw(st.integers(1, total - 1))
+    n = total - m
+    coeff = _coefficients(draw(st.sampled_from(["Q", "Q(i)", "Q(sqrt2)"])))
+    c = draw(coeff.filter(lambda v: v != 0))
+    monomial = st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(
+        lambda e: 2 <= sum(e) <= 6)
+    components = []
+    for lam, linear, resonant in ((-m, (1, 0), (1 + n, m)),
+                                  (n, (0, 1), (n, 1 + m))):
+        terms = draw(st.dictionaries(monomial, coeff, max_size=3))
+        if draw(st.booleans()):
+            terms[resonant] = draw(coeff)
+        terms[linear] = c * lam
+        components.append(MultiPoly(2, terms))
+    return VectorFieldGerm(components), m, n
+
+
+class TestLeafCheck:
+    """A Siegel leaf is solved only through its last resonant degree."""
+
+    @given(siegel_saddles(), st.integers(1, 10))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_full_solve(self, saddle, order):
+        field, m, n = saddle
+        leaf = _leaf(field)
+        assert leaf.classification.tag == "SiegelRational"
+        assert sum(leaf.classification.siegel_pair) * math.gcd(m, n) == m + n
+        diag = diagonalize_linear_part(field)[0]
+        full = resonant_normal_form(diag, order=order)
+        assert holonomy._leaf_formally_linearizable(leaf, order) == (not full.kept)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_short_order_skips_the_solve(self, monkeypatch, order):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a leaf with no resonant degree was solved")
+
+        monkeypatch.setattr(holonomy, "diagonalize_linear_part", forbidden)
+        monkeypatch.setattr(normalforms, "solve_conjugacy", forbidden)
+        # ratio -2/3: the first resonant degree is 1 + 2 + 3 = 6
+        leaf = _leaf(parse_field("(2*x + x^4*y^2)*ddx + (-3*y + x^3*y^3)*ddy"))
+        assert holonomy._leaf_formally_linearizable(leaf, order)
+
+    def test_solve_stops_at_the_last_resonant_degree(self, monkeypatch):
+        solve = normalforms.solve_conjugacy
+        orders = []
+
+        def spy(field, decide, order, pattern="custom"):
+            orders.append(order)
+            return solve(field, decide, order, pattern)
+
+        monkeypatch.setattr(normalforms, "solve_conjugacy", spy)
+        # ratio -1/2: resonant degrees 4 and 7
+        field = parse_field("(x + x^3*y)*ddx + (-2*y + x^2*y^2)*ddy")
+        assert not holonomy._leaf_formally_linearizable(_leaf(field), 8)
+        assert orders == [7]
 
 
 def hamiltonian_form(n1, n2, n3):

@@ -1,13 +1,16 @@
 """Linear classification, resonances, hull domains, intersection numbers."""
 
+import json
 import math
 import signal
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
 from folsing import local
+from folsing.cli import main
 from folsing.local import (
     classify_singularity,
     detect_resonances,
@@ -271,10 +274,10 @@ def sympy():
     return pytest.importorskip("sympy")
 
 
-def _gaussians(gaussian):
+def _gaussians(gaussian, denominators=st.integers(1, 3)):
     im = st.integers(-3, 3) if gaussian else st.just(0)
     return st.builds(lambda a, b, d: GaussianRational(Fraction(a, d), Fraction(b, d)),
-                     st.integers(-3, 3), im, st.integers(1, 3)).filter(
+                     st.integers(-3, 3), im, denominators).filter(
                          lambda c: not c.is_zero())
 
 
@@ -322,6 +325,69 @@ class TestGcdAgainstSympy:
         lead = ref.sorted_terms()[-1][1]
         assert ours == ref.scale(lead.inverse())
         assert ours.total_degree() >= h.total_degree()
+
+
+P = local.CERT_PRIME
+
+
+# 1, 2 or 3, and one time in ten p or 2p
+SOMETIMES_P = st.integers(1, 20).map(lambda k: P * (k - 18) if k > 18 else k % 3 + 1)
+
+
+def _euclid_only(f, g):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(local, "_certified_coprime", lambda *args: False)
+        return gcd_xy(f, g)
+
+
+class TestCoprimeModP:
+    """Over Q and Q(i) coprimality is certified from slices mod one prime."""
+
+    def test_prime_and_square_root_of_minus_one(self):
+        assert P % 4 == 1
+        assert all(P % q for q in range(2, math.isqrt(P) + 1))
+        assert local.CERT_I * local.CERT_I % P == P - 1
+
+    @pytest.mark.parametrize("gaussian", [False, True], ids=["Q", "Q(i)"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_gcd_matches_euclid(self, gaussian, data):
+        """A third of the pairs share a planted factor; the certificate
+        changes neither the gcd nor its coefficient types."""
+        scalars = _gaussians(gaussian, SOMETIMES_P)
+        f, g = (data.draw(_bivariate(scalars, 3)) for _ in range(2))
+        if data.draw(st.integers(0, 2)) == 0:
+            h = data.draw(_bivariate(scalars, 2))
+            f, g = f * h, g * h
+        ours, euclid = gcd_xy(f, g), _euclid_only(f, g)
+        assert ours == euclid
+        assert [type(c) for c in ours.terms.values()] == \
+            [type(c) for c in euclid.terms.values()]
+
+    @pytest.mark.parametrize("f, g", [
+        # the prime divides a denominator
+        (X + Y.scale(Fraction(1, P)), Y + X * X),
+        # the leading coefficient in y is 0 mod p: p itself, and a Gaussian
+        # integer in the prime of Z[i] that i -> CERT_I reduces by
+        (X + Y.scale(P), Y + X * X),
+        (X + Y.scale(GaussianRational(local.CERT_I, -1)), Y + X * X),
+    ], ids=["denominator", "rational-lead", "gaussian-lead"])
+    def test_unlucky_prime_is_not_a_certificate(self, f, g):
+        assert not local._coprime_mod_p(f, g)
+        assert gcd_xy(f, g) == MultiPoly.constant(1, 2)
+
+    def test_shared_factor_is_never_certified(self):
+        h = parse_poly("y^2 - x^3 + 5/7*x*y")
+        f = h * parse_poly(TestGcdXY.COPRIME_7)
+        g = h * parse_poly(TestGcdXY.COPRIME_8)
+        assert not local._coprime_mod_p(f, g)
+
+    def test_resolve_binomial_powers_within_budget(self):
+        result = _within(10, CliRunner().invoke, main,
+                         ["resolve", "--expr", "(x+y)^20*ddx+(x-y)^19*ddy"])
+        assert result.exit_code == 0, result.output
+        tree = json.loads(result.output)
+        assert tree["final"] and tree["ledger_ok"]
 
 
 class TestIntersectionNumber:

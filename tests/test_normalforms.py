@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from folsing import normalforms
+from folsing import local, normalforms
 from folsing.errors import (
     LinearPartNotPrepared,
     NotPoincareDomain,
@@ -34,7 +34,7 @@ from folsing.normalforms import (
 )
 from folsing.parsing import parse_field
 from folsing.poly import MultiPoly, VectorFieldGerm, compose, scalar_to_json
-from folsing.scalars import scalar_inverse, scalar_is_zero
+from folsing.scalars import GaussianRational, scalar_inverse, scalar_is_zero
 from folsing.towers import TRIVIAL
 
 
@@ -160,6 +160,58 @@ class TestDiagonalize:
         field = parse_field("(x + y)*ddx + y*ddy")
         with pytest.raises(DegenerateEigenData):
             diagonalize_linear_part(field)
+
+
+SQRT2, R2 = TRIVIAL.adjoin_root([-2, 0, 1], name="r2")
+
+
+def _coefficients(name):
+    small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    if name == "Q":
+        return small
+    if name == "Q(i)":
+        return st.builds(GaussianRational, small, small)
+    return st.builds(lambda a, b: SQRT2.element(a) + R2 * b, small, small)
+
+
+@st.composite
+def diagonal_fields(draw):
+    """Germs with a diagonal linear part (zero, equal and distinct entries)
+    and up to three terms of degree 2..3 per component, over Q, Q(i) or
+    Q(sqrt 2)."""
+    coeff = _coefficients(draw(st.sampled_from(["Q", "Q(i)", "Q(sqrt2)"])))
+    a = draw(coeff)
+    d = draw(st.one_of(st.just(a), coeff))
+    monomial = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(
+        lambda e: 2 <= sum(e) <= 3)
+    components = []
+    for lam, linear in ((a, (1, 0)), (d, (0, 1))):
+        terms = draw(st.dictionaries(monomial, coeff, max_size=3))
+        terms[linear] = lam
+        components.append(MultiPoly(2, terms))
+    return VectorFieldGerm(components)
+
+
+class TestDiagonalShortcut:
+    @given(diagonal_fields())
+    @settings(max_examples=60, deadline=None)
+    def test_same_answer_without_eigenvalues(self, field):
+        """The identity basis, the diagonal entries and the tower that
+        ``eigen_pair`` reports, with no characteristic polynomial factored."""
+        tower = local.eigen_pair(field)[0]
+        mat = field.linear_part_matrix()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigenvalues factored for a diagonal part")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(normalforms, "eigen_pair", forbidden)
+            new_field, matrix, lam, got_tower = diagonalize_linear_part(field)
+        assert new_field is field
+        assert matrix == [[1, 0], [0, 1]]
+        assert lam == (mat[0][0], mat[1][1])
+        assert [type(v) for v in lam] == [type(mat[0][0]), type(mat[1][1])]
+        assert got_tower is tower
 
 
 class TestCenterManifold:

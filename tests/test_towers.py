@@ -520,3 +520,67 @@ class TestQuadraticsBypassTheFactorizer:
                 assert result.exit_code in (0, 1), result.output
         assert quadratics_seen
         assert leaked == []
+
+
+SQRT2, R2 = TRIVIAL.adjoin_root([-2, 0, 1], name="r2")
+
+
+@st.composite
+def sqrt2_quadratics(draw):
+    """A quadratic over Q(i)(sqrt 2) times a nonzero unit: a square, a
+    product of two drawn roots, or drawn freely."""
+    scalar = st.builds(lambda a, b: SQRT2.element(a) + R2 * b,
+                       scalars(TRIVIAL), scalars(TRIVIAL))
+    one = SQRT2.one()
+    unit = draw(scalar.filter(lambda u: not u.is_zero()))
+    kind = draw(st.sampled_from(["square", "split", "free"]))
+    if kind == "free":
+        return [draw(scalar), draw(scalar), unit]
+    r = draw(scalar)
+    other = r if kind == "square" else draw(scalar)
+    return [c * unit for c in tp_mul([-r, one], [-other, one])]
+
+
+def general_path(p, tower):
+    """factor_univariate without the quadratic shortcut: the factors of the
+    squarefree part f / gcd(f, f'), each divided out as often as it goes."""
+    p = tp_trim([tower.element(c) for c in p])
+    out = towers._factor_with_multiplicities(towers.tp_monic(p), tower)
+    out.sort(key=lambda fm: (tp_deg(fm[0]), [c.sort_key() for c in fm[0]]))
+    return p[-1], out
+
+
+class TestQuadraticShortcut:
+    """A quadratic's discriminant decides square against squarefree; the
+    answer is the general path's: unit, factors, multiplicities, order and
+    coefficient types."""
+
+    @staticmethod
+    def assert_same(p, tower):
+        got, want = factor_univariate(p, tower), general_path(p, tower)
+        assert got == want
+        assert [[type(c) for c in h] for h, _ in got[1]] == \
+            [[type(c) for c in h] for h, _ in want[1]]
+
+    @pytest.mark.parametrize("tower", [TRIVIAL_RATIONAL, TRIVIAL],
+                             ids=["Q", "Q(i)"])
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_depth_zero(self, tower, data):
+        self.assert_same(data.draw(quadratics(tower)), tower)
+
+    @given(sqrt2_quadratics())
+    @settings(max_examples=40, deadline=None)
+    def test_depth_one(self, p):
+        self.assert_same(p, SQRT2)
+
+    def test_square_skips_the_squarefree_part(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("squarefree part taken for a quadratic")
+
+        monkeypatch.setattr(towers, "_factor_with_multiplicities", forbidden)
+        r = SQRT2.element(3) + R2
+        one = SQRT2.one()
+        unit, factors = factor_univariate(tp_mul([-r, one], [-r, one]), SQRT2)
+        assert unit == 1
+        assert factors == [([-r, one], 2)]
