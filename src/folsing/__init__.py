@@ -19,7 +19,7 @@ The command-line entry point lives in :mod:`folsing.cli`.
 from .errors import ToolkitError
 from .scalars import Fraction, GaussianRational, TauScalar
 from .towers import FieldElement, FieldTower, tower_caps
-from .poly import MultiPoly, OneFormGerm, TruncatedSeries, VectorFieldGerm, dualize, wedge
+from .poly import MultiPoly, OneFormGerm, VectorFieldGerm, dualize, wedge
 from .parsing import (
     ParseError,
     parse_any,
@@ -96,7 +96,6 @@ __all__ = [
     "tower_caps",
     "MultiPoly",
     "OneFormGerm",
-    "TruncatedSeries",
     "VectorFieldGerm",
     "dualize",
     "wedge",

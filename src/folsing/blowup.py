@@ -38,7 +38,6 @@ from .poly import (
     dualize,
     lift_poly,
 )
-from .scalars import scalar_is_zero
 from .towers import (
     TRIVIAL,
     FieldTower,
@@ -246,7 +245,7 @@ def divisor_children(form: OneFormGerm, tower: Optional[FieldTower] = None
                     tower=tower))
     children.sort(key=_child_sort_key)
     # the direction at infinity: chart-2 origin
-    if all(scalar_is_zero(p.constant_term()) for p in (f2.a, f2.b)):
+    if all(p.constant_term().is_zero() for p in (f2.a, f2.b)):
         children.append(ChildPoint(2, tower=tower))
     return children, (f1, f2), (m1, m2)
 

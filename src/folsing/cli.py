@@ -76,7 +76,7 @@ from .parsing import (
     render_field,
     render_poly,
 )
-from .poly import OneFormGerm, VectorFieldGerm, dualize
+from .poly import MultiPoly, OneFormGerm, VectorFieldGerm, dualize
 from .resolve import resolve as resolve_tree
 from .resolve import verify_ledger
 from .sectors import (
@@ -174,7 +174,7 @@ def _as_field(obj) -> VectorFieldGerm:
         return dualize(obj)
     if isinstance(obj, VectorFieldGerm):
         return obj
-    if hasattr(obj, "is_zero") and obj.is_zero():
+    if isinstance(obj, MultiPoly) and obj.is_zero():
         raise ZeroInput("zero expression is not a vector field or 1-form")
     raise WrongClass("expected a vector field or 1-form expression")
 
@@ -609,7 +609,7 @@ def cmd_cp2_tangency(expr, infile, slope, count, seed, fmt):
 
 
 @cmd_cp2.command("dimension")
-@click.option("--degree", type=int, required=True,
+@click.option("--degree", type=click.IntRange(min=0), required=True,
               help="Degree of the line-field space.")
 @toolkit_errors
 def cmd_cp2_dimension(degree):
@@ -623,7 +623,8 @@ def cmd_gen():
 
 
 @cmd_gen.command("jouanolou")
-@click.option("--degree", type=int, default=2, show_default=True)
+@click.option("--degree", type=click.IntRange(min=1), default=2,
+              show_default=True)
 @click.option("--chart", type=click.Choice(["a", "b"]), default="a",
               show_default=True)
 @click.option("--plain", is_flag=True,
@@ -665,7 +666,8 @@ def cmd_gen_riccati(base_degree, plain):
               help='Comma-separated exact eigenvalue ratios, e.g. "1,i".')
 @click.option("--alpha", default=None, metavar="LIST",
               help="Optional comma-separated exact exponents.")
-@click.option("--maxdeg", type=int, default=5, show_default=True,
+@click.option("--maxdeg", type=click.IntRange(min=0), default=5,
+              show_default=True,
               help="Degree bound for the monomial search.")
 @toolkit_errors
 def cmd_sectors(gamma, alpha, maxdeg):

@@ -25,8 +25,16 @@ from .errors import (
     ZeroInput,
 )
 from .local import gcd_xy, line_slice
-from .poly import MultiPoly, VectorFieldGerm, coefficient_tower, compose, render_poly, wedge
-from .scalars import GaussianRational, row_reduce
+from .poly import (
+    MultiPoly,
+    VectorFieldGerm,
+    coefficient_tower,
+    compose,
+    exponents,
+    render_poly,
+    wedge,
+)
+from .scalars import ONE, ZERO, GaussianRational, row_reduce
 
 CHARTS = ("a", "b", "c")
 _CHART_INDEX = {"a": 0, "b": 1, "c": 2}
@@ -409,14 +417,6 @@ def tangency_samples(field: VectorFieldGerm, count: int = 5, seed: int = 0) -> d
 # --------------------------------------------------------------------------
 # dimension of the space of degree-d line fields
 # --------------------------------------------------------------------------
-def _monomials3(d: int) -> List[Tuple[int, int, int]]:
-    out = []
-    for a in range(d, -1, -1):
-        for b in range(d - a, -1, -1):
-            out.append((a, b, d - a - b))
-    return out
-
-
 def fol_space_dimension(d: int) -> int:
     """Dimension of the projective space of degree-d line fields.
 
@@ -430,15 +430,15 @@ def fol_space_dimension(d: int) -> int:
     formula = (d + 1) * (d + 3) - 1
     cols = {}
     for i in range(3):
-        for mono in _monomials3(d):
+        for mono in exponents(3, d):
             cols[(i, mono)] = len(cols)
     rows = []
-    for mono in _monomials3(d - 1) if d >= 1 else []:
-        row = [Fraction(0)] * len(cols)
+    for mono in exponents(3, d - 1) if d >= 1 else []:
+        row = [ZERO] * len(cols)
         for i in range(3):
             shifted = list(mono)
             shifted[i] += 1
-            row[cols[(i, tuple(shifted))]] = Fraction(1)
+            row[cols[(i, tuple(shifted))]] = ONE
         rows.append(row)
     counted = len(cols) - len(row_reduce(rows)[1]) - 1
     if counted != formula:

@@ -48,14 +48,14 @@ from .poly import (
 )
 from .resolve import resolve
 from .scalars import (
+    ONE,
+    ZERO,
     GaussianRational,
     TauScalar,
     _fmt_ratio,
     coerce_scalar,
     power,
     row_reduce,
-    scalar_inverse,
-    scalar_is_zero,
 )
 from .towers import TRIVIAL, factor_univariate
 
@@ -159,26 +159,25 @@ def linear_holonomy(obj, base_index: int = 0):
         _, lam1, lam2 = eigen_pair(obj)
         lams = (_demote(lam1), _demote(lam2))
     else:
-        lams = tuple(obj)
+        lams = tuple(coerce_scalar(v) for v in obj)
     if len(lams) != 2:
         raise WrongClass("return-map multiplier needs exactly two eigenvalues")
     base = lams[base_index]
     other = lams[1 - base_index]
-    if scalar_is_zero(base):
+    if base.is_zero():
         raise ZeroBaseEigenvalue(
             "separatrix eigenvalue vanishes; the return map is not linearizable")
-    ratio = other * scalar_inverse(base)
-    frac = _as_real_fraction(ratio)
+    ratio = other * base.inverse()
+    frac = _real_fraction(ratio)
     if frac is not None:
         return ExactMultiplier(frac)
     return ComplexMultiplier(ratio)
 
 
-def _as_real_fraction(v) -> Optional[Fraction]:
-    if isinstance(v, (int, Fraction)):
-        return Fraction(v)
-    as_g = getattr(v, "as_gaussian_or_none", None)
-    g = as_g() if as_g is not None else None
+def _real_fraction(v) -> Optional[Fraction]:
+    """The value of a GaussianRational or tower element when it is
+    rational, else None."""
+    g = v.as_gaussian_or_none()
     return g.re if g is not None and g.is_rational() else None
 
 
@@ -193,7 +192,7 @@ class GermSeries:
 
     def __init__(self, coeffs: Dict[int, object], order: int):
         self.coeffs = {k: v for k, v in coeffs.items()
-                       if k <= order and not scalar_is_zero(v)}
+                       if k <= order and not v.is_zero()}
         self.order = order
 
     @classmethod
@@ -253,12 +252,12 @@ def saddle_node_holonomy(p: int, modulus, order: int = 6) -> GermSeries:
         raise WrongClass("contact exponent must be at least 1")
     if order < p + 1:
         raise ZeroInput("truncation order must reach the first deviation")
-    lam = modulus if not isinstance(modulus, int) else Fraction(modulus)
+    lam = coerce_scalar(modulus)
     # G(w) = tau w^{p+1} (1 + lam w^p)^{-1}, expanded through z-degree ``order``
     G: Dict[int, TauScalar] = {}
     j = 0
     while p + 1 + j * p <= order:
-        G[p + 1 + j * p] = TauScalar.tau(1, coerce_scalar(power(-lam, j, 1)))
+        G[p + 1 + j * p] = TauScalar.tau(1, power(-lam, j, ONE))
         j += 1
 
     one = TauScalar.constant(GaussianRational(1))
@@ -308,7 +307,7 @@ def germ_order(obj, cap: int = 24) -> GermOrderResult:
     if isinstance(obj, ExactMultiplier):
         return GermOrderResult("finite", obj.order)
     if isinstance(obj, ComplexMultiplier):
-        frac = _as_real_fraction(obj.exponent)
+        frac = _real_fraction(obj.exponent)
         if frac is not None:
             return GermOrderResult("finite", (frac % 1).denominator)
         if abs(complex(obj.exponent).imag) > 0:
@@ -504,7 +503,7 @@ def _solve_exact(rows: List[List[object]], rhs: List[object]) -> Optional[List[o
     reduced, pivots = row_reduce([list(r) + [v] for r, v in zip(rows, rhs)])
     if n in pivots:
         return None
-    solution = [Fraction(0)] * n
+    solution = [ZERO] * n
     for r, col in enumerate(pivots):
         solution[col] = reduced[r][n]
     # columns without pivots stay zero; for our systems factors always
@@ -571,7 +570,7 @@ def construct_first_integral_homogeneous(obj) -> FirstIntegralResult:
 
     residues: List[Fraction] = []
     for v in solution:
-        frac = _as_real_fraction(v)
+        frac = _real_fraction(v)
         if frac is None or frac <= 0:
             raise NonIntegerResidues(
                 "residues must be positive rationals",

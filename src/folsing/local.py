@@ -44,16 +44,10 @@ from .poly import (
     _trusted,
     coefficient_tower,
     dualize,
+    exponents,
     lift_poly,
 )
-from .scalars import (
-    GaussianRational,
-    coerce_scalar,
-    fraction_sqrt,
-    gaussian_triple,
-    scalar_inverse,
-    scalar_is_zero,
-)
+from .scalars import coerce_scalar, fraction_sqrt, gaussian_triple
 from .towers import (
     TRIVIAL,
     FieldTower,
@@ -86,12 +80,6 @@ FINAL_TAGS = {
 }
 
 
-def _as_gaussian(c) -> Optional[GaussianRational]:
-    """The Gaussian-rational value of an exact scalar, or None."""
-    as_g = getattr(coerce_scalar(c), "as_gaussian_or_none", None)
-    return as_g() if as_g is not None else None
-
-
 class SingularityClass:
     """Result of the linear classification at a singular point."""
 
@@ -120,11 +108,11 @@ class SingularityClass:
 
         out = {"tag": self.tag, "order": (None if self.order == math.inf else self.order)}
         if self.trace is not None:
-            out["trace"] = scalar_to_json(coerce_scalar(self.trace))
+            out["trace"] = scalar_to_json(self.trace)
         if self.det is not None:
-            out["det"] = scalar_to_json(coerce_scalar(self.det))
+            out["det"] = scalar_to_json(self.det)
         if self.s is not None:
-            out["s"] = scalar_to_json(coerce_scalar(self.s))
+            out["s"] = scalar_to_json(self.s)
         if self.ratio is not None:
             out["ratio"] = str(self.ratio)
         if self.resonant_n is not None:
@@ -167,16 +155,16 @@ def classify_singularity(obj, point: Optional[Sequence] = None) -> SingularityCl
     j = vf.linear_part_matrix()
     a, b = j[0]
     c, d = j[1]
-    if all(scalar_is_zero(v) for v in (a, b, c, d)):
+    if all(v.is_zero() for v in (a, b, c, d)):
         return SingularityClass(DEGENERATE, order)
-    tr = coerce_scalar(a) + coerce_scalar(d)
-    det = coerce_scalar(a) * coerce_scalar(d) - coerce_scalar(b) * coerce_scalar(c)
-    if scalar_is_zero(det):
-        if scalar_is_zero(tr):
+    tr = a + d
+    det = a * d - b * c
+    if det.is_zero():
+        if tr.is_zero():
             return SingularityClass(NILPOTENT, order, trace=tr, det=det)
         return SingularityClass(SADDLE_NODE, order, trace=tr, det=det)
     s = (tr * tr) / det
-    g = _as_gaussian(s)
+    g = s.as_gaussian_or_none()
     if g is not None:
         if g.im != 0:
             return SingularityClass(HYPERBOLIC, order, trace=tr, det=det, s=s)
@@ -246,9 +234,9 @@ def eigen_pair(vf: VectorFieldGerm, adjoin: bool = True,
     a, b = j[0]
     c, d = j[1]
     base = tower or coefficient_tower(*vf.components) or TRIVIAL
-    tr = base.element(coerce_scalar(a)) + base.element(coerce_scalar(d))
-    det = base.element(coerce_scalar(a)) * base.element(coerce_scalar(d)) \
-        - base.element(coerce_scalar(b)) * base.element(coerce_scalar(c))
+    a, b, c, d = (base.element(v) for v in (a, b, c, d))
+    tr = a + d
+    det = a * d - b * c
     # t^2 - tr t + det
     char = [det, -tr, base.one()]
     from .towers import roots_in_tower
@@ -279,7 +267,7 @@ def detect_resonances(lambdas: Sequence, max_degree: int) -> List[Tuple[int, Tup
     n = len(lams)
     out = []
     for total in range(2, max_degree + 1):
-        for q in _compositions(total, n):
+        for q in exponents(n, total):
             acc = None
             for qj, lj in zip(q, lams):
                 if qj == 0:
@@ -288,19 +276,10 @@ def detect_resonances(lambdas: Sequence, max_degree: int) -> List[Tuple[int, Tup
                 acc = term if acc is None else acc + term
             for i in range(n):
                 delta = acc - lams[i]
-                if scalar_is_zero(delta):
+                if delta.is_zero():
                     out.append((i + 1, q))
     out.sort(key=lambda iq: (iq[0], sum(iq[1]), iq[1]))
     return out
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
 
 
 # ---------------------------------------------------------------------
@@ -328,7 +307,7 @@ def _to_points(lambdas) -> Tuple[List[Tuple[Fraction, Fraction]], bool]:
     pts = []
     numeric = False
     for v in lambdas:
-        g = _as_gaussian(v)
+        g = coerce_scalar(v).as_gaussian_or_none()
         if g is not None:
             pts.append((g.re, g.im))
         else:
@@ -569,7 +548,7 @@ def _slice_mod(residues: dict, var: int, t: int, size: int) -> list:
 def _gcd_normalize(p: MultiPoly) -> MultiPoly:
     if p.is_zero():
         return p
-    return p.scale(scalar_inverse(p.sorted_terms()[-1][1]))
+    return p.scale(p.sorted_terms()[-1][1].inverse())
 
 
 def intersection_number(f: MultiPoly, g: MultiPoly) -> Union[int, float]:
@@ -579,19 +558,19 @@ def intersection_number(f: MultiPoly, g: MultiPoly) -> Union[int, float]:
     if f.nvars != 2 or g.nvars != 2:
         raise ZeroInput("intersection numbers are planar (2 variables)")
     # a curve missing the origin meets nothing there, even the zero polynomial
-    if not scalar_is_zero(f.constant_term()) or not scalar_is_zero(g.constant_term()):
+    if not f.constant_term().is_zero() or not g.constant_term().is_zero():
         return 0
     if f.is_zero() or g.is_zero():
         return math.inf
     # a common factor that is a unit at the origin leaves I_0 unchanged, so
     # only one vanishing there matters and nothing needs dividing out
     h = gcd_xy(f, g)
-    if h.total_degree() > 0 and scalar_is_zero(h.constant_term()):
+    if h.total_degree() > 0 and h.constant_term().is_zero():
         return math.inf
     tower = _common_tower(f, g)
     zero = tower.zero()
-    F = {e: tower.element(c) for e, c in f.terms.items() if not scalar_is_zero(c)}
-    G = {e: tower.element(c) for e, c in g.terms.items() if not scalar_is_zero(c)}
+    F = {e: tower.element(c) for e, c in f.terms.items() if not c.is_zero()}
+    G = {e: tower.element(c) for e, c in g.terms.items() if not c.is_zero()}
     total = 0
     while (0, 0) not in F and (0, 0) not in G:
         # r, s: degrees of F(x, 0) and G(x, 0), 0 when the slice vanishes

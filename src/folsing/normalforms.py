@@ -45,13 +45,13 @@ from .errors import (
 from .local import classify_singularity, detect_resonances, domain_classification, eigen_pair
 from .poly import (
     MultiPoly,
-    TruncatedSeries,
     VectorFieldGerm,
     coefficient_tower,
     compose,
+    exponents,
     scalar_to_json,
 )
-from .scalars import coerce_scalar, scalar_inverse, scalar_is_zero
+from .scalars import ONE
 from .towers import TRIVIAL
 
 Exponent = Tuple[int, ...]
@@ -59,33 +59,16 @@ Decide = Callable[[int, Exponent, object], bool]
 
 
 def _demote(c):
-    """Shrink a tower element that happens to be rational back to a plain scalar."""
-    as_g = getattr(c, "as_gaussian_or_none", None)
-    g = as_g() if as_g is not None else None
-    if g is None:
-        return c
-    return g.re if g.is_rational() else g
-
-
-def _div(a, b):
-    return a * scalar_inverse(b)
-
-
-def _monomials(nvars: int, degree: int):
-    """All exponent tuples of the given total degree, lexicographic from x."""
-    if nvars == 1:
-        yield (degree,)
-        return
-    for k in range(degree, -1, -1):
-        for rest in _monomials(nvars - 1, degree - k):
-            yield (k,) + rest
+    """A tower element that lies in Q(i) as its GaussianRational, else itself."""
+    g = c.as_gaussian_or_none()
+    return c if g is None else g
 
 
 Slice = Dict[Exponent, object]
 
 
 def _pruned(terms: Slice) -> Slice:
-    return {e: c for e, c in terms.items() if not scalar_is_zero(c)}
+    return {e: c for e, c in terms.items() if not c.is_zero()}
 
 
 def _add_product(acc: Slice, a: Slice, b: Slice, sign: int = 1) -> None:
@@ -111,7 +94,7 @@ def _merged(slices: List[Slice]) -> Slice:
 
 
 def _unit_slice(j: int, n: int) -> Slice:
-    return {tuple(int(k == j) for k in range(n)): coerce_scalar(1)}
+    return {tuple(int(k == j) for k in range(n)): ONE}
 
 
 class _OnlineComposition:
@@ -197,7 +180,7 @@ def _diagonal_lambdas(field: VectorFieldGerm) -> Tuple:
     n = field.nvars
     for i in range(n):
         for j in range(n):
-            if i != j and not scalar_is_zero(mat[i][j]):
+            if i != j and not mat[i][j].is_zero():
                 raise LinearPartNotPrepared(
                     "linear part must be diagonal",
                     row=i + 1, column=j + 1)
@@ -261,7 +244,7 @@ def solve_conjugacy(field: VectorFieldGerm, decide: Decide, order: int,
         composed = engine.slice(d)
         # <Q, lambda> for every Q of degree d; delta subtracts lambda_i
         weights = [(exps, sum(q * lam[j] for j, q in enumerate(exps) if q))
-                   for exps in _monomials(n, d)]
+                   for exps in exponents(n, d)]
         for i in range(n):
             # degree-d slice of X(id + h) - Dh * g
             defect = composed[i]
@@ -273,17 +256,17 @@ def solve_conjugacy(field: VectorFieldGerm, decide: Decide, order: int,
             g_d: Slice = {}
             for exps, weight in weights:
                 rhs = defect.get(exps)
-                rhs_zero = rhs is None or scalar_is_zero(rhs)
+                rhs_zero = rhs is None or rhs.is_zero()
                 delta = weight - lam[i]
                 if decide(i, exps, delta):
-                    if scalar_is_zero(delta):
+                    if delta.is_zero():
                         if rhs_zero:
                             continue
                         raise ZeroDivisorDelta(
                             "resonant coefficient cannot be removed",
                             component=i + 1, exponents=list(exps))
                     if not rhs_zero:
-                        h_d[exps] = _div(rhs, delta)
+                        h_d[exps] = rhs * delta.inverse()
                 elif not rhs_zero:
                     g_d[exps] = rhs
                     kept[(i, exps)] = rhs
@@ -346,7 +329,7 @@ def poincare_linearize(field: VectorFieldGerm, order: int = 8) -> ConjugacyResul
 def resonant_normal_form(field: VectorFieldGerm, order: int = 8) -> ConjugacyResult:
     """Remove exactly the nonresonant terms; keeps every delta = 0 monomial."""
     return solve_conjugacy(
-        field, lambda i, q, delta: not scalar_is_zero(delta), order,
+        field, lambda i, q, delta: not delta.is_zero(), order,
         pattern="resonant")
 
 
@@ -370,7 +353,7 @@ def dulac_reduce(field: VectorFieldGerm, order: int = 8) -> ConjugacyResult:
     solved set, so the reduction always succeeds.
     """
     lam = _diagonal_lambdas(field)
-    if field.nvars != 2 or not scalar_is_zero(lam[1]) or scalar_is_zero(lam[0]):
+    if field.nvars != 2 or not lam[1].is_zero() or lam[0].is_zero():
         raise WrongClass(
             "reduction expects eigenvalues (mu, 0) with mu nonzero")
     return solve_conjugacy(
@@ -403,10 +386,10 @@ def _eigenvector(mat, lam):
     a, b = mat[0][0], mat[0][1]
     c, d = mat[1][0], mat[1][1]
     cand = (b, lam - a)
-    if not (scalar_is_zero(cand[0]) and scalar_is_zero(cand[1])):
+    if not (cand[0].is_zero() and cand[1].is_zero()):
         return cand
     cand = (lam - d, c)
-    if not (scalar_is_zero(cand[0]) and scalar_is_zero(cand[1])):
+    if not (cand[0].is_zero() and cand[1].is_zero()):
         return cand
     return None
 
@@ -421,14 +404,14 @@ def diagonalize_linear_part(field: VectorFieldGerm, tower=None):
     if field.nvars != 2:
         raise WrongClass("eigenbasis preparation handles two variables")
     mat = field.linear_part_matrix()
-    if scalar_is_zero(mat[0][1]) and scalar_is_zero(mat[1][0]):
+    if mat[0][1].is_zero() and mat[1][0].is_zero():
         # the diagonal entries are the eigenvalues, already in the
         # coefficients' tower: nothing to factor
         tower = tower or coefficient_tower(*field.components) or TRIVIAL
         return field, [[1, 0], [0, 1]], (mat[0][0], mat[1][1]), tower
     tower, lam1, lam2 = eigen_pair(field, tower=tower)
     lam1, lam2 = _demote(lam1), _demote(lam2)
-    if not scalar_is_zero(lam1 - lam2):
+    if not (lam1 - lam2).is_zero():
         v1 = _eigenvector(mat, lam1)
         v2 = _eigenvector(mat, lam2)
     else:
@@ -439,9 +422,9 @@ def diagonalize_linear_part(field: VectorFieldGerm, tower=None):
     p00, p10 = v1
     p01, p11 = v2
     det = p00 * p11 - p01 * p10
-    if scalar_is_zero(det):
+    if det.is_zero():
         raise DegenerateEigenData("eigenbasis is singular")
-    inv_det = scalar_inverse(det)
+    inv_det = det.inverse()
     q00, q01 = p11 * inv_det, (-1) * p01 * inv_det
     q10, q11 = (-1) * p10 * inv_det, p00 * inv_det
     n = 2
@@ -495,12 +478,12 @@ def center_manifold_series(field: VectorFieldGerm, order: int) -> MultiPoly:
     degree, which is always possible because the strong multiplier is 1.
     """
     lam = _diagonal_lambdas(field)
-    if not scalar_is_zero(lam[1]) or scalar_is_zero(lam[0]):
+    if not lam[1].is_zero() or lam[0].is_zero():
         raise WrongClass("center manifold expects eigenvalues (mu, 0)")
     comp_a, comp_b = field.components
     linear = field.homogeneous_component(1)
     a_nl = comp_a - linear.components[0]
-    mu_inv = scalar_inverse(lam[0])
+    mu_inv = lam[0].inverse()
     # degree slices of c, of c' and of B(c, y2); the map y2 is linear
     cs: List[Slice] = [{}, {}]
     dc: List[Slice] = [{}]
@@ -516,7 +499,7 @@ def center_manifold_series(field: VectorFieldGerm, order: int) -> MultiPoly:
             _add_product(rhs, dc[a], bs[k - a])
         coeff = rhs.get((0, k))
         c_k = {}
-        if coeff is not None and not scalar_is_zero(coeff):
+        if coeff is not None and not coeff.is_zero():
             c_k[(0, k)] = coeff * mu_inv
         cs.append(c_k)
         dc.append(_derivative_slice(c_k, 1))
@@ -540,12 +523,12 @@ def saddle_node_prepare(field: VectorFieldGerm, order: int = 12) -> SaddleNodeDa
             "preparation expects one zero and one nonzero eigenvalue",
             found=info.tag)
     diag, matrix, lam, tower = diagonalize_linear_part(field)
-    if scalar_is_zero(lam[0]):
+    if lam[0].is_zero():
         # put the nonzero multiplier first
         swap = [MultiPoly.variable(1, 2), MultiPoly.variable(0, 2)]
         diag = VectorFieldGerm(compose(diag.components[::-1], swap))
         lam = (lam[1], lam[0])
-    diag = diag.scale(scalar_inverse(lam[0]))
+    diag = diag.scale(lam[0].inverse())
 
     reduced = dulac_reduce(diag, order)
     work = reduced.normal_form
@@ -580,9 +563,8 @@ def saddle_node_prepare(field: VectorFieldGerm, order: int = 12) -> SaddleNodeDa
 
     unit = b_slice.divide_by_var_power(1, p_plus_1)
     transverse_slice = transverse.substitute(on_center)
-    quotient = (TruncatedSeries(transverse_slice, p)
-                * TruncatedSeries(unit, p).inverse())
-    modulus = quotient.poly.coefficient((0, p))
+    quotient = transverse_slice.mul_trunc(unit.inverse_trunc(p), p)
+    modulus = quotient.coefficient((0, p))
 
     prepared = VectorFieldGerm([shifted_a, shifted_b])
     center = {k[1]: v for k, v in c.terms.items()}

@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials, truncated power series, and plane germs.
+"""Sparse multivariate polynomials with truncated series arithmetic, and plane germs.
 
 MultiPoly is a dict from exponent tuples to nonzero exact scalars
 (GaussianRational, or FieldElement over a tower of depth >= 1: the
@@ -7,8 +7,8 @@ coefficient coercion across compatible towers rides on the scalar operators.
 The public constructor validates the dict it is given; the results of
 MultiPoly's own arithmetic are normal by construction and are built with
 ``_trusted``, which does not look at their coefficients again.
-TruncatedSeries wraps a polynomial payload together with the order through
-which it is trusted; every operation propagates the minimum trusted order.
+``mul_trunc`` and ``inverse_trunc`` are the truncated power-series product
+and inverse, and ``exponents`` enumerates the monomials of one degree.
 VectorFieldGerm and OneFormGerm are thin wrappers holding components, with
 the classical plane duality  A dx + B dy  <->  B d/dx - A d/dy  and wedge
 products used throughout the resolution and integrability checks.
@@ -33,8 +33,6 @@ from .scalars import (
     coerce_scalar,
     format_gaussian,
     power,
-    scalar_inverse,
-    scalar_is_zero,
 )
 
 Exponent = Tuple[int, ...]
@@ -72,7 +70,7 @@ class MultiPoly:
         if terms:
             for e, c in terms.items():
                 c = coerce_scalar(c)
-                if not scalar_is_zero(c):
+                if not c.is_zero():
                     if len(e) != nvars:
                         raise VariableCountMismatch(
                             f"exponent {e} does not have {nvars} entries")
@@ -174,7 +172,7 @@ class MultiPoly:
         for e, c in other.terms.items():
             if e in out:
                 s = out[e] + c
-                if scalar_is_zero(s):
+                if s.is_zero():
                     del out[e]
                 else:
                     out[e] = s
@@ -228,7 +226,7 @@ class MultiPoly:
                 p = c1 * c2
                 if e in out:
                     s = out[e] + p
-                    if scalar_is_zero(s):
+                    if s.is_zero():
                         del out[e]
                     else:
                         out[e] = s
@@ -236,9 +234,28 @@ class MultiPoly:
                     out[e] = p
         return _trusted(self.nvars, out)
 
+    def inverse_trunc(self, order: int) -> "MultiPoly":
+        """The power series inverse of a unit (nonzero constant term),
+        truncated at total degree ``order``: c0^-1 (1 - v + v^2 - ...)
+        with v = self / c0 - 1, which has no constant term."""
+        c0 = self.constant_term()
+        if c0.is_zero():
+            raise DivisionByZero("series has no constant term")
+        c0inv = c0.inverse()
+        v = (self - c0).scale(c0inv)
+        acc = term = MultiPoly.constant(1, self.nvars)
+        sign = -1
+        for _ in range(order):
+            term = term.mul_trunc(v, order)
+            if term.is_zero():
+                break
+            acc = acc + term.scale(sign)
+            sign = -sign
+        return acc.scale(c0inv)
+
     def scale(self, c) -> "MultiPoly":
         c = coerce_scalar(c)
-        if scalar_is_zero(c):
+        if c.is_zero():
             return MultiPoly.zero(self.nvars)
         return _trusted(self.nvars, {e: v * c for e, v in self.terms.items()})
 
@@ -321,7 +338,7 @@ class MultiPoly:
         if divisor.is_zero():
             raise ZeroInput("division by the zero polynomial")
         lead = max(divisor.terms)
-        lead_inv = scalar_inverse(divisor.terms[lead])
+        lead_inv = divisor.terms[lead].inverse()
         tail = [(e, c) for e, c in divisor.terms.items() if e != lead]
         rem = dict(self.terms)
         quot: Dict[Exponent, object] = {}
@@ -336,7 +353,7 @@ class MultiPoly:
                 e = tuple(map(add, shift, e))
                 v = rem.pop(e, None)
                 v = -(q * c) if v is None else v - q * c
-                if not scalar_is_zero(v):
+                if not v.is_zero():
                     rem[e] = v
         return _trusted(self.nvars, quot)
 
@@ -415,7 +432,7 @@ def compose(polys: Sequence[MultiPoly], maps: Sequence[MultiPoly],
             for e, p in image.terms.items():
                 if e in acc:
                     s = acc[e] + p
-                    if scalar_is_zero(s):
+                    if s.is_zero():
                         del acc[e]
                     else:
                         acc[e] = s
@@ -423,6 +440,17 @@ def compose(polys: Sequence[MultiPoly], maps: Sequence[MultiPoly],
                     acc[e] = p
         out.append(_trusted(nv, acc))
     return out
+
+
+def exponents(nvars: int, degree: int):
+    """Every exponent tuple of ``nvars`` entries and total ``degree``, in
+    descending lexicographic order (x^2 before x*y before y^2)."""
+    if nvars == 1:
+        yield (degree,)
+        return
+    for k in range(degree, -1, -1):
+        for rest in exponents(nvars - 1, degree - k):
+            yield (k,) + rest
 
 
 def render_poly(p: MultiPoly, names: Optional[Sequence[str]] = None) -> str:
@@ -456,101 +484,6 @@ def render_poly(p: MultiPoly, names: Optional[Sequence[str]] = None) -> str:
     return out
 
 
-class TruncatedSeries:
-    """Polynomial payload trusted through total degree ``order``.
-
-    Arithmetic keeps the minimum trusted order of the operands and truncates
-    the payload accordingly, so accuracy claims never silently inflate.
-    """
-
-    __slots__ = ("poly", "order")
-
-    def __init__(self, poly: MultiPoly, order: int):
-        if order < 0:
-            raise ZeroInput("series order must be nonnegative")
-        self.poly = poly.truncate(order)
-        self.order = order
-
-    @property
-    def nvars(self) -> int:
-        return self.poly.nvars
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-    def _mix(self, other):
-        if isinstance(other, TruncatedSeries):
-            return other.poly, min(self.order, other.order)
-        if isinstance(other, MultiPoly):
-            return other, self.order
-        if isinstance(other, (int, Fraction, GaussianRational)) or hasattr(other, "tower"):
-            return MultiPoly.constant(other, self.nvars), self.order
-        return None, None
-
-    def __add__(self, other):
-        p, n = self._mix(other)
-        if p is None:
-            return NotImplemented
-        return TruncatedSeries(self.poly + p, n)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries(-self.poly, self.order)
-
-    def __sub__(self, other):
-        p, n = self._mix(other)
-        if p is None:
-            return NotImplemented
-        return TruncatedSeries(self.poly - p, n)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        p, n = self._mix(other)
-        if p is None:
-            return NotImplemented
-        return TruncatedSeries(self.poly.mul_trunc(p, n), n)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        return power(self, k, TruncatedSeries(MultiPoly.constant(1, self.nvars),
-                                              self.order))
-
-    def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse of a unit series (nonzero constant term)."""
-        c0 = self.poly.constant_term()
-        if scalar_is_zero(c0):
-            raise DivisionByZero("series has no constant term")
-        c0inv = scalar_inverse(c0)
-        v = (self.poly - MultiPoly.constant(c0, self.nvars)).scale(c0inv)
-        # Neumann sum 1 - v + v^2 - ... for 1/(1+v), truncated
-        acc = MultiPoly.constant(1, self.nvars)
-        power = MultiPoly.constant(1, self.nvars)
-        sign = -1
-        for _ in range(self.order):
-            power = power.mul_trunc(v, self.order)
-            if power.is_zero():
-                break
-            acc = acc + power.scale(sign)
-            sign = -sign
-        return TruncatedSeries(acc.scale(c0inv), self.order)
-
-    def __eq__(self, other):
-        if isinstance(other, TruncatedSeries):
-            n = min(self.order, other.order)
-            return (self.poly - other.poly).truncate(n).is_zero()
-        return NotImplemented
-
-    def __str__(self):
-        return f"{self.poly} + O(deg {self.order + 1})"
-
-    def __repr__(self):
-        return f"TruncatedSeries({self})"
-
-
 class VectorFieldGerm:
     """Polynomial vector field germ: one component polynomial per variable."""
 
@@ -579,7 +512,7 @@ class VectorFieldGerm:
         return min(p.order_at_origin() for p in self.components)
 
     def is_singular_at_origin(self) -> bool:
-        return all(scalar_is_zero(p.constant_term()) for p in self.components)
+        return all(p.constant_term().is_zero() for p in self.components)
 
     def linear_part_matrix(self) -> List[List[object]]:
         """Jacobian at the origin: rows are components, columns variables."""

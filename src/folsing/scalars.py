@@ -11,6 +11,15 @@ TauScalar is a polynomial in a single transcendental symbol tau (representing
 the loop period 2*pi*i in holonomy series).  No relation beyond the ring
 axioms is ever applied to tau; in particular its degree is additive under
 multiplication.
+
+The exact core takes one closed set of scalars: GaussianRational, the
+FieldElement of a tower (``towers``) and TauScalar.  All three have
+``is_zero()``; the two field types also have ``inverse()`` and
+``as_gaussian_or_none()``.  An int or a Fraction is converted once, by
+``coerce_scalar``, where a value enters the library (the MultiPoly and
+TauScalar constructors, eigenvalue lists handed to the resonance, domain
+and holonomy functions); inside, scalars are used only through their own
+methods.
 """
 
 from __future__ import annotations
@@ -330,9 +339,9 @@ def format_gaussian(g: GaussianRational) -> str:
 class TauScalar:
     """Polynomial in the transcendental symbol tau.
 
-    Coefficients may be any exact scalar supporting +, *, ==, is_zero-style
-    testing (GaussianRational or FieldElement).  The zero polynomial has an
-    empty coefficient map.
+    Coefficients are GaussianRationals or FieldElements; the constructor
+    converts an int or a Fraction to a GaussianRational.  The zero
+    polynomial has an empty coefficient map.
     """
 
     __slots__ = ("coeffs",)
@@ -341,7 +350,8 @@ class TauScalar:
         d = {}
         if coeffs:
             for k, v in coeffs.items():
-                if not scalar_is_zero(v):
+                v = coerce_scalar(v)
+                if not v.is_zero():
                     d[int(k)] = v
         object.__setattr__(self, "coeffs", d)
 
@@ -361,8 +371,6 @@ class TauScalar:
     def coerce(cls, x) -> "TauScalar":
         if isinstance(x, TauScalar):
             return x
-        if isinstance(x, (int, Fraction)):
-            return cls.constant(GaussianRational(x))
         return cls.constant(x)
 
     # -- predicates ---------------------------------------------------
@@ -445,20 +453,6 @@ def _hashable(v):
         return str(v)
 
 
-def scalar_is_zero(c) -> bool:
-    """Zero test across the package's scalars: the ``is_zero`` method of
-    GaussianRational, FieldElement and TauScalar, else ``c == 0``."""
-    z = getattr(c, "is_zero", None)
-    return z() if z is not None else c == 0
-
-
-def scalar_inverse(c):
-    """Multiplicative inverse: the ``inverse`` method of the exact scalars,
-    else ``1 / c`` with an exact 1 (an int or a Fraction gives a Fraction)."""
-    inv = getattr(c, "inverse", None)
-    return inv() if inv is not None else Fraction(1) / c
-
-
 def coerce_scalar(c):
     """An int or a Fraction as a GaussianRational; other scalars unchanged."""
     if type(c) is GaussianRational:
@@ -471,7 +465,7 @@ def coerce_scalar(c):
 
 
 def row_reduce(rows):
-    """Gauss-Jordan elimination over exact scalars.
+    """Gauss-Jordan elimination over GaussianRationals or tower elements.
 
     Returns the reduced row echelon form (a new list of rows; the input is
     left alone) and the list of pivot columns, one per nonzero row."""
@@ -483,15 +477,15 @@ def row_reduce(rows):
         if top == m:
             break
         sel = next((r for r in range(top, m)
-                    if not scalar_is_zero(rows[r][col])), None)
+                    if not rows[r][col].is_zero()), None)
         if sel is None:
             continue
         rows[top], rows[sel] = rows[sel], rows[top]
-        inv = scalar_inverse(rows[top][col])
+        inv = rows[top][col].inverse()
         pivot_row = rows[top] = [v * inv for v in rows[top]]
         for r in range(m):
             factor = rows[r][col]
-            if r != top and not scalar_is_zero(factor):
+            if r != top and not factor.is_zero():
                 rows[r] = [a - factor * b for a, b in zip(rows[r], pivot_row)]
         pivots.append(col)
     return rows, pivots

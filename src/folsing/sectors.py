@@ -15,13 +15,15 @@ here is sign combinatorics of those cosines:
 * which (j, Q) slots admit nonzero coefficients on a given sector,
 * the induced polynomial action on leaf constants.
 
-Directions are unnormalized vectors.  With exact Gaussian-rational data every
-comparison is an exact sign test on rational cross/dot products; float data
-falls back to the same tests with a configurable epsilon (default 1e-12).
+Directions are unnormalized GaussianRational vectors, and every comparison
+is an exact sign test on rational cross and dot products.  Input scalars
+are read exactly: an int or a Fraction as itself, a float or a complex as
+the dyadic rationals its parts store; NaN and infinities are refused.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -31,152 +33,117 @@ from .errors import (
     SectorContainsSingularDirection,
     ZeroInput,
 )
-from .scalars import GaussianRational
+from .poly import exponents
+from .scalars import ZERO, GaussianRational
 
 Exponent = Tuple[int, ...]
 Pair = Tuple[int, Exponent]
 
+I = GaussianRational(0, 1)
+
 
 # --------------------------------------------------------------------------
-# scalar adapters: exact Gaussian rationals or complex floats
+# exact direction arithmetic
 # --------------------------------------------------------------------------
-def _is_exact(v) -> bool:
-    return isinstance(v, GaussianRational)
-
-
-def _to_value(v):
-    """Normalize an input scalar to GaussianRational (exact) or complex."""
+def _to_value(v) -> GaussianRational:
+    """An input scalar as a GaussianRational; a float or a complex is read
+    exactly, each part as ``Fraction(x)``."""
     if isinstance(v, GaussianRational):
         return v
     if isinstance(v, (int, Fraction)):
         return GaussianRational(v)
-    if isinstance(v, complex):
-        return v
-    if isinstance(v, float):
-        return complex(v)
+    if isinstance(v, (float, complex)):
+        z = complex(v)
+        try:
+            return GaussianRational(Fraction(z.real), Fraction(z.imag))
+        except (ValueError, OverflowError):
+            raise DegenerateEigenData(
+                "eigen data must be finite, got %r" % (v,)) from None
     raise ZeroInput("unsupported scalar %r" % (v,))
 
 
-def _re(v):
-    return v.re if _is_exact(v) else v.real
-
-
-def _im(v):
-    return v.im if _is_exact(v) else v.imag
-
-
-def _conj(v):
-    return v.conjugate()
-
-
-def _rot90(v):
-    return GaussianRational(0, 1) * v if _is_exact(v) else 1j * v
-
-
-def _sign(x, eps) -> int:
-    if isinstance(x, Fraction):
-        return (x > 0) - (x < 0)
-    if abs(x) <= eps:
-        return 0
-    return 1 if x > 0 else -1
-
-
-def _cross(a, b):
-    return _re(a) * _im(b) - _im(a) * _re(b)
-
-
-def _dot(a, b):
-    return _re(a) * _re(b) + _im(a) * _im(b)
-
-
-def _is_zero_value(v, eps) -> bool:
-    if _is_exact(v):
-        return v.is_zero()
-    return abs(v) <= eps
-
-
-def _real_exponent(a):
-    """An exponent alpha_j: a float as given, an exact real value as a Fraction."""
-    if isinstance(a, float):
-        return a
-    if isinstance(a, (int, Fraction)):
-        return Fraction(a)
+def _real_exponent(a) -> Fraction:
+    """An exponent alpha_j, which must be real, as a Fraction."""
     try:
-        return a.as_fraction()
-    except (AttributeError, ValueError):
+        return _to_value(a).as_fraction()
+    except ValueError:
         raise DegenerateEigenData(f"alpha must be real, got {a}") from None
 
 
-def _angle_key(v, eps):
+def _sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _cross(a, b) -> Fraction:
+    return a.re * b.im - a.im * b.re
+
+
+def _dot(a, b) -> Fraction:
+    return a.re * b.re + a.im * b.im
+
+
+def _angle_key(v):
     """Sortable key increasing with the argument of v over [0, 2*pi)."""
-    sre, sim = _sign(_re(v), eps), _sign(_im(v), eps)
+    re, im = v.re, v.im
+    sre, sim = _sign(re), _sign(im)
     if sre == 0 and sim == 0:
         raise ZeroInput("zero direction vector")
     if sre > 0 and sim >= 0:
-        return (0, _im(v) / _re(v))
+        return (0, im / re)
     if sre <= 0 and sim > 0:
-        return (1, -_re(v) / _im(v))
+        return (1, -re / im)
     if sre < 0 and sim <= 0:
-        return (2, _im(v) / _re(v))
-    return (3, -_re(v) / _im(v))
+        return (2, im / re)
+    return (3, -re / im)
 
 
-def _same_ray(a, b, eps) -> bool:
-    return _sign(_cross(a, b), eps) == 0 and _sign(_dot(a, b), eps) > 0
+def _same_ray(a, b) -> bool:
+    return _sign(_cross(a, b)) == 0 and _sign(_dot(a, b)) > 0
 
 
-def _in_open_arc(v, start, end, eps) -> bool:
+def _in_open_arc(v, start, end) -> bool:
     """Is direction v strictly inside the counterclockwise arc start -> end?"""
-    b = v * _conj(start)
-    c = end * _conj(start)
-    kc = _angle_key(c, eps)
-    if kc == (0, 0) or (kc[0] == 0 and _sign(kc[1], eps) == 0):
+    b = v * start.conjugate()
+    c = end * start.conjugate()
+    kc = _angle_key(c)
+    if kc[0] == 0 and kc[1] == 0:
         return False
-    kb = _angle_key(b, eps)
-    if kb[0] == 0 and _sign(kb[1], eps) == 0 and _sign(_re(b), eps) > 0:
+    kb = _angle_key(b)
+    if kb[0] == 0 and kb[1] == 0:
         return False
     return kb < kc
 
 
-def _gap_sample(start, end, eps):
+def _gap_sample(start, end):
     """A direction strictly inside the counterclockwise arc start -> end."""
-    s = _sign(_cross(start, end), eps)
+    s = _sign(_cross(start, end))
     if s > 0:
         return start + end
     if s == 0:
-        return _rot90(start)
+        return I * start
     return -(start + end)
 
 
-def _turns_of(v, eps) -> Optional[Fraction]:
+def _turns_of(v) -> Optional[Fraction]:
     """Exact fraction of a full turn when v lies on an eighth-turn axis."""
-    sre, sim = _sign(_re(v), eps), _sign(_im(v), eps)
+    sre, sim = _sign(v.re), _sign(v.im)
     if sim == 0:
         return Fraction(0) if sre > 0 else Fraction(1, 2)
     if sre == 0:
         return Fraction(1, 4) if sim > 0 else Fraction(3, 4)
-    diag = _sign(abs(_re(v)) - abs(_im(v)), eps)
-    if diag != 0:
+    if abs(v.re) != abs(v.im):
         return None
     if sre > 0:
         return Fraction(1, 8) if sim > 0 else Fraction(7, 8)
     return Fraction(3, 8) if sim > 0 else Fraction(5, 8)
 
 
-def _direction_json(v, eps) -> dict:
-    import math
-
-    turns = _turns_of(v, eps)
-    if _is_exact(v):
-        vector = [str(v.re), str(v.im)]
-        radians = math.atan2(float(v.im), float(v.re))
-    else:
-        vector = [float(v.real), float(v.imag)]
-        radians = math.atan2(v.imag, v.real)
+def _direction_json(v) -> dict:
+    turns = _turns_of(v)
     return {
-        "vector": vector,
+        "vector": [str(v.re), str(v.im)],
         "turns": None if turns is None else str(turns),
-        "radians": radians,
+        "radians": math.atan2(float(v.im), float(v.re)),
     }
 
 
@@ -188,25 +155,20 @@ class EigenData:
     real exponents alpha of the associated model; rejects configurations
     with 0 in the convex hull of the gamma_j."""
 
-    __slots__ = ("gamma", "alpha", "eps")
+    __slots__ = ("gamma", "alpha")
 
-    def __init__(self, gamma: Sequence, alpha: Optional[Sequence] = None,
-                 eps: float = 1e-12):
+    def __init__(self, gamma: Sequence, alpha: Optional[Sequence] = None):
         values = [_to_value(g) for g in gamma]
         if not values:
             raise DegenerateEigenData("at least one nonzero eigenvalue required")
-        exact = all(_is_exact(v) for v in values)
-        if not exact:
-            values = [complex(float(_re(v)), float(_im(v))) for v in values]
-        self.eps = 0 if exact else eps
         first = values[0]
-        if _is_zero_value(first, self.eps):
+        if first.is_zero():
             raise DegenerateEigenData("leading eigenvalue must be nonzero")
         values = [v / first for v in values]
         for v in values:
-            if _is_zero_value(v, self.eps):
+            if v.is_zero():
                 raise DegenerateEigenData("zero eigenvalue in the nonzero block")
-        if _hull_contains_origin(values, self.eps):
+        if _hull_contains_origin(values):
             raise DegenerateEigenData(
                 "0 lies in the convex hull of the eigenvalues")
         self.gamma = tuple(values)
@@ -221,10 +183,6 @@ class EigenData:
         """Ambient dimension (degenerate direction plus the nonzero block)."""
         return len(self.gamma) + 1
 
-    @property
-    def exact(self) -> bool:
-        return self.eps == 0
-
     def pairing(self, exps: Exponent):
         """<Q, gamma> for a monomial exponent on the nonzero block."""
         acc = None
@@ -233,40 +191,32 @@ class EigenData:
                 continue
             term = g * q
             acc = term if acc is None else acc + term
-        if acc is None:
-            acc = GaussianRational(0) if self.exact else 0j
-        return acc
+        return ZERO if acc is None else acc
 
     def to_json(self) -> dict:
-        def scalar(v):
-            if _is_exact(v):
-                return [str(v.re), str(v.im)]
-            return [v.real, v.imag]
-
         return {
-            "gamma": [scalar(g) for g in self.gamma],
+            "gamma": [[str(g.re), str(g.im)] for g in self.gamma],
             "alpha": [str(a) for a in self.alpha],
-            "exact": self.exact,
         }
 
 
-def _hull_contains_origin(points: List, eps) -> bool:
+def _hull_contains_origin(points: List) -> bool:
     for p in points:
-        if _is_zero_value(p, eps):
+        if p.is_zero():
             return True
     m = len(points)
     for i in range(m):
         for j in range(i + 1, m):
             a, b = points[i], points[j]
-            if _sign(_cross(a, b), eps) == 0 and _sign(_dot(a, b), eps) < 0:
+            if _sign(_cross(a, b)) == 0 and _sign(_dot(a, b)) < 0:
                 return True
     for i in range(m):
         for j in range(i + 1, m):
             for k in range(j + 1, m):
                 a, b, c = points[i], points[j], points[k]
-                s1 = _sign(_cross(b - a, -a), eps)
-                s2 = _sign(_cross(c - b, -b), eps)
-                s3 = _sign(_cross(a - c, -c), eps)
+                s1 = _sign(_cross(b - a, -a))
+                s2 = _sign(_cross(c - b, -b))
+                s3 = _sign(_cross(a - c, -c))
                 if s1 >= 0 and s2 >= 0 and s3 >= 0:
                     return True
                 if s1 <= 0 and s2 <= 0 and s3 <= 0:
@@ -280,31 +230,30 @@ def _hull_contains_origin(points: List, eps) -> bool:
 class Sector:
     """Open counterclockwise arc between two direction vectors."""
 
-    __slots__ = ("start", "end", "eps")
+    __slots__ = ("start", "end")
 
-    def __init__(self, start, end, eps=0):
+    def __init__(self, start, end):
         self.start = _to_value(start)
         self.end = _to_value(end)
-        self.eps = eps
-        if _same_ray(self.start, self.end, eps):
+        if _same_ray(self.start, self.end):
             raise ZeroInput("empty sector (equal boundary directions)")
 
     def contains(self, direction) -> bool:
-        return _in_open_arc(_to_value(direction), self.start, self.end, self.eps)
+        return _in_open_arc(_to_value(direction), self.start, self.end)
 
     def interior_sample(self):
-        return _gap_sample(self.start, self.end, self.eps)
+        return _gap_sample(self.start, self.end)
 
     def antipode(self) -> "Sector":
-        return Sector(-self.start, -self.end, self.eps)
+        return Sector(-self.start, -self.end)
 
     def length_key(self):
-        return _angle_key(self.end * _conj(self.start), self.eps)
+        return _angle_key(self.end * self.start.conjugate())
 
     def to_json(self) -> dict:
         return {
-            "start": _direction_json(self.start, self.eps),
-            "end": _direction_json(self.end, self.eps),
+            "start": _direction_json(self.start),
+            "end": _direction_json(self.end),
         }
 
     def __repr__(self) -> str:
@@ -325,21 +274,20 @@ class SectorPartition:
         return [s for s, t in self.sectors if t == tag]
 
     def to_json(self) -> dict:
-        eps = self.sectors[0][0].eps if self.sectors else 0
         return {
             "sectors": [
                 {"tag": t, **s.to_json()} for s, t in self.sectors],
             "singular_directions": [
-                _direction_json(v, eps) for v in self.singular_directions],
+                _direction_json(v) for v in self.singular_directions],
         }
 
 
-def _sorted_rays(vectors: Iterable, eps) -> List:
+def _sorted_rays(vectors: Iterable) -> List:
     rays: List = []
     for v in vectors:
-        if not any(_same_ray(v, r, eps) for r in rays):
+        if not any(_same_ray(v, r) for r in rays):
             rays.append(v)
-    rays.sort(key=lambda v: _angle_key(v, eps))
+    rays.sort(key=_angle_key)
     return rays
 
 
@@ -351,41 +299,33 @@ def solution_sectors(e: EigenData) -> SectorPartition:
     """
     dirs = []
     for g in e.gamma:
-        dirs.append(_rot90(g))
-        dirs.append(-_rot90(g))
-    rays = _sorted_rays(dirs, e.eps)
-    sectors = []
+        dirs.append(I * g)
+        dirs.append(-I * g)
+    rays = _sorted_rays(dirs)
+    return SectorPartition(_tagged_arcs(e, rays), rays)
+
+
+def _tagged_arcs(e: EigenData, rays: List) -> List[Tuple[Sector, str]]:
+    """The arcs between consecutive rays, each tagged by the decay pattern
+    of the model solutions at an interior sample."""
+    out = []
     for idx, start in enumerate(rays):
         end = rays[(idx + 1) % len(rays)]
-        sample = _gap_sample(start, end, e.eps)
-        signs = {_sign(_dot(g, sample), e.eps) for g in e.gamma}
+        sample = _gap_sample(start, end)
+        signs = {_sign(_dot(g, sample)) for g in e.gamma}
         if signs == {1}:
             tag = "Attractor"
         elif signs == {-1}:
             tag = "Saddle"
         else:
             tag = "Mixed"
-        sectors.append((Sector(start, end, e.eps), tag))
-    return SectorPartition(sectors, rays)
+        out.append((Sector(start, end), tag))
+    return out
 
 
 # --------------------------------------------------------------------------
 # sheaf singular directions
 # --------------------------------------------------------------------------
-def _exponents_up_to(nblock: int, maxdeg: int) -> List[Exponent]:
-    out: List[Exponent] = []
-
-    def rec(prefix: List[int], remaining: int, slots: int):
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for q in range(remaining + 1):
-            rec(prefix + [q], remaining - q, slots - 1)
-
-    rec([], maxdeg, nblock)
-    return sorted(out, key=lambda t: (sum(t), t))
-
-
 class SheafDirections:
     """Degree-bounded list of coefficient-regime-change directions.
 
@@ -394,54 +334,44 @@ class SheafDirections:
     ``rays`` is the deduplicated, angle-sorted direction list.
     """
 
-    __slots__ = ("records", "rays", "maxdeg", "eps")
+    __slots__ = ("records", "rays", "maxdeg")
 
-    def __init__(self, records, rays, maxdeg, eps):
+    def __init__(self, records, rays, maxdeg):
         self.records = records
         self.rays = rays
         self.maxdeg = maxdeg
-        self.eps = eps
 
     def to_json(self) -> dict:
         return {
             "maxdeg": self.maxdeg,
-            "rays": [_direction_json(v, self.eps) for v in self.rays],
+            "rays": [_direction_json(v) for v in self.rays],
             "count": len(self.records),
         }
 
 
 def sheaf_singular_directions(e: EigenData, maxdeg: int) -> SheafDirections:
+    # records sorted by (total degree, exponent) within each component
+    monomials = sorted((q for d in range(maxdeg + 1)
+                        for q in exponents(e.n - 1, d)),
+                       key=lambda q: (sum(q), q))
     records = []
     dirs = []
     for j in range(2, e.n + 1):
         gj = e.gamma[j - 2]
-        for exps in _exponents_up_to(e.n - 1, maxdeg):
+        for exps in monomials:
             w = e.pairing(exps) - gj
-            if _is_zero_value(w, e.eps):
+            if w.is_zero():
                 continue
             records.append((j, exps, w))
-            dirs.append(_rot90(w))
-            dirs.append(-_rot90(w))
-    return SheafDirections(records, _sorted_rays(dirs, e.eps), maxdeg, e.eps)
+            dirs.append(I * w)
+            dirs.append(-I * w)
+    return SheafDirections(records, _sorted_rays(dirs), maxdeg)
 
 
 def free_arcs(e: EigenData, maxdeg: int) -> List[Tuple[Sector, str]]:
     """Arcs between consecutive sheaf singular directions, tagged by the
     solution behavior of their interior."""
-    rays = sheaf_singular_directions(e, maxdeg).rays
-    out = []
-    for idx, start in enumerate(rays):
-        end = rays[(idx + 1) % len(rays)]
-        sample = _gap_sample(start, end, e.eps)
-        signs = {_sign(_dot(g, sample), e.eps) for g in e.gamma}
-        if signs == {1}:
-            tag = "Attractor"
-        elif signs == {-1}:
-            tag = "Saddle"
-        else:
-            tag = "Mixed"
-        out.append((Sector(start, end, e.eps), tag))
-    return out
+    return _tagged_arcs(e, sheaf_singular_directions(e, maxdeg).rays)
 
 
 def positive_sector(e: EigenData, maxdeg: int) -> Tuple[Sector, dict]:
@@ -456,7 +386,7 @@ def positive_sector(e: EigenData, maxdeg: int) -> Tuple[Sector, dict]:
         raise DegenerateEigenData("no singular-free attractor arc at this degree")
     best = max(candidates, key=lambda s: s.length_key())
     phi0 = best.interior_sample()
-    return best, {"phi0": _direction_json(phi0, e.eps)}
+    return best, {"phi0": _direction_json(phi0)}
 
 
 # --------------------------------------------------------------------------
@@ -522,7 +452,7 @@ class AdmissibleMonomialSet:
         }
 
 
-def _obtuse_on_sector(w, sector: Sector, eps) -> bool:
+def _obtuse_on_sector(w, sector: Sector) -> bool:
     """Is cos(arg w - theta) < 0 for every direction theta strictly inside?
 
     Checked by a rotation walk: nonstrict negativity of the dot product at
@@ -532,15 +462,15 @@ def _obtuse_on_sector(w, sector: Sector, eps) -> bool:
     half-plane; an interior strict sample then rules out the boundary case.
     """
     samples = [(sector.start, False)]
-    probe = _rot90(sector.start)
-    while _in_open_arc(probe, sector.start, sector.end, eps):
+    probe = I * sector.start
+    while _in_open_arc(probe, sector.start, sector.end):
         samples.append((probe, True))
-        probe = _rot90(probe)
+        probe = I * probe
     if len(samples) == 1:
         samples.append((sector.start + sector.end, True))
     samples.append((sector.end, False))
     for direction, strict in samples:
-        s = _sign(_dot(w, direction), eps)
+        s = _sign(_dot(w, direction))
         if s > 0 or (strict and s == 0):
             return False
     return True
@@ -558,10 +488,10 @@ def admissible_monomials(e: EigenData, sector: Sector, maxdeg: int) -> Admissibl
         if sector.contains(ray):
             raise SectorContainsSingularDirection(
                 "sector contains a singular direction",
-                direction=_direction_json(ray, e.eps))
+                direction=_direction_json(ray))
     pairs = []
     for j, exps, w in sheaf.records:
-        if _obtuse_on_sector(w, sector, e.eps):
+        if _obtuse_on_sector(w, sector):
             pairs.append((j, exps))
     return AdmissibleMonomialSet(pairs, sector, maxdeg, e.n)
 

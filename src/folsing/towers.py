@@ -44,7 +44,6 @@ from .scalars import (
     fraction_sqrt,
     gaussian_sqrt,
     power,
-    scalar_inverse,
 )
 from .zassenhaus import factor_squarefree
 
@@ -611,7 +610,7 @@ def tp_divmod(p: list, q: list) -> Tuple[list, list]:
     if not q:
         raise DivisionByZero("polynomial division by zero")
     dq = len(q) - 1
-    lead_inv = scalar_inverse(q[-1])
+    lead_inv = q[-1].inverse()
     quot = []
     r = list(p)
     while len(r) - 1 >= dq and r:
@@ -635,7 +634,7 @@ def tp_monic(p: list) -> list:
     p = tp_trim(p)
     if not p:
         return p
-    return tp_scale(p, scalar_inverse(p[-1]))
+    return tp_scale(p, p[-1].inverse())
 
 
 def tp_gcd(p: list, q: list) -> list:

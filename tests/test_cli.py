@@ -338,6 +338,9 @@ class TestExitCodes:
         ["cp2", "tangency", "--expr", JOUANOLOU2, "--count", "0"],
         ["fatou", "--coeffs", "1,1", "--z", "-0.1", "--n-max", "0"],
         ["gen", "riccati-template", "--base-degree", "1"],
+        ["sectors", "--gamma", "1,i", "--maxdeg", "-1"],
+        ["cp2", "dimension", "--degree", "-1"],
+        ["gen", "jouanolou", "--degree", "0"],
     ])
     def test_usage_error_out_of_range_integer(self, runner, args):
         result = runner.invoke(main, args)

@@ -54,6 +54,13 @@ class TestExactMultiplier:
         assert m.exponent == Fraction(1, 4)
         assert m.as_gaussian_or_none() == GaussianRational(0, 1)
 
+    def test_plain_rational_pair(self):
+        # an int and a Fraction are converted where they enter
+        m = linear_holonomy((1, Fraction(-1, 2)))
+        assert isinstance(m, ExactMultiplier)
+        assert m.exponent == Fraction(-1, 2)
+        assert m.as_gaussian_or_none() == GaussianRational(-1, 0)
+
     def test_group_structure(self):
         a = ExactMultiplier(Fraction(1, 3))
         b = ExactMultiplier(Fraction(1, 6))

@@ -13,7 +13,12 @@ each module in ``src/folsing`` with the standard library's ``ast``:
   by name somewhere in ``src``, ``tests`` or ``perfbench``, so dead
   definitions do not pile up.  Decorated ones (click commands, properties,
   class methods) are reached through their decorators; dunders through
-  Python itself.
+  Python itself;
+- no module probes a scalar for ``is_zero``, ``inverse`` or
+  ``as_gaussian_or_none`` with ``getattr`` or ``hasattr``.  Every exact
+  scalar of the core has the methods it needs, and ints and Fractions are
+  converted where they enter the library, so the methods are called
+  directly.
 """
 
 import ast
@@ -196,3 +201,34 @@ def test_checker_flags_an_unreferenced_definition(tmp_path):
                     "class Live:\n    pass\n"
                     "getattr(Live, 'by_string')\n")
     assert unreferenced_definitions([path], [path]) == ["m.py:2 Dead", "m.py:10 helper"]
+
+
+SCALAR_METHODS = {"is_zero", "inverse", "as_gaussian_or_none"}
+
+
+def duck_typed_scalar_probes(path: Path):
+    """``getattr`` or ``hasattr`` calls that name a scalar method."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.name}:{node.lineno} {node.args[1].value}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("getattr", "hasattr") and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value in SCALAR_METHODS]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_duck_typed_scalar_methods(path):
+    assert duck_typed_scalar_probes(path) == []
+
+
+def test_checker_flags_a_duck_typed_scalar_method(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("def f(c):\n"
+                    "    z = getattr(c, 'is_zero', None)\n"
+                    "    if hasattr(c, 'inverse'):\n        return c\n"
+                    "    t = getattr(c, 'tower', None)\n"
+                    "    j = getattr(c, 'to_json', None)\n"
+                    "    return getattr(c, \"as_gaussian_or_none\")()\n")
+    assert duck_typed_scalar_probes(path) == [
+        "m.py:2 is_zero", "m.py:3 inverse", "m.py:7 as_gaussian_or_none"]

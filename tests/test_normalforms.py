@@ -19,8 +19,6 @@ from folsing.errors import (
 )
 from folsing.normalforms import (
     _diagonal_lambdas,
-    _div,
-    _monomials,
     center_manifold_series,
     conjugacy_residual,
     diagonalize_linear_part,
@@ -33,8 +31,8 @@ from folsing.normalforms import (
     solve_conjugacy,
 )
 from folsing.parsing import parse_field
-from folsing.poly import MultiPoly, VectorFieldGerm, compose, scalar_to_json
-from folsing.scalars import GaussianRational, scalar_inverse, scalar_is_zero
+from folsing.poly import MultiPoly, VectorFieldGerm, compose, exponents, scalar_to_json
+from folsing.scalars import GaussianRational
 from folsing.towers import TRIVIAL
 
 
@@ -160,6 +158,17 @@ class TestDiagonalize:
         field = parse_field("(x + y)*ddx + y*ddy")
         with pytest.raises(DegenerateEigenData):
             diagonalize_linear_part(field)
+
+    def test_rational_saddle_eigenvalues_are_gaussian(self):
+        # [[1, 2], [2, 1]] has eigenvalues 3 and -1: rational values come
+        # back as GaussianRationals, the one scalar type of Q(i)
+        field = parse_field("(x + 2*y + x*y)*ddx + (2*x + y)*ddy")
+        diag, matrix, lam, tower = diagonalize_linear_part(field)
+        assert [type(v) for v in lam] == [GaussianRational, GaussianRational]
+        assert set(lam) == {GaussianRational(3), GaussianRational(-1)}
+        mat = diag.linear_part_matrix()
+        assert mat[0][1].is_zero() and mat[1][0].is_zero()
+        assert (mat[0][0], mat[1][1]) == lam
 
 
 SQRT2, R2 = TRIVIAL.adjoin_root([-2, 0, 1], name="r2")
@@ -381,20 +390,20 @@ def _reference_solve(field, decide, order, pattern):
             for j in range(n):
                 defect = defect - h[i].derivative(j).mul_trunc(g[j], d)
             slice_d = defect.homogeneous_component(d)
-            for exps in _monomials(n, d):
+            for exps in exponents(n, d):
                 rhs = slice_d.coefficient(exps)
-                rhs_zero = scalar_is_zero(rhs)
+                rhs_zero = rhs.is_zero()
                 delta = sum((q * lam[j] for j, q in enumerate(exps) if q),
                             start=0 * lam[i]) - lam[i]
                 if decide(i, exps, delta):
-                    if scalar_is_zero(delta):
+                    if delta.is_zero():
                         if rhs_zero:
                             continue
                         raise ZeroDivisorDelta(
                             "resonant coefficient cannot be removed",
                             component=i + 1, exponents=list(exps))
                     if not rhs_zero:
-                        h[i] = h[i] + MultiPoly.monomial(_div(rhs, delta), exps)
+                        h[i] = h[i] + MultiPoly.monomial(rhs * delta.inverse(), exps)
                 elif not rhs_zero:
                     g[i] = g[i] + MultiPoly.monomial(rhs, exps)
                     kept[(i, exps)] = rhs
@@ -410,12 +419,12 @@ def _reference_center_manifold(field, order):
     a_nl = comp_a - field.homogeneous_component(1).components[0]
     y2 = MultiPoly.variable(1, 2)
     c = MultiPoly.zero(2)
-    mu_inv = scalar_inverse(lam[0])
+    mu_inv = lam[0].inverse()
     for k in range(2, order + 1):
         b_of_c, a_of_c = compose([comp_b, a_nl], [c, y2], k)
         rhs = c.derivative(1).mul_trunc(b_of_c, k) - a_of_c
         coeff = rhs.homogeneous_component(k).coefficient((0, k))
-        if not scalar_is_zero(coeff):
+        if not coeff.is_zero():
             c = c + MultiPoly.monomial(coeff * mu_inv, (0, k))
     return c
 
@@ -435,7 +444,7 @@ def _scalar(ring, a, b, den):
 
 DECIDE = {
     "linearize": lambda i, q, delta: True,
-    "resonant": lambda i, q, delta: not scalar_is_zero(delta),
+    "resonant": lambda i, q, delta: not delta.is_zero(),
     "straighten": lambda i, q, delta: q[0] == 0 or q[1] == 0,
     "center-clear": lambda i, q, delta: q[1] == 0,
     "invariant-plane": lambda i, q, delta: (
@@ -450,7 +459,7 @@ SPECTRA = {
         (2, 0, "r2")],
 }
 
-HIGHER = {n: [e for d in (2, 3) for e in _monomials(n, d)] for n in (2, 3)}
+HIGHER = {n: [e for d in (2, 3) for e in exponents(n, d)] for n in (2, 3)}
 
 
 @st.composite

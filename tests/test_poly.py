@@ -1,4 +1,4 @@
-"""Polynomials, truncated series, germs, duality, wedge."""
+"""Polynomials, truncated series arithmetic, germs, duality, wedge."""
 
 import math
 from fractions import Fraction
@@ -15,7 +15,6 @@ from folsing.errors import (
 from folsing.poly import (
     MultiPoly,
     OneFormGerm,
-    TruncatedSeries,
     VectorFieldGerm,
     dualize,
     render_poly,
@@ -199,35 +198,25 @@ class TestDivideExact:
 
 
 class TestTruncatedSeries:
-    def test_truncation_on_build(self):
-        s = TruncatedSeries(X ** 5 + X, 3)
-        assert s.poly == X
-
-    def test_min_order_rule_add(self):
-        a = TruncatedSeries(X, 5)
-        b = TruncatedSeries(Y, 3)
-        assert (a + b).order == 3
-
-    def test_min_order_rule_mul(self):
-        a = TruncatedSeries(1 + X, 5)
-        b = TruncatedSeries(1 + Y, 2)
-        c = a * b
-        assert c.order == 2
-        assert c.poly == 1 + X + Y + X * Y
+    """Truncated power-series inverse on MultiPoly."""
 
     def test_inverse_geometric(self):
-        s = TruncatedSeries(MultiPoly.constant(1, 2) - X, 4)
-        inv = s.inverse()
-        assert inv.poly == 1 + X + X ** 2 + X ** 3 + X ** 4
-        assert (s * inv).poly == MultiPoly.constant(1, 2)
+        s = MultiPoly.constant(1, 2) - X
+        inv = s.inverse_trunc(4)
+        assert inv == 1 + X + X ** 2 + X ** 3 + X ** 4
+        assert s.mul_trunc(inv, 4) == MultiPoly.constant(1, 2)
 
     def test_inverse_requires_unit(self):
         with pytest.raises(DivisionByZero):
-            TruncatedSeries(X, 3).inverse()
+            X.inverse_trunc(3)
 
     def test_inverse_with_scalar_head(self):
-        s = TruncatedSeries(MultiPoly.constant(2, 2) + X, 3)
-        assert (s * s.inverse()).poly == MultiPoly.constant(1, 2)
+        s = MultiPoly.constant(2, 2) + X
+        assert s.mul_trunc(s.inverse_trunc(3), 3) == MultiPoly.constant(1, 2)
+
+    def test_inverse_ignores_terms_above_the_order(self):
+        s = MultiPoly.constant(2, 2) + X + Y ** 5
+        assert s.inverse_trunc(3) == (MultiPoly.constant(2, 2) + X).inverse_trunc(3)
 
 
 EULER = VectorFieldGerm([X * X, Y - X])  # classic saddle-node-type example

@@ -16,7 +16,6 @@ from folsing.scalars import (
     ZERO,
     format_gaussian,
     power,
-    scalar_is_zero,
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -180,12 +179,6 @@ class TestTauScalar:
     def test_str(self):
         assert str(TAU) == "tau"
         assert "tau^2" in str(TAU * TAU)
-
-
-def test_scalar_is_zero_universal():
-    assert scalar_is_zero(0) and scalar_is_zero(Fraction(0))
-    assert scalar_is_zero(ZERO) and not scalar_is_zero(ONE)
-    assert scalar_is_zero(TauScalar.constant(0)) and not scalar_is_zero(TAU)
 
 
 def test_power_squares_no_further_than_the_top_bit():

@@ -42,7 +42,7 @@ class TestEigenData:
     def test_normalizes_leading_eigenvalue(self):
         e = EigenData([G(3), G(0, 3)])
         assert e.gamma == (G(1), I)
-        assert e.exact and e.n == 3
+        assert e.n == 3
 
     def test_zero_eigenvalue_rejected(self):
         with pytest.raises(DegenerateEigenData):
@@ -60,10 +60,27 @@ class TestEigenData:
         e = EigenData([G(1), G(2, 1), G(0, 5)])
         assert e.n == 4
 
-    def test_float_mode(self):
-        e = EigenData([2.0, 2j])
-        assert not e.exact
-        assert e.gamma == (1 + 0j, 1j)
+    def test_float_input_read_exactly(self):
+        e = EigenData([2.0, 2j, 0.1], alpha=[0.5, 0, 0.25])
+        exact = EigenData([G(2), G(0, 2), G(Fraction(0.1))],
+                          alpha=[Fraction(1, 2), 0, Fraction(1, 4)])
+        assert e.gamma == exact.gamma
+        assert e.gamma[2] == G(Fraction(0.1) / 2) != G(Fraction(1, 20))
+        assert e.alpha == exact.alpha
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                     complex(1, float("nan")),
+                                     complex(float("inf"), 0)])
+    def test_nonfinite_input_rejected(self, bad):
+        with pytest.raises(DegenerateEigenData):
+            EigenData([1.0, bad])
+        with pytest.raises(DegenerateEigenData):
+            EigenData([1.0], alpha=[bad])
+
+    def test_nearly_opposite_floats_are_not_opposite(self):
+        # -1 + 1e-13 i is off the negative real axis; no tolerance folds it in
+        e = EigenData([1.0, complex(-1.0, 1e-13)])
+        assert e.gamma[1] == G(-1, Fraction(1e-13))
 
     def test_pairing(self):
         e = EigenData([G(1), I])
