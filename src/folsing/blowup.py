@@ -252,8 +252,7 @@ def divisor_children(form: OneFormGerm, tower: Optional[FieldTower] = None
 
 def _child_sort_key(c: ChildPoint):
     if c.minpoly is None:
-        return (1, c.coordinate.sort_key() if hasattr(c.coordinate, "sort_key")
-                else (0,))
+        return (1, c.coordinate.sort_key())
     return (c.galois_multiplicity,
             tuple(x.sort_key() for x in c.minpoly))
 

@@ -310,18 +310,13 @@ def germ_order(obj, cap: int = 24) -> GermOrderResult:
         frac = _real_fraction(obj.exponent)
         if frac is not None:
             return GermOrderResult("finite", (frac % 1).denominator)
-        if abs(complex(obj.exponent).imag) > 0:
-            return GermOrderResult("infinite")
-        # provably real and irrational exponent: never periodic
+        # a non-real or an irrational real exponent: never periodic
         return GermOrderResult("infinite")
     if isinstance(obj, GermSeries):
-        lin = obj.linear_coefficient()
         one = TauScalar.constant(GaussianRational(1))
-        if lin == one:
-            obstruction = obj.first_obstruction()
-            if obstruction is not None:
-                return GermOrderResult("infinite", obstruction=obstruction)
-            return GermOrderResult("undecided")
+        if (obj.linear_coefficient() == one
+                and (obstruction := obj.first_obstruction()) is not None):
+            return GermOrderResult("infinite", obstruction=obstruction)
         return GermOrderResult("undecided")
     raise WrongClass(f"cannot measure periodicity of {type(obj).__name__}")
 

@@ -31,22 +31,13 @@ from .scalars import (
     ZERO,
     GaussianRational,
     coerce_scalar,
-    format_gaussian,
     power,
 )
+from .towers import scalar_to_json
 
 Exponent = Tuple[int, ...]
 
 DEFAULT_NAMES = {1: ("x",), 2: ("x", "y"), 3: ("x", "y", "z")}
-
-
-def scalar_to_json(c):
-    to = getattr(c, "to_json", None)
-    if to is not None:
-        return to()
-    if isinstance(c, GaussianRational):
-        return format_gaussian(c)
-    return str(c)
 
 
 class MultiPoly:

@@ -454,13 +454,17 @@ def _hashable(v):
 
 
 def coerce_scalar(c):
-    """An int or a Fraction as a GaussianRational; other scalars unchanged."""
+    """An int or a Fraction as a GaussianRational; other exact scalars
+    unchanged.  A float or a complex (numpy's included) is refused with a
+    TypeError: the exact core never computes with them."""
     if type(c) is GaussianRational:
         # the common case, decided without isinstance(c, Fraction), which
         # goes through the slower abstract-base-class check
         return c
     if isinstance(c, (int, Fraction)):
         return _co(c)
+    if isinstance(c, (float, complex)):
+        raise TypeError(f"inexact {type(c).__name__} coefficient in the exact core")
     return c
 
 

@@ -2,12 +2,15 @@
 
 A FieldTower is a chain of simple algebraic extensions: the base field is
 Q(i) (or plain Q), and each level adjoins a root of a monic irreducible
-polynomial over the level below.  The elements of a depth-0 tower are the
-GaussianRationals themselves.  Over a tower of depth >= 1 they are
-FieldElements, stored as coordinate vectors over the power basis of each
-level (nested tuples with GaussianRational leaves), so structural equality
-is mathematical equality.  The two mix freely: a FieldElement lifts a
-GaussianRational, an int or a Fraction into its own tower.
+polynomial over the level below, its ``parent``.  The elements of a
+depth-0 tower are the GaussianRationals themselves.  Over a tower of depth
+>= 1 they are FieldElements: coordinate vectors over the power basis of
+the top generator, whose entries are elements of the parent, so every
+operation is polynomial arithmetic over the parent modulo the top minimal
+polynomial.  Coordinates are unique, so structural equality is
+mathematical equality.  The two kinds mix freely: a FieldElement lifts a
+GaussianRational, an int, a Fraction or an element of a prefix tower into
+its own tower.
 
 The module also provides a small dense univariate-polynomial toolkit (the
 ``tp_*`` functions) over any of the package's exact scalars, and complete
@@ -24,6 +27,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from fractions import Fraction
 from math import lcm
+from operator import add, neg, sub
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -53,7 +57,7 @@ DEFAULT_DEGREE_CAP = 6
 
 @contextmanager
 def tower_caps(depth: Optional[int] = None, degree: Optional[int] = None):
-    """Temporarily override the default adjunction caps (depth of nested
+    """Temporarily override the adjunction caps (depth of nested
     extensions, degree of a single extension) for all adjoin operations
     performed inside the ``with`` block."""
     global DEFAULT_DEPTH_CAP, DEFAULT_DEGREE_CAP
@@ -87,17 +91,18 @@ class TowerLevel:
 class FieldTower:
     """Immutable chain of algebraic extensions over Q(i) or Q."""
 
-    __slots__ = ("base", "levels", "parent", "_mp_reps")
+    __slots__ = ("base", "levels", "parent")
 
     def __init__(self, base: str = "gaussian", levels: tuple = (), parent=None):
         if base not in ("gaussian", "rational"):
             raise ValueError("base must be 'gaussian' or 'rational'")
         self.base = base
         self.levels = levels
+        # the tower one level down, in which the coordinates of our
+        # elements and the coefficients of the top minimal polynomial lie
+        if parent is None and levels:
+            parent = FieldTower(base, levels[:-1])
         self.parent = parent
-        # minpoly coefficients as raw reps (exclude leading 1), per level,
-        # used by the multiplication reduction.
-        self._mp_reps = [[_rep_of(c) for c in lev.minpoly[:-1]] for lev in levels]
 
     # -- identity ------------------------------------------------------
     @property
@@ -115,25 +120,17 @@ class FieldTower:
             return True
         if not isinstance(other, FieldTower):
             return NotImplemented
-        if self.base != other.base or self.depth != other.depth:
-            return False
-        for a, b in zip(self.levels, other.levels):
-            if a.degree != b.degree:
-                return False
-            if [_rep_of(c) for c in a.minpoly] != [_rep_of(c) for c in b.minpoly]:
-                return False
-        return True
+        return (self.base == other.base and self.depth == other.depth
+                and all(a.minpoly == b.minpoly
+                        for a, b in zip(self.levels, other.levels)))
 
     def __hash__(self):
         return hash((self.base, self.depth, tuple(lev.degree for lev in self.levels)))
 
     def is_prefix_of(self, other: "FieldTower") -> bool:
-        if self.base != other.base or self.depth > other.depth:
-            return False
-        t = other
-        while t is not None and t.depth > self.depth:
-            t = t.parent
-        return t is not None and t == self
+        while other.depth > self.depth:
+            other = other.parent
+        return other == self
 
     def describe(self) -> dict:
         """JSON-safe structural description (generator names + minimal polys)."""
@@ -143,7 +140,7 @@ class FieldTower:
                 {
                     "name": lev.name,
                     "degree": lev.degree,
-                    "minpoly": [_scalar_json(c) for c in lev.minpoly],
+                    "minpoly": [scalar_to_json(c) for c in lev.minpoly],
                     "embedding": [lev.embedding.real, lev.embedding.imag],
                 }
                 for lev in self.levels
@@ -157,59 +154,37 @@ class FieldTower:
         return f"FieldTower({self.base}; {names})"
 
     # -- element construction ------------------------------------------
-    def _zero_rep(self, depth: Optional[int] = None):
-        depth = self.depth if depth is None else depth
-        if depth == 0:
-            return ZERO
-        return tuple(self._zero_rep(depth - 1) for _ in range(self.levels[depth - 1].degree))
-
-    def _const_rep(self, g: GaussianRational, depth: Optional[int] = None):
-        depth = self.depth if depth is None else depth
-        if depth == 0:
-            return g
-        lev = self.levels[depth - 1]
-        return tuple([self._const_rep(g, depth - 1)] +
-                     [self._zero_rep(depth - 1) for _ in range(lev.degree - 1)])
-
     def element(self, x):
         """Coerce x (int, Fraction, GaussianRational, or prefix-tower element)
         into this tower: a GaussianRational at depth 0, else a FieldElement."""
         if type(x) is not GaussianRational:
             if isinstance(x, FieldElement):
                 if x.tower == self:
-                    return x if x.tower is self else FieldElement(self, x.rep)
+                    return x if x.tower is self else FieldElement(self, x.coeffs)
                 if x.tower.is_prefix_of(self):
-                    return FieldElement(self, self._lift_rep(x.rep, x.tower.depth))
+                    return self._pad([self.parent.element(x)])
                 raise TowerMismatch("element does not embed into this tower")
             g = _co(x)
             if g is NotImplemented:
                 raise TypeError(f"cannot coerce {type(x).__name__} into tower")
             x = g
+        if self.levels:
+            return self._pad([self.parent.element(x)])
         if self.base == "rational" and not x.is_rational():
             raise TowerMismatch("imaginary constant in a rational-base tower")
-        if not self.levels:
-            return x
-        return FieldElement(self, self._const_rep(x))
+        return x
 
-    def wrap(self, rep):
-        """The element with coordinates ``rep``: ``rep`` itself at depth 0."""
-        return FieldElement(self, rep) if self.levels else rep
-
-    def _lift_rep(self, rep, from_depth: int):
-        """Embed a rep of the depth-``from_depth`` prefix into this tower."""
-        if from_depth == self.depth:
-            return rep
-        out = rep
-        for d in range(from_depth + 1, self.depth + 1):
-            lev = self.levels[d - 1]
-            out = tuple([out] + [self._zero_rep(d - 1) for _ in range(lev.degree - 1)])
-        return out
+    def _pad(self, coeffs: list) -> "FieldElement":
+        """The element with the leading coordinates ``coeffs`` (at most the
+        top degree of them) and zeros after them."""
+        n = self.levels[-1].degree
+        return FieldElement(self, tuple(coeffs) + (self.parent.zero(),) * (n - len(coeffs)))
 
     def zero(self):
-        return self.wrap(self._zero_rep())
+        return self.element(ZERO)
 
     def one(self):
-        return self.wrap(self._const_rep(ONE))
+        return self.element(ONE)
 
     def gen(self, k: Optional[int] = None) -> "FieldElement":
         """Generator of level k (1-based; default: top level)."""
@@ -218,27 +193,19 @@ class FieldTower:
         k = self.depth if k is None else k
         if not 1 <= k <= self.depth:
             raise ValueError("no such level")
-        lev = self.levels[k - 1]
-        base_rep = tuple(
-            [self._zero_rep(k - 1), self._const_rep(ONE, k - 1)]
-            + [self._zero_rep(k - 1) for _ in range(lev.degree - 2)]
-        )
-        return FieldElement(self, self._lift_rep(base_rep, k))
+        if k < self.depth:
+            return self._pad([self.parent.gen(k)])
+        return self._pad([self.parent.zero(), self.parent.one()])
 
     # -- extension ------------------------------------------------------
-    def adjoin_root(self, minpoly: Sequence, name: Optional[str] = None,
-                    depth_cap: Optional[int] = None,
-                    degree_cap: Optional[int] = None) -> Tuple["FieldTower", "FieldElement"]:
+    def adjoin_root(self, minpoly: Sequence,
+                    name: Optional[str] = None) -> Tuple["FieldTower", "FieldElement"]:
         """Adjoin a root of the monic irreducible ``minpoly`` (ascending
         coefficients over this tower).  Returns (extended tower, new generator).
 
-        Caps default to the module-wide values, which ``tower_caps`` can
-        override for the duration of a computation.
+        The depth and degree caps are the module-wide values, which
+        ``tower_caps`` can override for the duration of a computation.
         """
-        if depth_cap is None:
-            depth_cap = DEFAULT_DEPTH_CAP
-        if degree_cap is None:
-            degree_cap = DEFAULT_DEGREE_CAP
         coeffs = [self.element(c) for c in minpoly]
         coeffs = tp_trim(coeffs)
         deg = len(coeffs) - 1
@@ -248,10 +215,11 @@ class FieldTower:
             raise NotMonic("minimal polynomial must be monic")
         if deg < 2:
             raise ReducibleMinimalPolynomial("degree-1 polynomial adjoins nothing")
-        if self.depth + 1 > depth_cap:
-            raise TowerDepthExceeded(f"tower depth cap {depth_cap} reached")
-        if deg > degree_cap:
-            raise ExtensionDegreeExceeded(f"extension degree {deg} exceeds cap {degree_cap}")
+        if self.depth + 1 > DEFAULT_DEPTH_CAP:
+            raise TowerDepthExceeded(f"tower depth cap {DEFAULT_DEPTH_CAP} reached")
+        if deg > DEFAULT_DEGREE_CAP:
+            raise ExtensionDegreeExceeded(
+                f"extension degree {deg} exceeds cap {DEFAULT_DEGREE_CAP}")
         _, factors = factor_univariate(coeffs, self)
         if len(factors) != 1 or factors[0][1] != 1 or tp_deg(factors[0][0]) != deg:
             raise ReducibleMinimalPolynomial(
@@ -284,28 +252,33 @@ def _chosen_root(coeffs_complex: List[complex]) -> complex:
     return cands[0]
 
 
-def _rep_of(c):
-    """The coordinates of a tower element: a GaussianRational is its own."""
-    return c.rep if isinstance(c, FieldElement) else c
-
-
 class FieldElement:
-    """Element of a FieldTower of depth >= 1: nested coordinate vector over
-    the power bases.  A depth-0 tower has GaussianRational elements instead.
+    """Element of a FieldTower of depth >= 1.
+
+    ``coeffs`` are its coordinates over the power basis 1, a, ..., a^(n-1)
+    of the top generator a of degree n: a tuple of n elements of
+    ``tower.parent``, so GaussianRationals at depth 1.  Coordinates are
+    unique, so structural equality is mathematical equality, and every
+    operation is the parent's arithmetic on them.  A depth-0 tower has
+    GaussianRational elements instead.
     """
 
-    __slots__ = ("tower", "rep")
+    __slots__ = ("tower", "coeffs")
 
-    def __init__(self, tower: FieldTower, rep):
+    def __init__(self, tower: FieldTower, coeffs: tuple):
         self.tower = tower
-        self.rep = rep
+        self.coeffs = coeffs
 
     # -- predicates -----------------------------------------------------
     def is_zero(self) -> bool:
-        return _rep_is_zero(self.rep, self.tower.depth)
+        return all(c.is_zero() for c in self.coeffs)
+
+    def _in_parent(self) -> bool:
+        """Whether the element lies in the tower one level down."""
+        return all(c.is_zero() for c in self.coeffs[1:])
 
     def is_one(self) -> bool:
-        return self.rep == self.tower._const_rep(ONE)
+        return self.coeffs[0].is_one() and self._in_parent()
 
     def is_rational(self) -> bool:
         g = self.as_gaussian_or_none()
@@ -314,13 +287,7 @@ class FieldElement:
     # -- conversions ----------------------------------------------------
     def as_gaussian_or_none(self) -> Optional[GaussianRational]:
         """The GaussianRational value if this element lies in the base field."""
-        rep = self.rep
-        for d in range(self.tower.depth, 0, -1):
-            head, rest = rep[0], rep[1:]
-            if not all(_rep_is_zero(r, d - 1) for r in rest):
-                return None
-            rep = head
-        return rep
+        return self.coeffs[0].as_gaussian_or_none() if self._in_parent() else None
 
     def as_fraction(self) -> Fraction:
         g = self.as_gaussian_or_none()
@@ -329,13 +296,17 @@ class FieldElement:
         return g.as_fraction()
 
     def __complex__(self) -> complex:
-        return _rep_complex(self.rep, self.tower)
+        z = self.tower.levels[-1].embedding
+        acc = 0j
+        for c in reversed(self.coeffs):
+            acc = acc * z + complex(c)
+        return acc
 
     def sort_key(self):
-        return _rep_key(self.rep, self.tower.depth)
+        return tuple(c.sort_key() for c in self.coeffs)
 
     def to_json(self):
-        return _rep_json(self.rep, self.tower.depth)
+        return [scalar_to_json(c) for c in self.coeffs]
 
     # -- arithmetic -----------------------------------------------------
     def _align(self, other):
@@ -355,18 +326,18 @@ class FieldElement:
         a, b = self._align(other)
         if a is None:
             return NotImplemented
-        return FieldElement(a.tower, _rep_add(a.rep, b.rep, a.tower.depth))
+        return FieldElement(a.tower, tuple(map(add, a.coeffs, b.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.tower, _rep_neg(self.rep, self.tower.depth))
+        return FieldElement(self.tower, tuple(map(neg, self.coeffs)))
 
     def __sub__(self, other):
         a, b = self._align(other)
         if a is None:
             return NotImplemented
-        return FieldElement(a.tower, _rep_add(a.rep, _rep_neg(b.rep, a.tower.depth), a.tower.depth))
+        return FieldElement(a.tower, tuple(map(sub, a.coeffs, b.coeffs)))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -375,14 +346,28 @@ class FieldElement:
         a, b = self._align(other)
         if a is None:
             return NotImplemented
-        return FieldElement(a.tower, _rep_mul(a.rep, b.rep, a.tower, a.tower.depth))
+        # the product of the coordinate polynomials, reduced modulo the
+        # monic top minimal polynomial m = t^n + m[n-1] t^(n-1) + ...
+        prod = tp_mul(a.coeffs, b.coeffs)
+        m = a.tower.levels[-1].minpoly
+        n = len(m) - 1
+        for i in range(len(prod) - 1, n - 1, -1):
+            c = prod[i]
+            if not c.is_zero():
+                for j in range(n):
+                    prod[i - n + j] = prod[i - n + j] - c * m[j]
+        return a.tower._pad(prod[:n])
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise DivisionByZero("inverse of zero field element")
-        return FieldElement(self.tower, _rep_inv(self.rep, self.tower))
+        g, s, _ = tp_xgcd(self.coeffs, self.tower.levels[-1].minpoly)
+        if tp_deg(g) != 0:
+            raise InternalInvariantViolation("minimal polynomial not irreducible (inverse failed)")
+        ginv = g[0].inverse()
+        return self.tower._pad([c * ginv for c in s])
 
     def __truediv__(self, other):
         a, b = self._align(other)
@@ -407,140 +392,39 @@ class FieldElement:
             return False
         if a is None:
             return NotImplemented
-        return a.rep == b.rep
+        return a.coeffs == b.coeffs
 
     def __hash__(self):
         # the value at the lowest level it lies in, so that an element, its
         # lift into a longer tower and an equal GaussianRational hash alike
-        rep, depth = self.rep, self.tower.depth
-        while depth and all(_rep_is_zero(r, depth - 1) for r in rep[1:]):
-            rep, depth = rep[0], depth - 1
-        return hash(rep)
+        return hash(self.coeffs[0]) if self._in_parent() else hash(self.coeffs)
 
     def __repr__(self):
         return f"FieldElement({self})"
 
     def __str__(self):
-        return format_field_element(self)
-
-
-# -- recursive rep arithmetic -----------------------------------------
-def _rep_is_zero(rep, depth: int) -> bool:
-    if depth == 0:
-        return rep.is_zero()
-    return all(_rep_is_zero(r, depth - 1) for r in rep)
-
-
-def _rep_add(a, b, depth: int):
-    if depth == 0:
-        return a + b
-    return tuple(_rep_add(x, y, depth - 1) for x, y in zip(a, b))
-
-
-def _rep_neg(a, depth: int):
-    if depth == 0:
-        return -a
-    return tuple(_rep_neg(x, depth - 1) for x in a)
-
-
-def _rep_mul(a, b, tower: FieldTower, depth: int):
-    if depth == 0:
-        return a * b
-    n = tower.levels[depth - 1].degree
-    zero = tower._zero_rep(depth - 1)
-    prod = [zero] * (2 * n - 1)
-    for i, x in enumerate(a):
-        if _rep_is_zero(x, depth - 1):
-            continue
-        for j, y in enumerate(b):
-            if _rep_is_zero(y, depth - 1):
-                continue
-            prod[i + j] = _rep_add(prod[i + j], _rep_mul(x, y, tower, depth - 1), depth - 1)
-    mp = tower._mp_reps[depth - 1]  # low coefficients of the monic minpoly
-    for i in range(2 * n - 2, n - 1, -1):
-        c = prod[i]
-        if _rep_is_zero(c, depth - 1):
-            continue
-        prod[i] = zero
-        for j in range(n):
-            prod[i - n + j] = _rep_add(
-                prod[i - n + j],
-                _rep_neg(_rep_mul(c, mp[j], tower, depth - 1), depth - 1),
-                depth - 1,
-            )
-    return tuple(prod[:n])
-
-
-def _rep_inv(rep, tower: FieldTower):
-    depth = tower.depth
-    prefix = tower.parent if tower.parent is not None else FieldTower(tower.base, tower.levels[:-1])
-    a = tp_trim([prefix.wrap(r) for r in rep])
-    m = [prefix.element(c) for c in tower.levels[-1].minpoly]
-    g, s, _ = tp_xgcd(a, m)
-    if tp_deg(g) != 0:
-        raise InternalInvariantViolation("minimal polynomial not irreducible (inverse failed)")
-    ginv = g[0].inverse()
-    inv = [c * ginv for c in s]
-    n = tower.levels[-1].degree
-    out = [tower._zero_rep(depth - 1)] * n
-    for k, c in enumerate(inv[:n]):
-        out[k] = _rep_of(c)
-    return tuple(out)
-
-
-def _rep_complex(rep, tower: FieldTower) -> complex:
-    def go(r, d):
-        if d == 0:
-            return complex(r)
-        z = tower.levels[d - 1].embedding
-        acc = 0j
-        for c in reversed(r):
-            acc = acc * z + go(c, d - 1)
-        return acc
-
-    return go(rep, tower.depth)
-
-
-def _rep_key(rep, depth: int):
-    if depth == 0:
-        return rep.sort_key()
-    return tuple(_rep_key(r, depth - 1) for r in rep)
-
-
-def _rep_json(rep, depth: int):
-    if depth == 0:
-        return format_gaussian(rep)
-    return [_rep_json(r, depth - 1) for r in rep]
-
-
-def _scalar_json(c):
-    if isinstance(c, FieldElement):
-        return c.to_json()
-    if isinstance(c, GaussianRational):
-        return format_gaussian(c)
-    return str(c)
-
-
-def format_field_element(e: FieldElement) -> str:
-    def go(rep, depth):
-        if depth == 0:
-            return format_gaussian(rep)
-        name = e.tower.levels[depth - 1].name
+        name = self.tower.levels[-1].name
         parts = []
-        for k, c in enumerate(rep):
-            if _rep_is_zero(c, depth - 1):
+        for k, c in enumerate(self.coeffs):
+            if c.is_zero():
                 continue
-            ctxt = go(c, depth - 1)
+            ctxt = str(c)
             if k == 0:
                 parts.append(ctxt)
             else:
                 head = name if k == 1 else f"{name}^{k}"
                 parts.append(head if ctxt == "1" else f"({ctxt})*{head}")
-        if not parts:
-            return "0"
-        return "+".join(parts).replace("+-", "-")
+        return "+".join(parts).replace("+-", "-") if parts else "0"
 
-    return go(e.rep, e.tower.depth)
+
+def scalar_to_json(c):
+    """The JSON form of an exact scalar: a tower element as its nested
+    coordinate lists, any other scalar as its canonical string."""
+    if isinstance(c, GaussianRational):
+        return format_gaussian(c)
+    if isinstance(c, FieldElement):
+        return c.to_json()
+    return str(c)
 
 
 # =====================================================================
@@ -829,18 +713,16 @@ def _factor_gaussian(f: List[GaussianRational]) -> List[list]:
 def _factor_trager(f: list, tower: FieldTower) -> List[list]:
     """Trager norm descent: factor squarefree monic f over K(alpha) given
     factorization over K (= the tower one level down)."""
-    prefix = tower.parent if tower.parent is not None else FieldTower(tower.base, tower.levels[:-1])
     alpha = tower.gen()
-    m = [prefix.element(c) for c in tower.levels[-1].minpoly]
     shifts = [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5]
     for c in shifts:
         shifted = tp_compose(f, [alpha * (-c), tower.one()]) if c else f
-        norm = _norm_resultant(shifted, m, tower, prefix)
+        norm = _norm_resultant(shifted, tower)
         if tp_deg(tp_gcd(norm, tp_derivative(norm))) == 0:
             break
     else:
         raise InternalInvariantViolation("no squarefree norm shift found")
-    norm_factors = _factor_squarefree(tp_monic(norm), prefix)
+    norm_factors = _factor_squarefree(tp_monic(norm), tower.parent)
     out = []
     for nf in norm_factors:
         lifted = [tower.element(x) for x in nf]
@@ -855,13 +737,16 @@ def _factor_trager(f: list, tower: FieldTower) -> List[list]:
     return out
 
 
-def _norm_resultant(g: list, m: list, tower: FieldTower, prefix: FieldTower) -> list:
-    """N(t) = Res_u(m(u), G(u, t)) in K[t], where G is g with the top generator
-    replaced by the variable u; computed by evaluation/interpolation in t."""
+def _norm_resultant(g: list, tower: FieldTower) -> list:
+    """N(t) = Res_u(m(u), G(u, t)) in K[t], where m is the top minimal
+    polynomial and G is g with the top generator replaced by the variable u
+    (the coordinates of g(t) are G(u, t)); computed by evaluation and
+    interpolation in t."""
+    m, prefix = tower.levels[-1].minpoly, tower.parent
     values = []
     for j in range(tp_deg(g) * (len(m) - 1) + 1):
         gx = tp_eval(g, tower.element(j))  # element of tower
-        pu = tp_trim([prefix.wrap(r) for r in gx.rep])
+        pu = tp_trim(list(gx.coeffs))
         values.append(prefix.element(tp_resultant(m, pu)) if pu else prefix.zero())
     return _interpolate(values, prefix)
 

@@ -14,11 +14,11 @@ each module in ``src/folsing`` with the standard library's ``ast``:
   definitions do not pile up.  Decorated ones (click commands, properties,
   class methods) are reached through their decorators; dunders through
   Python itself;
-- no module probes a scalar for ``is_zero``, ``inverse`` or
-  ``as_gaussian_or_none`` with ``getattr`` or ``hasattr``.  Every exact
-  scalar of the core has the methods it needs, and ints and Fractions are
-  converted where they enter the library, so the methods are called
-  directly.
+- no module probes a scalar for ``is_zero``, ``inverse``,
+  ``as_gaussian_or_none`` or ``sort_key`` with ``getattr`` or
+  ``hasattr``.  Every exact scalar of the core has the methods it needs,
+  and ints and Fractions are converted where they enter the library, so
+  the methods are called directly.
 """
 
 import ast
@@ -203,7 +203,7 @@ def test_checker_flags_an_unreferenced_definition(tmp_path):
     assert unreferenced_definitions([path], [path]) == ["m.py:2 Dead", "m.py:10 helper"]
 
 
-SCALAR_METHODS = {"is_zero", "inverse", "as_gaussian_or_none"}
+SCALAR_METHODS = {"is_zero", "inverse", "as_gaussian_or_none", "sort_key"}
 
 
 def duck_typed_scalar_probes(path: Path):
@@ -229,6 +229,8 @@ def test_checker_flags_a_duck_typed_scalar_method(tmp_path):
                     "    if hasattr(c, 'inverse'):\n        return c\n"
                     "    t = getattr(c, 'tower', None)\n"
                     "    j = getattr(c, 'to_json', None)\n"
+                    "    k = c.sort_key() if hasattr(c, 'sort_key') else 0\n"
                     "    return getattr(c, \"as_gaussian_or_none\")()\n")
     assert duck_typed_scalar_probes(path) == [
-        "m.py:2 is_zero", "m.py:3 inverse", "m.py:7 as_gaussian_or_none"]
+        "m.py:2 is_zero", "m.py:3 inverse", "m.py:7 sort_key",
+        "m.py:8 as_gaussian_or_none"]

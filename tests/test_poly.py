@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -81,6 +82,13 @@ def division_cases(draw):
 class TestMultiPoly:
     def test_constructor_prunes_zero(self):
         assert P({(1, 0): 0}).is_zero()
+
+    @pytest.mark.parametrize("value", [0.5, 1j, numpy.float64(0.5),
+                                       numpy.complex128(1j)],
+                             ids=["float", "complex", "float64", "complex128"])
+    def test_constructor_refuses_inexact_coefficients(self, value):
+        with pytest.raises(TypeError, match=type(value).__name__):
+            MultiPoly(2, {(1, 0): value})
 
     def test_degrees(self):
         p = X * X * Y + Y

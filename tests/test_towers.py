@@ -82,7 +82,8 @@ class TestConstruction:
             T4.adjoin_root([T4.element(-7), T4.zero(), T4.one()])
 
     def test_caps_configurable(self):
-        T, _ = TRIVIAL.adjoin_root([2, 0, 0, 0, 0, 0, 0, 1], degree_cap=8)
+        with towers.tower_caps(degree=8):
+            T, _ = TRIVIAL.adjoin_root([2, 0, 0, 0, 0, 0, 0, 1])
         assert T.ext_degree() == 7
 
 
@@ -584,3 +585,129 @@ class TestQuadraticShortcut:
         unit, factors = factor_univariate(tp_mul([-r, one], [-r, one]), SQRT2)
         assert unit == 1
         assert factors == [([-r, one], 2)]
+
+
+# Depth-2 towers: Q(i)(sqrt 2)(cbrt 2), and the rational-base
+# Q(s2)(w) with s2^2 = 2 and w^2 = 1 + s2, whose top minimal polynomial
+# has a coefficient outside the base field.
+CBRT2, C3 = SQRT2.adjoin_root([-2, 0, 0, 1], name="c3")
+QS2, S2 = TRIVIAL_RATIONAL.adjoin_root([-2, 0, 1], name="s2")
+NESTED, W = QS2.adjoin_root([-(S2 + 1), 0, 1], name="w")
+DEPTH_TWO = {"gaussian": (CBRT2, TRIVIAL), "rational": (NESTED, TRIVIAL_RATIONAL)}
+
+
+def depth_two_elements(tower, base):
+    """Elements of a depth-2 tower with small base-field coordinates."""
+    g1, g2 = tower.gen(1), tower.gen(2)
+    basis = [g1 ** j * g2 ** k for k in range(tower.levels[1].degree)
+             for j in range(tower.levels[0].degree)]
+    return st.lists(scalars(base), min_size=len(basis), max_size=len(basis)).map(
+        lambda cs: sum((b * c for b, c in zip(basis, cs)), tower.zero()))
+
+
+@pytest.fixture(scope="module")
+def depth_three():
+    """Each depth-2 tower with sqrt 5 adjoined on top."""
+    return {key: tower.adjoin_root([-5, 0, 1], name="r5")[0]
+            for key, (tower, _) in DEPTH_TWO.items()}
+
+
+class TestDepthTwo:
+    """Arithmetic over towers whose coordinates are themselves tower
+    elements."""
+
+    @pytest.mark.parametrize("key", sorted(DEPTH_TWO))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_field_axioms(self, key, data):
+        tower, base = DEPTH_TWO[key]
+        a, b, c = (data.draw(depth_two_elements(tower, base)) for _ in range(3))
+        assert a * (b + c) == a * b + a * c
+        assert (a * b) * c == a * (b * c)
+        assert (a - b) + b == a
+        if not a.is_zero():
+            assert (a * a.inverse()).is_one() and a * a.inverse() == 1
+            assert (b / a) * a == b
+        za, zb = complex(a), complex(b)
+        assert abs(complex(a * b) - za * zb) <= 1e-9 * (1 + abs(za) * abs(zb))
+
+    @pytest.mark.parametrize("key", sorted(DEPTH_TWO))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_lift_keeps_equality_and_hash(self, depth_three, key, data):
+        tower, base = DEPTH_TWO[key]
+        a = data.draw(depth_two_elements(tower, base))
+        lifted = depth_three[key].element(a)
+        assert lifted.tower.depth == 3
+        assert lifted == a and a == lifted and hash(lifted) == hash(a)
+        # an element of the depth-1 tower below
+        low = tower.parent.gen() * data.draw(scalars(base)) + data.draw(scalars(base))
+        assert tower.element(low) == low and hash(tower.element(low)) == hash(low)
+        assert hash(lifted * 0 + low) == hash(low)
+
+    def test_pinned_gaussian_elements(self):
+        r2 = CBRT2.element(R2)
+        F = Fraction
+        cases = [
+            (C3 * r2 + F(1, 3), "1/3+(r2)*c3",
+             [["1/3", "0"], ["0", "1"], ["0", "0"]],
+             (((F(1, 3), 0), (0, 0)), ((0, 0), (1, 0)), ((0, 0), (0, 0)))),
+            (C3 * C3 * (I - r2 * F(1, 2)) + 5, "5+(i+(-1/2)*r2)*c3^2",
+             [["5", "0"], ["0", "0"], ["i", "-1/2"]],
+             (((5, 0), (0, 0)), ((0, 0), (0, 0)), ((0, 1), (F(-1, 2), 0)))),
+            ((C3 + r2).inverse(), "-1+r2+(-1+(1/2)*r2)*c3+(-1/2+(1/2)*r2)*c3^2",
+             [["-1", "1"], ["-1", "1/2"], ["-1/2", "1/2"]],
+             (((-1, 0), (1, 0)), ((-1, 0), (F(1, 2), 0)),
+              ((F(-1, 2), 0), (F(1, 2), 0)))),
+            (-C3 * C3, "(-1)*c3^2", [["0", "0"], ["0", "0"], ["-1", "0"]],
+             (((0, 0), (0, 0)), ((0, 0), (0, 0)), ((-1, 0), (0, 0)))),
+            (CBRT2.element(I), "i", [["i", "0"], ["0", "0"], ["0", "0"]],
+             (((0, 1), (0, 0)), ((0, 0), (0, 0)), ((0, 0), (0, 0)))),
+            (CBRT2.zero(), "0", [["0", "0"]] * 3, (((0, 0), (0, 0)),) * 3),
+        ]
+        for e, text, js, key in cases:
+            assert (str(e), e.to_json(), e.sort_key()) == (text, js, key)
+
+    def test_pinned_rational_elements(self):
+        s2 = NESTED.element(S2)
+        cases = [
+            (W * s2 - 2, "-2+(s2)*w", [["-2", "0"], ["0", "1"]],
+             (((-2, 0), (0, 0)), ((0, 0), (1, 0)))),
+            (W.inverse(), "(-1+s2)*w", [["0", "0"], ["-1", "1"]],
+             (((0, 0), (0, 0)), ((-1, 0), (1, 0)))),
+            ((W + s2) ** 3, "6+(5)*s2+(7+s2)*w", [["6", "5"], ["7", "1"]],
+             (((6, 0), (5, 0)), ((7, 0), (1, 0)))),
+        ]
+        for e, text, js, key in cases:
+            assert (str(e), e.to_json(), e.sort_key()) == (text, js, key)
+
+    @pytest.mark.parametrize("key, base, levels", [
+        ("gaussian", "gaussian",
+         [("r2", 2, ["-2", "0", "1"], (-1.4142135623730951, 0.0)),
+          ("c3", 3, [["-2", "0"], ["0", "0"], ["0", "0"], ["1", "0"]],
+           (-0.6299605249474369, -1.091123635971722))]),
+        ("rational", "rational",
+         [("s2", 2, ["-2", "0", "1"], (-1.4142135623730951, 0.0)),
+          ("w", 2, [["-1", "-1"], ["0", "0"], ["1", "0"]],
+           (0.0, -0.6435942529055827))]),
+    ])
+    def test_pinned_describe(self, key, base, levels):
+        d = DEPTH_TWO[key][0].describe()
+        assert d["base"] == base
+        got = [(lev["name"], lev["degree"], lev["minpoly"]) for lev in d["levels"]]
+        assert got == [level[:3] for level in levels]
+        for lev, (*_, emb) in zip(d["levels"], levels):
+            assert lev["embedding"] == pytest.approx(list(emb), abs=1e-12)
+
+    def test_towers_built_separately_are_equal_and_mix(self):
+        T2, r2 = TRIVIAL.adjoin_root([-2, 0, 1], name="r2")
+        T3, c3 = T2.adjoin_root([-2, 0, 0, 1], name="c3")
+        assert T3 is not CBRT2 and T3.parent is not SQRT2
+        assert T3 == CBRT2 and hash(T3) == hash(CBRT2)
+        assert SQRT2.is_prefix_of(T3) and T2.is_prefix_of(CBRT2)
+        assert c3 == C3 and hash(c3) == hash(C3)
+        assert len({c3, C3, r2, R2, CBRT2.element(R2)}) == 2
+        for total in (c3 + C3, C3 + c3):
+            assert total == C3 * 2 and total == c3 * 2
+        assert c3 * r2 - C3 * R2 == 0
+        assert (CBRT2.element(r2) * c3).tower == T3
