@@ -17,7 +17,7 @@ The command-line entry point lives in :mod:`folsing.cli`.
 """
 
 from .errors import ToolkitError
-from .scalars import Fraction, GaussianRational, TauScalar
+from .scalars import Fraction, GaussianRational
 from .towers import FieldElement, FieldTower, tower_caps
 from .poly import MultiPoly, OneFormGerm, VectorFieldGerm, dualize, wedge
 from .parsing import (
@@ -90,7 +90,6 @@ __all__ = [
     "ToolkitError",
     "Fraction",
     "GaussianRational",
-    "TauScalar",
     "FieldElement",
     "FieldTower",
     "tower_caps",

@@ -249,11 +249,6 @@ def payload_resolution_summary(obj, max_blowups: int = 64) -> dict:
     }
 
 
-def emit_tree_dot(tree) -> str:
-    """Graphviz text for a resolution tree (node ids are stable)."""
-    return tree.to_dot()
-
-
 def payload_conjugacy(obj, kind: str, order: int) -> dict:
     field = _as_field(obj)
     builder = {
@@ -273,7 +268,9 @@ def payload_holonomy(obj, base: int = 0, order: int = 6) -> dict:
     field = _as_field(obj)
     cls = classify_singularity(field)
     if cls.tag == "SaddleNode":
-        data = saddle_node_prepare(field)
+        # an --order above 12 raises the working order too: the residue
+        # at contact order p + 1 needs working order 2p + 1
+        data = saddle_node_prepare(field, order=max(12, order))
         germ = saddle_node_holonomy(data.p, data.modulus, order=order)
         return {"kind": "saddle-node", "data": data.to_json(),
                 "germ": germ.to_json()}
@@ -497,9 +494,9 @@ def cmd_resolve(expr, infile, tower_depth, ext_degree, max_blowups, fmt,
         tree = resolve_tree(obj, max_blowups=max_blowups)
         _, ledger_ok = verify_ledger(tree)
     if dot_path is not None:
-        Path(dot_path).write_text(emit_tree_dot(tree), encoding="utf-8")
+        Path(dot_path).write_text(tree.to_dot(), encoding="utf-8")
     if fmt == "dot":
-        click.echo(emit_tree_dot(tree), nl=False)
+        click.echo(tree.to_dot(), nl=False)
         return
     payload = tree.to_json()
     payload["ledger_ok"] = ledger_ok

@@ -3,10 +3,12 @@
 The linear multiplier of the return map around a separatrix of a simple
 singular point is the exponential of the eigenvalue ratio; for rational
 ratios it is an exact root of unity.  For a germ with one zero eigenvalue
-the return map around the strong separatrix is computed as the formal
-time-one map of the reduced transversal dynamics, with a transcendental
-symbol tau carrying the loop weight; its first deviation from the
-identity appears exactly at degree p + 1.
+the return map around the strong separatrix is the formal time-one map of
+tau times the reduced transversal dynamics, tau a transcendental loop
+weight.  That is the flow of the dynamics for time tau: the Picard
+iteration solves for the flow as a polynomial in its time, and tau is
+that time.  The first deviation from the identity appears exactly at
+degree p + 1.
 
 A nonconstant analytic invariant function forces every singular point of
 the resolved object to be of rational-ratio type with trivial resonant
@@ -21,18 +23,19 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import (
+    DegenerateEigenData,
     DicriticalInput,
     IntegralDegreeExceeded,
     InternalInvariantViolation,
     NonIntegerResidues,
+    TruncationTooSmall,
     WrongClass,
     ZeroBaseEigenvalue,
     ZeroInput,
 )
-from .errors import DegenerateEigenData
 from .local import eigen_pair, gcd_xy, line_slice
 from .normalforms import diagonalize_linear_part, resonant_normal_form, _demote
 from .poly import (
@@ -40,7 +43,6 @@ from .poly import (
     OneFormGerm,
     VectorFieldGerm,
     coefficient_tower,
-    compose,
     dualize,
     lift_poly,
     render_poly,
@@ -51,7 +53,6 @@ from .scalars import (
     ONE,
     ZERO,
     GaussianRational,
-    TauScalar,
     _fmt_ratio,
     coerce_scalar,
     power,
@@ -186,98 +187,117 @@ def _real_fraction(v) -> Optional[Fraction]:
 # ---------------------------------------------------------------------------
 
 class GermSeries:
-    """Truncated formal map z -> sum a_k z^k, a_1 the linear coefficient."""
+    """Truncated formal map z -> sum a_k(tau) z^k, held as one polynomial
+    in (tau, z); a_1 is the linear coefficient."""
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ("poly", "order")
 
-    def __init__(self, coeffs: Dict[int, object], order: int):
-        self.coeffs = {k: v for k, v in coeffs.items()
-                       if k <= order and not v.is_zero()}
+    def __init__(self, poly: MultiPoly, order: int):
+        self.poly = _trunc_z(poly, order)
         self.order = order
 
     @classmethod
     def identity(cls, order: int) -> "GermSeries":
-        return cls({1: TauScalar.constant(GaussianRational(1))}, order)
+        return cls(MultiPoly.variable(1, 2), order)
 
-    def coefficient(self, k: int):
-        return self.coeffs.get(k, TauScalar({}))
+    def degrees(self) -> List[int]:
+        """The powers of z with a nonzero coefficient, ascending."""
+        return sorted({k for _, k in self.poly.terms})
 
-    def linear_coefficient(self):
+    def coefficient(self, k: int) -> MultiPoly:
+        """a_k as a polynomial in tau."""
+        return MultiPoly(1, {(m,): c for (m, j), c in self.poly.terms.items()
+                             if j == k})
+
+    def linear_coefficient(self) -> MultiPoly:
         return self.coefficient(1)
 
-    def compose(self, other: "GermSeries") -> "GermSeries":
-        order = min(self.order, other.order)
-        outer, inner = (MultiPoly(1, {(k,): v for k, v in g.coeffs.items()})
-                        for g in (self, other))
-        out = compose([outer], [inner], order)[0]
-        return GermSeries({e[0]: c for e, c in out.terms.items()}, order)
-
-    def first_obstruction(self) -> Optional[Tuple[int, object]]:
+    def first_obstruction(self) -> Optional[Tuple[int, MultiPoly]]:
         """Smallest k >= 2 with a nonzero coefficient, if any."""
-        past_linear = sorted(k for k in self.coeffs if k >= 2)
+        past_linear = [k for k in self.degrees() if k >= 2]
         if not past_linear:
             return None
-        k = past_linear[0]
-        return k, self.coeffs[k]
+        return past_linear[0], self.coefficient(past_linear[0])
 
     def to_json(self) -> dict:
         return {"order": self.order,
-                "coefficients": {str(k): str(self.coeffs[k])
-                                 for k in sorted(self.coeffs)}}
+                "coefficients": {str(k): render_tau(self.coefficient(k))
+                                 for k in self.degrees()}}
 
     def __repr__(self):
-        parts = [f"({self.coeffs[k]})*z^{k}" for k in sorted(self.coeffs)]
+        parts = [f"({render_tau(self.coefficient(k))})*z^{k}"
+                 for k in self.degrees()]
         return "GermSeries(" + " + ".join(parts) + f" + O(z^{self.order + 1}))"
+
+
+def render_tau(a: MultiPoly) -> str:
+    """A polynomial in tau, terms in ascending degree; a coefficient is
+    parenthesized only when it is a sum."""
+    parts = []
+    for (m,), c in sorted(a.terms.items()):
+        ctxt = str(c)
+        if "+" in ctxt[1:] or "-" in ctxt[1:]:
+            ctxt = f"({ctxt})"
+        if m == 0:
+            parts.append(ctxt)
+            continue
+        mono = "tau" if m == 1 else f"tau^{m}"
+        if ctxt == "1":
+            parts.append(mono)
+        elif ctxt == "-1":
+            parts.append(f"-{mono}")
+        else:
+            parts.append(f"{ctxt}*{mono}")
+    if not parts:
+        return "0"
+    return parts[0] + "".join(p if p.startswith("-") else "+" + p
+                              for p in parts[1:])
 
 
 def _trunc_z(poly: MultiPoly, order: int) -> MultiPoly:
     return MultiPoly(2, {e: c for e, c in poly.terms.items() if e[1] <= order})
 
 
-def _integrate_t(poly: MultiPoly) -> MultiPoly:
-    out = {}
-    for (m, k), c in poly.terms.items():
-        out[(m + 1, k)] = TauScalar.coerce(c).divide_by_int(m + 1)
-    return MultiPoly(2, out)
-
-
 def saddle_node_holonomy(p: int, modulus, order: int = 6) -> GermSeries:
     """Return map around the strong separatrix of the reduced model.
 
-    Integrates the transversal dynamics dz/dt = tau z^{p+1} / (1 + c z^p)
-    from the identity over one loop of formal weight tau; the result is a
-    germ tangent to the identity whose first deviation is tau at z^{p+1}.
+    Integrates the transversal dynamics dz/dt = z^{p+1} / (1 + c z^p)
+    from the identity by Picard iteration, one power of z per step.  The
+    loop of formal weight tau is the flow for time tau, so the flow's
+    polynomial in (t, z) is the germ in (tau, z): tangent to the identity,
+    with first deviation tau at z^{p+1}.
     """
     if p < 1:
         raise WrongClass("contact exponent must be at least 1")
     if order < p + 1:
-        raise ZeroInput("truncation order must reach the first deviation")
+        raise TruncationTooSmall(
+            "truncation order must reach the first deviation",
+            order=order, required=p + 1)
     lam = coerce_scalar(modulus)
-    # G(w) = tau w^{p+1} (1 + lam w^p)^{-1}, expanded through z-degree ``order``
-    G: Dict[int, TauScalar] = {}
+    # G(w) = w^{p+1} (1 + lam w^p)^{-1}, expanded through z-degree ``order``
+    G = {}
     j = 0
     while p + 1 + j * p <= order:
-        G[p + 1 + j * p] = TauScalar.tau(1, power(-lam, j, ONE))
+        G[p + 1 + j * p] = power(-lam, j, ONE)
         j += 1
 
-    one = TauScalar.constant(GaussianRational(1))
-    y = MultiPoly(2, {(0, 1): one})  # variables (t, z)
+    y = MultiPoly.variable(1, 2)  # variables (t, z)
     for k in range(2, order + 1):
+        # the z^k part of G(y) reads y only below z^k, which is final
         acc = y
         e = 1
         rhs = MultiPoly.zero(2)
         for m in sorted(G):
+            if m > k:
+                break
             while e < m:
-                acc = _trunc_z(acc * y, order)
+                acc = _trunc_z(acc * y, k)
                 e += 1
             rhs = rhs + acc.scale(G[m])
-        rhs_k = MultiPoly(2, {ex: c for ex, c in rhs.terms.items() if ex[1] == k})
-        a_k = _integrate_t(rhs_k)
-        y = y + a_k
-    h: Dict[int, TauScalar] = {}
-    for (m, k), c in y.terms.items():
-        h[k] = h.get(k, TauScalar({})) + TauScalar.coerce(c)
-    return GermSeries(h, order)
+        # the z^k part of y is the t-integral of the z^k part of G(y)
+        y = y + MultiPoly(2, {(t + 1, d): c * Fraction(1, t + 1)
+                              for (t, d), c in rhs.terms.items() if d == k})
+    return GermSeries(y, order)
 
 
 class GermOrderResult:
@@ -295,14 +315,14 @@ class GermOrderResult:
             out["order"] = self.order
         if self.obstruction is not None:
             k, c = self.obstruction
-            out["obstruction"] = {"degree": k, "coefficient": str(c)}
+            out["obstruction"] = {"degree": k, "coefficient": render_tau(c)}
         return out
 
     def __repr__(self):
         return f"GermOrderResult({self.kind}, order={self.order})"
 
 
-def germ_order(obj, cap: int = 24) -> GermOrderResult:
+def germ_order(obj) -> GermOrderResult:
     """Periodicity of a return map: finite order, infinite, or undecidable."""
     if isinstance(obj, ExactMultiplier):
         return GermOrderResult("finite", obj.order)
@@ -313,8 +333,7 @@ def germ_order(obj, cap: int = 24) -> GermOrderResult:
         # a non-real or an irrational real exponent: never periodic
         return GermOrderResult("infinite")
     if isinstance(obj, GermSeries):
-        one = TauScalar.constant(GaussianRational(1))
-        if (obj.linear_coefficient() == one
+        if (obj.linear_coefficient() == 1
                 and (obstruction := obj.first_obstruction()) is not None):
             return GermOrderResult("infinite", obstruction=obstruction)
         return GermOrderResult("undecided")

@@ -16,7 +16,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Any, List
 
-from .scalars import GaussianRational, TauScalar
+from .scalars import GaussianRational
 from .towers import FieldElement
 
 _FLOAT_REL_TOL = 1e-9
@@ -37,7 +37,7 @@ def to_jsonable(obj: Any) -> Any:
         return [obj.real, obj.imag]
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, (GaussianRational, TauScalar, FieldElement)):
+    if isinstance(obj, (GaussianRational, FieldElement)):
         return str(obj)
     if hasattr(obj, "to_json"):
         return to_jsonable(obj.to_json())

@@ -48,9 +48,8 @@ class MultiPoly:
     constructor establishes it from any dict.  The arithmetic methods keep
     it without checking and build their results with ``_trusted``: the
     coefficients lie in a field (Q(i), or a tower whose minimal polynomials
-    are kept irreducible) or in the domain Q(i)[tau], so a product of
-    nonzero scalars is nonzero, and every sum is zero-tested where it is
-    formed.
+    are kept irreducible), so a product of nonzero scalars is nonzero, and
+    every sum is zero-tested where it is formed.
     """
 
     __slots__ = ("nvars", "terms")

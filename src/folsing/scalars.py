@@ -1,4 +1,4 @@
-"""Exact base scalars: Gaussian rationals and polynomials in the symbol tau.
+"""Exact base scalars: Gaussian rationals.
 
 GaussianRational is the ground field for every exact computation in the
 package: (a + b*i)/d stored as an integer triple (a, b, d) with d > 0 and
@@ -7,19 +7,14 @@ and products work on Python ints and normalize with one gcd per result;
 the real and imaginary parts are exposed as Fractions.  ``fraction_sqrt``
 and ``gaussian_sqrt`` are the package's exact square roots in Q and Q(i).
 
-TauScalar is a polynomial in a single transcendental symbol tau (representing
-the loop period 2*pi*i in holonomy series).  No relation beyond the ring
-axioms is ever applied to tau; in particular its degree is additive under
-multiplication.
-
-The exact core takes one closed set of scalars: GaussianRational, the
-FieldElement of a tower (``towers``) and TauScalar.  All three have
-``is_zero()``; the two field types also have ``inverse()`` and
-``as_gaussian_or_none()``.  An int or a Fraction is converted once, by
-``coerce_scalar``, where a value enters the library (the MultiPoly and
-TauScalar constructors, eigenvalue lists handed to the resonance, domain
-and holonomy functions); inside, scalars are used only through their own
-methods.
+The exact core takes one closed set of two scalar types: GaussianRational
+and the FieldElement of a tower (``towers``).  Both have ``is_zero()``,
+``inverse()`` and ``as_gaussian_or_none()``.  An int or a Fraction is
+converted once, by ``coerce_scalar``, where a value enters the library
+(the MultiPoly constructor, eigenvalue lists handed to the resonance,
+domain and holonomy functions); inside, scalars are used only through
+their own methods.  A formal symbol such as the loop weight tau of a
+saddle-node return map is a polynomial variable, not a scalar.
 """
 
 from __future__ import annotations
@@ -336,123 +331,6 @@ def format_gaussian(g: GaussianRational) -> str:
     return f"{_fmt_ratio(a, d)}{imtxt}"  # imtxt already carries the minus sign
 
 
-class TauScalar:
-    """Polynomial in the transcendental symbol tau.
-
-    Coefficients are GaussianRationals or FieldElements; the constructor
-    converts an int or a Fraction to a GaussianRational.  The zero
-    polynomial has an empty coefficient map.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        d = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                v = coerce_scalar(v)
-                if not v.is_zero():
-                    d[int(k)] = v
-        object.__setattr__(self, "coeffs", d)
-
-    def __setattr__(self, *a):
-        raise AttributeError("TauScalar is immutable")
-
-    # -- constructors -------------------------------------------------
-    @classmethod
-    def constant(cls, c) -> "TauScalar":
-        return cls({0: c})
-
-    @classmethod
-    def tau(cls, power: int = 1, coeff=ONE) -> "TauScalar":
-        return cls({power: coeff})
-
-    @classmethod
-    def coerce(cls, x) -> "TauScalar":
-        if isinstance(x, TauScalar):
-            return x
-        return cls.constant(x)
-
-    # -- predicates ---------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def tau_degree(self) -> int:
-        """Degree in tau; -1 for the zero polynomial."""
-        return max(self.coeffs) if self.coeffs else -1
-
-    def constant_part(self):
-        return self.coeffs.get(0, ZERO)
-
-    # -- ring ops -----------------------------------------------------
-    def __add__(self, other):
-        other = TauScalar.coerce(other)
-        d = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            w = d.get(k)
-            d[k] = v if w is None else w + v
-        return TauScalar(d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TauScalar({k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-TauScalar.coerce(other))
-
-    def __rsub__(self, other):
-        return TauScalar.coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = TauScalar.coerce(other)
-        d = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                k = k1 + k2
-                p = v1 * v2
-                w = d.get(k)
-                d[k] = p if w is None else w + p
-        return TauScalar(d)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "TauScalar":
-        return TauScalar({k: v * c for k, v in self.coeffs.items()})
-
-    def divide_by_int(self, n: int) -> "TauScalar":
-        if n == 0:
-            raise DivisionByZero("TauScalar division by zero integer")
-        inv = Fraction(1, n)
-        return TauScalar({k: v * inv for k, v in self.coeffs.items()})
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = TauScalar.coerce(other)
-        if not isinstance(other, TauScalar):
-            return NotImplemented
-        if set(self.coeffs) != set(other.coeffs):
-            return False
-        return all(self.coeffs[k] == other.coeffs[k] for k in self.coeffs)
-
-    def __hash__(self):
-        return hash(frozenset((k, _hashable(v)) for k, v in self.coeffs.items()))
-
-    def __repr__(self):
-        return f"TauScalar({format_tau(self)})"
-
-    def __str__(self):
-        return format_tau(self)
-
-
-def _hashable(v):
-    try:
-        hash(v)
-        return v
-    except TypeError:
-        return str(v)
-
-
 def coerce_scalar(c):
     """An int or a Fraction as a GaussianRational; other exact scalars
     unchanged.  A float or a complex (numpy's included) is refused with a
@@ -493,32 +371,3 @@ def row_reduce(rows):
                 rows[r] = [a - factor * b for a, b in zip(rows[r], pivot_row)]
         pivots.append(col)
     return rows, pivots
-
-
-def format_tau(t: TauScalar) -> str:
-    if not t.coeffs:
-        return "0"
-    parts = []
-    for k in sorted(t.coeffs):
-        c = t.coeffs[k]
-        ctxt = str(c)
-        needs_parens = ("+" in ctxt[1:]) or ("-" in ctxt[1:])
-        if k == 0:
-            parts.append(f"({ctxt})" if needs_parens else ctxt)
-            continue
-        ttxt = "tau" if k == 1 else f"tau^{k}"
-        if ctxt == "1":
-            parts.append(ttxt)
-        elif ctxt == "-1":
-            parts.append(f"-{ttxt}")
-        elif needs_parens:
-            parts.append(f"({ctxt})*{ttxt}")
-        else:
-            parts.append(f"{ctxt}*{ttxt}")
-    out = parts[0]
-    for p in parts[1:]:
-        out += p if p.startswith("-") else "+" + p
-    return out
-
-
-TAU = TauScalar.tau()

@@ -120,6 +120,29 @@ class TestBasicCommands:
         assert doc["data"]["p"] == 1
         jsonio.validate(doc, "holonomy")
 
+    @pytest.mark.parametrize("expr, order, pinned", [
+        ("x^2*ddx + (y + 2*i*x*y - x)*ddy", "5",
+         "holonomy_modulus_2i_order5.json"),
+        ("x^2*ddx + (y + (1/3+2*i)*x*y)*ddy", "4",
+         "holonomy_modulus_third_plus_2i_order4.json"),
+    ])
+    def test_holonomy_saddle_node_pinned(self, runner, expr, order, pinned):
+        # the z^3 coefficients print as "-2*i*tau+tau^2" and
+        # "(-1/3-2*i)*tau+tau^2": a sum is parenthesized, a product is not
+        out = invoke_ok(runner, ["holonomy", "--expr", expr,
+                                 "--order", order]).stdout
+        path = Path(__file__).parent / "pinned" / pinned
+        assert out == path.read_text(encoding="utf-8")
+
+    def test_holonomy_order_reaches_the_preparation(self, runner):
+        # contact order p + 1 = 7 needs a working order of 2p + 1 = 13
+        doc = json_out(runner, ["holonomy", "--expr", "x^7*ddx + y*ddy",
+                                "--order", "20"])
+        assert doc["data"]["p"] == 6
+        assert doc["germ"]["coefficients"] == {
+            "1": "1", "7": "tau", "13": "7/2*tau^2", "19": "91/6*tau^3"}
+        jsonio.validate(doc, "holonomy")
+
     def test_first_integral(self, runner):
         doc = json_out(runner, ["first-integral", "--expr", HAMILTONIAN])
         assert doc["criterion"]["verdict"] == "PassesNecessaryConditions"
@@ -318,6 +341,18 @@ class TestExitCodes:
         result = runner.invoke(main, ["analyze", "--expr", "0*ddx + 0*ddy"])
         assert result.exit_code == 1
         assert json.loads(result.stderr)["error"] == "zero-input"
+
+    def test_domain_error_holonomy_order_below_first_deviation(self, runner):
+        # p = 2: the germ first deviates from the identity at z^3
+        result = runner.invoke(main, ["holonomy", "--expr", "x^3*ddx + y*ddy",
+                                      "--order", "2"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        err = json.loads(result.stderr)
+        assert err == {"error": "truncation-too-small",
+                       "message": "truncation order must reach the first deviation",
+                       "detail": {"order": 2, "required": 3}}
+        jsonio.validate(err, "error")
 
     @pytest.mark.parametrize("args", [
         ["linearize", "--expr", SADDLE, "--order", "-3"],

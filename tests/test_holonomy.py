@@ -12,6 +12,7 @@ from folsing.errors import (
     DicriticalInput,
     IntegralDegreeExceeded,
     NonIntegerResidues,
+    TruncationTooSmall,
     WrongClass,
     ZeroBaseEigenvalue,
 )
@@ -25,6 +26,7 @@ from folsing.holonomy import (
     linear_holonomy,
     mattei_moussu_criterion,
     projective_holonomy_generators,
+    render_tau,
     saddle_node_holonomy,
     verify_first_integral,
 )
@@ -32,7 +34,7 @@ from folsing.local import classify_singularity
 from folsing.normalforms import diagonalize_linear_part, resonant_normal_form
 from folsing.parsing import parse_field, parse_form, parse_poly
 from folsing.poly import MultiPoly, OneFormGerm, VectorFieldGerm, dualize
-from folsing.scalars import GaussianRational, TauScalar
+from folsing.scalars import GaussianRational
 from folsing.towers import TRIVIAL
 
 
@@ -78,34 +80,75 @@ class TestExactMultiplier:
         assert m.modulus() == pytest.approx(2.718281828 ** (-2 * 3.14159265), rel=1e-6)
 
 
+def tau_poly(coeffs):
+    """The polynomial sum c * tau^m over the items m: c."""
+    return MultiPoly(1, {(m,): c for m, c in coeffs.items()})
+
+
+TAU = tau_poly({1: 1})
+small_q = st.fractions(min_value=-8, max_value=8, max_denominator=4)
+
+
+def _trunc_z(y, order):
+    return MultiPoly(2, {e: c for e, c in y.terms.items() if e[1] <= order})
+
+
 class TestSaddleNodeHolonomy:
     def test_first_deviation_is_tau(self):
         for p in (1, 2, 3):
             h = saddle_node_holonomy(p, 0, order=p + 2)
-            assert h.coefficient(p + 1) == TauScalar.tau(1)
+            assert h.coefficient(p + 1) == TAU
             for k in range(2, p + 1):
                 assert h.coefficient(k).is_zero()
 
     def test_zero_modulus_geometric(self):
         h = saddle_node_holonomy(1, 0, order=6)
         for k in range(1, 7):
-            assert h.coefficient(k) == TauScalar({k - 1: GaussianRational(1)})
+            assert h.coefficient(k) == tau_poly({k - 1: 1})
 
     def test_degree_three_with_modulus(self):
         h = saddle_node_holonomy(1, Fraction(2), order=3)
-        assert h.coefficient(2) == TauScalar.tau(1)
-        assert h.coefficient(3) == TauScalar(
-            {2: GaussianRational(1), 1: GaussianRational(-2)})
+        assert h.coefficient(2) == TAU
+        assert h.coefficient(3) == tau_poly({2: 1, 1: -2})
 
     def test_contact_two_fifth_coefficient(self):
         h = saddle_node_holonomy(2, 0, order=5)
         assert h.coefficient(4).is_zero()
-        assert h.coefficient(5) == TauScalar({2: GaussianRational(Fraction(3, 2))})
+        assert h.coefficient(5) == tau_poly({2: Fraction(3, 2)})
 
-    def test_compose_identity(self):
-        h = saddle_node_holonomy(1, 0, order=5)
-        eye = GermSeries.identity(5)
-        assert h.compose(eye).coeffs == h.coeffs
+    def test_order_below_the_first_deviation(self):
+        with pytest.raises(TruncationTooSmall) as info:
+            saddle_node_holonomy(2, 0, order=2)
+        assert info.value.payload == {"order": 2, "required": 3}
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.builds(GaussianRational, small_q, small_q),
+           st.integers(1, 10))
+    def test_flow_solves_the_transversal_equation(self, p, lam, order):
+        """y(tau, z) is the flow of dz/dt = z^{p+1} / (1 + lam z^p) for
+        time tau: d_tau y * (1 + lam y^p) = y^{p+1} through z^order, and
+        y(0, z) = z.  Checked on the polynomial, without the iteration."""
+        order = max(order, p + 1)
+        y = saddle_node_holonomy(p, lam, order=order).poly
+        assert MultiPoly(2, {e: c for e, c in y.terms.items() if e[0] == 0}) \
+            == MultiPoly.variable(1, 2)
+        yp = _trunc_z(y ** p, order)
+        lhs = _trunc_z(y.derivative(0) * (MultiPoly.constant(1, 2) + yp.scale(lam)),
+                       order)
+        assert lhs == _trunc_z(yp * y, order)
+
+
+class TestRenderTau:
+    def test_str(self):
+        assert render_tau(TAU) == "tau"
+        assert render_tau(TAU * TAU) == "tau^2"
+
+    def test_sums_are_parenthesized(self):
+        a = tau_poly({1: GaussianRational(Fraction(-1, 3), -2), 2: 1})
+        assert render_tau(a) == "(-1/3-2*i)*tau+tau^2"
+        assert render_tau(tau_poly({0: GaussianRational(1, 1), 1: -1})) == "(1+i)-tau"
+        assert render_tau(tau_poly({1: GaussianRational(0, -2), 2: 1})) == "-2*i*tau+tau^2"
+        assert render_tau(tau_poly({})) == "0"
 
 
 class TestGermOrder:
@@ -122,7 +165,9 @@ class TestGermOrder:
         r = germ_order(h)
         assert r.kind == "infinite"
         assert r.obstruction[0] == 3
-        assert r.obstruction[1] == TauScalar.tau(1)
+        assert r.obstruction[1] == TAU
+        assert r.to_json() == {"kind": "infinite", "obstruction": {
+            "degree": 3, "coefficient": "tau"}}
 
     def test_identity_undecided(self):
         assert germ_order(GermSeries.identity(6)).kind == "undecided"

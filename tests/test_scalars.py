@@ -1,4 +1,4 @@
-"""Exact Gaussian-rational scalars and tau-polynomials."""
+"""Exact Gaussian-rational scalars."""
 
 from fractions import Fraction
 from math import gcd
@@ -11,8 +11,6 @@ from folsing.scalars import (
     GaussianRational,
     I,
     ONE,
-    TAU,
-    TauScalar,
     ZERO,
     format_gaussian,
     power,
@@ -152,33 +150,6 @@ class TestGaussianRational:
         g = GaussianRational(value)
         assert g == value and hash(g) == hash(value)
         assert len({g, value}) == 1 and {g: 1}[value] == 1
-
-
-class TestTauScalar:
-    def test_degree_additive_no_normalization(self):
-        a = TAU * TAU + TauScalar.constant(3)
-        b = TAU + TauScalar.constant(1)
-        assert (a * b).tau_degree() == 3
-        assert a.tau_degree() == 2 and TauScalar.constant(5).tau_degree() == 0
-        assert TauScalar.constant(0).tau_degree() == -1
-
-    def test_arith(self):
-        a = TAU + TauScalar.constant(1)
-        assert a - a == TauScalar.constant(0)
-        assert (a * a).coeffs[1] == GaussianRational(2, 0)
-        assert a.scale(GaussianRational(2, 0)).coeffs[0] == GaussianRational(2, 0)
-
-    def test_divide_by_int(self):
-        a = TAU.scale(GaussianRational(3, 0))
-        assert a.divide_by_int(3) == TAU
-
-    def test_constant_part(self):
-        a = TAU + TauScalar.constant(Fraction(7, 2))
-        assert a.constant_part() == GaussianRational(Fraction(7, 2), 0)
-
-    def test_str(self):
-        assert str(TAU) == "tau"
-        assert "tau^2" in str(TAU * TAU)
 
 
 def test_power_squares_no_further_than_the_top_bit():
