@@ -179,6 +179,12 @@ class SlowConvergence(ToolkitError):
     code = "slow-convergence"
 
 
+class GridTooLarge(ToolkitError):
+    """An orbit census asks for more grid points than it samples."""
+
+    code = "grid-too-large"
+
+
 class FloatOverflow(ToolkitError):
     """A floating-point result is not finite, so no JSON can carry it."""
 

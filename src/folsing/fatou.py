@@ -20,21 +20,28 @@ leading nonlinear coefficient p*a.  The reduction is exact through degree
 4p+1; accuracy therefore degrades as the base point approaches the edge of
 the convergence disc.
 
-Orbit kernels.  A real germ at a real point iterates in float arithmetic:
-with zero imaginary parts complex arithmetic does the same IEEE operations
-on the real parts, so every iterate is bit-identical in its real part to
-the complex one.  The census advances only the orbits still undecided and
-does its bookkeeping only on a step where one of them ends.
+Orbit kernels.  ``_advance`` runs one loop per Horner length, compiled
+once from a template with Horner's scheme unrolled, so a step is a few
+float or complex operations and the disc test, with no inner loop (and on
+floats no call).  A real germ at a real point iterates in float
+arithmetic: with zero imaginary parts complex arithmetic does the same IEEE
+operations on the real parts, so every iterate is bit-identical in its real
+part to the complex one.  The census advances only the orbits still
+undecided, through blocks of steps that double in length, and decides each
+block in one vectorized pass: the first step at which an orbit escapes,
+comes back or collides ends it.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     FloatOverflow,
+    GridTooLarge,
     NotInPetal,
     SlowConvergence,
     ZeroInput,
@@ -71,6 +78,43 @@ def _horner_coefficients(coeffs: Sequence[complex],
     return clist[::-1]
 
 
+# The disc test of the generated loops: on floats the two comparisons with
+# -radius and radius are the test abs(z) <= radius without a call (nan fails
+# both); on complexes abs keeps raising OverflowError once the modulus of a
+# finite point passes the doubles.
+_DISC_TESTS = {True: "lo <= z <= radius", False: "abs(z) <= radius"}
+
+
+@functools.lru_cache(maxsize=64)
+def _orbit_kernel(length: int, real: bool) -> Callable:
+    """The orbit loop for a Horner scheme of ``length`` coefficients, on
+    floats or on complexes, compiled once per (length, real).
+
+    The source is built from the int and the bool alone.  Its step is
+    Horner's scheme unrolled into chained assignments,
+    ``acc = c0 * z + c1; acc = acc * z + c2; ...; z = acc * z``: the same
+    operations in the same order as a loop over the coefficients, without
+    that loop, and with no nesting to limit the length.
+    """
+    params = ", ".join("c%d" % k for k in range(length))
+    if length == 1:
+        step = ["z = c0 * z"]
+    else:
+        step = (["acc = c0 * z + c1"]
+                + ["acc = acc * z + c%d" % k for k in range(2, length)]
+                + ["z = acc * z"])
+    lines = (["def orbit(z, steps, lo, radius, %s):" % params,
+              "    for _ in range(steps):"]
+             + ["        " + line for line in step]
+             + ["        if not (%s):" % _DISC_TESTS[real],
+                "            return nan",
+                "    return z"])
+    namespace = {"nan": math.nan}
+    exec(compile("\n".join(lines) + "\n", "<orbit kernel>", "exec"),
+         namespace)
+    return namespace["orbit"]
+
+
 def _advance(coeffs: Sequence[complex], z: complex, steps: int,
              radius: float) -> complex:
     """The orbit point ``steps`` iterates after z, or nan once it leaves the
@@ -83,22 +127,21 @@ def _advance(coeffs: Sequence[complex], z: complex, steps: int,
     imaginary part can differ.
     """
     # plain Python numbers: the caller may hand over a numpy complex
-    # scalar, with which this loop runs markedly slower
+    # scalar, with which the loop runs markedly slower
     z = complex(z)
     clist = _horner_coefficients(coeffs, radius)
-    if (math.isfinite(radius) and z.imag == 0
-            and all(c.imag == 0 for c in clist)):
+    real = (math.isfinite(radius) and z.imag == 0
+            and all(c.imag == 0 for c in clist))
+    if real:
         z = z.real
         clist = [c.real for c in clist]
-    lead, rest = clist[0], clist[1:]
-    for _ in range(steps):
-        acc = lead
-        for c in rest:
-            acc = acc * z + c
-        z = acc * z
-        if not (abs(z) <= radius):
-            return complex("nan")
-    return complex(z)
+    orbit = _orbit_kernel(len(clist), real)
+    return complex(orbit(z, steps, -radius, radius, *clist))
+
+
+# Values of the trajectory block a census decides at once (steps times live
+# orbits), so its memory stays bounded whatever the grid.
+_CENSUS_BLOCK_VALUES = 1 << 12
 
 
 def _census_kernel(coeffs: np.ndarray, zs: np.ndarray, radius: float,
@@ -107,8 +150,12 @@ def _census_kernel(coeffs: np.ndarray, zs: np.ndarray, radius: float,
     3 finite) and the step that decided it.
 
     Only the live orbits are kept, compacted: their indices, start points
-    and current points.  Status and period are written, and the arrays
-    compacted, only on a step where some orbit ends.
+    and current points.  They are advanced through a block of steps into
+    one trajectory array, and the block is decided at once: the first step
+    at which each orbit escapes, comes back or collides ends it.  Orbits
+    that end are dropped at the block's end.  Blocks start at one step and
+    double, so orbits that end at once cost no more than a step each, up
+    to ``_CENSUS_BLOCK_VALUES`` values per block.
     """
     import numpy as np
 
@@ -118,27 +165,37 @@ def _census_kernel(coeffs: np.ndarray, zs: np.ndarray, radius: float,
     lead, rest = clist[0], clist[1:]
     idx = np.arange(zs.shape[0])
     z0 = z = zs
-    for k in range(1, max_iter + 1):
-        if idx.shape[0] == 0:
-            break
-        acc = lead
-        for c in rest:
-            acc = acc * z + c
-        znew = acc * z
-        escaped = ~(np.abs(znew) <= radius)
-        came_back = np.abs(znew - z0) < tol
-        collided = np.abs(znew - z) < tol
+    k = block = 0
+    while idx.shape[0] and k < max_iter:
+        block = max(1, min(2 * block, _CENSUS_BLOCK_VALUES // idx.shape[0],
+                           max_iter - k))
+        traj = np.empty((block + 1, idx.shape[0]), dtype=np.complex128)
+        traj[0] = z
+        for j in range(block):
+            zj = traj[j]
+            acc = lead
+            for c in rest:
+                acc = acc * zj + c
+            np.multiply(acc, zj, out=traj[j + 1])
+        new = traj[1:]
+        escaped = ~(np.abs(new) <= radius)
+        came_back = np.abs(new - z0) < tol
+        collided = np.abs(new - traj[:-1]) < tol
         done = escaped | came_back | collided
-        if done.any():
+        ended = done.any(axis=0)
+        z = traj[block]
+        if ended.any():
+            cols = np.flatnonzero(ended)
+            rows = done[:, cols].argmax(axis=0)
             # an orbit that both escapes and returns counts as escaping, one
             # that returns and collides as periodic
-            ended = idx[done]
-            code = np.where(escaped, 2, np.where(came_back, 1, 3))
-            status[ended] = code[done]
-            period[ended] = k
-            keep = ~done
-            idx, z0, znew = idx[keep], z0[keep], znew[keep]
-        z = znew
+            status[idx[cols]] = np.where(
+                escaped[rows, cols], 2,
+                np.where(came_back[rows, cols], 1, 3))
+            period[idx[cols]] = k + 1 + rows
+            keep = ~ended
+            idx, z0, z = idx[keep], z0[keep], z[keep]
+        k += block
     return status, period
 
 
@@ -520,12 +577,19 @@ def petal_points(f: NumericGerm, count: int, scale: float = 0.1,
 # --------------------------------------------------------------------------
 # orbit census
 # --------------------------------------------------------------------------
+# The most grid points a census samples, checked before the grid is built.
+MAX_CENSUS_POINTS = 1 << 20
+
+
 def orbit_census(h: NumericGerm, radius: float, max_iter: int = 1000000,
                  grid: int = 20, tol: float = 1e-9) -> dict:
     """Classify forward orbits on a square grid inside the disc of the given
     radius: escaping (leaves the disc), periodic (returns to the start
     within tol), finite (collides with its previous point within tol,
     i.e. the orbit closure is numerically a finite set), else undecided.
+
+    A grid of more than ``MAX_CENSUS_POINTS`` points is refused before any
+    array is built.
     """
     import numpy as np
 
@@ -534,6 +598,10 @@ def orbit_census(h: NumericGerm, radius: float, max_iter: int = 1000000,
                         radius=radius, evaluation_radius=h.radius)
     if grid % 2:
         grid += 1  # even grid keeps the fixed point off the sample set
+    if grid * grid > MAX_CENSUS_POINTS:
+        raise GridTooLarge("the census grid has too many points",
+                           grid=grid, points=grid * grid,
+                           limit=MAX_CENSUS_POINTS)
     # scaling the unit grid, unlike linspace(-radius, radius), never forms
     # the difference 2 * radius, which overflows for radius near the top
     # of the doubles

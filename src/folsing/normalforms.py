@@ -97,6 +97,18 @@ def _unit_slice(j: int, n: int) -> Slice:
     return {tuple(int(k == j) for k in range(n)): ONE}
 
 
+def _raised_weights(weights: Dict[Exponent, object], lam: Tuple, n: int,
+                    d: int) -> Dict[Exponent, object]:
+    """<Q, lambda> for every Q of degree d, in ``exponents`` order, from the
+    weights of degree d - 1: <Q, lambda> = <Q - e_j, lambda> + lambda_j with
+    j the first variable of Q, one addition each."""
+    out = {}
+    for exps in exponents(n, d):
+        j = next(k for k, q in enumerate(exps) if q)
+        out[exps] = weights[exps[:j] + (exps[j] - 1,) + exps[j + 1:]] + lam[j]
+    return out
+
+
 class _OnlineComposition:
     """Degree slices of ``polys(maps)`` while the maps are still being solved for.
 
@@ -239,12 +251,12 @@ def solve_conjugacy(field: VectorFieldGerm, decide: Decide, order: int,
     gs: List[List[Slice]] = [[{}, {}] for _ in range(n)]
     dh: List[List[List[Slice]]] = [[[{}] for _ in range(n)] for _ in range(n)]
     kept: Dict[Tuple[int, Exponent], object] = {}
+    # <Q, lambda> for every Q of the current degree; delta subtracts lambda_i
+    weights = {exps: lam[exps.index(1)] for exps in exponents(n, 1)}
 
     for d in range(2, order + 1):
         composed = engine.slice(d)
-        # <Q, lambda> for every Q of degree d; delta subtracts lambda_i
-        weights = [(exps, sum(q * lam[j] for j, q in enumerate(exps) if q))
-                   for exps in exponents(n, d)]
+        weights = _raised_weights(weights, lam, n, d)
         for i in range(n):
             # degree-d slice of X(id + h) - Dh * g
             defect = composed[i]
@@ -254,7 +266,7 @@ def solve_conjugacy(field: VectorFieldGerm, decide: Decide, order: int,
                         _add_product(defect, dh[i][j][a], gs[j][d - a], -1)
             h_d: Slice = {}
             g_d: Slice = {}
-            for exps, weight in weights:
+            for exps, weight in weights.items():
                 rhs = defect.get(exps)
                 rhs_zero = rhs is None or rhs.is_zero()
                 delta = weight - lam[i]

@@ -439,6 +439,18 @@ class TestExitCodes:
         assert err["error"] == code
         jsonio.validate(err, "error")
 
+    def test_domain_error_census_grid_too_large(self, runner):
+        # refused before the grid is built, so the huge value is safe here
+        result = runner.invoke(main, ["orbit-census", "--coeffs", "1,1",
+                                      "--radius", "0.3", "--grid", "100000"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        err = json.loads(result.stderr)
+        assert err["error"] == "grid-too-large"
+        assert err["detail"] == {"grid": 100000, "points": 10 ** 10,
+                                 "limit": 2 ** 20}
+        jsonio.validate(err, "error")
+
     def test_census_radius_at_the_top_of_the_doubles(self):
         proc = run_cli_process(["orbit-census", "--coeffs", "1",
                                 "--radius", "1e308", "--grid", "4"])

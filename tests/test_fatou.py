@@ -11,12 +11,14 @@ from hypothesis import given, settings, strategies as st
 from folsing import fatou
 from folsing.errors import (
     FloatOverflow,
+    GridTooLarge,
     NotInPetal,
     SlowConvergence,
     ZeroInput,
     ZeroLeadingCoefficient,
 )
 from folsing.fatou import (
+    MAX_CENSUS_POINTS,
     NumericGerm,
     _advance,
     _census_kernel,
@@ -211,6 +213,34 @@ class TestOrbitCensus:
     def test_non_finite_radius(self, radius):
         with pytest.raises(FloatOverflow):
             orbit_census(NumericGerm([1.0]), radius, max_iter=10, grid=4)
+
+    @pytest.fixture()
+    def grid_built(self, monkeypatch):
+        # the census builds its grid with linspace first; reaching it means
+        # the size check let the grid through
+        class Built(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Built()
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        return Built
+
+    @pytest.mark.parametrize("grid", [1025, 1026, 100000, 10 ** 12])
+    def test_grid_above_the_cap_is_refused_before_building(self, grid,
+                                                           grid_built):
+        with pytest.raises(GridTooLarge) as info:
+            orbit_census(NumericGerm([1.0, 1.0]), 0.4, max_iter=10, grid=grid)
+        assert info.value.code == "grid-too-large"
+        assert info.value.payload["limit"] == MAX_CENSUS_POINTS == 2 ** 20
+        assert info.value.payload["points"] > MAX_CENSUS_POINTS
+
+    @pytest.mark.parametrize("grid", [1023, 1024])
+    def test_grid_at_the_cap_is_built(self, grid, grid_built):
+        # 1023 rounds up to the even 1024, exactly 2^20 points
+        with pytest.raises(grid_built):
+            orbit_census(NumericGerm([1.0, 1.0]), 0.4, max_iter=10, grid=grid)
 
 
 class TestFloatErrorState:
@@ -462,6 +492,120 @@ class TestKernelsMatchTheFormerLoops:
     @settings(max_examples=150, deadline=None)
     def test_census(self, coeffs, zs, radius, max_iter, tol):
         self._both(coeffs, zs, radius, max_iter, tol)
+
+
+class TestBlockedCensusAndUnrolledAdvance:
+    """The census decides blocks of steps at once and the advance loop is
+    compiled per Horner length; both must still match the former loops at
+    the block edges, past the block cap and over long orbits."""
+
+    # blocks of 1, 2, 4, ... steps end after steps 1, 3, 7, 15, 31, 63
+    STEPS = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65]
+
+    both = staticmethod(TestKernelsMatchTheFormerLoops._both)
+
+    @pytest.mark.parametrize("q", STEPS)
+    def test_periodic_at_block_edges(self, q):
+        # a rotation of order q brings every orbit back at step q
+        zs = [0.2, -0.1j, 0.05 + 0.15j]
+        status, period = self.both([cmath.exp(2j * math.pi / q)], zs, 0.3,
+                                   200)
+        assert (status == 1).all() and (period == q).all()
+
+    @pytest.mark.parametrize("q", STEPS)
+    def test_escaping_at_block_edges(self, q):
+        # z -> 2 z takes 0.75 / 2^(q-1) to 1.5, outside the unit disc, at
+        # step q, exactly; tolerance 0 keeps tiny start points from counting
+        # as returns
+        status, period = self.both([2.0], [0.75 / 2 ** (q - 1)], 1.0, 200,
+                                   tol=0.0)
+        assert status.tolist() == [2] and period.tolist() == [q]
+
+    @pytest.mark.parametrize("q", STEPS[1:])
+    def test_finite_at_block_edges(self, q):
+        # z -> z / 2 moves 0.75 * 2^(q-80) by 0.75 * 2^-80 < 2^-80 first at
+        # step q (at step 1 a collision is a return, hence periodic)
+        z0 = 0.75 * 2.0 ** (q - 80)
+        status, period = self.both([0.5], [z0, -1j * z0], 1.0, 200,
+                                   tol=2.0 ** -80)
+        assert (status == 3).all() and (period == q).all()
+
+    def test_orbits_ending_in_one_block_at_different_steps(self):
+        # one census, one orbit ending at each step: every block decides
+        # several orbits, each at its own first step
+        zs = [0.75 / 2 ** (q - 1) for q in self.STEPS]
+        status, period = self.both([2.0], zs, 1.0, 200, tol=0.0)
+        assert (status == 2).all()
+        assert period.tolist() == self.STEPS
+
+    @pytest.mark.parametrize("q", [7, 8, 9, 16, 17])
+    def test_ending_at_max_iter(self, q):
+        rot = [cmath.exp(2j * math.pi / q)]
+        status, period = self.both(rot, [0.2, 0.1j], 0.3, q)
+        assert (status == 1).all() and (period == q).all()
+        status, period = self.both(rot, [0.2, 0.1j], 0.3, q - 1)
+        assert (status == 0).all() and (period == 0).all()
+        status, period = self.both([2.0], [0.75 / 2 ** (q - 1)], 1.0, q,
+                                   tol=0.0)
+        assert status.tolist() == [2] and period.tolist() == [q]
+
+    def test_more_live_points_than_the_block_cap(self, monkeypatch):
+        # 5000 orbits under z -> 2 z: a fifth escape at each of the steps
+        # 1, 2, 3, 4 and 5, so the first blocks hold one step and the census
+        # compacts until its blocks grow
+        blocks = []
+        original = np.empty
+
+        def recording(shape, *args, **kwargs):
+            blocks.append(shape)
+            return original(shape, *args, **kwargs)
+
+        radii = np.repeat([0.75 / 2 ** (q - 1) for q in range(1, 6)], 1000)
+        angles = np.linspace(0.0, 2 * math.pi, radii.shape[0],
+                             endpoint=False)
+        zs = radii * np.exp(1j * angles)
+        monkeypatch.setattr(np, "empty", recording)
+        status, period = self.both([2.0], zs, 1.0, 50)
+        monkeypatch.undo()
+        assert (status == 2).all()
+        assert np.bincount(period).tolist() == [0] + [1000] * 5
+        assert blocks[:3] == [(2, 5000), (2, 4000), (2, 3000)]
+        assert all(rows == 2 for rows, live in blocks if live > 2048)
+        assert any(rows > 2 for rows, live in blocks)
+
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    @pytest.mark.parametrize("b", [-1, 0, 1])
+    def test_workload_germs_over_100000_steps(self, a, b):
+        # the benchmark's germs z + a z^2 + b z^3 at real points on the
+        # attracting direction, with the radius the command line uses
+        germ = NumericGerm([1.0, float(a), float(b)])
+        z = complex(-(2 + a + b) / 100 / a)
+        old = _reference_advance(germ.coeffs, z, 100000, germ.radius)
+        new = _advance(germ.coeffs, z, 100000, germ.radius)
+        assert not cmath.isnan(old)
+        assert new.real.hex() == old.real.hex() and new.imag == 0
+
+    def test_complex_germ_over_100000_steps(self):
+        germ = NumericGerm([1.0, 1.0 - 0.5j, 0.25j, 0.1])
+        z = complex(-0.03 * (1.0 + 0.5j) / abs(1.0 - 0.5j) ** 2)
+        old = _reference_advance(germ.coeffs, z, 100000, germ.radius)
+        new = _advance(germ.coeffs, z, 100000, germ.radius)
+        assert not cmath.isnan(old) and old.imag != 0
+        assert (new.real.hex(), new.imag.hex()) == (old.real.hex(),
+                                                    old.imag.hex())
+
+    def test_one_loop_per_horner_length(self):
+        real = fatou._orbit_kernel(3, True)
+        assert fatou._orbit_kernel(3, True) is real
+        assert fatou._orbit_kernel(3, False) is not real
+        assert fatou._orbit_kernel(4, True) is not real
+
+    def test_long_germ(self):
+        # a germ of 300 coefficients: the unrolled step has no nesting to
+        # outgrow the parser
+        coeffs = [1.0] + [0.001] * 299
+        _check_advance(coeffs, complex(-0.05), 300, 0.5)
+        _check_advance(coeffs, complex(-0.05, 0.01), 300, 0.5)
 
 
 class TestKernelBoundary:

@@ -18,7 +18,10 @@ each module in ``src/folsing`` with the standard library's ``ast``:
   ``as_gaussian_or_none`` or ``sort_key`` with ``getattr`` or
   ``hasattr``.  Every exact scalar of the core has the methods it needs,
   and ints and Fractions are converted where they enter the library, so
-  the methods are called directly.
+  the methods are called directly;
+- the builtins ``exec``, ``eval`` and ``compile`` are called only inside
+  ``fatou._orbit_kernel``, which compiles the orbit loops from an int and
+  a bool, so generated code stays in one place.
 """
 
 import ast
@@ -234,3 +237,57 @@ def test_checker_flags_a_duck_typed_scalar_method(tmp_path):
     assert duck_typed_scalar_probes(path) == [
         "m.py:2 is_zero", "m.py:3 inverse", "m.py:7 sort_key",
         "m.py:8 as_gaussian_or_none"]
+
+
+CODE_BUILTINS = {"exec", "eval", "compile"}
+# (module file, enclosing function) allowed to generate code
+GENERATED_CODE_HOME = ("fatou.py", "_orbit_kernel")
+
+
+def generated_code_calls(path: Path):
+    """Calls of ``exec``, ``eval`` or ``compile`` (bare or as an attribute of
+    ``builtins``) outside ``GENERATED_CODE_HOME``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = None
+            if isinstance(func, ast.Name):
+                name = func.id
+            elif (isinstance(func, ast.Attribute)
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id == "builtins"):
+                name = func.attr
+            if (name in CODE_BUILTINS
+                    and (path.name, function) != GENERATED_CODE_HOME):
+                out.append(f"{path.name}:{node.lineno} {name}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_generated_code_only_in_the_orbit_kernel(path):
+    assert generated_code_calls(path) == []
+
+
+def test_checker_flags_generated_code_elsewhere(tmp_path):
+    source = ("import builtins\nimport re\n"
+              "exec('x = 1')\n"
+              "def _orbit_kernel():\n    return eval('1')\n"
+              "def g():\n    pattern = re.compile('a')\n"
+              "    return builtins.compile('1', 'f', 'eval')\n")
+    elsewhere = tmp_path / "m.py"
+    elsewhere.write_text(source)
+    assert generated_code_calls(elsewhere) == [
+        "m.py:3 exec", "m.py:5 eval", "m.py:8 compile"]
+    home = tmp_path / "fatou.py"
+    home.write_text(source)
+    assert generated_code_calls(home) == ["fatou.py:3 exec",
+                                          "fatou.py:8 compile"]
