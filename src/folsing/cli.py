@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 
 import click
 
-from . import __version__, jsonio
+from . import __version__, jsonio, towers
 from .blowup import blow_up_field, tangent_cone, wedge_certificate
 from .cp2 import (
     LINE_INVARIANT,
@@ -77,8 +77,8 @@ from .parsing import (
     render_poly,
 )
 from .poly import MultiPoly, OneFormGerm, VectorFieldGerm, dualize
+from .resolve import DEFAULT_MAX_BLOWUPS, verify_ledger
 from .resolve import resolve as resolve_tree
-from .resolve import verify_ledger
 from .sectors import (
     EigenData,
     admissible_monomials,
@@ -140,11 +140,13 @@ def input_options(fn):
 
 def tower_options(fn):
     fn = click.option(
-        "--ext-degree", type=click.IntRange(min=1), default=6,
+        "--ext-degree", type=click.IntRange(min=1),
+        default=towers.DEFAULT_DEGREE_CAP,
         show_default=True,
         help="Cap on the degree of a single algebraic extension.")(fn)
     fn = click.option(
-        "--tower-depth", type=click.IntRange(min=0), default=3,
+        "--tower-depth", type=click.IntRange(min=0),
+        default=towers.DEFAULT_DEPTH_CAP,
         show_default=True,
         help="Cap on the number of nested algebraic extensions.")(fn)
     return fn
@@ -234,9 +236,9 @@ def payload_blowup(obj) -> dict:
     }
 
 
-def payload_resolution_summary(obj, max_blowups: int = 64) -> dict:
+def payload_resolution_summary(obj) -> dict:
     """Compact digest of a resolution, used for corpus expectations."""
-    tree = resolve_tree(obj, max_blowups=max_blowups)
+    tree = resolve_tree(obj)
     _, ledger_ok = verify_ledger(tree)
     leaves = sorted(n.classification.tag for n in tree.nodes if n.final)
     return {
@@ -278,7 +280,8 @@ def payload_holonomy(obj, base: int = 0, order: int = 6) -> dict:
     return {"kind": "linear", "multiplier": multiplier.to_json()}
 
 
-def payload_first_integral(obj, order: int = 8, max_blowups: int = 64) -> dict:
+def payload_first_integral(obj, order: int = 8,
+                           max_blowups: int = DEFAULT_MAX_BLOWUPS) -> dict:
     form = obj if isinstance(obj, OneFormGerm) else None
     field = _as_field(obj)
     if form is None:
@@ -479,7 +482,8 @@ def cmd_blowup(expr, infile):
 @main.command("resolve")
 @input_options
 @tower_options
-@click.option("--max-blowups", type=click.IntRange(min=0), default=64,
+@click.option("--max-blowups", type=click.IntRange(min=0),
+              default=DEFAULT_MAX_BLOWUPS,
               show_default=True, help="Abort after this many blow-ups.")
 @click.option("--format", "fmt", type=click.Choice(["json", "dot"]),
               default="json", show_default=True)
@@ -542,7 +546,8 @@ def cmd_holonomy(expr, infile, base, order):
 @tower_options
 @click.option("--order", type=click.IntRange(min=1), default=8,
               show_default=True, help="Formal order used in the leafwise checks.")
-@click.option("--max-blowups", type=click.IntRange(min=0), default=64,
+@click.option("--max-blowups", type=click.IntRange(min=0),
+              default=DEFAULT_MAX_BLOWUPS,
               show_default=True)
 @toolkit_errors
 def cmd_first_integral(expr, infile, tower_depth, ext_degree, order,

@@ -48,7 +48,7 @@ from .poly import (
     render_poly,
     scalar_to_json,
 )
-from .resolve import resolve
+from .resolve import DEFAULT_MAX_BLOWUPS, resolve
 from .scalars import (
     ONE,
     ZERO,
@@ -386,7 +386,8 @@ def _leaf_formally_linearizable(node, order: int) -> bool:
     return not resonant_normal_form(diag, order=top).kept
 
 
-def mattei_moussu_criterion(obj, order: int = 8, max_blowups: int = 64) -> IntegralVerdict:
+def mattei_moussu_criterion(obj, order: int = 8,
+                            max_blowups: int = DEFAULT_MAX_BLOWUPS) -> IntegralVerdict:
     """Necessary conditions for a nonconstant analytic invariant function.
 
     Resolves the germ and inspects every terminal singular point: points

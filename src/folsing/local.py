@@ -8,6 +8,14 @@ exact rational square-root tests.  When s lives in a proper extension tower
 the (rare) realness/sign decisions fall back to the numeric embedding and the
 result is flagged as such.
 
+The eigenvalue domains (Poincare, Siegel, strict Siegel) are where 0 lies
+against the convex hull of the spectrum, decided exactly by the
+angular-gap test ``sectors.zero_position``: 0 is outside the hull when no
+eigenvalue is 0 and some gap between angularly consecutive eigenvalue rays
+exceeds a half-turn, and on its boundary when a gap is exactly a half-turn.
+Only eigenvalues above Q(i) are placed by their numeric embedding, and the
+result is flagged.
+
 Intersection multiplicity of two plane curves at the origin is computed by
 Fulton's algorithm: the intersection axioms reduce I_0(F, G) to subtractions
 G <- G - c x^k F in K[x, y] and splittings F = y H, where each splitting adds
@@ -27,7 +35,6 @@ and the Riccati fibers restrict with it too.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
@@ -47,7 +54,8 @@ from .poly import (
     exponents,
     lift_poly,
 )
-from .scalars import coerce_scalar, fraction_sqrt, gaussian_triple
+from .scalars import GaussianRational, coerce_scalar, fraction_sqrt, gaussian_triple
+from .sectors import zero_position
 from .towers import (
     TRIVIAL,
     FieldTower,
@@ -218,14 +226,12 @@ def _classify_from_rational_s(q: Fraction, order, tr, det, s) -> SingularityClas
                             ratio=r, siegel_pair=(m, n))
 
 
-def eigen_pair(vf: VectorFieldGerm, adjoin: bool = True,
-               tower: Optional[FieldTower] = None):
+def eigen_pair(vf: VectorFieldGerm):
     """Exact eigenvalues of the linear part at the origin.
 
     Returns (tower, lambda1, lambda2).  If the characteristic polynomial is
-    irreducible over the coefficients' tower and ``adjoin`` is set, a root is
-    adjoined (one extension); otherwise NotSingular/ValueError style errors
-    propagate from the tower layer.
+    irreducible over the coefficients' tower, a root is adjoined (one
+    extension).
     """
     if vf.nvars != 2:
         raise VariableCountMismatch("eigenvalue pair is planar (2 variables)",
@@ -233,7 +239,7 @@ def eigen_pair(vf: VectorFieldGerm, adjoin: bool = True,
     j = vf.linear_part_matrix()
     a, b = j[0]
     c, d = j[1]
-    base = tower or coefficient_tower(*vf.components) or TRIVIAL
+    base = coefficient_tower(*vf.components) or TRIVIAL
     a, b, c, d = (base.element(v) for v in (a, b, c, d))
     tr = a + d
     det = a * d - b * c
@@ -249,8 +255,6 @@ def eigen_pair(vf: VectorFieldGerm, adjoin: bool = True,
         if len(roots) == 2:
             ordered = sorted((r for r, _ in roots), key=lambda e: e.sort_key())
             return base, ordered[1], ordered[0]
-    if not adjoin:
-        raise WrongClass("characteristic polynomial does not split over the tower")
     mp, _ = hard[0]
     ext, lam1 = base.adjoin_root(mp, name=f"e{base.depth + 1}")
     lam2 = ext.element(tr) - lam1
@@ -303,44 +307,20 @@ class DomainResult:
         return f"DomainResult({self.domain}, zero {self.zero_position})"
 
 
-def _to_points(lambdas) -> Tuple[List[Tuple[Fraction, Fraction]], bool]:
+def _to_points(lambdas) -> Tuple[List[GaussianRational], bool]:
     pts = []
     numeric = False
     for v in lambdas:
         g = coerce_scalar(v).as_gaussian_or_none()
-        if g is not None:
-            pts.append((g.re, g.im))
-        else:
+        if g is None:
             z = complex(v)
-            pts.append((Fraction(z.real), Fraction(z.imag)))
+            g = GaussianRational(Fraction(z.real), Fraction(z.imag))
             numeric = True
+        pts.append(g)
     return pts, numeric
 
 
-def _dot(p, u) -> Fraction:
-    return p[0] * u[0] + p[1] * u[1]
-
-
-def _halfplane_exists(points, strict: bool) -> bool:
-    """Does a direction u exist with dot(p, u) > 0 (or >= 0) for all points?"""
-    if not points:
-        return True
-    if strict:
-        cands = [(a[0] + b[0], a[1] + b[1])
-                 for a, b in itertools.combinations_with_replacement(points, 2)]
-    else:
-        cands = []
-        for p in points:
-            cands.extend([(-p[1], p[0]), (p[1], -p[0]), p])
-    for u in cands:
-        if u == (Fraction(0), Fraction(0)):
-            continue
-        vals = [_dot(p, u) for p in points]
-        if strict and all(v > 0 for v in vals):
-            return True
-        if not strict and all(v >= 0 for v in vals):
-            return True
-    return False
+_DOMAINS = {"outside": "poincare", "boundary": "siegel", "interior": "strict_siegel"}
 
 
 def domain_classification(lambdas: Sequence) -> DomainResult:
@@ -350,38 +330,16 @@ def domain_classification(lambdas: Sequence) -> DomainResult:
     if not lambdas:
         raise ZeroInput("empty spectrum")
     pts, numeric = _to_points(lambdas)
-    zero = (Fraction(0), Fraction(0))
-    nonzero = [p for p in pts if p != zero]
-    has_zero = len(nonzero) < len(pts)
-    if not nonzero:
-        return DomainResult("siegel", "boundary", numeric)
-    if not has_zero and _halfplane_exists(nonzero, strict=True):
-        return DomainResult("poincare", "outside", numeric)
-    # 0 is in the hull; decide boundary vs relative interior
-    collinear = all(
-        a[0] * b[1] - a[1] * b[0] == 0
-        for a, b in itertools.combinations(nonzero, 2)
-    )
-    if collinear:
-        v = nonzero[0]
-        signs = {(_dot(p, v) > 0) for p in nonzero}
-        if len(signs) == 2:
-            return DomainResult("strict_siegel", "interior", numeric)
-        return DomainResult("siegel", "boundary", numeric)
-    if _halfplane_exists(nonzero, strict=False):
-        return DomainResult("siegel", "boundary", numeric)
-    return DomainResult("strict_siegel", "interior", numeric)
+    position = zero_position(pts)
+    return DomainResult(_DOMAINS[position], position, numeric)
 
 
 def separating_line_exists(lambdas: Sequence, index: int = 0) -> bool:
     """Is there a line through 0 with lambda_index strictly on one side and
     every other eigenvalue strictly on the other?"""
     pts, _ = _to_points(lambdas)
-    sep = [pts[index]] + [(-p[0], -p[1]) for k, p in enumerate(pts) if k != index]
-    zero = (Fraction(0), Fraction(0))
-    if any(p == zero for p in sep):
-        return False
-    return _halfplane_exists(sep, strict=True)
+    sep = [pts[index]] + [-p for k, p in enumerate(pts) if k != index]
+    return zero_position(sep) == "outside"
 
 
 # ---------------------------------------------------------------------

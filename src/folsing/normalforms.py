@@ -406,7 +406,7 @@ def _eigenvector(mat, lam):
     return None
 
 
-def diagonalize_linear_part(field: VectorFieldGerm, tower=None):
+def diagonalize_linear_part(field: VectorFieldGerm):
     """Diagonalize a two-variable germ via its eigenbasis.
 
     Returns ``(new_field, matrix, lambdas, tower)`` where ``matrix`` is the
@@ -419,9 +419,9 @@ def diagonalize_linear_part(field: VectorFieldGerm, tower=None):
     if mat[0][1].is_zero() and mat[1][0].is_zero():
         # the diagonal entries are the eigenvalues, already in the
         # coefficients' tower: nothing to factor
-        tower = tower or coefficient_tower(*field.components) or TRIVIAL
+        tower = coefficient_tower(*field.components) or TRIVIAL
         return field, [[1, 0], [0, 1]], (mat[0][0], mat[1][1]), tower
-    tower, lam1, lam2 = eigen_pair(field, tower=tower)
+    tower, lam1, lam2 = eigen_pair(field)
     lam1, lam2 = _demote(lam1), _demote(lam2)
     if not (lam1 - lam2).is_zero():
         v1 = _eigenvector(mat, lam1)

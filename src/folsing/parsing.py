@@ -35,6 +35,8 @@ from .poly import (
     OneFormGerm,
     VectorFieldGerm,
     _trusted,
+    render_field,
+    render_form,
     render_poly,
 )
 from .scalars import GaussianRational, _triple, power
@@ -395,22 +397,6 @@ def render_scalar(c: GaussianRational) -> str:
     from .scalars import format_gaussian
 
     return format_gaussian(c)
-
-
-def render_field(v: VectorFieldGerm) -> str:
-    names = ("ddx", "ddy", "ddz")
-    parts = [f"({render_poly(p)})*{names[k]}"
-             for k, p in enumerate(v.components) if not p.is_zero()]
-    return " + ".join(parts) if parts else "0"
-
-
-def render_form(w: OneFormGerm) -> str:
-    parts = []
-    if not w.a.is_zero():
-        parts.append(f"({render_poly(w.a)})*dx")
-    if not w.b.is_zero():
-        parts.append(f"({render_poly(w.b)})*dy")
-    return " + ".join(parts) if parts else "0"
 
 
 def render_any(obj) -> str:

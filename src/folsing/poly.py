@@ -474,6 +474,23 @@ def render_poly(p: MultiPoly, names: Optional[Sequence[str]] = None) -> str:
     return out
 
 
+def render_field(v: "VectorFieldGerm") -> str:
+    """Canonical text rendering, ``(component)*marker`` per nonzero
+    component; the markers are ddx, ddy, ddz up to three variables and
+    dd1, dd2, ... above."""
+    names = DEFAULT_NAMES.get(v.nvars) or tuple(str(k + 1) for k in range(v.nvars))
+    parts = [f"({render_poly(p)})*dd{name}"
+             for p, name in zip(v.components, names) if not p.is_zero()]
+    return " + ".join(parts) if parts else "0"
+
+
+def render_form(w: "OneFormGerm") -> str:
+    """Canonical text rendering of A dx + B dy."""
+    parts = [f"({render_poly(p)})*{marker}"
+             for p, marker in ((w.a, "dx"), (w.b, "dy")) if not p.is_zero()]
+    return " + ".join(parts) if parts else "0"
+
+
 class VectorFieldGerm:
     """Polynomial vector field germ: one component polynomial per variable."""
 
@@ -554,14 +571,7 @@ class VectorFieldGerm:
         return [p.to_json() for p in self.components]
 
     def __str__(self):
-        markers = {2: ("ddx", "ddy"), 3: ("ddx", "ddy", "ddz")}.get(
-            self.nvars, tuple(f"dd{k+1}" for k in range(self.nvars)))
-        parts = []
-        for p, m in zip(self.components, markers):
-            if p.is_zero():
-                continue
-            parts.append(f"({p})*{m}")
-        return " + ".join(parts) if parts else "0"
+        return render_field(self)
 
     def __repr__(self):
         return f"VectorFieldGerm({self})"
@@ -603,12 +613,7 @@ class OneFormGerm:
         return {"dx": self.a.to_json(), "dy": self.b.to_json()}
 
     def __str__(self):
-        parts = []
-        if not self.a.is_zero():
-            parts.append(f"({self.a})*dx")
-        if not self.b.is_zero():
-            parts.append(f"({self.b})*dy")
-        return " + ".join(parts) if parts else "0"
+        return render_form(self)
 
     def __repr__(self):
         return f"OneFormGerm({self})"

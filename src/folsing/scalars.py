@@ -84,14 +84,6 @@ class GaussianRational:
         self._b = b
         self._d = d
 
-    # -- constructors -------------------------------------------------
-    @classmethod
-    def coerce(cls, x) -> "GaussianRational":
-        g = _co(x)
-        if g is NotImplemented:
-            raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
-        return g
-
     # -- parts ----------------------------------------------------------
     @property
     def re(self) -> Fraction:

@@ -16,7 +16,10 @@ here is sign combinatorics of those cosines:
 * the induced polynomial action on leaf constants.
 
 Directions are unnormalized GaussianRational vectors, and every comparison
-is an exact sign test on rational cross and dot products.  Input scalars
+is an exact sign test on rational cross and dot products.  The same sorted
+rays decide convex position (``zero_position``, which ``local`` uses for the
+eigenvalue domains too): 0 is outside the hull of nonzero points exactly
+when some gap between angularly consecutive rays exceeds a half-turn.  Input scalars
 are read exactly: an int or a Fraction as itself, a float or a complex as
 the dyadic rationals its parts store; NaN and infinities are refused.
 """
@@ -101,6 +104,37 @@ def _same_ray(a, b) -> bool:
     return _sign(_cross(a, b)) == 0 and _sign(_dot(a, b)) > 0
 
 
+def _sorted_rays(vectors: Iterable) -> List:
+    rays: List = []
+    for v in vectors:
+        if not any(_same_ray(v, r) for r in rays):
+            rays.append(v)
+    rays.sort(key=_angle_key)
+    return rays
+
+
+def zero_position(points: Sequence) -> str:
+    """Where 0 lies against the convex hull of GaussianRational points:
+    "outside", on its relative "boundary" or in its relative "interior".
+
+    An exact angular-gap test.  The nonzero points are sorted into rays by
+    argument; 0 is outside the hull iff no point is 0 and some
+    counterclockwise gap between consecutive rays exceeds a half-turn (a
+    single ray leaves a full turn).  Such a gap with 0 among the points
+    makes 0 a vertex, and a gap of exactly a half-turn puts 0 on an edge;
+    both are boundary.  Two opposite rays alone span a segment through 0,
+    which holds it in its relative interior.
+    """
+    rays = _sorted_rays(p for p in points if not p.is_zero())
+    crosses = [_cross(a, b) for a, b in zip(rays, rays[1:] + rays[:1])]
+    if len(rays) <= 1 or any(c < 0 for c in crosses):
+        return "boundary" if any(p.is_zero() for p in points) else "outside"
+    # consecutive rays are distinct, so a zero cross product is a half-turn
+    if len(rays) > 2 and any(c == 0 for c in crosses):
+        return "boundary"
+    return "interior"
+
+
 def _in_open_arc(v, start, end) -> bool:
     """Is direction v strictly inside the counterclockwise arc start -> end?"""
     b = v * start.conjugate()
@@ -168,7 +202,7 @@ class EigenData:
         for v in values:
             if v.is_zero():
                 raise DegenerateEigenData("zero eigenvalue in the nonzero block")
-        if _hull_contains_origin(values):
+        if zero_position(values) != "outside":
             raise DegenerateEigenData(
                 "0 lies in the convex hull of the eigenvalues")
         self.gamma = tuple(values)
@@ -198,30 +232,6 @@ class EigenData:
             "gamma": [[str(g.re), str(g.im)] for g in self.gamma],
             "alpha": [str(a) for a in self.alpha],
         }
-
-
-def _hull_contains_origin(points: List) -> bool:
-    for p in points:
-        if p.is_zero():
-            return True
-    m = len(points)
-    for i in range(m):
-        for j in range(i + 1, m):
-            a, b = points[i], points[j]
-            if _sign(_cross(a, b)) == 0 and _sign(_dot(a, b)) < 0:
-                return True
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(j + 1, m):
-                a, b, c = points[i], points[j], points[k]
-                s1 = _sign(_cross(b - a, -a))
-                s2 = _sign(_cross(c - b, -b))
-                s3 = _sign(_cross(a - c, -c))
-                if s1 >= 0 and s2 >= 0 and s3 >= 0:
-                    return True
-                if s1 <= 0 and s2 <= 0 and s3 <= 0:
-                    return True
-    return False
 
 
 # --------------------------------------------------------------------------
@@ -280,15 +290,6 @@ class SectorPartition:
             "singular_directions": [
                 _direction_json(v) for v in self.singular_directions],
         }
-
-
-def _sorted_rays(vectors: Iterable) -> List:
-    rays: List = []
-    for v in vectors:
-        if not any(_same_ray(v, r) for r in rays):
-            rays.append(v)
-    rays.sort(key=_angle_key)
-    return rays
 
 
 def solution_sectors(e: EigenData) -> SectorPartition:

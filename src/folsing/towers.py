@@ -714,8 +714,12 @@ def _factor_trager(f: list, tower: FieldTower) -> List[list]:
     """Trager norm descent: factor squarefree monic f over K(alpha) given
     factorization over K (= the tower one level down)."""
     alpha = tower.gen()
-    shifts = [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5]
-    for c in shifts:
+    n, d = tp_deg(f), tower.levels[-1].degree
+    # the norm of f(t - c*alpha) is squarefree unless b + c*a = b' + c*a'
+    # for roots b, b' of the conjugates of f under alpha -> a and -> a',
+    # a != a': at most n^2 d(d-1)/2 shifts c = 0, 1, -1, 2, -2, ... fail
+    for k in range(n * n * d * (d - 1) // 2 + 1):
+        c = (k + 1) // 2 if k % 2 else -(k // 2)
         shifted = tp_compose(f, [alpha * (-c), tower.one()]) if c else f
         norm = _norm_resultant(shifted, tower)
         if tp_deg(tp_gcd(norm, tp_derivative(norm))) == 0:

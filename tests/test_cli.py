@@ -156,6 +156,16 @@ class TestBasicCommands:
         assert doc["residual_zero"] is True
         jsonio.validate(doc, "conjugacy")
 
+    def test_linearize_spectrum_in_an_open_half_plane(self, runner):
+        # 1+3i and -i lie in the open half-plane Re(conj(u) z) > 0 of
+        # u = 1 - i/10, though of no sum of two eigenvalues: Poincare domain
+        doc = json_out(runner, ["linearize", "--expr",
+                                "(1+3*i)*x*ddx + (-i)*y*ddy + x^2*ddy",
+                                "--order", "4"])
+        assert doc["eigenvalues"] == ["1+3*i", "-i"]
+        assert doc["residual_zero"] is True
+        jsonio.validate(doc, "conjugacy")
+
     def test_normal_form_dulac(self, runner):
         doc = json_out(runner, ["normal-form", "dulac", "--expr",
                                 "(x + 5*x*y)*ddx + y^2*ddy"])
@@ -177,6 +187,12 @@ class TestBasicCommands:
                                         "--alpha", "1/2,-3"]).stdout
         assert with_alpha == plain
         jsonio.validate(json.loads(with_alpha), "sectors")
+
+    def test_sectors_on_one_ray(self, runner):
+        # three eigenvalues on one ray leave 0 outside their hull
+        doc = json_out(runner, ["sectors", "--gamma", "1,2,3"])
+        assert doc["gamma"] == ["1", "2", "3"]
+        jsonio.validate(doc, "sectors")
 
     def test_fatou(self, runner):
         doc = json_out(runner, ["fatou", "--coeffs", "1,1", "--z", "-0.1"])

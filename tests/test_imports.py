@@ -9,11 +9,11 @@ each module in ``src/folsing`` with the standard library's ``ast``:
 - no module imports numpy when it is itself imported.  The exact core never
   computes with floats, and a cold command should not pay for numpy; the
   functions that do compute with it import it in their bodies;
-- every undecorated function, method or class of the package is referenced
-  by name somewhere in ``src``, ``tests`` or ``perfbench``, so dead
-  definitions do not pile up.  Decorated ones (click commands, properties,
-  class methods) are reached through their decorators; dunders through
-  Python itself;
+- every function, method or class of the package, undecorated or a class
+  or static method, is referenced by name somewhere in ``src``, ``tests``
+  or ``perfbench``, so dead definitions do not pile up.  Other decorated
+  ones (click commands, properties) are reached through their decorators;
+  dunders through Python itself;
 - no module probes a scalar for ``is_zero``, ``inverse``,
   ``as_gaussian_or_none`` or ``sort_key`` with ``getattr`` or
   ``hasattr``.  Every exact scalar of the core has the methods it needs,
@@ -147,11 +147,14 @@ def test_checker_flags_import_time_numpy(tmp_path):
 
 
 def _definitions(tree: ast.Module):
-    """Undecorated, non-dunder functions, methods and classes as {name: line}."""
+    """Non-dunder functions, methods and classes, undecorated or decorated
+    only as class or static methods, as {name: line}."""
     out = {}
     for node in ast.walk(tree):
         if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                and not node.decorator_list
+                and all(isinstance(d, ast.Name)
+                        and d.id in ("classmethod", "staticmethod")
+                        for d in node.decorator_list)
                 and not (node.name.startswith("__") and node.name.endswith("__"))):
             out.setdefault(node.name, node.lineno)
     return out
@@ -202,8 +205,10 @@ def test_checker_flags_an_unreferenced_definition(tmp_path):
                     "def helper():\n    return Live().live()\n"
                     "def by_string():\n    return 3\n"
                     "class Live:\n    pass\n"
+                    "    @classmethod\n    def make(cls):\n        return cls()\n"
                     "getattr(Live, 'by_string')\n")
-    assert unreferenced_definitions([path], [path]) == ["m.py:2 Dead", "m.py:10 helper"]
+    assert unreferenced_definitions([path], [path]) == [
+        "m.py:2 Dead", "m.py:10 helper", "m.py:17 make"]
 
 
 SCALAR_METHODS = {"is_zero", "inverse", "as_gaussian_or_none", "sort_key"}

@@ -1,5 +1,6 @@
 """Linear classification, resonances, hull domains, intersection numbers."""
 
+import itertools
 import json
 import math
 import signal
@@ -25,6 +26,7 @@ from folsing.parsing import parse_field, parse_poly
 from folsing.poly import MultiPoly, VectorFieldGerm, dualize
 from folsing.resolve import resolve, verify_ledger
 from folsing.scalars import GaussianRational
+from folsing.sectors import zero_position
 from folsing.towers import TRIVIAL
 
 X = MultiPoly.variable(0, 2)
@@ -206,6 +208,91 @@ class TestDomains:
         assert separating_line_exists([1, GaussianRational(-2, 1)])
         assert not separating_line_exists([1, 2])
         assert not separating_line_exists([1, 0])
+
+
+def _cross(a, b):
+    return a.re * b.im - a.im * b.re
+
+
+def _zero_in_hull(points):
+    """0 is one of the points, on a segment [p, q] or in a non-degenerate
+    closed triangle of them."""
+    if any(p.is_zero() for p in points):
+        return True
+    for p, q in itertools.combinations(points, 2):
+        if _cross(p, q) == 0 and (p.conjugate() * q).re < 0:
+            return True
+    for a, b, c in itertools.combinations(points, 3):
+        if _cross(b - a, c - a) == 0:
+            continue
+        signs = {(_cross(q - p, -p) > 0) - (_cross(q - p, -p) < 0)
+                 for p, q in ((a, b), (b, c), (c, a))}
+        if signs <= {0, 1} or signs <= {0, -1}:
+            return True
+    return False
+
+
+def _in_cone(v, points):
+    """Is v a nonnegative combination of at most two of the points (which
+    in the plane covers every nonnegative combination)?"""
+    for q in points:
+        if _cross(q, v) == 0 and (q.conjugate() * v).re > 0:
+            return True
+    for q, r in itertools.combinations(points, 2):
+        det = _cross(q, r)
+        if det != 0 and _cross(v, r) / det >= 0 and _cross(q, v) / det >= 0:
+            return True
+    return False
+
+
+def _oracle_position(points):
+    """0 in the hull is in its relative interior iff the segment from each
+    point to 0 extends past 0 inside the hull, that is, iff -p lies in the
+    cone over the points for every point p (Rockafellar, Convex Analysis,
+    Theorem 6.4).  A spectrum of zeros counts as boundary."""
+    if not _zero_in_hull(points):
+        return "outside"
+    nonzero = [p for p in points if not p.is_zero()]
+    if nonzero and all(_in_cone(-p, nonzero) for p in nonzero):
+        return "interior"
+    return "boundary"
+
+
+_COORD = st.integers(-3, 3)
+_POINT = st.builds(GaussianRational, _COORD, _COORD)
+# multiples of a few directions meet the collinear and opposite cases often
+_ON_AXES = st.builds(lambda k, d: d * k, st.integers(-3, 3),
+                     st.sampled_from([GaussianRational(1), GaussianRational(1, 1),
+                                      GaussianRational(2, -1)]))
+
+
+class TestZeroPosition:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.one_of(_POINT, _ON_AXES), min_size=1, max_size=6))
+    def test_matches_the_hull_oracle(self, points):
+        assert zero_position(points) == _oracle_position(points)
+
+    @pytest.mark.parametrize("points, position", [
+        ([GaussianRational(1, 3), GaussianRational(0, -1)], "outside"),
+        ([GaussianRational(1), GaussianRational(2), GaussianRational(3)], "outside"),
+        ([GaussianRational(1), GaussianRational(0)], "boundary"),
+        ([GaussianRational(1), GaussianRational(-1), GaussianRational(0, 1)], "boundary"),
+        ([GaussianRational(0), GaussianRational(0)], "boundary"),
+        ([GaussianRational(1), GaussianRational(-2)], "interior"),
+        ([GaussianRational(1), GaussianRational(0), GaussianRational(-2)], "interior"),
+        ([GaussianRational(1), GaussianRational(-1, 1), GaussianRational(-1, -1)],
+         "interior"),
+    ])
+    def test_each_position_and_the_oracle(self, points, position):
+        assert zero_position(points) == position
+        assert _oracle_position(points) == position
+
+    def test_spectrum_of_unequal_lengths_is_poincare(self):
+        # u = 1 - i/10 separates 1+3i and -i from 0, though no sum of two
+        # of them does
+        r = domain_classification([GaussianRational(1, 3), GaussianRational(0, -1)])
+        assert (r.domain, r.zero_position) == ("poincare", "outside")
+        assert separating_line_exists([GaussianRational(1, 3), GaussianRational(0, 1)])
 
 
 class TestFractionSqrt:

@@ -56,6 +56,10 @@ class TestEigenData:
         with pytest.raises(DegenerateEigenData):
             EigenData([G(1), G(-1, 1), G(-1, -1)])
 
+    def test_points_on_one_ray_accepted(self):
+        assert EigenData([G(1), G(2), G(3)]).gamma == (G(1), G(2), G(3))
+        assert EigenData([G(1, 1), G(2, 2), G(3, 3), I]).n == 5
+
     def test_half_plane_configuration_accepted(self):
         e = EigenData([G(1), G(2, 1), G(0, 5)])
         assert e.n == 4

@@ -289,6 +289,18 @@ class TestFactorization:
         roots, hard = roots_in_tower(p, T3)
         assert not hard and len(roots) == 2
 
+    def test_norm_shift_past_five(self, sqrt2_tower):
+        # the roots m*r2, m = -5..5, make the norm of f(t - c*r2) square
+        # for every shift |c| <= 5: the descent needs c = 6
+        T2, r2 = sqrt2_tower
+        p = [T2.one()]
+        for m in range(-5, 6):
+            p = tp_mul(p, [r2 * -m, T2.one()])
+        roots, hard = roots_in_tower(p, T2)
+        assert not hard
+        assert sorted(roots, key=lambda rm: rm[0].sort_key()) == sorted(
+            ((r2 * m, 1) for m in range(-5, 6)), key=lambda rm: rm[0].sort_key())
+
     def test_irreducible_stays(self, sqrt2_tower):
         T2, _ = sqrt2_tower
         _, fac = factor_univariate([T2.element(-3), T2.zero(), T2.one()], T2)
