@@ -46,6 +46,7 @@ from .local import classify_singularity, detect_resonances, domain_classificatio
 from .poly import (
     MultiPoly,
     VectorFieldGerm,
+    _trusted,
     coefficient_tower,
     compose,
     exponents,
@@ -243,13 +244,15 @@ def solve_conjugacy(field: VectorFieldGerm, decide: Decide, order: int,
     n = field.nvars
     linear = field.homogeneous_component(1)
     nonlinear = [field.components[i] - linear.components[i] for i in range(n)]
-    # degree slices: maps[j] of x_j + h_j, hs[i] of h_i, gs[i] of g_i, and
-    # dh[i][j] of d(h_i)/dx_j; index = degree, the lowest entries empty
+    # degree slices: maps[j] of x_j + h_j, hs[i] of h_i and gs[i] of g_i;
+    # index = degree, the lowest entries empty
     maps = [[{}, _unit_slice(j, n)] for j in range(n)]
     engine = _OnlineComposition(nonlinear, maps)
     hs: List[List[Slice]] = [[{}, {}] for _ in range(n)]
     gs: List[List[Slice]] = [[{}, {}] for _ in range(n)]
-    dh: List[List[List[Slice]]] = [[[{}] for _ in range(n)] for _ in range(n)]
+    # dh[(i, j, a)] = degree-a slice of d(h_i)/dx_j, derived when a kept
+    # slice of g first reads it
+    dh: Dict[Tuple[int, int, int], Slice] = {}
     kept: Dict[Tuple[int, Exponent], object] = {}
     # <Q, lambda> for every Q of the current degree; delta subtracts lambda_i
     weights = {exps: lam[exps.index(1)] for exps in exponents(n, 1)}
@@ -262,8 +265,14 @@ def solve_conjugacy(field: VectorFieldGerm, decide: Decide, order: int,
             defect = composed[i]
             for j in range(n):
                 for a in range(1, d - 1):
-                    if dh[i][j][a] and gs[j][d - a]:
-                        _add_product(defect, dh[i][j][a], gs[j][d - a], -1)
+                    g = gs[j][d - a]
+                    if not g:
+                        continue
+                    dha = dh.get((i, j, a))
+                    if dha is None:
+                        dha = dh[(i, j, a)] = _derivative_slice(hs[i][a + 1], j)
+                    if dha:
+                        _add_product(defect, dha, g, -1)
             h_d: Slice = {}
             g_d: Slice = {}
             for exps, weight in weights.items():
@@ -286,12 +295,11 @@ def solve_conjugacy(field: VectorFieldGerm, decide: Decide, order: int,
             gs[i].append(g_d)
         for i in range(n):
             maps[i].append(hs[i][d])
-            for j in range(n):
-                dh[i][j].append(_derivative_slice(hs[i][d], j))
 
+    # the slices of h and g hold nonzero coefficients, all of degree >= 2
     variables = [MultiPoly.variable(j, n) for j in range(n)]
-    transform = [variables[i] + MultiPoly(n, _merged(hs[i])) for i in range(n)]
-    normal = VectorFieldGerm([linear.components[i] + MultiPoly(n, _merged(gs[i]))
+    transform = [variables[i] + _trusted(n, _merged(hs[i])) for i in range(n)]
+    normal = VectorFieldGerm([linear.components[i] + _trusted(n, _merged(gs[i]))
                               for i in range(n)])
     return ConjugacyResult(pattern, order, lam, transform, normal, kept)
 

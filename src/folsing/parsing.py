@@ -16,8 +16,9 @@ marker to a 3-variable polynomial; ``parse_any`` dispatches on its markers
 to the same builders that ``parse_poly``, ``parse_field`` and
 ``parse_form`` use.  Atoms are shared constants and products are
 ``MultiPoly`` products.  The term pairs those products form are counted
-per parse, and an expansion past ``PAIR_BUDGET`` of them, such as
-``(1+x)^100000``, is a ParseError at the operator that would pass it.
+per parse, weighted by the length of their coefficients, and an expansion
+past ``PAIR_BUDGET`` of them, such as ``(1+x)^100000``, is a ParseError at
+the operator that would pass it.
 
 Rendering is the exact inverse on parser-produced objects: graded-lex term
 order, explicit ``*``, canonical scalar formatting.
@@ -26,6 +27,7 @@ order, explicit ``*``, canonical scalar formatting.
 from __future__ import annotations
 
 import re
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .errors import ParseError
@@ -39,7 +41,7 @@ from .poly import (
     render_form,
     render_poly,
 )
-from .scalars import GaussianRational, _triple, power
+from .scalars import GaussianRational, _triple, gaussian_triple, power
 
 VAR_INDEX = {"x": 0, "x1": 0, "y": 1, "x2": 1, "z": 2, "x3": 2}
 FIELD_MARKERS = {"ddx": 0, "ddy": 1, "ddz": 2}
@@ -53,8 +55,12 @@ _TOKEN_RE = re.compile(
 
 _ATOM_STARTS = {"number", "ident", "("}
 
-# Term pairs that the products of one parse may form in total.  A monomial
-# power costs one pair per step, so x^100000000 stays cheap.
+# Term pairs that the products of one parse may form in total.  With w the
+# 64-bit words of the longest numerator or denominator of the two operands,
+# a pair counts ceil(w^2 / 64) times: multiplying and reducing coefficients
+# costs about w^2 word operations, which the interpreter's own cost per pair
+# hides up to 8 words (512 bits), where a pair still counts once.  A
+# monomial power costs one pair per step, so x^100000000 stays cheap.
 PAIR_BUDGET = 10 ** 6
 
 
@@ -133,6 +139,16 @@ _ATOMS["i"] = _Value.of_poly(MultiPoly.constant(GaussianRational(0, 1), 3))
 _ATOMS.update((m, _Value({m: _ONE})) for m in (*FIELD_MARKERS, *FORM_MARKERS))
 
 
+def _words(p1: MultiPoly, p2: MultiPoly) -> int:
+    """64-bit words of the longest numerator or denominator of ``p1`` and
+    ``p2``, at least 1."""
+    bits = 0
+    for a, b, d in map(gaussian_triple, chain(p1.terms.values(),
+                                              p2.terms.values())):
+        bits = max(bits, a.bit_length(), b.bit_length(), d.bit_length())
+    return max(1, (bits + 63) // 64)
+
+
 class _Parser:
     def __init__(self, tokens: List[_Token], line: int):
         self.tokens = tokens
@@ -166,7 +182,9 @@ class _Parser:
 
     def product(self, p1: MultiPoly, p2: MultiPoly, at: _Token) -> MultiPoly:
         """``p1 * p2``, charged to the parse's budget of term pairs."""
-        self.pairs += len(p1.terms) * len(p2.terms)
+        words = _words(p1, p2)
+        weight = (words * words + 63) // 64
+        self.pairs += len(p1.terms) * len(p2.terms) * weight
         if self.pairs > PAIR_BUDGET:
             raise ParseError(
                 f"expansion needs more than {PAIR_BUDGET} term products",

@@ -9,6 +9,12 @@ MultiPoly's own arithmetic are normal by construction and are built with
 ``_trusted``, which does not look at their coefficients again.
 ``mul_trunc`` and ``inverse_trunc`` are the truncated power-series product
 and inverse, and ``exponents`` enumerates the monomials of one degree.
+``compose`` substitutes polynomials for the variables.  Over Q(i) it
+computes on Gaussian-integer numerators with one denominator per
+polynomial, ``({exponent: (a, b)}, d)``: its table of powers chains many
+products, and each is reduced once, by its content, instead of once per
+coefficient.  ``mul_trunc`` keeps the scalar loop, because a lone product
+does not repay converting its operands and its result.
 VectorFieldGerm and OneFormGerm are thin wrappers holding components, with
 the classical plane duality  A dx + B dy  <->  B d/dx - A d/dy  and wedge
 products used throughout the resolution and integrability checks.
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add, sub
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -30,7 +37,9 @@ from .errors import (
 from .scalars import (
     ZERO,
     GaussianRational,
+    _triple,
     coerce_scalar,
+    gaussian_triple,
     power,
 )
 from .towers import scalar_to_json
@@ -378,58 +387,155 @@ def compose(polys: Sequence[MultiPoly], maps: Sequence[MultiPoly],
     """Each ``poly(maps)``, dropping every term of total degree above
     ``order`` (which may be ``math.inf``).
 
-    One table of truncated powers of the maps, built with ``mul_trunc``,
-    serves all of ``polys``.  Every term of the image of x^E has degree at
-    least sum_j E_j ord_0(maps[j]), so a source monomial whose bound exceeds
+    One table of truncated powers of the maps serves all of ``polys``.  It
+    grows one product per exponent when the exponents come in order, and by
+    squaring otherwise.  Every term of the image of x^E has degree at least
+    sum_j E_j ord_0(maps[j]), so a source monomial whose bound exceeds
     ``order`` is skipped.  Only the E_j > 0 enter the sum: a map with a
     constant term bounds nothing, and a zero map (order +inf) skips exactly
     the monomials that contain its variable.
+
+    The coefficient type picks the arithmetic of the table, the images and
+    the final sum of c * image.  Over Q(i) the table holds Gaussian-integer
+    numerators with one denominator per power (``_numerators``): a product
+    multiplies ints and is reduced once, by its content, and each output
+    coefficient is put in lowest terms once, where the sum ends.  A table
+    chains many products, so this pays for the conversion; a lone
+    ``mul_trunc`` would not, and keeps the scalar loop.  Tower coefficients
+    use ``mul_trunc`` here too.
     """
     if any(poly.nvars != len(maps) for poly in polys):
         raise VariableCountMismatch("wrong number of substitution polynomials")
     nv = maps[0].nvars
+    if all(type(c) is GaussianRational
+           for p in (*polys, *maps) for c in p.terms.values()):
+        lift, mul, total = _numerators, _numerator_mul, _numerator_sum
+    else:
+        lift, mul, total = _same, MultiPoly.mul_trunc, _scalar_sum
     orders = [m.order_at_origin() for m in maps]
-    tables: List[Dict[int, MultiPoly]] = [{1: m.truncate(order)} for m in maps]
+    tables = [{1: lift(m.truncate(order))} for m in maps]
 
-    def map_power(j: int, e: int) -> MultiPoly:
+    def map_power(j: int, e: int):
         table = tables[j]
         got = table.get(e)
         if got is None:
             if e - 1 in table:
-                got = table[e - 1].mul_trunc(table[1], order)
+                got = mul(table[e - 1], table[1], order)
             else:
                 # by squaring, so that a lone high power such as x^1000000
                 # in a blow-up chart costs about log2(e) products
                 half = map_power(j, e // 2)
-                got = half.mul_trunc(half, order)
+                got = mul(half, half, order)
                 if e & 1:
                     table[e - 1] = got
-                    got = got.mul_trunc(table[1], order)
+                    got = mul(got, table[1], order)
             table[e] = got
         return got
 
-    one = (0,) * nv
     out = []
     for poly in polys:
-        acc: Dict[Exponent, object] = {}
+        # (c, image of x^E), with image None for E = 0
+        terms = []
         for exps, c in poly.terms.items():
             if sum(e * o for e, o in zip(exps, orders) if e) > order:
                 continue
-            image = _trusted(nv, {one: c})
+            image = None
             for j, e in enumerate(exps):
                 if e:
-                    image = image.mul_trunc(map_power(j, e), order)
-            for e, p in image.terms.items():
-                if e in acc:
-                    s = acc[e] + p
-                    if s.is_zero():
-                        del acc[e]
-                    else:
-                        acc[e] = s
-                else:
-                    acc[e] = p
-        out.append(_trusted(nv, acc))
+                    power = map_power(j, e)
+                    image = power if image is None else mul(image, power, order)
+            terms.append((c, image))
+        out.append(total(nv, terms))
     return out
+
+
+def _same(p: MultiPoly) -> MultiPoly:
+    return p
+
+
+def _scalar_sum(nv: int, terms) -> MultiPoly:
+    """sum c * image over MultiPoly images, one scalar sum per term."""
+    one = (0,) * nv
+    acc: Dict[Exponent, object] = {}
+    for c, image in terms:
+        products = ([(one, c)] if image is None
+                    else [(e, c * v) for e, v in image.terms.items()])
+        for e, v in products:
+            if e in acc:
+                s = acc[e] + v
+                if s.is_zero():
+                    del acc[e]
+                else:
+                    acc[e] = s
+            else:
+                acc[e] = v
+    return _trusted(nv, acc)
+
+
+# A polynomial over Q(i) as Gaussian-integer numerators over one positive
+# denominator: ({exponent: (a, b)}, d) is sum (a + b*i)/d x^exponent.
+Numerators = Tuple[Dict[Exponent, Tuple[int, int]], int]
+
+
+def _numerators(p: MultiPoly) -> Numerators:
+    """``p``, whose coefficients are GaussianRationals, over the lcm of
+    their denominators."""
+    triples = [(e, gaussian_triple(c)) for e, c in p.terms.items()]
+    d = lcm(*(t[2] for _, t in triples))
+    return {e: (a * (d // t), b * (d // t)) for e, (a, b, t) in triples}, d
+
+
+def _numerator_mul(p: Numerators, q: Numerators,
+                   order: Union[int, float]) -> Numerators:
+    """``MultiPoly.mul_trunc`` on numerators: ints multiply, the
+    denominators multiply, and the product is divided by its content."""
+    bounded = order < math.inf
+    right = [(e2, a2, b2, sum(e2)) for e2, (a2, b2) in q[0].items()]
+    out: Dict[Exponent, Tuple[int, int]] = {}
+    for e1, (a1, b1) in p[0].items():
+        room = order - sum(e1) if bounded else order
+        if room < 0:
+            continue
+        for e2, a2, b2, d2 in right:
+            if d2 > room:
+                continue
+            e = tuple(map(add, e1, e2))
+            re = a1 * a2 - b1 * b2
+            im = a1 * b2 + b1 * a2
+            got = out.get(e)
+            out[e] = (re, im) if got is None else (got[0] + re, got[1] + im)
+    out = {e: v for e, v in out.items() if v[0] or v[1]}
+    d = p[1] * q[1]
+    if d != 1:
+        g = gcd(d, *(x for v in out.values() for x in v))
+        if g != 1:
+            out = {e: (a // g, b // g) for e, (a, b) in out.items()}
+            d //= g
+    return out, d
+
+
+def _numerator_sum(nv: int, terms) -> MultiPoly:
+    """sum c * image over numerator images, on the lcm of the
+    denominators of the c * image; each coefficient is put in lowest terms
+    once, by ``_triple``."""
+    scaled = []
+    for c, image in terms:
+        num, d = ({(0,) * nv: (1, 0)}, 1) if image is None else image
+        ca, cb, cd = gaussian_triple(c)
+        scaled.append((ca, cb, cd * d, num))
+    den = lcm(*(t[2] for t in scaled))
+    acc: Dict[Exponent, Tuple[int, int]] = {}
+    for ca, cb, d, num in scaled:
+        f = den // d
+        ca *= f
+        cb *= f
+        for e, (a, b) in num.items():
+            re = ca * a - cb * b
+            im = ca * b + cb * a
+            got = acc.get(e)
+            acc[e] = (re, im) if got is None else (got[0] + re, got[1] + im)
+    return _trusted(nv, {e: _triple(a, b, den)
+                         for e, (a, b) in acc.items() if a or b})
 
 
 def exponents(nvars: int, degree: int):

@@ -11,6 +11,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -54,6 +55,10 @@ def run_python(args):
 
 def run_cli_process(args):
     return run_python(["-m", "folsing.cli", *args])
+
+
+# few terms whose coefficients grow by about 60 bits per power
+TALL_POWER = "(123456789/987654321+x*y+17/19*y)^90*ddx"
 
 
 # ---------------------------------------------------------------------
@@ -299,12 +304,18 @@ class TestExitCodes:
         ("(x", 3),
         ("x^", 3),
         ("(1+x)^100000*ddx", 6),
+        (TALL_POWER, 34),
     ])
     def test_parse_error_column(self, expr, col):
         # end of input is reported just past the last token; an expansion
         # over the parser's budget at the operator that would pass it.  A
         # fresh process, so that a lost budget times out instead of hanging
+        start = time.perf_counter()
         result = run_cli_process(["analyze", "--expr", expr])
+        if expr == TALL_POWER:
+            # the budget weighs coefficient length: counting term pairs
+            # alone let this expansion run for about 6 s
+            assert time.perf_counter() - start < 2
         assert result.returncode == 1
         assert result.stdout == ""
         err = json.loads(result.stderr)

@@ -21,7 +21,12 @@ each module in ``src/folsing`` with the standard library's ``ast``:
   the methods are called directly;
 - the builtins ``exec``, ``eval`` and ``compile`` are called only inside
   ``fatou._orbit_kernel``, which compiles the orbit loops from an int and
-  a bool, so generated code stays in one place.
+  a bool, so generated code stays in one place;
+- no module but ``scalars`` touches the attributes ``_a``, ``_b`` and
+  ``_d`` of a GaussianRational.  Others read the triple through
+  ``scalars.gaussian_triple`` and build one with ``scalars._triple``, so
+  the integer format of Q(i), which ``poly.compose`` computes with, has
+  one owner.
 """
 
 import ast
@@ -296,3 +301,40 @@ def test_checker_flags_generated_code_elsewhere(tmp_path):
     home.write_text(source)
     assert generated_code_calls(home) == ["fatou.py:3 exec",
                                           "fatou.py:8 compile"]
+
+
+TRIPLE_ATTRIBUTES = {"_a", "_b", "_d"}
+TRIPLE_HOME = "scalars.py"
+
+
+def private_triple_reads(path: Path):
+    """Attribute accesses ``obj._a``, ``obj._b`` or ``obj._d`` outside
+    ``TRIPLE_HOME``."""
+    if path.name == TRIPLE_HOME:
+        return []
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = sorted((node.lineno, node.col_offset, node.attr)
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and node.attr in TRIPLE_ATTRIBUTES)
+    return [f"{path.name}:{line} {attr}" for line, _, attr in found]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_triple_read_only_in_scalars(path):
+    assert private_triple_reads(path) == []
+
+
+def test_checker_flags_a_private_triple_read(tmp_path):
+    source = ("from scalars import gaussian_triple\n"
+              "def f(z, w):\n"
+              "    a, b, d = gaussian_triple(z)\n"
+              "    w._d = d\n"
+              "    return z._a + z._b + z._re + getattr(z, 'a')\n")
+    elsewhere = tmp_path / "m.py"
+    elsewhere.write_text(source)
+    assert private_triple_reads(elsewhere) == [
+        "m.py:4 _d", "m.py:5 _a", "m.py:5 _b"]
+    home = tmp_path / "scalars.py"
+    home.write_text(source)
+    assert private_triple_reads(home) == []

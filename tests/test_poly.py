@@ -17,6 +17,7 @@ from folsing.poly import (
     MultiPoly,
     OneFormGerm,
     VectorFieldGerm,
+    compose,
     dualize,
     render_poly,
     wedge,
@@ -277,6 +278,52 @@ class TestGerms:
     def test_jet(self):
         v = VectorFieldGerm([X ** 4 + X, Y])
         assert v.jet(2).components[0] == X
+
+
+def composed_by_products(poly, maps, order):
+    """poly(maps) as the sum of c * prod maps[j]^e_j, each power a chain of
+    ``MultiPoly.__mul__``, then truncated: no power table, no numerators."""
+    n = maps[0].nvars
+    acc = MultiPoly.zero(n)
+    for exps, c in poly.terms.items():
+        term = MultiPoly.constant(c, n)
+        for m, e in zip(maps, exps):
+            for _ in range(e):
+                term = term * m
+        acc = acc + term
+    return acc if order == math.inf else acc.truncate(order)
+
+
+def gaussian_polys(exps):
+    return st.builds(lambda d: MultiPoly(2, d),
+                     st.dictionaries(exps, gaussian_coeffs, max_size=4))
+
+
+class TestCompose:
+    # sources and maps over Q(i) with non-real coefficients; a map may be
+    # zero, vanish at the origin or carry a constant term
+    sources = gaussian_polys(st.tuples(st.integers(0, 3), st.integers(0, 3)))
+    maps = st.one_of(st.just(MultiPoly.zero(2)), gaussian_polys(
+        st.tuples(st.integers(0, 2), st.integers(0, 2))))
+    orders = st.one_of(st.integers(0, 6), st.just(math.inf))
+
+    @given(st.lists(sources, min_size=1, max_size=3), maps, maps, orders)
+    @settings(max_examples=80, deadline=None)
+    def test_gaussian_matches_products(self, polys, m1, m2, order):
+        got = compose(polys, [m1, m2], order)
+        for p, g in zip(polys, got):
+            # equal dicts: the same nonzero terms, each in lowest terms
+            assert g.terms == composed_by_products(p, [m1, m2], order).terms
+
+    def test_tower_matches_products(self):
+        # depth-1 coefficients keep the scalar loop
+        r = MultiPoly.constant(R2, 2)
+        p = r * X * X * Y + X * Y * Y.scale(Fraction(1, 3)) + r + Y ** 3
+        maps = [r * X + Y * Y + Fraction(1, 2), X * Y - r * Y]
+        for order in (0, 2, 4, math.inf):
+            got = compose([p, r * X], maps, order)
+            assert [g.terms for g in got] == [
+                composed_by_products(q, maps, order).terms for q in (p, r * X)]
 
 
 @st.composite
