@@ -9,17 +9,29 @@ algebraic order k = min(ord A, ord B):
 * chart 2 uses (s, y) with (s, y) -> (s*y, y); the pullback is
   y A(sy,y) ds + [s A(sy,y) + B(sy,y)] dy, divided by y^k or y^(k+1).
 
+Both chart maps are monomial, so the pull-back is exponent arithmetic:
+chart 1 sends x^i y^j to x^(i+j) t^j and chart 2 sends it to s^i y^(i+j).
+One pass over the terms of A and B builds both new coefficients, the
+summands of each are added, and the sums are divided by the exceptional
+power.
+
 The tangent cone of the dual field X = B d/dx - A d/dy with homogeneous
 lowest parts F_k, G_k is Phi = x G_k - y F_k (degree k+1); Phi == 0 is the
 dicritical case, where the exceptional line is not invariant and the extra
-division applies.  Singular points of the transformed foliation on the
-exceptional line are extracted exactly over the coefficient tower, keeping
-conjugate (Galois) clusters together as one point with a multiplicity.
+division applies.  ``divisor_children`` reads one cone for both charts.
+Singular points of the transformed foliation on the exceptional line are
+extracted exactly over the coefficient tower, keeping conjugate (Galois)
+clusters together as one point with a multiplicity; each one becomes the
+origin of its local form by ``poly.shift``, the binomial theorem.
+
+``wedge_certificate`` composes the original field with the chart map
+through the general ``poly.compose`` on purpose: it checks the exponent-map
+pull-back by an independent route.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import (
     InternalInvariantViolation,
@@ -33,10 +45,12 @@ from .poly import (
     MultiPoly,
     OneFormGerm,
     VectorFieldGerm,
+    _trusted,
     coefficient_tower,
     compose,
     dualize,
     lift_poly,
+    shift,
 )
 from .towers import (
     TRIVIAL,
@@ -105,31 +119,56 @@ def tangent_cone(obj) -> TangentCone:
 def blow_up_form(form: OneFormGerm, chart: int,
                  dicritical: Optional[bool] = None) -> Tuple[OneFormGerm, ChartTransform]:
     """Pull back the form through one blow-up chart and divide out the
-    exceptional power.  Division exactness is asserted."""
+    exceptional power.
+
+    The chart is an exponent map on the terms of A and B (module
+    docstring); the dicritical lowest terms cancel in the sums, before the
+    division.  Division exactness is asserted, so forcing
+    ``dicritical=True`` on a non-dicritical form raises."""
     if chart not in (1, 2):
         raise ValueError("chart must be 1 or 2")
     cone = tangent_cone(form)
-    k = cone.order
     if dicritical is None:
         dicritical = cone.dicritical
+    return _chart_pullback(form, chart, cone.order, dicritical)
+
+
+def _chart_pullback(form: OneFormGerm, chart: int, k: int,
+                    dicritical: bool) -> Tuple[OneFormGerm, ChartTransform]:
+    """``blow_up_form`` for a form of order ``k``: each chart is an exponent
+    map, so one pass over the terms builds both new coefficients."""
     power = k + (1 if dicritical else 0)
-    x = MultiPoly.variable(0, 2)
-    y = MultiPoly.variable(1, 2)
+    a_new: Dict[Tuple[int, int], object] = {}
+    b_new: Dict[Tuple[int, int], object] = {}
     if chart == 1:
-        # (x, t) -> (x, t x); the second variable slot plays the role of t
-        a, b = compose([form.a, form.b], [x, y * x])
-        a_new = a + y * b
-        b_new = x * b
+        # x^i y^j -> x^(i+j) t^j;  [A + t B] dx + x B dt
+        for (i, j), c in form.a.terms.items():
+            a_new[(i + j, j)] = c
+        for (i, j), c in form.b.terms.items():
+            _accumulate(a_new, (i + j, j + 1), c)
+            b_new[(i + j + 1, j)] = c
         var = 0
     else:
-        # (s, y) -> (s y, y); the first variable slot plays the role of s
-        a, b = compose([form.a, form.b], [x * y, y])
-        a_new = y * a
-        b_new = x * a + b
+        # x^i y^j -> s^i y^(i+j);  y A ds + [s A + B] dy
+        for (i, j), c in form.a.terms.items():
+            a_new[(i, i + j + 1)] = c
+            b_new[(i + 1, i + j)] = c
+        for (i, j), c in form.b.terms.items():
+            _accumulate(b_new, (i, i + j), c)
         var = 1
-    a_new = a_new.divide_by_var_power(var, power)
-    b_new = b_new.divide_by_var_power(var, power)
+    # the dicritical cone cancels here, before the division that needs it gone
+    a_new = _trusted(2, _nonzero(a_new)).divide_by_var_power(var, power)
+    b_new = _trusted(2, _nonzero(b_new)).divide_by_var_power(var, power)
     return OneFormGerm(a_new, b_new), ChartTransform(chart, power, dicritical, k)
+
+
+def _accumulate(terms: dict, e: Tuple[int, int], c) -> None:
+    got = terms.get(e)
+    terms[e] = c if got is None else got + c
+
+
+def _nonzero(terms: dict) -> dict:
+    return {e: c for e, c in terms.items() if not c.is_zero()}
 
 
 def blow_up_field(field: VectorFieldGerm, chart: int,
@@ -153,7 +192,8 @@ def pushforward_components(transformed: VectorFieldGerm, chart: int) -> VectorFi
 
 
 def composed_components(field: VectorFieldGerm, chart: int) -> VectorFieldGerm:
-    """Original field composed with the chart map (no division)."""
+    """Original field composed with the chart map (no division), by
+    ``compose``: the certificate's independent route."""
     x = MultiPoly.variable(0, 2)
     y = MultiPoly.variable(1, 2)
     if chart == 1:
@@ -166,7 +206,11 @@ def composed_components(field: VectorFieldGerm, chart: int) -> VectorFieldGerm:
 def wedge_certificate(field: VectorFieldGerm, transformed: VectorFieldGerm,
                       chart: int) -> MultiPoly:
     """(D pi . transformed) wedge (field o pi); identically zero exactly when
-    the transformed field spans the pulled-back line field."""
+    the transformed field spans the pulled-back line field.
+
+    field o pi goes through ``poly.compose``, not through the exponent map
+    of ``blow_up_form``, so the certificate does not share its code with
+    the transform it checks."""
     from .poly import wedge
 
     return wedge(pushforward_components(transformed, chart),
@@ -219,8 +263,9 @@ def divisor_children(form: OneFormGerm, tower: Optional[FieldTower] = None
     infinity, so nothing is counted twice.
     """
     tower = tower or coefficient_tower(form.a, form.b) or TRIVIAL
-    f1, m1 = blow_up_form(form, 1)
-    f2, m2 = blow_up_form(form, 2)
+    cone = tangent_cone(form)
+    f1, m1 = _chart_pullback(form, 1, cone.order, cone.dicritical)
+    f2, m2 = _chart_pullback(form, 2, cone.order, cone.dicritical)
     # dual-field components restricted to the exceptional line x = 0
     a_slice = line_slice(f1.a, 0, 0, tower)
     b_slice = line_slice(f1.b, 0, 0, tower)
@@ -276,5 +321,4 @@ def child_local_form(chart_forms: Tuple[OneFormGerm, OneFormGerm],
         t0 = child.coordinate
     a = lift_poly(f1.a, tower) if child.minpoly is not None else f1.a
     b = lift_poly(f1.b, tower) if child.minpoly is not None else f1.b
-    shifted = OneFormGerm(a.translate([0, t0]), b.translate([0, t0]))
-    return shifted, tower, gen
+    return OneFormGerm(*shift([a, b], [0, t0])), tower, gen

@@ -157,7 +157,10 @@ def _read_source(expr: Optional[str], infile: Optional[str]) -> str:
         raise click.UsageError("provide exactly one of --expr or --in")
     if expr is not None:
         return expr
-    text = Path(infile).read_text(encoding="utf-8")
+    try:
+        text = Path(infile).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise click.UsageError(f"{infile} is not UTF-8 text") from None
     bodies = [body for _, body in iter_expressions(text)]
     if not bodies:
         raise click.UsageError(f"no expression found in {infile}")
@@ -498,7 +501,11 @@ def cmd_resolve(expr, infile, tower_depth, ext_degree, max_blowups, fmt,
         tree = resolve_tree(obj, max_blowups=max_blowups)
         _, ledger_ok = verify_ledger(tree)
     if dot_path is not None:
-        Path(dot_path).write_text(tree.to_dot(), encoding="utf-8")
+        try:
+            Path(dot_path).write_text(tree.to_dot(), encoding="utf-8")
+        except OSError as exc:
+            raise click.UsageError(
+                f"cannot write {dot_path}: {exc.strerror}") from None
     if fmt == "dot":
         click.echo(tree.to_dot(), nl=False)
         return

@@ -47,10 +47,14 @@ VAR_INDEX = {"x": 0, "x1": 0, "y": 1, "x2": 1, "z": 2, "x3": 2}
 FIELD_MARKERS = {"ddx": 0, "ddy": 1, "ddz": 2}
 FORM_MARKERS = {"dx": 0, "dy": 1}
 
+# One match per token, with the whitespace before it; any other character is
+# ``bad``.  ``\s`` is exactly ``str.isspace``, so on text without trailing
+# whitespace the matches of ``finditer`` cover every character.
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+(?:/\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[+\-*^()]))"
+    r"|(?P<op>[+\-*^()])"
+    r"|(?P<bad>\S))"
 )
 
 _ATOM_STARTS = {"number", "ident", "("}
@@ -75,23 +79,16 @@ class _Token:
 
 def _tokenize(text: str, line: int) -> List[_Token]:
     out: List[_Token] = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            raise ParseError(f"unexpected character {text[pos]!r}",
-                             line=line, col=pos + 1)
-        tok_text = m.group(m.lastgroup)
-        col = m.end() - len(tok_text) + 1
-        if m.lastgroup == "op":
-            out.append(_Token(tok_text, tok_text, col))
-        else:
-            out.append(_Token(m.lastgroup, tok_text, col))
-        pos = m.end()
+    # trailing whitespace is stripped, not matched: a run of w blanks that
+    # no token follows would cost finditer about w^2 steps
+    for m in _TOKEN_RE.finditer(text.rstrip()):
+        kind = m.lastgroup
+        tok_text = m.group(kind)
+        col = m.start(kind) + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {tok_text!r}",
+                             line=line, col=col)
+        out.append(_Token(tok_text if kind == "op" else kind, tok_text, col))
     return out
 
 

@@ -14,7 +14,9 @@ computes on Gaussian-integer numerators with one denominator per
 polynomial, ``({exponent: (a, b)}, d)``: its table of powers chains many
 products, and each is reduced once, by its content, instead of once per
 coefficient.  ``mul_trunc`` keeps the scalar loop, because a lone product
-does not repay converting its operands and its result.
+does not repay converting its operands and its result.  ``shift`` moves
+the origin by the binomial theorem, with the powers of each shift shared by
+all the polynomials it moves.
 VectorFieldGerm and OneFormGerm are thin wrappers holding components, with
 the classical plane duality  A dx + B dy  <->  B d/dx - A d/dy  and wedge
 products used throughout the resolution and integrability checks.
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add, sub
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -305,11 +307,7 @@ class MultiPoly:
 
     def translate(self, shifts: Sequence) -> "MultiPoly":
         """Shift the origin: substitute x_k -> x_k + shift_k."""
-        polys = []
-        for k, s in enumerate(shifts):
-            v = MultiPoly.variable(k, self.nvars)
-            polys.append(v + MultiPoly.constant(s, self.nvars))
-        return self.substitute(polys)
+        return shift([self], shifts)[0]
 
     def divide_by_var_power(self, var: int, k: int) -> "MultiPoly":
         """Exact division by x_var^k; raises if any term has lower exponent."""
@@ -538,6 +536,48 @@ def _numerator_sum(nv: int, terms) -> MultiPoly:
                          for e, (a, b) in acc.items() if a or b})
 
 
+def shift(polys: Sequence[MultiPoly], shifts: Sequence) -> List[MultiPoly]:
+    """Each ``poly(x_1 + shifts[0], ..., x_n + shifts[n-1])``: the origin
+    moved to the point ``shifts``.
+
+    One variable at a time, by the binomial theorem: a term c x_k^n becomes
+    sum_m c C(n, m) s^(n-m) x_k^m.  The row C(n, m) s^(n-m) is built once
+    per exponent n and serves every polynomial of ``polys``, so the
+    components of a field or a form share the powers of s.  Coefficients
+    and shifts may be Gaussian rationals or tower elements.
+    """
+    if any(poly.nvars != len(shifts) for poly in polys):
+        raise VariableCountMismatch("wrong number of shifts")
+    terms = [poly.terms for poly in polys]
+    for k, s in enumerate(shifts):
+        s = coerce_scalar(s)
+        if s.is_zero():
+            continue
+        # powers[0] is never read: the m = n summand is c itself
+        powers = [None, s]
+        rows: Dict[int, list] = {}
+        moved = []
+        for old in terms:
+            acc: Dict[Exponent, object] = {}
+            for e, c in old.items():
+                n = e[k]
+                row = rows.get(n)
+                if row is None:
+                    while len(powers) <= n:
+                        powers.append(powers[-1] * s)
+                    row = rows[n] = [powers[n - m] * comb(n, m)
+                                     for m in range(n)]
+                head, tail = e[:k], e[k + 1:]
+                for m in range(n, -1, -1):
+                    key = head + (m,) + tail
+                    v = c if m == n else c * row[m]
+                    got = acc.get(key)
+                    acc[key] = v if got is None else got + v
+            moved.append({e: v for e, v in acc.items() if not v.is_zero()})
+        terms = moved
+    return [_trusted(poly.nvars, t) for poly, t in zip(polys, terms)]
+
+
 def exponents(nvars: int, degree: int):
     """Every exponent tuple of ``nvars`` entries and total ``degree``, in
     descending lexicographic order (x^2 before x*y before y^2)."""
@@ -646,7 +686,7 @@ class VectorFieldGerm:
         return VectorFieldGerm([p.homogeneous_component(d) for p in self.components])
 
     def translate(self, shifts: Sequence) -> "VectorFieldGerm":
-        return VectorFieldGerm([p.translate(shifts) for p in self.components])
+        return VectorFieldGerm(shift(self.components, shifts))
 
     def scale(self, c) -> "VectorFieldGerm":
         return VectorFieldGerm([p.scale(c) for p in self.components])

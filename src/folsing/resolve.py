@@ -24,7 +24,6 @@ from .blowup import (
     ChildPoint,
     child_local_form,
     divisor_children,
-    tangent_cone,
 )
 from .errors import (
     BlowupBudgetExceeded,
@@ -181,9 +180,14 @@ class ResolutionTree:
         return "\n".join(lines) + "\n"
 
 
-def _node_multiplicity(form: OneFormGerm):
+def _node_invariants(form: OneFormGerm, curve: str):
+    """(I0, classification) of a node, both read off one dual field; a
+    non-isolated singularity raises with ``curve`` as its message."""
     field = dualize(form)
-    return intersection_number(field.components[0], field.components[1])
+    i0 = intersection_number(field.components[0], field.components[1])
+    if i0 == math.inf:
+        raise NonIsolatedSingularity(curve)
+    return i0, classify_singularity(field)
 
 
 def resolve(obj, max_blowups: int = DEFAULT_MAX_BLOWUPS) -> ResolutionTree:
@@ -200,11 +204,8 @@ def resolve(obj, max_blowups: int = DEFAULT_MAX_BLOWUPS) -> ResolutionTree:
         raise ZeroInput("identically zero germ")
     tower = coefficient_tower(form.a, form.b) or TRIVIAL
     tree = ResolutionTree()
-    i0 = _node_multiplicity(form)
-    if i0 == math.inf:
-        raise NonIsolatedSingularity(
-            "the germ vanishes on a curve through the origin")
-    cls = classify_singularity(dualize(form))
+    i0, cls = _node_invariants(
+        form, "the germ vanishes on a curve through the origin")
     root = ResolutionNode(0, None, 0, form, tower, None, 1, cls, i0, {})
     tree.nodes.append(root)
     queue = [0]
@@ -218,10 +219,9 @@ def resolve(obj, max_blowups: int = DEFAULT_MAX_BLOWUPS) -> ResolutionTree:
                 f"resolution exceeded {max_blowups} blow-ups")
         tree.blowup_count += 1
         node.expanded = True
-        cone = tangent_cone(node.form)
-        node.order = cone.order
-        node.dicritical = cone.dicritical
-        children, forms, _metas = divisor_children(node.form, node.tower)
+        children, forms, metas = divisor_children(node.form, node.tower)
+        node.order = metas[0].order
+        node.dicritical = metas[0].dicritical
         # divisor bookkeeping: components through the center lose 1 from
         # their self-intersection; the new component starts at -1
         for comp_id in set(node.axes.values()):
@@ -231,11 +231,9 @@ def resolve(obj, max_blowups: int = DEFAULT_MAX_BLOWUPS) -> ResolutionTree:
         tree.components.append(new_comp)
         for child in children:
             local_form, child_tower, _gen = child_local_form(forms, child)
-            ci = _node_multiplicity(local_form)
-            if ci == math.inf:
-                raise NonIsolatedSingularity(
-                    "transformed germ vanishes on a curve through a center")
-            ccls = classify_singularity(dualize(local_form))
+            ci, ccls = _node_invariants(
+                local_form,
+                "transformed germ vanishes on a curve through a center")
             axes: Dict[int, int] = {}
             if child.at_infinity:
                 axes[1] = new_comp["id"]

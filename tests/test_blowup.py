@@ -1,19 +1,29 @@
 """Blow-up charts, tangent cones, dicritical detection, wedge certificates."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from folsing.blowup import (
     blow_up_field,
     blow_up_form,
+    child_local_form,
     composed_components,
     divisor_children,
     tangent_cone,
     wedge_certificate,
 )
-from folsing.errors import NotSingular, ZeroInput
+from folsing.errors import InternalInvariantViolation, NotSingular, ZeroInput
 from folsing.parsing import parse_field, parse_form
-from folsing.poly import MultiPoly, dualize
+from folsing.poly import (
+    MultiPoly,
+    OneFormGerm,
+    compose,
+    dualize,
+    exponents,
+    lift_poly,
+)
+from folsing.scalars import GaussianRational
+from folsing.towers import TRIVIAL
 
 X = MultiPoly.variable(0, 2)
 Y = MultiPoly.variable(1, 2)
@@ -149,3 +159,87 @@ class TestDivisorChildren:
         assert len(finite) == 1
         assert finite[0].galois_multiplicity == 2
         assert finite[0].minpoly is not None
+
+
+SQRT2, R2 = TRIVIAL.adjoin_root([-2, 0, 1], name="r2")
+
+gaussian_coeffs = st.builds(GaussianRational,
+                            st.fractions(-5, 5, max_denominator=6),
+                            st.integers(-3, 3))
+sqrt2_coeffs = st.builds(lambda a, b: SQRT2.element(a) + R2 * b,
+                         st.fractions(-5, 5, max_denominator=6),
+                         st.integers(-3, 3))
+
+
+def pulled_back_by_compose(form, chart, power):
+    """The chart pull-back through ``compose`` with the chart's maps, then
+    divided by the exceptional power: the blow-up written as substitution."""
+    if chart == 1:
+        a, b = compose([form.a, form.b], [X, Y * X])
+        a_new, b_new, var = a + Y * b, X * b, 0
+    else:
+        a, b = compose([form.a, form.b], [X * Y, Y])
+        a_new, b_new, var = Y * a, X * a + b, 1
+    return (a_new.divide_by_var_power(var, power),
+            b_new.divide_by_var_power(var, power))
+
+
+@st.composite
+def singular_forms(draw):
+    """(form, dicritical): a form of order k = 1..3 over Q(i) or Q(sqrt 2)
+    with two degrees of higher terms.  A dicritical one has lowest parts
+    y h dx - x h dy, whose tangent cone x A_k + y B_k vanishes."""
+    coeffs = draw(st.sampled_from([gaussian_coeffs, sqrt2_coeffs]))
+    k = draw(st.integers(1, 3))
+    dicritical = draw(st.booleans())
+
+    def homogeneous(d):
+        cs = draw(st.lists(coeffs, min_size=d + 1, max_size=d + 1))
+        return MultiPoly(2, dict(zip(exponents(2, d), cs)))
+
+    if dicritical:
+        h = homogeneous(k - 1)
+        assume(not h.is_zero())
+        a, b = Y * h, -(X * h)
+    else:
+        a, b = homogeneous(k), homogeneous(k)
+    for d in (k + 1, k + 2):
+        a, b = a + homogeneous(d), b + homogeneous(d)
+    assume(not (a.is_zero() and b.is_zero()))
+    return OneFormGerm(a, b), dicritical
+
+
+class TestExponentMapCharts:
+    @given(singular_forms())
+    @settings(max_examples=60, deadline=None)
+    def test_chart_pullback_matches_compose(self, case):
+        form, dicritical = case
+        children_forms = divisor_children(form)[1]
+        for chart in (1, 2):
+            got, meta = blow_up_form(form, chart)
+            if dicritical:
+                assert meta.dicritical
+            a, b = pulled_back_by_compose(form, chart, meta.division_power)
+            assert got.a.terms == a.terms and got.b.terms == b.terms
+            # divisor_children's charts read one cone for both
+            assert children_forms[chart - 1] == got
+
+    @given(singular_forms())
+    @settings(max_examples=30, deadline=None)
+    def test_forced_dicritical_division_raises(self, case):
+        form, _ = case
+        if not tangent_cone(form).dicritical:
+            for chart in (1, 2):
+                with pytest.raises(InternalInvariantViolation):
+                    blow_up_form(form, chart, dicritical=True)
+
+    def test_child_local_form_in_a_cluster_matches_compose(self):
+        # t^2 = 2 on the exceptional line: the shift is a new generator
+        vf = parse_field("(y + x*y^2)*ddx + (2*x - y^3 + 1/3*x^2)*ddy")
+        children, forms, _ = divisor_children(dualize(vf))
+        cluster = [c for c in children if c.minpoly is not None]
+        assert len(cluster) == 1
+        local, tower, gen = child_local_form(forms, cluster[0])
+        a, b = (lift_poly(p, tower) for p in (forms[0].a, forms[0].b))
+        want = compose([a, b], [X, Y + gen])
+        assert [local.a.terms, local.b.terms] == [w.terms for w in want]

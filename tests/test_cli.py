@@ -287,6 +287,22 @@ class TestExitCodes:
                                       "--in", str(path)])
         assert result.exit_code == 2
 
+    def test_usage_error_input_not_utf8(self, runner, tmp_path):
+        path = tmp_path / "latin1.vf"
+        path.write_bytes("x*ddx - y*ddy # caf\u00e9".encode("latin-1"))
+        result = runner.invoke(main, ["analyze", "--in", str(path)])
+        assert result.exit_code == 2
+        assert "is not UTF-8 text" in result.stderr
+        assert result.stdout == ""
+
+    def test_usage_error_dot_file_not_writable(self, runner, tmp_path):
+        target = tmp_path / "missing" / "tree.dot"
+        result = runner.invoke(main, ["resolve", "--expr", "x*ddx-y*ddy",
+                                      "--dot", str(target)])
+        assert result.exit_code == 2
+        assert "cannot write" in result.stderr
+        assert not target.exists()
+
     def test_usage_error_bad_choice(self, runner):
         result = runner.invoke(main, ["normal-form", "weird",
                                       "--expr", EULER])

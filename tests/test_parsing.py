@@ -213,6 +213,36 @@ class TestErrorColumns:
             parse_any(text)
         assert ei.value.col == col
 
+    @pytest.mark.parametrize("text, col", [
+        ("2*x+ \t ", 5),
+        ("(x+y \t\n", 5),
+    ])
+    def test_trailing_whitespace_is_not_a_token(self, text, col):
+        with pytest.raises(ParseError) as ei:
+            parse_any(text)
+        assert ei.value.col == col
+        assert "unexpected character" not in str(ei.value)
+
+    @pytest.mark.parametrize("text, char, col", [
+        ("x \t $", "$", 5),
+        ("x*ddx +  \t\t%y*ddy", "%", 12),
+        ("\t\t\u00b2", "\u00b2", 3),
+    ])
+    def test_unexpected_character_after_blanks(self, text, char, col):
+        with pytest.raises(ParseError) as ei:
+            parse_any(text)
+        assert ei.value.col == col
+        assert f"unexpected character {char!r}" in str(ei.value)
+
+    def test_token_columns_skip_blanks(self):
+        tokens = parsing._tokenize(" x*ddx\t+  12/5*y^2*ddy  \t", 1)
+        assert [(t.kind, t.text, t.col) for t in tokens] == [
+            ("ident", "x", 2), ("*", "*", 3), ("ident", "ddx", 4),
+            ("+", "+", 8), ("number", "12/5", 11), ("*", "*", 15),
+            ("ident", "y", 16), ("^", "^", 17), ("number", "2", 18),
+            ("*", "*", 19), ("ident", "ddy", 20)]
+        assert parsing._tokenize(" \t\n ", 1) == []
+
 
 class TestExpansionBudget:
     def test_dense_power_fails_at_the_caret(self):

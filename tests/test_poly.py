@@ -20,6 +20,7 @@ from folsing.poly import (
     compose,
     dualize,
     render_poly,
+    shift,
     wedge,
 )
 from folsing.scalars import GaussianRational
@@ -324,6 +325,53 @@ class TestCompose:
             got = compose([p, r * X], maps, order)
             assert [g.terms for g in got] == [
                 composed_by_products(q, maps, order).terms for q in (p, r * X)]
+
+
+class TestShift:
+    """The binomial shift against the substitution x_k -> x_k + s_k."""
+
+    sources = st.lists(gaussian_polys(st.tuples(st.integers(0, 4),
+                                                st.integers(0, 4))),
+                       min_size=1, max_size=3)
+    # a zero shift leaves its variable alone
+    gaussian_shifts = st.one_of(st.just(GaussianRational(0)), gaussian_coeffs)
+
+    @given(sources, gaussian_shifts, gaussian_shifts)
+    @settings(max_examples=80, deadline=None)
+    def test_gaussian_matches_compose(self, polys, s, t):
+        got = shift(polys, [s, t])
+        want = compose(polys, [X + s, Y + t])
+        assert [g.terms for g in got] == [w.terms for w in want]
+
+    @given(st.lists(sqrt2_polys, min_size=1, max_size=3),
+           st.one_of(st.just(GaussianRational(0)), gaussian_coeffs,
+                     sqrt2_coeffs),
+           sqrt2_coeffs)
+    @settings(max_examples=50, deadline=None)
+    def test_tower_matches_compose(self, polys, s, t):
+        got = shift(polys, [s, t])
+        want = compose(polys, [X + s, Y + t])
+        assert [g.terms for g in got] == [w.terms for w in want]
+
+    def test_tower_shift_of_gaussian_polynomials(self):
+        p = X * X * Y.scale(Fraction(1, 3)) + Y ** 4 + X
+        got = shift([p, Y], [0, R2])
+        assert got == compose([p, Y], [X, Y + R2])
+        assert got[1] == Y + R2
+
+    def test_germs_translate_by_the_shift(self):
+        v = VectorFieldGerm([X * Y, Y ** 3 - X])
+        assert v.translate([2, -1]).components == tuple(
+            compose(v.components, [X + 2, Y - 1]))
+        assert (X * Y).translate([2, -1]) == (X + 2) * (Y - 1)
+
+    def test_wrong_number_of_shifts(self):
+        with pytest.raises(VariableCountMismatch):
+            shift([X, Y], [1])
+        with pytest.raises(VariableCountMismatch):
+            X.translate([1, 2, 3])
+        with pytest.raises(VariableCountMismatch):
+            VectorFieldGerm([X, Y]).translate([1])
 
 
 @st.composite
