@@ -191,6 +191,14 @@ class FloatOverflow(ToolkitError):
     code = "float-overflow"
 
 
+# ---------------------------------------------------------------- caps
+class RequestTooLarge(ToolkitError):
+    """A request exceeds a documented cap of the module that serves it, and
+    is refused before any of its work is done."""
+
+    code = "request-too-large"
+
+
 # ---------------------------------------------------------------- internal
 class InternalInvariantViolation(ToolkitError):
     """An invariant the library guarantees internally failed; always a bug."""

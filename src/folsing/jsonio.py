@@ -6,6 +6,13 @@ sorted, indentation is fixed, exact scalars are rendered as strings, and a
 single trailing newline is appended.  Floating-point values appear only in
 the numeric (parabolic-dynamics) payloads and use Python's shortest-repr
 float formatting, which is itself deterministic.
+
+:func:`dumps` is the package's one JSON emitter: a recursive writer that
+converts toolkit objects as :func:`to_jsonable` does while it writes, and
+whose output is byte-identical to ``json.dumps(to_jsonable(payload),
+sort_keys=True, indent=2, ensure_ascii=True, allow_nan=False) + "\n"``,
+the call it replaces (with an indent, ``json.dumps`` runs its pure-Python
+encoder).  :func:`to_jsonable` serves the comparison and the validation.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import json
 import math
 from fractions import Fraction
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, List
 
 from .scalars import GaussianRational
@@ -52,10 +60,72 @@ def dumps(payload: Any) -> str:
     """Serialize a payload deterministically (sorted keys, fixed layout).
 
     NaN and infinities are not JSON, so a payload holding one raises
-    ``ValueError`` instead of producing an unreadable document.
+    ``ValueError`` instead of producing an unreadable document; a value
+    :func:`to_jsonable` cannot convert raises ``TypeError``.
     """
-    return json.dumps(to_jsonable(payload), sort_keys=True, indent=2,
-                      ensure_ascii=True, allow_nan=False) + "\n"
+    out: List[str] = []
+    _write(payload, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj: Any, out: List[str], newline: str) -> None:
+    """Append the JSON text of ``obj`` to ``out``.  ``newline`` is a line
+    break and the indentation of the line ``obj`` starts on."""
+    t = type(obj)
+    if t is dict or t is list or t is tuple:
+        _write_container(obj, out, newline)
+    # the rest in the order of to_jsonable, subclasses included
+    elif isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError("Out of range float values are not JSON compliant: "
+                             + repr(obj))
+        out.append(float.__repr__(obj))
+    elif isinstance(obj, complex):
+        _write_container([obj.real, obj.imag], out, newline)
+    elif isinstance(obj, (Fraction, GaussianRational, FieldElement)):
+        out.append(_quote(str(obj)))
+    elif hasattr(obj, "to_json"):
+        _write(obj.to_json(), out, newline)
+    elif isinstance(obj, (dict, list, tuple)):
+        _write_container(obj, out, newline)
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def _write_container(obj, out: List[str], newline: str) -> None:
+    if not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+        return
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        # keys become strings as in to_jsonable, a later duplicate winning
+        items = {str(k): v for k, v in obj.items()}
+        sep = "{" + inner
+        for key in sorted(items):
+            out.append(sep)
+            out.append(_quote(key))
+            out.append(": ")
+            _write(items[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
 
 
 def _floats_close(a: float, b: float) -> bool:

@@ -11,14 +11,19 @@ Grammar summary (one expression per line, ``#`` starts a comment):
   (1-form components) are multiplicative atoms — at most one marker per
   monomial, and field markers never mix with form markers.
 
-Each expression is tokenized and parsed once, into a map from component
-marker to a 3-variable polynomial; ``parse_any`` dispatches on its markers
-to the same builders that ``parse_poly``, ``parse_field`` and
-``parse_form`` use.  Atoms are shared constants and products are
-``MultiPoly`` products.  The term pairs those products form are counted
-per parse, weighted by the length of their coefficients, and an expansion
-past ``PAIR_BUDGET`` of them, such as ``(1+x)^100000``, is a ParseError at
-the operator that would pass it.
+Each expression is tokenized and parsed once, into a value: a dict from
+component marker (``None`` for unmarked terms) to a term dict
+``{(i, j, k): GaussianRational}`` in the three variables, with no empty
+term dict and no zero coefficient.  Sums and products of term dicts form
+their terms in the order ``MultiPoly``'s ``+`` and ``*`` would, so the
+``MultiPoly`` built from each component, once, by ``_project``, is the one
+the same arithmetic on polynomials gives, term order included.  A value
+and its term dicts belong to the parse that made them, which updates them
+in place.  ``parse_any`` dispatches on the markers to the same builders
+that ``parse_poly``, ``parse_field`` and ``parse_form`` use.  The term
+pairs the products form are counted per parse, weighted by the length of
+their coefficients, and an expansion past ``PAIR_BUDGET`` of them, such as
+``(1+x)^100000``, is a ParseError at the operator that would pass it.
 
 Rendering is the exact inverse on parser-produced objects: graded-lex term
 order, explicit ``*``, canonical scalar formatting.
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 import re
 from itertools import chain
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, NoReturn, Optional, Tuple, Union
 
 from .errors import ParseError
 from .poly import (
@@ -41,21 +46,40 @@ from .poly import (
     render_form,
     render_poly,
 )
-from .scalars import GaussianRational, _triple, gaussian_triple, power
+from .scalars import (
+    I,
+    ONE,
+    ZERO,
+    GaussianRational,
+    _triple,
+    gaussian_triple,
+    power,
+)
 
 VAR_INDEX = {"x": 0, "x1": 0, "y": 1, "x2": 1, "z": 2, "x3": 2}
 FIELD_MARKERS = {"ddx": 0, "ddy": 1, "ddz": 2}
 FORM_MARKERS = {"dx": 0, "dy": 1}
 
-# One match per token, with the whitespace before it; any other character is
-# ``bad``.  ``\s`` is exactly ``str.isspace``, so on text without trailing
-# whitespace the matches of ``finditer`` cover every character.
+# One match per token, as (the whitespace before it, the token); a token is
+# a number, an identifier or any one other character but whitespace.  On
+# text without trailing whitespace the matches cover every character.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:/\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[+\-*^()])"
-    r"|(?P<bad>\S))"
-)
+    r"(\s*)(\d+(?:/\d+)?|[A-Za-z_][A-Za-z_0-9]*|\S)")
+
+
+class _Kinds(dict):
+    """Token kind by first character: an operator is its own kind, an
+    ASCII letter or ``_`` starts an ``ident``, a decimal digit (``\\d``, any
+    script) a ``number``; any other character is ``bad``."""
+
+    def __missing__(self, char: str) -> str:
+        return "number" if char.isdecimal() else "bad"
+
+
+_KINDS = _Kinds({c: c for c in "+-*^()"})
+_KINDS.update((c, "ident") for c in
+              "_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_KINDS.update((c, "number") for c in "0123456789")
 
 _ATOM_STARTS = {"number", "ident", "("}
 
@@ -66,6 +90,12 @@ _ATOM_STARTS = {"number", "ident", "("}
 # hides up to 8 words (512 bits), where a pair still counts once.  A
 # monomial power costs one pair per step, so x^100000000 stays cheap.
 PAIR_BUDGET = 10 ** 6
+
+Exponent = Tuple[int, int, int]
+Terms = Dict[Exponent, GaussianRational]
+Value = Dict[Optional[str], Terms]
+
+_ORIGIN = (0, 0, 0)
 
 
 class _Token:
@@ -79,16 +109,17 @@ class _Token:
 
 def _tokenize(text: str, line: int) -> List[_Token]:
     out: List[_Token] = []
+    col = 1
     # trailing whitespace is stripped, not matched: a run of w blanks that
-    # no token follows would cost finditer about w^2 steps
-    for m in _TOKEN_RE.finditer(text.rstrip()):
-        kind = m.lastgroup
-        tok_text = m.group(kind)
-        col = m.start(kind) + 1
+    # no token follows would cost the search about w^2 steps
+    for space, tok_text in _TOKEN_RE.findall(text.rstrip()):
+        col += len(space)
+        kind = _KINDS[tok_text[0]]
         if kind == "bad":
             raise ParseError(f"unexpected character {tok_text!r}",
                              line=line, col=col)
-        out.append(_Token(tok_text if kind == "op" else kind, tok_text, col))
+        out.append(_Token(kind, tok_text, col))
+        col += len(tok_text)
     return out
 
 
@@ -101,207 +132,228 @@ def _int(digits: str, line: int, col: int) -> int:
         raise ParseError("number has too many digits", line=line, col=col) from None
 
 
-class _Value:
-    """Intermediate parse value: marker -> 3-variable polynomial."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: Optional[Dict[Optional[str], MultiPoly]] = None):
-        self.parts = {m: p for m, p in (parts or {}).items() if not p.is_zero()}
-
-    @classmethod
-    def of_poly(cls, p: MultiPoly) -> "_Value":
-        return cls({None: p})
-
-    def markers(self):
-        return set(self.parts) - {None}
-
-    def plain(self) -> MultiPoly:
-        return self.parts.get(None, MultiPoly.zero(3))
-
-    def __add__(self, other: "_Value") -> "_Value":
-        out = dict(self.parts)
-        for m, p in other.parts.items():
-            out[m] = out[m] + p if m in out else p
-        return _Value(out)
-
-    def __neg__(self) -> "_Value":
-        return _Value({m: -p for m, p in self.parts.items()})
-
-
-_ONE = MultiPoly.constant(1, 3)
-_ATOMS = {name: _Value.of_poly(MultiPoly.variable(k, 3))
+# name -> (marker, exponent, coefficient) of the one-term value it denotes
+_ATOMS = {name: (None, tuple(int(j == k) for j in range(3)), ONE)
           for name, k in VAR_INDEX.items()}
-_ATOMS["i"] = _Value.of_poly(MultiPoly.constant(GaussianRational(0, 1), 3))
-_ATOMS.update((m, _Value({m: _ONE})) for m in (*FIELD_MARKERS, *FORM_MARKERS))
+_ATOMS["i"] = (None, _ORIGIN, I)
+_ATOMS.update((m, (m, _ORIGIN, ONE)) for m in (*FIELD_MARKERS, *FORM_MARKERS))
 
 
-def _words(p1: MultiPoly, p2: MultiPoly) -> int:
-    """64-bit words of the longest numerator or denominator of ``p1`` and
-    ``p2``, at least 1."""
+def _add_into(s: Terms, t: Terms, negate: bool) -> None:
+    """``s += t`` (``s -= t`` when ``negate``) in place, zero sums dropped:
+    the terms and their order of ``MultiPoly.__add__``."""
+    for e, c in t.items():
+        if e in s:
+            c = s[e] - c if negate else s[e] + c
+            if c.is_zero():
+                del s[e]
+            else:
+                s[e] = c
+        else:
+            s[e] = -c if negate else c
+
+
+def _negate(t: Terms) -> None:
+    """``t = -t`` in place."""
+    for e, c in t.items():
+        t[e] = -c
+
+
+def _mul_terms(t1: Terms, t2: Terms) -> Terms:
+    """``t1 * t2``: the terms and their order of ``MultiPoly.__mul__``."""
+    out: Terms = {}
+    for (i1, j1, k1), c1 in t1.items():
+        for (i2, j2, k2), c2 in t2.items():
+            e = (i1 + i2, j1 + j2, k1 + k2)
+            c = c1 * c2
+            if e in out:
+                c = out[e] + c
+                if c.is_zero():
+                    del out[e]
+                else:
+                    out[e] = c
+            else:
+                out[e] = c
+    return out
+
+
+def _words(t1: Terms, t2: Terms) -> int:
+    """64-bit words of the longest numerator or denominator of ``t1`` and
+    ``t2``, at least 1."""
     bits = 0
-    for a, b, d in map(gaussian_triple, chain(p1.terms.values(),
-                                              p2.terms.values())):
+    for a, b, d in map(gaussian_triple, chain(t1.values(), t2.values())):
         bits = max(bits, a.bit_length(), b.bit_length(), d.bit_length())
     return max(1, (bits + 63) // 64)
 
 
 class _Parser:
+    """Recursive descent over one tokenized expression.  ``kinds`` holds the
+    kind of every token and then ``"end"``; ``k`` indexes the next token."""
+
     def __init__(self, tokens: List[_Token], line: int):
         self.tokens = tokens
+        self.kinds = [t.kind for t in tokens]
+        self.kinds.append("end")
         self.line = line
         self.k = 0
         self.pairs = 0
 
-    def peek(self) -> Optional[_Token]:
-        return self.tokens[self.k] if self.k < len(self.tokens) else None
-
-    def end_col(self) -> int:
-        """The column just past the last token."""
+    def col(self, k: int) -> int:
+        """The column of token ``k``; just past the last token for the end."""
+        if k < len(self.tokens):
+            return self.tokens[k].col
         last = self.tokens[-1]
         return last.col + len(last.text)
 
-    def next(self) -> _Token:
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of expression", line=self.line,
-                             col=self.end_col())
-        self.k += 1
-        return t
+    def fail(self, message: str, k: int) -> NoReturn:
+        raise ParseError(message, line=self.line, col=self.col(k))
 
-    def expect(self, kind: str) -> _Token:
-        t = self.peek()
-        if t is None or t.kind != kind:
-            raise ParseError(
-                f"expected {kind!r}" + (f", found {t.text!r}" if t else ""),
-                line=self.line, col=(t.col if t else self.end_col()))
-        return self.next()
+    def expect(self, kind: str) -> int:
+        """The index of the next token, which must be of ``kind``."""
+        k = self.k
+        if self.kinds[k] != kind:
+            self.fail(f"expected {kind!r}" + (
+                f", found {self.tokens[k].text!r}" if self.kinds[k] != "end"
+                else ""), k)
+        self.k = k + 1
+        return k
 
-    def product(self, p1: MultiPoly, p2: MultiPoly, at: _Token) -> MultiPoly:
-        """``p1 * p2``, charged to the parse's budget of term pairs."""
-        words = _words(p1, p2)
-        weight = (words * words + 63) // 64
-        self.pairs += len(p1.terms) * len(p2.terms) * weight
+    def product(self, t1: Terms, t2: Terms, at: int) -> Terms:
+        """``t1 * t2``, charged at token ``at`` to the parse's budget of
+        term pairs."""
+        words = _words(t1, t2)
+        self.pairs += len(t1) * len(t2) * ((words * words + 63) // 64)
         if self.pairs > PAIR_BUDGET:
-            raise ParseError(
-                f"expansion needs more than {PAIR_BUDGET} term products",
-                line=self.line, col=at.col)
-        return p1 * p2
+            self.fail(f"expansion needs more than {PAIR_BUDGET} term products",
+                      at)
+        return _mul_terms(t1, t2)
 
     def fail_if_atom_follows(self):
-        t = self.peek()
-        if t is not None and (t.kind in _ATOM_STARTS):
-            raise ParseError(
-                "implicit multiplication is not allowed; insert '*'",
-                line=self.line, col=t.col)
+        if self.kinds[self.k] in _ATOM_STARTS:
+            self.fail("implicit multiplication is not allowed; insert '*'",
+                      self.k)
 
     # expr := term (('+'|'-') term)*
-    def parse_expr(self) -> _Value:
+    def parse_expr(self) -> Value:
         v = self.parse_term()
         while True:
             self.fail_if_atom_follows()
-            t = self.peek()
-            if t is None or t.kind not in ("+", "-"):
+            kind = self.kinds[self.k]
+            if kind != "+" and kind != "-":
                 return v
-            self.next()
-            rhs = self.parse_term()
-            v = v + (rhs if t.kind == "+" else -rhs)
+            self.k += 1
+            negate = kind == "-"
+            for m, t in self.parse_term().items():
+                s = v.get(m)
+                if s is None:
+                    if negate:
+                        _negate(t)
+                    v[m] = t
+                else:
+                    _add_into(s, t, negate)
+                    if not s:
+                        del v[m]
 
     # term := factor ('*' factor)*
-    def parse_term(self) -> _Value:
+    def parse_term(self) -> Value:
         v = self.parse_factor()
         while True:
             self.fail_if_atom_follows()
-            t = self.peek()
-            if t is None or t.kind != "*":
+            star = self.k
+            if self.kinds[star] != "*":
                 return v
-            star = self.next()
-            rhs = self.parse_factor()
-            v = self._mul(v, rhs, star)
+            self.k += 1
+            v = self._mul(v, self.parse_factor(), star)
 
-    def _mul(self, a: _Value, b: _Value, at: _Token) -> _Value:
-        out: Dict[Optional[str], MultiPoly] = {}
-        for m1, p1 in a.parts.items():
-            for m2, p2 in b.parts.items():
+    def _mul(self, a: Value, b: Value, at: int) -> Value:
+        # each marker of the product gets one product of parts: a second
+        # would need the marker on both sides, which is refused; a product
+        # of nonzero parts is nonzero
+        out: Value = {}
+        for m1, t1 in a.items():
+            for m2, t2 in b.items():
                 if m1 is not None and m2 is not None:
-                    raise ParseError(
-                        "at most one component marker per monomial",
-                        line=self.line, col=at.col)
-                m = m1 if m1 is not None else m2
-                prod = self.product(p1, p2, at)
-                out[m] = out[m] + prod if m in out else prod
-        return _Value(out)
+                    self.fail("at most one component marker per monomial", at)
+                out[m1 if m1 is not None else m2] = self.product(t1, t2, at)
+        return out
 
-    # factor := '-' factor | power
-    def parse_factor(self) -> _Value:
-        t = self.peek()
-        if t is not None and t.kind == "-":
-            self.next()
-            return -self.parse_factor()
-        if t is not None and t.kind == "+":
-            self.next()
-            return self.parse_factor()
-        return self.parse_power()
-
-    # power := atom ['^' int]
-    def parse_power(self) -> _Value:
+    # factor := ('-'|'+') factor | atom ['^' int]
+    def parse_factor(self) -> Value:
+        kind = self.kinds[self.k]
+        if kind == "-" or kind == "+":
+            self.k += 1
+            v = self.parse_factor()
+            if kind == "-":
+                for t in v.values():
+                    _negate(t)
+            return v
         v = self.parse_atom()
-        t = self.peek()
-        if t is not None and t.kind == "^":
-            caret = self.next()
-            e = self.expect("number")
-            if "/" in e.text:
-                raise ParseError("exponent must be a nonnegative integer",
-                                 line=self.line, col=e.col)
-            n = _int(e.text, self.line, e.col)
-            if v.markers():
-                raise ParseError("component markers cannot be raised to powers",
-                                 line=self.line, col=caret.col)
-            return _Value.of_poly(power(
-                v.plain(), n, _ONE, lambda a, b: self.product(a, b, caret)))
-        return v
+        caret = self.k
+        if self.kinds[caret] != "^":
+            return v
+        self.k += 1
+        k = self.expect("number")
+        text = self.tokens[k].text
+        if "/" in text:
+            self.fail("exponent must be a nonnegative integer", k)
+        n = _int(text, self.line, self.col(k))
+        if _markers(v):
+            self.fail("component markers cannot be raised to powers", caret)
+        if n == 1:  # power() would return the base itself
+            return v
+        p = power(v.get(None, {}), n, {_ORIGIN: ONE},
+                  lambda t1, t2: self.product(t1, t2, caret))
+        return {None: p} if p else {}
 
-    def parse_atom(self) -> _Value:
-        t = self.next()
-        if t.kind == "number":
-            num, _, den = t.text.partition("/")
-            num, den = _int(num, self.line, t.col), _int(den or "1", self.line, t.col)
+    def parse_atom(self) -> Value:
+        k = self.k
+        kind = self.kinds[k]
+        if kind == "end":
+            self.fail("unexpected end of expression", k)
+        self.k = k + 1
+        text = self.tokens[k].text
+        if kind == "number":
+            num, _, den = text.partition("/")
+            col = self.col(k)
+            num, den = _int(num, self.line, col), _int(den or "1", self.line, col)
             if den == 0:
-                raise ParseError("zero denominator", line=self.line, col=t.col)
+                self.fail("zero denominator", k)
             if num == 0:
-                return _Value()
-            return _Value.of_poly(_trusted(3, {(0, 0, 0): _triple(num, 0, den)}))
-        if t.kind == "ident":
-            atom = _ATOMS.get(t.text)
+                return {}
+            return {None: {_ORIGIN: _triple(num, 0, den)}}
+        if kind == "ident":
+            atom = _ATOMS.get(text)
             if atom is None:
-                raise ParseError(f"unknown symbol {t.text!r}",
-                                 line=self.line, col=t.col)
-            return atom
-        if t.kind == "(":
+                self.fail(f"unknown symbol {text!r}", k)
+            m, e, c = atom
+            return {m: {e: c}}
+        if kind == "(":
             v = self.parse_expr()
             self.expect(")")
             return v
-        raise ParseError(f"unexpected token {t.text!r}", line=self.line, col=t.col)
+        self.fail(f"unexpected token {text!r}", k)
 
 
-def _parse_value(text: str, line: int = 1) -> _Value:
-    stripped = text.split("#", 1)[0]
-    tokens = _tokenize(stripped, line)
+def _parse_value(text: str, line: int = 1) -> Value:
+    tokens = _tokenize(text.split("#", 1)[0], line)
     if not tokens:
         raise ParseError("empty expression", line=line, col=1)
     p = _Parser(tokens, line)
     v = p.parse_expr()
-    t = p.peek()
-    if t is not None:
-        raise ParseError(f"unexpected token {t.text!r}", line=line, col=t.col)
+    if p.k < len(tokens):
+        p.fail(f"unexpected token {tokens[p.k].text!r}", p.k)
     return v
 
 
-def _project(p: MultiPoly, nvars: int, line: int) -> MultiPoly:
-    """Narrow an internal 3-variable polynomial to its first ``nvars``."""
+def _markers(v: Value) -> set:
+    return v.keys() - {None}
+
+
+def _project(t: Terms, nvars: int, line: int) -> MultiPoly:
+    """The polynomial of a term dict, in its first ``nvars`` variables."""
     out = {}
-    for e, c in p.terms.items():
-        if any(e[k] for k in range(nvars, 3)):
+    for e, c in t.items():
+        if any(e[nvars:]):
             raise ParseError(
                 f"expression uses variable {DEFAULT_NAMES[3][max(k for k in range(3) if e[k])]}"
                 f" but only {nvars} variables are allowed", line=line, col=1)
@@ -309,9 +361,9 @@ def _project(p: MultiPoly, nvars: int, line: int) -> MultiPoly:
     return _trusted(nvars, out)
 
 
-def _auto_nvars(v: _Value) -> int:
-    uses_z = any(e[2] for p in v.parts.values() for e in p.terms)
-    if uses_z or "ddz" in v.markers():
+def _auto_nvars(v: Value) -> int:
+    uses_z = any(e[2] for t in v.values() for e in t)
+    if uses_z or "ddz" in v:
         return 3
     return 2
 
@@ -319,57 +371,52 @@ def _auto_nvars(v: _Value) -> int:
 def parse_scalar_literal(text: str, line: int = 1) -> GaussianRational:
     """Parse a constant expression into a Gaussian rational."""
     v = _parse_value(text, line)
-    if v.markers():
+    if _markers(v):
         raise ParseError("component marker in scalar expression", line=line, col=1)
-    p = v.plain()
-    extras = {e for e in p.terms if any(e)}
-    if extras:
+    t = v.get(None, {})
+    if any(any(e) for e in t):
         raise ParseError("variables in scalar expression", line=line, col=1)
-    c = p.constant_term()
-    if isinstance(c, GaussianRational):
-        return c
-    raise ParseError("scalar expression did not reduce to a constant", line=line, col=1)
+    return t.get(_ORIGIN, ZERO)
 
 
-def _poly_of(v: _Value, nvars: Optional[int], line: int) -> MultiPoly:
-    if v.markers():
+def _poly_of(v: Value, nvars: Optional[int], line: int) -> MultiPoly:
+    if _markers(v):
         raise ParseError("unexpected component marker in polynomial expression",
                          line=line, col=1)
     n = nvars if nvars is not None else _auto_nvars(v)
-    return _project(v.plain(), n, line)
+    return _project(v.get(None, {}), n, line)
 
 
-def _field_of(v: _Value, nvars: Optional[int], line: int) -> VectorFieldGerm:
-    if v.markers() & set(FORM_MARKERS):
+def _field_of(v: Value, nvars: Optional[int], line: int) -> VectorFieldGerm:
+    if _markers(v) & FORM_MARKERS.keys():
         raise ParseError("1-form markers in a vector-field expression",
                          line=line, col=1)
-    if not v.plain().is_zero():
+    if None in v:
         raise ParseError("vector-field expression has terms without a component marker",
                          line=line, col=1)
     n = nvars if nvars is not None else _auto_nvars(v)
     comps = [MultiPoly.zero(n) for _ in range(n)]
-    for m in v.markers():
+    for m, t in v.items():
         idx = FIELD_MARKERS[m]
         if idx >= n:
             raise ParseError(f"marker {m!r} exceeds {n} variables", line=line, col=1)
-        comps[idx] = _project(v.parts[m], n, line)
+        comps[idx] = _project(t, n, line)
     return VectorFieldGerm(comps)
 
 
-def _form_of(v: _Value, line: int) -> OneFormGerm:
-    if v.markers() & set(FIELD_MARKERS):
+def _form_of(v: Value, line: int) -> OneFormGerm:
+    if _markers(v) & FIELD_MARKERS.keys():
         raise ParseError("vector-field markers in a 1-form expression",
                          line=line, col=1)
-    if not v.markers():
-        if v.plain().is_zero():
+    if not _markers(v):
+        if not v:
             return OneFormGerm(MultiPoly.zero(2), MultiPoly.zero(2))
         raise ParseError("1-form expression needs dx or dy terms", line=line, col=1)
-    if not v.plain().is_zero():
+    if None in v:
         raise ParseError("1-form expression has terms without a component marker",
                          line=line, col=1)
-    a = _project(v.parts.get("dx", MultiPoly.zero(3)), 2, line)
-    b = _project(v.parts.get("dy", MultiPoly.zero(3)), 2, line)
-    return OneFormGerm(a, b)
+    return OneFormGerm(_project(v.get("dx", {}), 2, line),
+                       _project(v.get("dy", {}), 2, line))
 
 
 def parse_poly(text: str, nvars: Optional[int] = None, line: int = 1) -> MultiPoly:
@@ -387,8 +434,9 @@ def parse_form(text: str, line: int = 1) -> OneFormGerm:
 def parse_any(text: str, line: int = 1) -> Union[MultiPoly, VectorFieldGerm, OneFormGerm]:
     """Parse an expression whose kind is decided by its markers."""
     v = _parse_value(text, line)
-    has_field = bool(v.markers() & set(FIELD_MARKERS))
-    has_form = bool(v.markers() & set(FORM_MARKERS))
+    markers = _markers(v)
+    has_field = not markers.isdisjoint(FIELD_MARKERS)
+    has_form = not markers.isdisjoint(FORM_MARKERS)
     if has_field and has_form:
         raise ParseError("cannot mix vector-field and 1-form markers",
                          line=line, col=1)

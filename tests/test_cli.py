@@ -9,6 +9,7 @@ corpus runner including its failure and empty-directory behavior.
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -55,6 +56,20 @@ def run_python(args):
 
 def run_cli_process(args):
     return run_python(["-m", "folsing.cli", *args])
+
+
+def _within(seconds, fn, *args):
+    """fn(*args), failing the test once it runs past a wall-clock budget."""
+    def overrun(signum, frame):
+        raise TimeoutError(f"over the {seconds} s budget")
+
+    old = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 # few terms whose coefficients grow by about 60 bits per power
@@ -493,6 +508,28 @@ class TestExitCodes:
         assert err["detail"] == {"grid": 100000, "points": 10 ** 10,
                                  "limit": 2 ** 20}
         jsonio.validate(err, "error")
+
+    @pytest.mark.parametrize("args, detail", [
+        (["cp2", "tangency", "--expr", SADDLE, "--count", "602"],
+         {"count": 602, "limit": 601}),
+        (["sectors", "--gamma", "1,2", "--maxdeg", "200"],
+         {"maxdeg": 200, "components": 2, "limit": 4096}),
+        (["cp2", "dimension", "--degree", "60"], {"degree": 60, "limit": 30}),
+    ])
+    def test_domain_error_request_too_large(self, runner, args, detail):
+        # each of these ran for seconds or never ended before it was capped
+        result = _within(10, runner.invoke, main, args)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        err = json.loads(result.stderr)
+        assert err["error"] == "request-too-large"
+        assert err["detail"] == detail
+        jsonio.validate(err, "error")
+
+    def test_tangency_count_at_the_cap_answers(self, runner):
+        doc = _within(10, json_out, runner,
+                      ["cp2", "tangency", "--expr", SADDLE, "--count", "601"])
+        assert len({s["slope"] for s in doc["samples"]}) == 601
 
     def test_census_radius_at_the_top_of_the_doubles(self):
         proc = run_cli_process(["orbit-census", "--coeffs", "1",

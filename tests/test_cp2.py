@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from folsing import cp2
 from folsing.cp2 import (
     LINE_INVARIANT,
+    MAX_DIMENSION_DEGREE,
+    MAX_TANGENCY_SAMPLES,
     NOT_QUASI_HOMOGENEOUS,
     NOT_RICCATI,
     DegreeReport,
@@ -28,6 +31,7 @@ from folsing.cp2 import (
 from folsing.errors import (
     NonIsolatedZeros,
     RadialInput,
+    RequestTooLarge,
     ZeroInput,
 )
 from folsing.parsing import parse_field, parse_poly
@@ -202,6 +206,20 @@ class TestTangency:
         assert out["bad"] == []
         assert [s["count"] for s in out["samples"]] == [2] * 5
 
+    def test_sample_cap_is_the_number_of_distinct_slopes(self):
+        slopes = {Fraction(n, d) for n in cp2._SLOPE_NUMERATORS
+                  for d in cp2._SLOPE_DENOMINATORS}
+        assert MAX_TANGENCY_SAMPLES == len(slopes) == 601
+        out = tangency_samples(parse_field("x*ddx - y*ddy"),
+                               count=MAX_TANGENCY_SAMPLES)
+        assert {Fraction(s["slope"]) for s in out["samples"]} == slopes
+
+    def test_count_above_the_cap_is_refused(self):
+        with pytest.raises(RequestTooLarge) as info:
+            tangency_samples(parse_field("x*ddx - y*ddy"),
+                             count=MAX_TANGENCY_SAMPLES + 1)
+        assert info.value.payload == {"count": 602, "limit": 601}
+
 
 class TestDimension:
     def test_small_values(self):
@@ -214,6 +232,14 @@ class TestDimension:
     def test_negative_rejected(self):
         with pytest.raises(ZeroInput):
             fol_space_dimension(-1)
+
+    def test_degree_cap(self):
+        d = MAX_DIMENSION_DEGREE
+        assert fol_space_dimension(d) == (d + 1) * (d + 3) - 1
+        for degree in (d + 1, 10 ** 40):
+            with pytest.raises(RequestTooLarge) as info:
+                fol_space_dimension(degree)
+            assert info.value.payload == {"degree": degree, "limit": d}
 
 
 class TestQuasiHomogeneous:

@@ -26,7 +26,9 @@ each module in ``src/folsing`` with the standard library's ``ast``:
   ``_d`` of a GaussianRational.  Others read the triple through
   ``scalars.gaussian_triple`` and build one with ``scalars._triple``, so
   the integer format of Q(i), which ``poly.compose`` computes with, has
-  one owner.
+  one owner;
+- no module calls ``json.dump`` or ``json.dumps``: ``jsonio.dumps`` is the
+  package's one JSON emitter, so every document has the same layout.
 """
 
 import ast
@@ -338,3 +340,41 @@ def test_checker_flags_a_private_triple_read(tmp_path):
     home = tmp_path / "scalars.py"
     home.write_text(source)
     assert private_triple_reads(home) == []
+
+
+JSON_EMITTERS = {"dump", "dumps"}
+
+
+def json_emitter_calls(path: Path):
+    """Calls of ``json.dump``/``json.dumps`` and imports of either name
+    from ``json``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "json"
+                and node.func.attr in JSON_EMITTERS):
+            found.append((node.lineno, f"json.{node.func.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            found.extend((node.lineno, f"from json import {alias.name}")
+                         for alias in node.names
+                         if alias.name in JSON_EMITTERS)
+    return [f"{path.name}:{line} {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_jsonio_writer_is_the_one_emitter(path):
+    assert json_emitter_calls(path) == []
+
+
+def test_checker_flags_a_json_emitter(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("import json\n"
+                    "from json import dumps as text, loads\n"
+                    "def f(doc, fh):\n"
+                    "    json.dump(doc, fh)\n"
+                    "    return json.loads(json.dumps(doc)), text\n")
+    assert json_emitter_calls(path) == [
+        "m.py:2 from json import dumps", "m.py:4 json.dump",
+        "m.py:5 json.dumps"]

@@ -7,10 +7,12 @@ import pytest
 from folsing.errors import (
     DegenerateEigenData,
     InadmissibleCoefficient,
+    RequestTooLarge,
     SectorContainsSingularDirection,
 )
 from folsing.scalars import GaussianRational
 from folsing.sectors import (
+    MAX_SHEAF_RECORDS,
     AdmissibleMonomialSet,
     EigenData,
     Sector,
@@ -170,6 +172,29 @@ class TestSheafDirections:
         expected = ray_set(
             [G(q, 1) for q in range(1, 6)] + [G(1, q) for q in range(1, 6)])
         assert quadrant == expected
+
+
+class TestRecordCap:
+    # k components times C(maxdeg + k, k) monomials: 2 * C(63, 2) = 3906
+    # and 2 * C(64, 2) = 4032 fit under 4096, 2 * C(65, 2) = 4160 does not
+    def test_pairs_at_the_cap_are_enumerated(self):
+        assert MAX_SHEAF_RECORDS == 4096
+        sheaf = sheaf_singular_directions(EigenData([1, 2]), 62)
+        assert len(sheaf.records) <= 4032
+
+    @pytest.mark.parametrize("gamma, maxdeg", [
+        ([1, 2], 63), ([1, 2, 3], 27), ([1], 4096), ([1, 2], 10 ** 30),
+        ([1] * 5000, 0),
+    ])
+    def test_pairs_past_the_cap_are_refused(self, gamma, maxdeg):
+        data = EigenData(gamma)
+        for call in (lambda: sheaf_singular_directions(data, maxdeg),
+                     lambda: positive_sector(data, maxdeg)):
+            with pytest.raises(RequestTooLarge) as info:
+                call()
+            assert info.value.payload == {
+                "maxdeg": maxdeg, "components": len(gamma),
+                "limit": MAX_SHEAF_RECORDS}
 
 
 class TestPositiveSector:
