@@ -253,16 +253,7 @@ def affine_to_homogeneous(field: VectorFieldGerm, chart: str = "a") -> Homogeneo
     rest = [k for k in range(3) if k != i]
     comps = [MultiPoly.zero(3), MultiPoly.zero(3), MultiPoly.zero(3)]
     for target, poly in zip(rest, (p, q)):
-        if poly.is_zero():
-            continue
-        terms = {}
-        for e, c in poly.terms.items():
-            exps = [0, 0, 0]
-            exps[rest[0]] = e[0]
-            exps[rest[1]] = e[1]
-            exps[i] = m - e[0] - e[1]
-            terms[tuple(exps)] = c
-        comps[target] = MultiPoly(3, terms)
+        comps[target] = _homogenize(poly, i, m)
     return HomogeneousField3(comps)
 
 

@@ -16,9 +16,12 @@ n_max sit far below the default tolerances.
 Germs with p >= 2 are reduced to p = 1: a polynomial conjugacy removes all
 coefficients between the leading nonlinear term and twice its degree, after
 which Z = h(z)^p transforms the germ into a genuine power series in Z with
-leading nonlinear coefficient p*a.  The reduction is exact through degree
+leading nonlinear coefficient p*a.  The conjugacy comes from closed
+forms: each step z + t z^{m+1} has t fixed by one division and a
+Fuss-Catalan series as inverse.  The reduction is exact through degree
 4p+1; accuracy therefore degrades as the base point approaches the edge of
-the convergence disc.
+the convergence disc.  It costs about p^4, so more than ``MAX_PETALS``
+petals are refused.
 
 Orbit kernels.  ``_advance`` runs one loop per Horner length, compiled
 once from a template with Horner's scheme unrolled, so a step is a few
@@ -43,6 +46,7 @@ from .errors import (
     FloatOverflow,
     GridTooLarge,
     NotInPetal,
+    RequestTooLarge,
     SlowConvergence,
     ZeroInput,
     ZeroLeadingCoefficient,
@@ -262,9 +266,8 @@ class NumericGerm:
 # --------------------------------------------------------------------------
 # directions
 # --------------------------------------------------------------------------
-def attracting_directions(a: complex, p: int) -> np.ndarray:
-    """The p unit vectors v with a v^p negative real (initial-velocity
-    directions along which orbits approach the fixed point)."""
+def _directions(a: complex, p: int, turn: float) -> np.ndarray:
+    """The p unit vectors v with a v^p on the ray at angle ``turn``."""
     import numpy as np
 
     if p < 1 or int(p) != p:
@@ -272,66 +275,57 @@ def attracting_directions(a: complex, p: int) -> np.ndarray:
     a = complex(a)
     if a == 0:
         raise ZeroLeadingCoefficient("leading nonlinear coefficient is zero")
-    base = (math.pi - cmath.phase(a)) / p
+    base = (turn - cmath.phase(a)) / p
     return np.array(
         [cmath.exp(1j * (base + 2 * math.pi * k / p)) for k in range(p)],
         dtype=np.complex128)
+
+
+def attracting_directions(a: complex, p: int) -> np.ndarray:
+    """The p unit vectors v with a v^p negative real (initial-velocity
+    directions along which orbits approach the fixed point)."""
+    return _directions(a, p, math.pi)
 
 
 def repelling_directions(a: complex, p: int) -> np.ndarray:
     """The p unit vectors v with a v^p positive real."""
-    import numpy as np
-
-    if p < 1 or int(p) != p:
-        raise ZeroInput("direction count p must be a positive integer")
-    a = complex(a)
-    if a == 0:
-        raise ZeroLeadingCoefficient("leading nonlinear coefficient is zero")
-    base = -cmath.phase(a) / p
-    return np.array(
-        [cmath.exp(1j * (base + 2 * math.pi * k / p)) for k in range(p)],
-        dtype=np.complex128)
+    return _directions(a, p, 0.0)
 
 
 # --------------------------------------------------------------------------
-# series utilities for the p >= 2 reduction
+# the p >= 2 reduction
 # --------------------------------------------------------------------------
-def _series_compose(f: np.ndarray, g: np.ndarray, order: int) -> np.ndarray:
-    """Coefficients (z^1..z^order) of f(g(z)) for series fixing 0."""
-    import numpy as np
+# The most petals fatou_coordinate takes, checked before any series work.
+# The reduction grows about as p^4: with every coefficient through degree
+# 4p+1 nonzero it takes 0.2 s at p = 12, 0.5 s at 16, 1.2 s at 20.
+MAX_PETALS = 20
 
-    out = np.zeros(order, dtype=np.complex128)
-    current = None
-    for k in range(f.shape[0]):
-        if k >= order:
-            break
-        if current is None:
-            current = np.zeros(order, dtype=np.complex128)
-            current[:min(order, g.shape[0])] = g[:order]
-        else:
-            nxt = np.zeros(order, dtype=np.complex128)
-            for i in range(order):
-                if current[i] == 0:
+
+def _series_compose(f: Sequence[complex], g: Sequence[complex],
+                    order: int) -> List[complex]:
+    """Coefficients (z^1..z^order) of f(g(z)) for series fixing 0, given
+    as plain complex lists, f with at most ``order`` entries."""
+    terms = [(j, c) for j, c in enumerate(g[:order]) if c != 0]
+    out = [0j] * order
+    power = [0j] * order  # g^(k+1), zero below index k
+    for j, c in terms:
+        power[j] = c
+    for k, fk in enumerate(f):
+        if k:
+            nxt = [0j] * order
+            for i in range(k - 1, order - 1):
+                ci = power[i]
+                if ci == 0:
                     continue
-                for j in range(min(g.shape[0], order - i - 1)):
-                    nxt[i + j + 1] += current[i] * g[j]
-            current = nxt
-        out += f[k] * current
+                for j, c in terms:
+                    if i + j + 1 >= order:
+                        break
+                    nxt[i + j + 1] += ci * c
+            power = nxt
+        if fk != 0:
+            for i in range(k, order):
+                out[i] += fk * power[i]
     return out
-
-
-def _series_inverse(h: np.ndarray, order: int) -> np.ndarray:
-    """Compositional inverse of a series h(z) = z + ..., to z^order."""
-    import numpy as np
-
-    if abs(h[0] - 1.0) > _COEFF_TOL:
-        raise ZeroInput("series inverse requires unit linear coefficient")
-    inv = np.zeros(order, dtype=np.complex128)
-    inv[0] = 1.0
-    for k in range(2, order + 1):
-        comp = _series_compose(h[:order], inv, order)
-        inv[k - 1] -= comp[k - 1]
-    return inv
 
 
 def _reduce_to_single_petal(coeffs: np.ndarray, a: complex, p: int
@@ -339,57 +333,41 @@ def _reduce_to_single_petal(coeffs: np.ndarray, a: complex, p: int
     """Return (G, hinv): G a p = 1 germ in Z = hinv(z)^p with the same
     translation coordinate, hinv the normalizing polynomial (z^1.. coeffs).
 
-    A polynomial conjugacy kills every coefficient of degree p+2 .. 3p+1
-    except the invariant one at 2p+1; after that the push-forward through
-    z -> z^p is the exact polynomial Z (1 + a Z + c Z^2)^p.
+    Steps z + t z^{m+1}, m = 1 .. 3p, kill every coefficient of degree
+    p+2 .. 4p+1 except the invariant one at 2p+1; a step adds exactly
+    (p - m) a t to the z^{p+m+1} coefficient and leaves the lower ones
+    alone.  After that the push-forward through z -> z^p is the exact
+    polynomial Z (1 + a Z + c Z^2)^p.
     """
     import numpy as np
 
     order = 4 * p + 2
-    cur = np.zeros(order, dtype=np.complex128)
-    cur[:min(order, coeffs.shape[0])] = coeffs[:order]
-    h_acc = np.zeros(order, dtype=np.complex128)
-    h_acc[0] = 1.0
-
+    cur = [complex(c) for c in coeffs[:order]]
+    cur += [0j] * (order - len(cur))
+    hinv = [1 + 0j] + [0j] * (order - 1)
     for m in range(1, 3 * p + 1):
-        if m == p:
-            continue
         target = p + m  # index of z^{p+1+m}
-        if target >= order:
-            break
-        if cur[target] == 0:
+        if m == p or cur[target] == 0:
             continue
-        base = cur[target]
-        probe = np.zeros(order, dtype=np.complex128)
-        probe[0] = 1.0
-        probe[m] = 1.0
-        conj = _series_compose(
-            _series_compose(_series_inverse(probe, order), cur, order),
-            probe, order)
-        slope = conj[target] - base
-        if abs(slope) < _COEFF_TOL:
-            raise ZeroInput("degenerate normalization step")
-        t = -base / slope
-        step = np.zeros(order, dtype=np.complex128)
-        step[0] = 1.0
-        step[m] = t
-        cur = _series_compose(
-            _series_compose(_series_inverse(step, order), cur, order),
-            step, order)
-        h_acc = _series_compose(h_acc, step, order)
+        t = -cur[target] / ((p - m) * a)
+        # the inverse of the step, by Lagrange inversion: (-t)^k times the
+        # Fuss-Catalan number C((m+1)k, k) / (km+1) at z^{km+1}; the powers
+        # by multiplication, as complex ** raises OverflowError on overflow
+        inverse = [0j] * order
+        power = 1 + 0j
+        for k in range((order - 1) // m + 1):
+            inverse[k * m] = power * (math.comb((m + 1) * k, k) // (k * m + 1))
+            power *= -t
+        cur = _series_compose(_series_compose(inverse, cur, order),
+                              [1 + 0j] + [0j] * (m - 1) + [t], order)
+        hinv = _series_compose(inverse, hinv, order)
 
-    c_inv = cur[2 * p] if 2 * p < order else 0.0
     # G(Z) = Z (1 + a Z + c Z^2)^p, an exact polynomial of degree 2p+1 in Z
-    poly = np.zeros(2 * p + 1, dtype=np.complex128)
-    base3 = np.zeros(3, dtype=np.complex128)
-    base3[0], base3[1], base3[2] = 1.0, a, c_inv
-    acc = np.zeros(1, dtype=np.complex128)
-    acc[0] = 1.0
+    base3 = np.array([1.0, a, cur[2 * p]], dtype=np.complex128)
+    poly = np.ones(1, dtype=np.complex128)
     for _ in range(p):
-        acc = np.convolve(acc, base3)
-    poly[:acc.shape[0]] = acc[:2 * p + 1]
-    hinv = _series_inverse(h_acc, order)
-    return poly, hinv
+        poly = np.convolve(poly, base3)
+    return poly, np.array(hinv, dtype=np.complex128)
 
 
 def _infinity_chart_data(gcoeffs: np.ndarray) -> Tuple[complex, complex, complex, complex]:
@@ -480,7 +458,8 @@ def fatou_coordinate(f: NumericGerm, z: complex, n_max: int = 100000,
     The orbit is advanced n_max steps; the estimate reads the asymptotic
     expansion of phi in the inverted chart at the final point.  Membership
     in a petal is checked operationally: the real part in the inverted
-    chart must grow for 50 consecutive steps early in the orbit.
+    chart must grow for 50 consecutive steps early in the orbit.  A germ
+    with more than ``MAX_PETALS`` petals is refused before its reduction.
     """
     import numpy as np
 
@@ -488,6 +467,9 @@ def fatou_coordinate(f: NumericGerm, z: complex, n_max: int = 100000,
         raise ZeroInput("translation coordinate requires a germ tangent "
                         "to the identity")
     a, p = f.leading_nonlinear()
+    if p > MAX_PETALS:
+        raise RequestTooLarge("more petals than the reduction takes",
+                              petals=p, limit=MAX_PETALS)
     z = complex(z)
     if z == 0:
         raise NotInPetal("the fixed point itself lies in no petal")

@@ -20,7 +20,6 @@ factors decide existence and the exponents.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -28,6 +27,7 @@ from typing import List, Optional, Tuple
 from .errors import (
     DegenerateEigenData,
     DicriticalInput,
+    FloatOverflow,
     IntegralDegreeExceeded,
     InternalInvariantViolation,
     NonIntegerResidues,
@@ -77,9 +77,6 @@ class ExactMultiplier:
     def order(self) -> int:
         """Multiplicative order of the multiplier."""
         return (self.exponent % 1).denominator
-
-    def value(self) -> complex:
-        return cmath.exp(2j * math.pi * float(self.exponent))
 
     def as_gaussian_or_none(self) -> Optional[GaussianRational]:
         reduced = self.exponent % 1
@@ -136,10 +133,12 @@ class ComplexMultiplier:
         self.exponent = exponent
 
     def modulus(self) -> float:
-        return math.exp(-2.0 * math.pi * complex(self.exponent).imag)
-
-    def value(self) -> complex:
-        return cmath.exp(2j * math.pi * complex(self.exponent))
+        try:
+            return math.exp(-2.0 * math.pi * complex(self.exponent).imag)
+        except OverflowError:
+            raise FloatOverflow(
+                "the multiplier's modulus leaves the finite doubles",
+                exponent=scalar_to_json(self.exponent)) from None
 
     def __repr__(self):
         return f"ComplexMultiplier(exp(2*pi*i*({self.exponent})))"

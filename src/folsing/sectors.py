@@ -188,9 +188,10 @@ def _direction_json(v) -> dict:
 class EigenData:
     """Nonzero-block eigenvalues gamma (normalized to gamma_2 = 1) and the
     real exponents alpha of the associated model; rejects configurations
-    with 0 in the convex hull of the gamma_j."""
+    with 0 in the convex hull of the gamma_j.  The sheaf directions are
+    built once per degree bound and kept in ``sheaves``."""
 
-    __slots__ = ("gamma", "alpha")
+    __slots__ = ("gamma", "alpha", "sheaves")
 
     def __init__(self, gamma: Sequence, alpha: Optional[Sequence] = None):
         values = [_to_value(g) for g in gamma]
@@ -212,6 +213,7 @@ class EigenData:
         self.alpha = tuple(_real_exponent(a) for a in alpha)
         if len(self.alpha) != len(self.gamma):
             raise DegenerateEigenData("alpha and gamma lengths differ")
+        self.sheaves = {}
 
     @property
     def n(self) -> int:
@@ -360,9 +362,11 @@ MAX_SHEAF_RECORDS = 4096
 
 
 def sheaf_singular_directions(e: EigenData, maxdeg: int) -> SheafDirections:
-    """The records and rays up to degree ``maxdeg``; more than
-    ``MAX_SHEAF_RECORDS`` (component, monomial) pairs are refused before
-    any is formed."""
+    """The records and rays up to degree ``maxdeg``, built on the first call
+    for ``e`` and that bound; more than ``MAX_SHEAF_RECORDS`` (component,
+    monomial) pairs are refused before any is formed."""
+    if maxdeg in e.sheaves:
+        return e.sheaves[maxdeg]
     k = e.n - 1
     # there are k * C(maxdeg + k, k) >= maxdeg + 1 pairs, so a large maxdeg
     # is refused before the binomial is formed
@@ -385,7 +389,9 @@ def sheaf_singular_directions(e: EigenData, maxdeg: int) -> SheafDirections:
             records.append((j, exps, w))
             dirs.append(I * w)
             dirs.append(-I * w)
-    return SheafDirections(records, _sorted_rays(dirs), maxdeg)
+    sheaf = e.sheaves[maxdeg] = SheafDirections(records, _sorted_rays(dirs),
+                                                maxdeg)
+    return sheaf
 
 
 def free_arcs(e: EigenData, maxdeg: int) -> List[Tuple[Sector, str]]:

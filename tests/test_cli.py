@@ -487,6 +487,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("args, code", [
         (["fatou", "--coeffs", "1,1e200", "--z", "-1e-201"], "float-overflow"),
         (["fatou", "--coeffs", "1,1", "--z", "-1e-320"], "not-in-petal"),
+        (["holonomy", "--expr", "x*ddx + (1-200*i)*y*ddy"], "float-overflow"),
     ])
     def test_float_error_is_the_only_stderr(self, args, code):
         # numpy's floating-point warnings would precede the document
@@ -496,6 +497,26 @@ class TestExitCodes:
         err = json.loads(proc.stderr)
         assert err["error"] == code
         jsonio.validate(err, "error")
+
+    @pytest.mark.parametrize("coeffs, z", [
+        ("1,0,1e300,1e300,1e300", "1.5e-167+2.5e-151i"),
+        ("1,1e300,1e300", "-1.5e-301+1.8e-317i"),
+        ("1,1.1e-12," + ",".join(["-7e150"] * 4), "-9.4e-77+1.2e-92i"),
+        # at the petal cap, every coefficient through degree 4p+1 set
+        (",".join(["1"] + ["0"] * 19 + ["1e300"] * 62), "2.5e-16+3.9e-17i"),
+        (",".join(["1"] + ["0"] * 19 + ["1.1e-12"] + ["1e15"] * 61),
+         "0.048+0.0076i"),
+    ])
+    def test_extreme_fatou_input_ends_the_documented_way(self, coeffs, z):
+        proc = run_cli_process(["fatou", "--coeffs", coeffs, "--z", z,
+                                "--n-max", "2000"])
+        assert proc.returncode in (0, 1, 2), proc.stderr
+        if proc.returncode == 0:
+            assert proc.stderr == ""
+            jsonio.validate(json.loads(proc.stdout), "fatou")
+        elif proc.returncode == 1:
+            assert proc.stdout == ""
+            jsonio.validate(json.loads(proc.stderr), "error")
 
     def test_domain_error_census_grid_too_large(self, runner):
         # refused before the grid is built, so the huge value is safe here
@@ -515,6 +536,9 @@ class TestExitCodes:
         (["sectors", "--gamma", "1,2", "--maxdeg", "200"],
          {"maxdeg": 200, "components": 2, "limit": 4096}),
         (["cp2", "dimension", "--degree", "60"], {"degree": 60, "limit": 30}),
+        (["fatou", "--coeffs", ",".join(["1"] + ["0"] * 20 + ["0.3"] * 48),
+          "--z", "0.01+0.001i", "--n-max", "2000"],
+         {"petals": 21, "limit": 20}),
     ])
     def test_domain_error_request_too_large(self, runner, args, detail):
         # each of these ran for seconds or never ended before it was capped

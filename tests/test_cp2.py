@@ -56,6 +56,17 @@ class TestHomogeneousField:
         assert field.removed_factor is not None
         assert field.removed_factor.total_degree() == 1
 
+    def test_common_factor_not_a_power_of_z0(self):
+        # the gcd of the z0 = 1 slices, z1 - z2, is homogenized back
+        z0, z1, z2 = mono3(1, 0, 0), mono3(0, 1, 0), mono3(0, 0, 1)
+        factor = z1 - z2
+        field = HomogeneousField3([factor * z1, factor * z2, factor * z0])
+        assert field.degree == 1
+        removed = field.removed_factor
+        assert removed.total_degree() == 1
+        for h, kept in zip(field.components, (z1, z2, z0)):
+            assert (h * removed - kept * factor).is_zero()
+
     def test_mixed_degrees_rejected(self):
         with pytest.raises(ZeroInput):
             HomogeneousField3([mono3(1, 0, 0), mono3(0, 2, 0), mono3(0, 0, 1)])

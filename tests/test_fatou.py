@@ -13,12 +13,14 @@ from folsing.errors import (
     FloatOverflow,
     GridTooLarge,
     NotInPetal,
+    RequestTooLarge,
     SlowConvergence,
     ZeroInput,
     ZeroLeadingCoefficient,
 )
 from folsing.fatou import (
     MAX_CENSUS_POINTS,
+    MAX_PETALS,
     NumericGerm,
     _advance,
     _census_kernel,
@@ -72,6 +74,18 @@ class TestDirections:
             attracting_directions(0, 1)
         with pytest.raises(ZeroInput):
             attracting_directions(1, 0)
+
+    @pytest.mark.parametrize("a", [1, -1, complex(-1.0, -0.0), 1j, 2.0 - 3.0j,
+                                   1e-300 + 1e300j])
+    @pytest.mark.parametrize("p", [1, 2, 3, 7])
+    def test_the_former_formulas_bit_for_bit(self, a, p):
+        phase = cmath.phase(a)
+        for got, base in ((attracting_directions(a, p), (math.pi - phase) / p),
+                          (repelling_directions(a, p), -phase / p)):
+            want = [cmath.exp(1j * (base + 2 * math.pi * k / p))
+                    for k in range(p)]
+            assert [(v.real.hex(), v.imag.hex()) for v in got] == \
+                [(v.real.hex(), v.imag.hex()) for v in want]
 
 
 class TestNumericGerm:
@@ -167,11 +181,66 @@ class TestTranslationCoordinate:
         phi = lambda z: fatou_coordinate(f, z, n_max=100000).value
         assert abel_residual(f, phi, [0.03j, 0.04j, 0.05j]) < 1e-6
 
+    def test_petal_count_at_the_cap(self):
+        p = MAX_PETALS
+        f = NumericGerm([1.0] + [0.0] * (p - 1) + [1.0])
+        z = 0.49 * cmath.exp(1j * math.pi / p)
+        est = fatou_coordinate(f, z, n_max=20000)
+        assert est.p == p and est.cauchy_increment < 1e-8
+
+    def test_petal_count_above_the_cap(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("reduction entered")
+
+        monkeypatch.setattr(fatou, "_reduce_to_single_petal", refuse)
+        p = MAX_PETALS + 1
+        f = NumericGerm([1.0] + [0.0] * (p - 1) + [0.3] * 48)
+        with pytest.raises(RequestTooLarge) as info:
+            fatou_coordinate(f, 0.01 + 0.001j, n_max=2000)
+        assert info.value.code == "request-too-large"
+        assert info.value.payload == {"petals": p, "limit": MAX_PETALS}
+        assert MAX_PETALS == 20
+
     def test_json(self):
         est = fatou_coordinate(reciprocal_model(), -0.05, n_max=20000)
         j = est.to_json()
         assert j["n_max"] == 20000
         assert j["p"] == 1
+
+
+def _series_inverse(h, order):
+    """Compositional inverse of h(z) = z + ... to z^order, term by term:
+    the general inverse the reduction's closed forms replaced."""
+    inv = [1 + 0j] + [0j] * (order - 1)
+    for k in range(1, order):
+        inv[k] -= fatou._series_compose(h, inv, order)[k]
+    return inv
+
+
+class TestReduction:
+    @given(st.integers(2, 6),
+           st.builds(cmath.rect, st.floats(0.5, 2.0),
+                     st.floats(-math.pi, math.pi)),
+           st.lists(st.builds(complex, st.floats(-1.0, 1.0),
+                              st.floats(-1.0, 1.0)), max_size=25))
+    @settings(max_examples=60, deadline=None)
+    def test_conjugacy_kills_the_normalized_coefficients(self, p, a, rest):
+        # hinv o f o hinv^-1 keeps f through z^{p+1} and has no z^{p+1+m}
+        # term for m in 1..3p, m != p, through degree 4p+1
+        order = 4 * p + 2
+        coeffs = ([1 + 0j] + [0j] * (p - 1) + [a] + rest)[:order]
+        _, hinv = fatou._reduce_to_single_petal(
+            np.asarray(coeffs, dtype=np.complex128), a, p)
+        hinv = [complex(c) for c in hinv]
+        h = _series_inverse(hinv, order)
+        conj = fatou._series_compose(
+            hinv, fatou._series_compose(coeffs, h, order), order)
+        scale = max(map(abs, hinv + h))
+        for k in range(p + 1):
+            assert abs(conj[k] - coeffs[k]) <= 1e-10 * scale
+        for m in range(1, 3 * p + 1):
+            if m != p:
+                assert abs(conj[p + m]) <= 1e-10 * scale
 
 
 class TestOrbitCensus:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from folsing import holonomy, normalforms
 from folsing.errors import (
     DicriticalInput,
+    FloatOverflow,
     IntegralDegreeExceeded,
     NonIntegerResidues,
     TruncationTooSmall,
@@ -78,6 +79,24 @@ class TestExactMultiplier:
         m = linear_holonomy(parse_field("x*ddx + i*y*ddy"))
         assert isinstance(m, ComplexMultiplier)
         assert m.modulus() == pytest.approx(2.718281828 ** (-2 * 3.14159265), rel=1e-6)
+
+    def test_complex_ratio_json(self):
+        m = linear_holonomy((GaussianRational(1), GaussianRational(1, 2)))
+        assert m.to_json() == {"kind": "transcendental-exponent",
+                               "exponent": "1+2*i",
+                               "modulus": math.exp(-4 * math.pi)}
+
+    @pytest.mark.parametrize("imag", [-200, 200])
+    def test_modulus_past_the_doubles(self, imag):
+        # exp(400 pi) overflows; exp(-400 pi) is a finite 0.0
+        m = linear_holonomy((GaussianRational(1), GaussianRational(1, imag)))
+        if imag > 0:
+            assert m.to_json()["modulus"] == 0.0
+        else:
+            with pytest.raises(FloatOverflow) as info:
+                m.to_json()
+            assert info.value.code == "float-overflow"
+            assert info.value.payload == {"exponent": "1-200*i"}
 
 
 def tau_poly(coeffs):

@@ -134,6 +134,39 @@ class TestClassify:
         else:
             assert r.tag == "SiegelIrrational"
 
+    # each tower case reads the same branch under either embedding of the
+    # generator, which the sign flips
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_tower_gaussian_non_real_s(self, sign):
+        r2 = R2 * sign
+        # s = (1 + 2i)^2 / (2i) = 2 + 3/2 i, Gaussian though both
+        # eigenvalues lie above Q(i)
+        r = classify_singularity(linear_field(r2, 0, 0, r2 * GaussianRational(0, 2)))
+        assert r.tag == "Hyperbolic"
+        assert not r.numeric_decision
+        assert r.s.as_gaussian_or_none() == GaussianRational(Fraction(2), Fraction(3, 2))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("ratio, tag, s_value", [
+        # s = 2 -+ i / sqrt2: not real
+        (lambda r2: r2 * GaussianRational(0, 1), "Hyperbolic", None),
+        # s = r + 1/r + 2 with r = 3 -+ sqrt2 > 0, r != 1: real above 4
+        (lambda r2: r2 + 3, "SimplePoincareNonresonant", (4, math.inf)),
+        # r = (1 + i) / -+sqrt2 on the unit circle: s = 2 -+ sqrt2 in (0, 4]
+        (lambda r2: r2 * GaussianRational(1, 1) / 2, "Hyperbolic", (0, 4)),
+    ])
+    def test_tower_numeric_branches(self, sign, ratio, tag, s_value):
+        r = classify_singularity(linear_field(SQRT2_TOWER.one(), 0, 0,
+                                              ratio(R2 * sign)))
+        assert r.tag == tag
+        assert r.numeric_decision
+        assert r.to_json()["numeric_decision"] is True
+        s = complex(r.s)
+        if s_value is None:
+            assert abs(s.imag) > 0.7
+        else:
+            assert abs(s.imag) < 1e-12 and s_value[0] < s.real < s_value[1]
+
     def test_final_flags(self):
         assert classify_singularity(linear_field(1, 0, 0, -1)).is_final()
         assert classify_singularity(parse_field("x^2*ddx + y*ddy")).is_final()
@@ -202,6 +235,14 @@ class TestDomains:
         # points 1, -1, i: hull is a triangle with vertices on both axes and 0
         # on the open edge from -1 to 1 -> boundary
         assert domain_classification(lams).zero_position == "boundary"
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_tower_spectrum_is_placed_numerically(self, sign):
+        # 3 -+ sqrt2 > 0 and 1 + i: 0 is outside under either embedding
+        r = domain_classification([R2 * sign + 3, GaussianRational(1, 1)])
+        assert r.to_json() == {"domain": "poincare",
+                               "zero_position": "outside",
+                               "numeric_decision": True}
 
     def test_separating_line(self):
         assert separating_line_exists([1, -1])

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from folsing import sectors
+from folsing.cli import payload_sectors
 from folsing.errors import (
     DegenerateEigenData,
     InadmissibleCoefficient,
@@ -195,6 +197,27 @@ class TestRecordCap:
             assert info.value.payload == {
                 "maxdeg": maxdeg, "components": len(gamma),
                 "limit": MAX_SHEAF_RECORDS}
+
+
+class TestSheafBuiltOnce:
+    def test_sectors_command_builds_the_sheaf_once(self, monkeypatch):
+        # the command reads the sheaf itself, through positive_sector and
+        # through admissible_monomials
+        built = []
+
+        class Counting(sectors.SheafDirections):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                built.append(args[-1])
+                super().__init__(*args)
+
+        monkeypatch.setattr(sectors, "SheafDirections", Counting)
+        doc = payload_sectors([1, 2], None, 8)
+        assert built == [8]
+        assert doc["sheaf"]["maxdeg"] == doc["admissible"]["maxdeg"] == 8
+        payload_sectors([1, 2], None, 8)
+        assert built == [8, 8]
 
 
 class TestPositiveSector:
