@@ -45,6 +45,7 @@ from .errors import (
     ZeroInput,
 )
 from .fatou import (
+    PETAL_RUN,
     NumericGerm,
     attracting_directions,
     fatou_coordinate,
@@ -691,8 +692,8 @@ def cmd_sectors(gamma, alpha, maxdeg):
               help='Comma-separated coefficients of z, z^2, ...: "1,1,0.5".')
 @click.option("--z", "z_text", required=True, metavar="COMPLEX",
               help='Query point, e.g. "-0.1" or "0.02+0.1i".')
-@click.option("--n-max", type=click.IntRange(min=1), default=100000,
-              show_default=True,
+@click.option("--n-max", type=click.IntRange(min=2 * PETAL_RUN),
+              default=100000, show_default=True,
               help="Iteration budget.")
 @click.option("--tol", type=PositiveFloat(),
               default=1e-8, show_default=True,
@@ -712,9 +713,9 @@ def cmd_fatou(coeffs, z_text, n_max, tol):
               help="Radius of the sampling disc.")
 @click.option("--max-iter", type=click.IntRange(min=1), default=1000000,
               show_default=True)
-@click.option("--grid", type=click.IntRange(min=1), default=20,
+@click.option("--grid", type=click.IntRange(min=3), default=20,
               show_default=True,
-              help="Sample points per axis.")
+              help="Sample points per axis, rounded up to even.")
 @click.option("--tol", type=PositiveFloat(),
               default=1e-9, show_default=True,
               help="Return/collision tolerance.")

@@ -24,9 +24,10 @@ the convergence disc.  It costs about p^4, so more than ``MAX_PETALS``
 petals are refused.
 
 Orbit kernels.  ``_advance`` runs one loop per Horner length, compiled
-once from a template with Horner's scheme unrolled, so a step is a few
-float or complex operations and the disc test, with no inner loop (and on
-floats no call).  A real germ at a real point iterates in float
+once from a template with Horner's scheme nested into one expression and
+the loop unrolled into passes of steps, so a step is a few float or
+complex operations and the disc test, with no inner loop (and on floats
+no call).  A real germ at a real point iterates in float
 arithmetic: with zero imaginary parts complex arithmetic does the same IEEE
 operations on the real parts, so every iterate is bit-identical in its real
 part to the complex one.  The census advances only the orbits still
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -48,6 +50,7 @@ from .errors import (
     NotInPetal,
     RequestTooLarge,
     SlowConvergence,
+    TruncationTooSmall,
     ZeroInput,
     ZeroLeadingCoefficient,
 )
@@ -89,31 +92,51 @@ def _horner_coefficients(coeffs: Sequence[complex],
 _DISC_TESTS = {True: "lo <= z <= radius", False: "abs(z) <= radius"}
 
 
+# The generated orbit loop runs passes of ``_UNROLL`` steps, and nests at
+# most ``_NEST`` coefficients into one Horner expression: the parser stops
+# near 200 nested parentheses.
+_UNROLL = 16
+_NEST = 32
+
+
+def _factor(expr: str) -> str:
+    """``expr`` as a factor of a product: a name as it is, a sum in
+    parentheses."""
+    return expr if expr.isidentifier() else "(%s)" % expr
+
+
 @functools.lru_cache(maxsize=64)
 def _orbit_kernel(length: int, real: bool) -> Callable:
     """The orbit loop for a Horner scheme of ``length`` coefficients, on
     floats or on complexes, compiled once per (length, real).
 
     The source is built from the int and the bool alone.  Its step is
-    Horner's scheme unrolled into chained assignments,
-    ``acc = c0 * z + c1; acc = acc * z + c2; ...; z = acc * z``: the same
+    Horner's scheme nested, ``z = ((c0 * z + c1) * z + c2) * z``, in groups
+    of at most ``_NEST`` coefficients chained through ``acc``: the same
     operations in the same order as a loop over the coefficients, without
-    that loop, and with no nesting to limit the length.
+    that loop, for germs of any length.  The loop runs over
+    ``itertools.repeat`` in passes of ``_UNROLL`` steps, then the remaining
+    steps; each step is followed by its own disc test, so an orbit that
+    leaves the disc ends at that very step.
     """
     params = ", ".join("c%d" % k for k in range(length))
-    if length == 1:
-        step = ["z = c0 * z"]
-    else:
-        step = (["acc = c0 * z + c1"]
-                + ["acc = acc * z + c%d" % k for k in range(2, length)]
-                + ["z = acc * z"])
+    step = []
+    expr = "c0"
+    for k in range(1, length):
+        if k % _NEST == 0:
+            step.append("acc = " + expr)
+            expr = "acc"
+        expr = "%s * z + c%d" % (_factor(expr), k)
+    step.append("z = %s * z" % _factor(expr))
+    step += ["if not (%s):" % _DISC_TESTS[real], "    return nan"]
     lines = (["def orbit(z, steps, lo, radius, %s):" % params,
-              "    for _ in range(steps):"]
+              "    passes, rest = divmod(max(steps, 0), %d)" % _UNROLL,
+              "    for _ in repeat(None, passes):"]
+             + ["        " + line for line in step * _UNROLL]
+             + ["    for _ in repeat(None, rest):"]
              + ["        " + line for line in step]
-             + ["        if not (%s):" % _DISC_TESTS[real],
-                "            return nan",
-                "    return z"])
-    namespace = {"nan": math.nan}
+             + ["    return z"])
+    namespace = {"nan": math.nan, "repeat": itertools.repeat}
     exec(compile("\n".join(lines) + "\n", "<orbit kernel>", "exec"),
          namespace)
     return namespace["orbit"]
@@ -450,6 +473,11 @@ def _eval_poly_germ(coeffs: np.ndarray, z: complex) -> complex:
     return acc * z
 
 
+# The consecutive increases of Re(w) the petal scan asks for.  The scan
+# looks at most n_max // 2 steps ahead, so n_max must be at least twice this.
+PETAL_RUN = 50
+
+
 def fatou_coordinate(f: NumericGerm, z: complex, n_max: int = 100000,
                      cauchy_tol: float = 1e-8,
                      petal_scan: int = 2000) -> FatouEstimate:
@@ -458,11 +486,15 @@ def fatou_coordinate(f: NumericGerm, z: complex, n_max: int = 100000,
     The orbit is advanced n_max steps; the estimate reads the asymptotic
     expansion of phi in the inverted chart at the final point.  Membership
     in a petal is checked operationally: the real part in the inverted
-    chart must grow for 50 consecutive steps early in the orbit.  A germ
-    with more than ``MAX_PETALS`` petals is refused before its reduction.
+    chart must grow for ``PETAL_RUN`` consecutive steps early in the orbit,
+    so an n_max below twice that is refused before any work.  A germ with
+    more than ``MAX_PETALS`` petals is refused before its reduction.
     """
     import numpy as np
 
+    if n_max < 2 * PETAL_RUN:
+        raise TruncationTooSmall("iteration budget too small for the petal scan",
+                                 n_max=n_max, minimum=2 * PETAL_RUN)
     if not f.is_tangent_to_identity():
         raise ZeroInput("translation coordinate requires a germ tangent "
                         "to the identity")
@@ -493,8 +525,8 @@ def fatou_coordinate(f: NumericGerm, z: complex, n_max: int = 100000,
             w = -1.0 / (a_eff * zval)
             return w - e1 * cmath.log(w) + d1 / w + d2 / w / w - n
 
-        # petal scan: require 50 consecutive increases of Re(w)
-        scan_limit = min(petal_scan, max(n_max // 2, 1))
+        # petal scan: require PETAL_RUN consecutive increases of Re(w)
+        scan_limit = min(petal_scan, n_max // 2)
         zc = z_start
         prev_re = (-1.0 / (a_eff * zc)).real
         run = 0
@@ -509,7 +541,7 @@ def fatou_coordinate(f: NumericGerm, z: complex, n_max: int = 100000,
             w_re = (-1.0 / (a_eff * zc)).real
             run = run + 1 if w_re > prev_re else 0
             prev_re = w_re
-            if run >= 50:
+            if run >= PETAL_RUN:
                 in_petal = True
                 break
         if not in_petal:

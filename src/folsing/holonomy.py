@@ -37,7 +37,12 @@ from .errors import (
     ZeroInput,
 )
 from .local import eigen_pair, gcd_xy, line_slice
-from .normalforms import diagonalize_linear_part, resonant_normal_form, _demote
+from .normalforms import (
+    _demote,
+    check_order,
+    diagonalize_linear_part,
+    resonant_normal_form,
+)
 from .poly import (
     MultiPoly,
     OneFormGerm,
@@ -268,6 +273,7 @@ def saddle_node_holonomy(p: int, modulus, order: int = 6) -> GermSeries:
     """
     if p < 1:
         raise WrongClass("contact exponent must be at least 1")
+    check_order(order)
     if order < p + 1:
         raise TruncationTooSmall(
             "truncation order must reach the first deviation",
@@ -397,7 +403,10 @@ def mattei_moussu_criterion(obj, order: int = 8,
     A common polynomial factor of the two components is divided out first:
     it multiplies the form without changing the foliation, so the question
     of an invariant function is decided on the reduced representative.
+    An order above ``normalforms.MAX_ORDER`` is refused before the germ
+    is resolved.
     """
+    check_order(order)
     if isinstance(obj, VectorFieldGerm):
         obj = dualize(obj)
     if isinstance(obj, OneFormGerm):

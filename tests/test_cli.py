@@ -21,6 +21,7 @@ from click.testing import CliRunner
 import folsing
 from folsing import jsonio
 from folsing.cli import corpus_run, main, shipped_corpus_root
+from folsing.normalforms import MAX_ORDER
 
 CUSP = "2*y*ddx + 3*x^2*ddy"
 EULER = "x^2*ddx + (y - x)*ddy"
@@ -434,6 +435,11 @@ class TestExitCodes:
         ["sectors", "--gamma", "1,i", "--maxdeg", "-1"],
         ["cp2", "dimension", "--degree", "-1"],
         ["gen", "jouanolou", "--degree", "0"],
+        # n_max 99 can never pass the petal scan; grids 1 and 2 round up to
+        # the grid 2, whose four corners all lie outside the disc
+        ["fatou", "--coeffs", "1,1", "--z", "-0.05", "--n-max", "99"],
+        ["orbit-census", "--coeffs", "1,1", "--radius", "0.3", "--grid", "1"],
+        ["orbit-census", "--coeffs", "1,1", "--radius", "0.3", "--grid", "2"],
     ])
     def test_usage_error_out_of_range_integer(self, runner, args):
         result = runner.invoke(main, args)
@@ -549,6 +555,48 @@ class TestExitCodes:
         assert err["error"] == "request-too-large"
         assert err["detail"] == detail
         jsonio.validate(err, "error")
+
+    ORDER_COMMANDS = [
+        ["linearize", "--expr", "2*x*ddx+3*y*ddy"],
+        ["normal-form", "siegel", "--expr", "x*ddx-2*y*ddy+x^2*ddy"],
+        ["holonomy", "--expr", "x^2*ddx+y*ddy"],
+        ["first-integral", "--expr", "x*ddx-2*y*ddy"],
+    ]
+
+    @pytest.mark.parametrize("args", ORDER_COMMANDS)
+    def test_order_above_the_cap_is_refused(self, runner, args):
+        # each of these ran for more than 8 s before the cap; the refusal
+        # comes before any resonance enumeration or series work
+        result = _within(1, runner.invoke, main, args + ["--order", "100000"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        err = json.loads(result.stderr)
+        assert err["error"] == "request-too-large"
+        assert err["detail"] == {"order": 100000, "limit": MAX_ORDER}
+        jsonio.validate(err, "error")
+
+    @pytest.mark.parametrize("args", ORDER_COMMANDS)
+    def test_order_at_the_cap_answers(self, runner, args):
+        assert MAX_ORDER == 32
+        _within(10, json_out, runner, args + ["--order", str(MAX_ORDER)])
+
+    def test_fatou_n_max_at_the_minimum(self, runner):
+        result = runner.invoke(main, ["fatou", "--coeffs", "1,1", "--z",
+                                      "-0.05", "--n-max", "100"])
+        assert result.exit_code == 1
+        err = json.loads(result.stderr)
+        assert err["error"] == "slow-convergence"
+        assert err["detail"]["n_max"] == 100
+        doc = json_out(runner, ["fatou", "--coeffs", "1,1", "--z", "-0.05",
+                                "--n-max", "100", "--tol", "1e-3"])
+        assert doc["estimate"]["petal_steps"] == 50
+
+    def test_census_grid_3_keeps_the_interior_points(self, runner):
+        # grid 3 rounds up to 4: of its 16 points the 4 inner ones lie in
+        # the disc
+        doc = json_out(runner, ["orbit-census", "--coeffs", "1,1",
+                                "--radius", "0.3", "--grid", "3"])
+        assert doc["total"] == 4
 
     def test_tangency_count_at_the_cap_answers(self, runner):
         doc = _within(10, json_out, runner,

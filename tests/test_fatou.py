@@ -15,15 +15,18 @@ from folsing.errors import (
     NotInPetal,
     RequestTooLarge,
     SlowConvergence,
+    TruncationTooSmall,
     ZeroInput,
     ZeroLeadingCoefficient,
 )
 from folsing.fatou import (
     MAX_CENSUS_POINTS,
     MAX_PETALS,
+    PETAL_RUN,
     NumericGerm,
     _advance,
     _census_kernel,
+    _horner_coefficients,
     abel_residual,
     attracting_directions,
     fatou_coordinate,
@@ -180,6 +183,35 @@ class TestTranslationCoordinate:
         f = NumericGerm([1.0, 0.0, 1.0, 1.0])
         phi = lambda z: fatou_coordinate(f, z, n_max=100000).value
         assert abel_residual(f, phi, [0.03j, 0.04j, 0.05j]) < 1e-6
+
+    def test_n_max_below_twice_the_petal_run_is_refused(self, monkeypatch):
+        # the scan needs PETAL_RUN increases within n_max // 2 steps, so a
+        # smaller budget could only ever report not-in-petal; the refusal
+        # comes before any work, even on a germ refused for other reasons
+        def refuse(*args):
+            raise AssertionError("orbit advanced")
+
+        monkeypatch.setattr(fatou, "_advance", refuse)
+        assert PETAL_RUN == 50
+        for f, z in ((NumericGerm([1.0, 1.0]), -0.05),
+                     (NumericGerm([0.5, 1.0]), -0.05),
+                     (NumericGerm([1.0, 1.0]), 0.0)):
+            with pytest.raises(TruncationTooSmall) as info:
+                fatou_coordinate(f, z, n_max=2 * PETAL_RUN - 1)
+            assert info.value.code == "truncation-too-small"
+            assert info.value.payload == {"n_max": 99, "minimum": 100}
+
+    def test_n_max_at_twice_the_petal_run(self):
+        # the smallest budget passes the scan after exactly PETAL_RUN steps
+        # and gives the value it gave before the bound
+        f = NumericGerm([1.0, 1.0])
+        est = fatou_coordinate(f, -0.05, n_max=100, cauchy_tol=1e-3)
+        assert est.petal_steps == PETAL_RUN and est.n_max == 100
+        assert est.value.real.hex() == "0x1.107b7dafcfa38p+4"
+        assert est.value.imag == 0
+        with pytest.raises(SlowConvergence) as info:
+            fatou_coordinate(f, -0.05, n_max=100)
+        assert info.value.payload["increment"] == 8.134109066304518e-07
 
     def test_petal_count_at_the_cap(self):
         p = MAX_PETALS
@@ -675,6 +707,75 @@ class TestBlockedCensusAndUnrolledAdvance:
         coeffs = [1.0] + [0.001] * 299
         _check_advance(coeffs, complex(-0.05), 300, 0.5)
         _check_advance(coeffs, complex(-0.05, 0.01), 300, 0.5)
+
+    # a pass of the orbit loop holds UNROLL steps, the remainder loop the
+    # last steps % UNROLL
+    UNROLL = fatou._UNROLL
+
+    @pytest.mark.parametrize("j", range(16))
+    @pytest.mark.parametrize("direction", [1.0, -1.0, 1j, (1 - 1j) / 2])
+    def test_leaving_at_every_position_of_a_pass(self, j, direction):
+        # z -> 2 z takes 0.75 / 2^(q-1) times a direction of modulus above
+        # 1/2 out of the unit disc at step q, exactly: here at position j
+        # of the second pass, and at position j of the remainder loop of a
+        # run of 2 passes and 15 steps (position 15 lies past that run)
+        assert self.UNROLL == 16
+        for q, steps in ((16 + j + 1, 48), (32 + j + 1, 47)):
+            z = complex(0.75 / 2 ** (q - 1) * direction)
+            for n in (q - 1, q, steps):
+                _check_advance([2.0], z, n, 1.0)
+            assert cmath.isnan(_advance([2.0], z, steps, 1.0)) == (q <= steps)
+            assert not cmath.isnan(_advance([2.0], z, q - 1, 1.0))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10])
+    @pytest.mark.parametrize("z", [-0.1, -0.1 + 0.01j, 0.45, 0.3 + 0.3j])
+    def test_step_counts_around_whole_passes(self, k, z):
+        # orbits creeping along the petal of z + z^2 + z^3 and orbits that
+        # leave the disc of radius 1/2, on the float and the complex path
+        coeffs = [1.0, 1.0, 1.0]
+        for steps in (k * 16 - 1, k * 16, k * 16 + 1):
+            _check_advance(coeffs, complex(z), steps, 0.5)
+
+    @pytest.mark.parametrize("length", [1, 2, 31, 32, 33, 64, 65])
+    @pytest.mark.parametrize("z", [-0.05, -0.05 + 0.01j])
+    def test_horner_lengths_around_the_nesting_groups(self, length, z):
+        # groups of NEST coefficients are chained through acc; with an
+        # infinite radius the Horner scheme gains a leading zero
+        assert fatou._NEST == 32
+        for radius, count in ((0.5, length), (math.inf, length - 1)):
+            if count == 0:
+                continue
+            coeffs = [1.0] + [(-1) ** k * 0.3 / k for k in range(1, count)]
+            assert len(_horner_coefficients(coeffs, radius)) == length
+            for steps in (0, 1, 15, 16, 17, 200):
+                _check_advance(coeffs, complex(z), steps, radius)
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_long_germ_source_nests_shallowly(self, real, monkeypatch):
+        # the parser stops near 200 nested parentheses; the source of a
+        # 300-coefficient kernel, captured as it is compiled, stays far below
+        import builtins
+
+        sources = []
+        original = builtins.compile
+
+        def recording(source, *args, **kwargs):
+            sources.append(source)
+            return original(source, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "compile", recording)
+        orbit = fatou._orbit_kernel.__wrapped__(300, real)
+        monkeypatch.undo()
+        [source] = sources
+        depth = deepest = 0
+        for ch in source:
+            depth += {"(": 1, ")": -1}.get(ch, 0)
+            deepest = max(deepest, depth)
+        assert depth == 0 and 30 <= deepest < 100
+        coeffs = [1.0] + [0.001] * 299
+        z = -0.05 if real else -0.05 + 0.01j
+        assert orbit(z, 40, -0.5, 0.5, *coeffs[::-1]) == _advance(coeffs, z,
+                                                                   40, 0.5)
 
 
 class TestKernelBoundary:

@@ -11,6 +11,7 @@ from folsing import local, normalforms
 from folsing.errors import (
     LinearPartNotPrepared,
     NotPoincareDomain,
+    RequestTooLarge,
     ResonanceObstruction,
     ToolkitError,
     TruncationTooSmall,
@@ -18,6 +19,7 @@ from folsing.errors import (
     ZeroDivisorDelta,
 )
 from folsing.normalforms import (
+    MAX_ORDER,
     _diagonal_lambdas,
     center_manifold_series,
     conjugacy_residual,
@@ -561,3 +563,48 @@ class TestNoRecomposition:
         assert calls == []
         assert_conjugates(field, result)
         assert calls == [8]
+
+
+class TestOrderCap:
+    """An order above MAX_ORDER is refused before any resonance enumeration
+    or series work, by every entry that consumes one."""
+
+    @pytest.fixture()
+    def no_work(self, monkeypatch):
+        from folsing import holonomy
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(normalforms, "detect_resonances", refuse)
+        monkeypatch.setattr(normalforms, "_OnlineComposition", refuse)
+        monkeypatch.setattr(holonomy, "resolve", refuse)
+        monkeypatch.setattr(holonomy, "power", refuse)
+
+    @pytest.mark.parametrize("entry, expr", [
+        ("poincare_linearize", "2*x*ddx + 3*y*ddy"),
+        ("resonant_normal_form", "x*ddx - 2*y*ddy + x^2*ddy"),
+        ("siegel_straighten", "x*ddx - 2*y*ddy + x^2*ddy"),
+        ("dulac_reduce", "x*ddx + y^2*ddy"),
+        ("saddle_node_prepare", "x^2*ddx + y*ddy"),
+    ])
+    def test_normal_forms(self, entry, expr, no_work):
+        field = parse_field(expr)
+        with pytest.raises(RequestTooLarge) as info:
+            getattr(normalforms, entry)(field, order=MAX_ORDER + 1)
+        assert info.value.payload == {"order": MAX_ORDER + 1,
+                                      "limit": MAX_ORDER}
+
+    def test_holonomy_entries(self, no_work):
+        from folsing.holonomy import (mattei_moussu_criterion,
+                                      saddle_node_holonomy)
+
+        with pytest.raises(RequestTooLarge):
+            saddle_node_holonomy(1, 0, order=MAX_ORDER + 1)
+        with pytest.raises(RequestTooLarge):
+            mattei_moussu_criterion(parse_field("x*ddx - 2*y*ddy"),
+                                    order=100000)
+
+    def test_the_cap_answers(self):
+        field = parse_field("2*x*ddx + 3*y*ddy + x^2*ddy")
+        assert_conjugates(field, poincare_linearize(field, order=MAX_ORDER))
