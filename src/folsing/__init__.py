@@ -9,8 +9,8 @@ meromorphic first integrals, global invariants on the projective plane, the
 sector combinatorics attached to irregular direction fields, and a
 floating-point module for parabolic (tangent-to-identity) germ dynamics.
 
-Importing the package, or :mod:`folsing.cli`, does not load numpy: the
-floating-point functions of :mod:`folsing.fatou` import it when they run, and
+Importing the package, or :mod:`folsing.cli`, does not load numpy: only the
+orbit census of :mod:`folsing.fatou` imports it, when it runs, and
 :mod:`folsing.towers` when a new extension level needs its complex embedding.
 
 The command-line entry point lives in :mod:`folsing.cli`.

@@ -53,7 +53,6 @@ from .poly import (
     shift,
 )
 from .towers import (
-    TRIVIAL,
     FieldTower,
     factor_univariate,
     tp_deg,
@@ -262,7 +261,7 @@ def divisor_children(form: OneFormGerm, tower: Optional[FieldTower] = None
     chart 1 contributes all finite points, chart 2 only the direction at
     infinity, so nothing is counted twice.
     """
-    tower = tower or coefficient_tower(form.a, form.b) or TRIVIAL
+    tower = tower or coefficient_tower(form.a, form.b)
     cone = tangent_cone(form)
     f1, m1 = _chart_pullback(form, 1, cone.order, cone.dicritical)
     f2, m2 = _chart_pullback(form, 2, cone.order, cone.dicritical)

@@ -585,9 +585,9 @@ def riccati_recognize(field: VectorFieldGerm):
 
 
 def _base_fibers(p: MultiPoly) -> List[RiccatiFiber]:
-    from .towers import TRIVIAL, factor_univariate
+    from .towers import factor_univariate
 
-    tower = coefficient_tower(p) or TRIVIAL
+    tower = coefficient_tower(p)
     _, factors = factor_univariate(line_slice(p, 1, 0, tower), tower)
     out = []
     for fac, mult in factors:

@@ -23,6 +23,11 @@ Fuss-Catalan series as inverse.  The reduction is exact through degree
 the convergence disc.  It costs about p^4, so more than ``MAX_PETALS``
 petals are refused.
 
+All but the census runs on Python complexes: the germ is a tuple, the
+series are lists, and powers are products, so a value that leaves the
+doubles becomes inf or nan for the finiteness checks instead of raising.
+Only the census, vectorized across its grid, imports numpy.
+
 Orbit kernels.  ``_advance`` runs one loop per Horner length, compiled
 once from a template with Horner's scheme nested into one expression and
 the loop unrolled into passes of steps, so a step is a few float or
@@ -54,9 +59,10 @@ from .errors import (
     ZeroInput,
     ZeroLeadingCoefficient,
 )
+from .scalars import power
 
-# numpy is imported inside the functions that compute with it, so importing
-# the package (and every exact command) does not pay for it.
+# numpy is imported inside the two census functions, so importing the
+# package, and every command but ``orbit-census``, does not pay for it.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -153,8 +159,7 @@ def _advance(coeffs: Sequence[complex], z: complex, steps: int,
     iterate is the one complex arithmetic gives; only the sign of a zero
     imaginary part can differ.
     """
-    # plain Python numbers: the caller may hand over a numpy complex
-    # scalar, with which the loop runs markedly slower
+    # a float or numpy scalar from the caller becomes a Python complex
     z = complex(z)
     clist = _horner_coefficients(coeffs, radius)
     real = (math.isfinite(radius) and z.imag == 0
@@ -171,7 +176,7 @@ def _advance(coeffs: Sequence[complex], z: complex, steps: int,
 _CENSUS_BLOCK_VALUES = 1 << 12
 
 
-def _census_kernel(coeffs: np.ndarray, zs: np.ndarray, radius: float,
+def _census_kernel(coeffs: Sequence[complex], zs: np.ndarray, radius: float,
                    max_iter: int, tol: float) -> Tuple[np.ndarray, np.ndarray]:
     """Per start point: status (0 undecided, 1 periodic, 2 escaping,
     3 finite) and the step that decided it.
@@ -229,51 +234,57 @@ def _census_kernel(coeffs: np.ndarray, zs: np.ndarray, radius: float,
 # --------------------------------------------------------------------------
 # germs
 # --------------------------------------------------------------------------
+def _modulus(z: complex) -> float:
+    """abs(z), or inf where it passes the doubles and abs raises."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
+def _horner(coeffs: Sequence[complex], z):
+    """f(z) for the germ with coefficients of z, z^2, ...; z a number or a
+    numpy array."""
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc * z
+
+
 class NumericGerm:
-    """Polynomial germ fixing 0, stored as complex-double coefficients of
-    z, z^2, ... together with an evaluation radius."""
+    """Polynomial germ fixing 0, stored as a tuple of complex coefficients
+    of z, z^2, ... together with an evaluation radius."""
 
     __slots__ = ("coeffs", "radius")
 
     def __init__(self, coefficients: Sequence[complex],
                  radius: Optional[float] = None):
-        import numpy as np
-
-        arr = np.asarray(list(coefficients), dtype=np.complex128)
-        if arr.ndim != 1 or arr.shape[0] == 0:
+        self.coeffs = tuple(map(complex, coefficients))
+        if not self.coeffs:
             raise ZeroInput("germ needs at least the degree-1 coefficient")
-        self.coeffs = arr
         if radius is None:
             bound = 0.0
-            for k in range(1, arr.shape[0]):
-                mag = abs(arr[k])
+            for k, c in enumerate(self.coeffs[1:], 1):
+                mag = _modulus(c)
                 if mag > 0:
                     bound = max(bound, mag ** (1.0 / k))
             radius = math.inf if bound == 0 else 0.5 / bound
         self.radius = float(radius)
 
     def evaluate(self, z):
-        import numpy as np
-
-        acc = np.zeros_like(np.asarray(z, dtype=np.complex128))
-        for c in self.coeffs[::-1]:
-            acc = acc * z + c
-        out = acc * z
-        if np.ndim(z) == 0:
-            return complex(out)
-        return out
+        return _horner(self.coeffs, z)
 
     def is_tangent_to_identity(self) -> bool:
-        return abs(self.coeffs[0] - 1.0) <= _COEFF_TOL
+        return _modulus(self.coeffs[0] - 1.0) <= _COEFF_TOL
 
     def leading_nonlinear(self) -> Tuple[complex, int]:
         """(a, p) with f(z) = z + a z^{p+1} + ...; a the first nonlinear
         coefficient above the tolerance."""
-        for k in range(1, self.coeffs.shape[0]):
-            if abs(self.coeffs[k]) > _COEFF_TOL:
-                return complex(self.coeffs[k]), k
+        for k, c in enumerate(self.coeffs[1:], 1):
+            if _modulus(c) > _COEFF_TOL:
+                return c, k
         raise ZeroLeadingCoefficient(
-            "no nonlinear term above tolerance", degree=self.coeffs.shape[0])
+            "no nonlinear term above tolerance", degree=len(self.coeffs))
 
     def to_json(self) -> dict:
         return {
@@ -283,34 +294,30 @@ class NumericGerm:
 
     def __repr__(self) -> str:
         return "NumericGerm(%d coefficients, radius=%g)" % (
-            self.coeffs.shape[0], self.radius)
+            len(self.coeffs), self.radius)
 
 
 # --------------------------------------------------------------------------
 # directions
 # --------------------------------------------------------------------------
-def _directions(a: complex, p: int, turn: float) -> np.ndarray:
+def _directions(a: complex, p: int, turn: float) -> List[complex]:
     """The p unit vectors v with a v^p on the ray at angle ``turn``."""
-    import numpy as np
-
     if p < 1 or int(p) != p:
         raise ZeroInput("direction count p must be a positive integer")
     a = complex(a)
     if a == 0:
         raise ZeroLeadingCoefficient("leading nonlinear coefficient is zero")
     base = (turn - cmath.phase(a)) / p
-    return np.array(
-        [cmath.exp(1j * (base + 2 * math.pi * k / p)) for k in range(p)],
-        dtype=np.complex128)
+    return [cmath.exp(1j * (base + 2 * math.pi * k / p)) for k in range(p)]
 
 
-def attracting_directions(a: complex, p: int) -> np.ndarray:
+def attracting_directions(a: complex, p: int) -> List[complex]:
     """The p unit vectors v with a v^p negative real (initial-velocity
     directions along which orbits approach the fixed point)."""
     return _directions(a, p, math.pi)
 
 
-def repelling_directions(a: complex, p: int) -> np.ndarray:
+def repelling_directions(a: complex, p: int) -> List[complex]:
     """The p unit vectors v with a v^p positive real."""
     return _directions(a, p, 0.0)
 
@@ -351,8 +358,8 @@ def _series_compose(f: Sequence[complex], g: Sequence[complex],
     return out
 
 
-def _reduce_to_single_petal(coeffs: np.ndarray, a: complex, p: int
-                            ) -> Tuple[np.ndarray, np.ndarray]:
+def _reduce_to_single_petal(coeffs: Sequence[complex], a: complex, p: int
+                            ) -> Tuple[List[complex], List[complex]]:
     """Return (G, hinv): G a p = 1 germ in Z = hinv(z)^p with the same
     translation coordinate, hinv the normalizing polynomial (z^1.. coeffs).
 
@@ -362,8 +369,6 @@ def _reduce_to_single_petal(coeffs: np.ndarray, a: complex, p: int
     alone.  After that the push-forward through z -> z^p is the exact
     polynomial Z (1 + a Z + c Z^2)^p.
     """
-    import numpy as np
-
     order = 4 * p + 2
     cur = [complex(c) for c in coeffs[:order]]
     cur += [0j] * (order - len(cur))
@@ -386,35 +391,32 @@ def _reduce_to_single_petal(coeffs: np.ndarray, a: complex, p: int
         hinv = _series_compose(inverse, hinv, order)
 
     # G(Z) = Z (1 + a Z + c Z^2)^p, an exact polynomial of degree 2p+1 in Z
-    base3 = np.array([1.0, a, cur[2 * p]], dtype=np.complex128)
-    poly = np.ones(1, dtype=np.complex128)
+    c = cur[2 * p]
+    poly = [1 + 0j]
     for _ in range(p):
-        poly = np.convolve(poly, base3)
-    return poly, np.array(hinv, dtype=np.complex128)
+        poly = [x + a * y + c * w for x, y, w in zip(
+            poly + [0j, 0j], [0j] + poly + [0j], [0j, 0j] + poly)]
+    return poly, hinv
 
 
-def _infinity_chart_data(gcoeffs: np.ndarray) -> Tuple[complex, complex, complex, complex]:
+def _infinity_chart_data(gcoeffs: Sequence[complex]
+                         ) -> Tuple[complex, complex, complex, complex]:
     """(a', e1, e2, e3) for a p = 1 germ G(Z) = Z + a' Z^2 + ...
 
     In w = -1/(a' Z) the germ reads w + 1 + e1/w + e2/w^2 + e3/w^3 + ...;
-    the e_j come from the reciprocal of 1 + (G_2) Z + (G_3) Z^2 + ...
+    the e_j come from the reciprocal of 1 + (G_2) Z + (G_3) Z^2 + ...  The
+    powers of a' are products, which overflow to inf where ``**`` raises.
     """
-    import numpy as np
-
-    c = np.zeros(5, dtype=np.complex128)
-    c[:min(5, gcoeffs.shape[0])] = gcoeffs[:5]
+    c = list(gcoeffs[:5]) + [0j] * (5 - len(gcoeffs[:5]))
     a = c[1]
-    r = np.zeros(5, dtype=np.complex128)
-    r[0] = 1.0
+    r = [1 + 0j]
     for m in range(1, 5):
         total = 0j
         for i in range(1, m + 1):
             total += c[i] * r[m - i]
-        r[m] = -total
-    e1 = r[2] / a ** 2
-    e2 = -r[3] / a ** 3
-    e3 = r[4] / a ** 4
-    return a, e1, e2, e3
+        r.append(-total)
+    a2 = a * a
+    return a, r[2] / a2, -r[3] / (a2 * a), r[4] / (a2 * a2)
 
 
 def _phi_correction(e1: complex, e2: complex, e3: complex
@@ -466,35 +468,37 @@ class FatouEstimate:
             self.value, self.n_max, self.cauchy_increment)
 
 
-def _eval_poly_germ(coeffs: np.ndarray, z: complex) -> complex:
-    acc = 0j
-    for c in coeffs[::-1]:
-        acc = acc * z + c
-    return acc * z
+def _inverted(a: complex, z: complex) -> complex:
+    """The chart point w = -1/(a z); nan where a z is zero, at the fixed
+    point or after an underflow, so that it reads as no growth."""
+    az = a * z
+    return -1.0 / az if az else complex(math.nan, math.nan)
 
 
 # The consecutive increases of Re(w) the petal scan asks for.  The scan
 # looks at most n_max // 2 steps ahead, so n_max must be at least twice this.
 PETAL_RUN = 50
+# The most steps the petal scan takes looking for that run.
+PETAL_SCAN = 2000
 
 
 def fatou_coordinate(f: NumericGerm, z: complex, n_max: int = 100000,
-                     cauchy_tol: float = 1e-8,
-                     petal_scan: int = 2000) -> FatouEstimate:
+                     cauchy_tol: float = 1e-8) -> FatouEstimate:
     """Estimate phi with phi(f(z)) = phi(z) + 1 on the attracting petal of z.
 
     The orbit is advanced n_max steps; the estimate reads the asymptotic
     expansion of phi in the inverted chart at the final point.  Membership
-    in a petal is checked operationally: the real part in the inverted
-    chart must grow for ``PETAL_RUN`` consecutive steps early in the orbit,
-    so an n_max below twice that is refused before any work.  A germ with
-    more than ``MAX_PETALS`` petals is refused before its reduction.
+    in a petal is checked operationally: within ``PETAL_SCAN`` steps the
+    real part in the inverted chart must grow for ``PETAL_RUN`` consecutive
+    steps, so an n_max below twice that run is refused before any work, as
+    is a ``cauchy_tol`` that is not positive and finite.  A germ with more
+    than ``MAX_PETALS`` petals is refused before its reduction.
     """
-    import numpy as np
-
     if n_max < 2 * PETAL_RUN:
         raise TruncationTooSmall("iteration budget too small for the petal scan",
                                  n_max=n_max, minimum=2 * PETAL_RUN)
+    if not (cauchy_tol > 0 and math.isfinite(cauchy_tol)):
+        raise ZeroInput("the Cauchy tolerance must be a positive finite number")
     if not f.is_tangent_to_identity():
         raise ZeroInput("translation coordinate requires a germ tangent "
                         "to the identity")
@@ -507,65 +511,57 @@ def fatou_coordinate(f: NumericGerm, z: complex, n_max: int = 100000,
         raise NotInPetal("the fixed point itself lies in no petal")
 
     # overflow and invalid operations yield inf or nan; the explicit
-    # finiteness checks below decide the outcome, so numpy stays silent
-    with np.errstate(all="ignore"):
-        if p == 1:
-            gcoeffs = f.coeffs
-            z_start = z
-            radius_g = f.radius
-        else:
-            gcoeffs, hinv = _reduce_to_single_petal(f.coeffs, a, p)
-            z_start = _eval_poly_germ(hinv, z) ** p
-            radius_g = (1.5 * f.radius) ** p
+    # finiteness checks below decide the outcome
+    if p == 1:
+        gcoeffs, z_start, radius_g = f.coeffs, z, f.radius
+    else:
+        gcoeffs, hinv = _reduce_to_single_petal(f.coeffs, a, p)
+        z_start = power(_horner(hinv, z), p, 1 + 0j)
+        radius_g = (1.5 * f.radius) ** p
 
-        a_eff, e1, e2, e3 = _infinity_chart_data(gcoeffs)
-        d1, d2 = _phi_correction(e1, e2, e3)
+    a_eff, e1, e2, e3 = _infinity_chart_data(gcoeffs)
+    d1, d2 = _phi_correction(e1, e2, e3)
 
-        def phi_at(zval: complex, n: int) -> complex:
-            w = -1.0 / (a_eff * zval)
-            return w - e1 * cmath.log(w) + d1 / w + d2 / w / w - n
+    def phi_at(zval: complex, n: int) -> complex:
+        w = _inverted(a_eff, zval)
+        return w - e1 * cmath.log(w) + d1 / w + d2 / w / w - n
 
-        # petal scan: require PETAL_RUN consecutive increases of Re(w)
-        scan_limit = min(petal_scan, n_max // 2)
-        zc = z_start
-        prev_re = (-1.0 / (a_eff * zc)).real
-        run = 0
-        steps_done = 0
-        in_petal = False
-        for k in range(1, scan_limit + 1):
-            zc = _eval_poly_germ(gcoeffs, zc)
-            steps_done = k
-            if not (abs(zc) <= radius_g) or zc != zc:
-                raise NotInPetal("orbit left the evaluation disc",
-                                 step=k, query=[z.real, z.imag])
-            w_re = (-1.0 / (a_eff * zc)).real
-            run = run + 1 if w_re > prev_re else 0
-            prev_re = w_re
-            if run >= PETAL_RUN:
-                in_petal = True
-                break
-        if not in_petal:
-            raise NotInPetal("no sustained growth in the inverted chart",
-                             scanned=steps_done, query=[z.real, z.imag])
+    # petal scan: require PETAL_RUN consecutive increases of Re(w)
+    scan_limit = min(PETAL_SCAN, n_max // 2)
+    zc = z_start
+    prev_re = _inverted(a_eff, zc).real
+    run = 0
+    for steps_done in range(1, scan_limit + 1):
+        zc = _horner(gcoeffs, zc)
+        if not (_modulus(zc) <= radius_g) or zc != zc:
+            raise NotInPetal("orbit left the evaluation disc",
+                             step=steps_done, query=[z.real, z.imag])
+        w_re = _inverted(a_eff, zc).real
+        run = run + 1 if w_re > prev_re else 0
+        prev_re = w_re
+        if run >= PETAL_RUN:
+            break
+    else:
+        raise NotInPetal("no sustained growth in the inverted chart",
+                         scanned=steps_done, query=[z.real, z.imag])
 
-        n_half = n_max // 2
-        z_half = _advance(gcoeffs, zc, n_half - steps_done, radius_g)
-        z_final = _advance(gcoeffs, z_half, n_max - n_half, radius_g)
-        if z_half != z_half or z_final != z_final:
-            raise NotInPetal("orbit left the evaluation disc during refinement",
-                             query=[z.real, z.imag])
-        phi_half = phi_at(z_half, n_half)
-        phi_full = phi_at(z_final, n_max)
-        increment = abs(phi_full - phi_half)
-        if not all(map(cmath.isfinite, (e1, phi_half, phi_full, increment))):
-            raise FloatOverflow("the estimate left the finite doubles",
-                                query=[z.real, z.imag])
-        if increment > cauchy_tol:
-            raise SlowConvergence(
-                "estimate not Cauchy at the requested tolerance",
-                increment=increment, tolerance=cauchy_tol, n_max=n_max)
-        return FatouEstimate(phi_full, n_max, complex(e1), increment, p,
-                             complex(a), z, steps_done)
+    n_half = n_max // 2
+    z_half = _advance(gcoeffs, zc, n_half - steps_done, radius_g)
+    z_final = _advance(gcoeffs, z_half, n_max - n_half, radius_g)
+    if z_half != z_half or z_final != z_final:
+        raise NotInPetal("orbit left the evaluation disc during refinement",
+                         query=[z.real, z.imag])
+    phi_half = phi_at(z_half, n_half)
+    phi_full = phi_at(z_final, n_max)
+    increment = abs(phi_full - phi_half)
+    if not all(map(cmath.isfinite, (e1, phi_half, phi_full, increment))):
+        raise FloatOverflow("the estimate left the finite doubles",
+                            query=[z.real, z.imag])
+    if increment > cauchy_tol:
+        raise SlowConvergence(
+            "estimate not Cauchy at the requested tolerance",
+            increment=increment, tolerance=cauchy_tol, n_max=n_max)
+    return FatouEstimate(phi_full, n_max, e1, increment, p, a, z, steps_done)
 
 
 def abel_residual(f: NumericGerm, phi: Callable[[complex], complex],
@@ -602,11 +598,20 @@ def orbit_census(h: NumericGerm, radius: float, max_iter: int = 1000000,
     within tol), finite (collides with its previous point within tol,
     i.e. the orbit closure is numerically a finite set), else undecided.
 
-    A grid of more than ``MAX_CENSUS_POINTS`` points is refused before any
-    array is built.
+    A radius that is not positive, a grid below 3 (whose even rounding, 2,
+    keeps no point inside the disc), a ``tol`` that is not a positive
+    finite number and a grid of more than ``MAX_CENSUS_POINTS`` points are
+    refused before any array is built.
     """
     import numpy as np
 
+    if radius <= 0:
+        raise ZeroInput("census radius must be positive")
+    if grid < 3:
+        raise ZeroInput("census grid needs at least 3 points per axis",
+                        grid=grid)
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ZeroInput("census tolerance must be a positive finite number")
     if radius > h.radius:
         raise ZeroInput("census radius exceeds the germ's evaluation radius",
                         radius=radius, evaluation_radius=h.radius)

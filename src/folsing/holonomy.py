@@ -568,7 +568,7 @@ def construct_first_integral_homogeneous(obj) -> FirstIntegralResult:
         raise DicriticalInput(
             "radial contraction vanishes; every line is invariant")
 
-    tower = coefficient_tower(form.a, form.b, phi) or TRIVIAL
+    tower = coefficient_tower(form.a, form.b, phi)
     factors = _factor_cone(lift_poly(phi, tower) if tower is not TRIVIAL else phi,
                            tower)
 

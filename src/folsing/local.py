@@ -57,7 +57,6 @@ from .poly import (
 from .scalars import GaussianRational, coerce_scalar, fraction_sqrt, gaussian_triple
 from .sectors import zero_position
 from .towers import (
-    TRIVIAL,
     FieldTower,
     tp_deg,
     tp_gcd,
@@ -239,7 +238,7 @@ def eigen_pair(vf: VectorFieldGerm):
     j = vf.linear_part_matrix()
     a, b = j[0]
     c, d = j[1]
-    base = coefficient_tower(*vf.components) or TRIVIAL
+    base = coefficient_tower(*vf.components)
     a, b, c, d = (base.element(v) for v in (a, b, c, d))
     tr = a + d
     det = a * d - b * c
@@ -345,10 +344,6 @@ def separating_line_exists(lambdas: Sequence, index: int = 0) -> bool:
 # ---------------------------------------------------------------------
 # Plane-curve intersection multiplicity at the origin
 # ---------------------------------------------------------------------
-def _common_tower(*polys) -> FieldTower:
-    return coefficient_tower(*polys) or TRIVIAL
-
-
 def line_slice(p: MultiPoly, var: int, t: int, tower: FieldTower) -> list:
     """p with variable ``var`` set to t, as a coefficient list over
     ``tower`` in the other variable."""
@@ -394,7 +389,7 @@ def gcd_xy(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return _gcd_normalize(g)
     if g.is_zero():
         return _gcd_normalize(f)
-    tower = _common_tower(f, g)
+    tower = coefficient_tower(f, g)
     if _certified_coprime(f, g, tower):
         return MultiPoly.constant(tower.one(), 2)
     ca, a = _primitive(lift_poly(f, tower), tower)
@@ -525,7 +520,7 @@ def intersection_number(f: MultiPoly, g: MultiPoly) -> Union[int, float]:
     h = gcd_xy(f, g)
     if h.total_degree() > 0 and h.constant_term().is_zero():
         return math.inf
-    tower = _common_tower(f, g)
+    tower = coefficient_tower(f, g)
     zero = tower.zero()
     F = {e: tower.element(c) for e, c in f.terms.items() if not c.is_zero()}
     G = {e: tower.element(c) for e, c in g.terms.items() if not c.is_zero()}

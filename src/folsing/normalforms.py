@@ -54,7 +54,6 @@ from .poly import (
     scalar_to_json,
 )
 from .scalars import ONE
-from .towers import TRIVIAL
 
 Exponent = Tuple[int, ...]
 Decide = Callable[[int, Exponent, object], bool]
@@ -444,7 +443,7 @@ def diagonalize_linear_part(field: VectorFieldGerm):
     if mat[0][1].is_zero() and mat[1][0].is_zero():
         # the diagonal entries are the eigenvalues, already in the
         # coefficients' tower: nothing to factor
-        tower = coefficient_tower(*field.components) or TRIVIAL
+        tower = coefficient_tower(*field.components)
         return field, [[1, 0], [0, 1]], (mat[0][0], mat[1][1]), tower
     tower, lam1, lam2 = eigen_pair(field)
     lam1, lam2 = _demote(lam1), _demote(lam2)

@@ -44,7 +44,7 @@ from .scalars import (
     gaussian_triple,
     power,
 )
-from .towers import scalar_to_json
+from .towers import TRIVIAL, scalar_to_json
 
 Exponent = Tuple[int, ...]
 
@@ -766,15 +766,15 @@ class OneFormGerm:
 
 
 def coefficient_tower(*polys):
-    """Deepest FieldTower appearing among the coefficients, or None if all
-    coefficients are plain Gaussian rationals."""
+    """Deepest FieldTower appearing among the coefficients, or ``TRIVIAL``
+    if all coefficients are plain Gaussian rationals."""
     best = None
     for p in polys:
         for c in p.terms.values():
             t = getattr(c, "tower", None)
             if t is not None and (best is None or t.depth > best.depth):
                 best = t
-    return best
+    return TRIVIAL if best is None else best
 
 
 def lift_poly(p: MultiPoly, tower) -> MultiPoly:

@@ -39,7 +39,7 @@ from .poly import (
     coefficient_tower,
     dualize,
 )
-from .towers import TRIVIAL, FieldTower
+from .towers import FieldTower
 
 DEFAULT_MAX_BLOWUPS = 64
 
@@ -202,7 +202,7 @@ def resolve(obj, max_blowups: int = DEFAULT_MAX_BLOWUPS) -> ResolutionTree:
         raise WrongClass("expected a planar vector field or 1-form")
     if form.is_zero():
         raise ZeroInput("identically zero germ")
-    tower = coefficient_tower(form.a, form.b) or TRIVIAL
+    tower = coefficient_tower(form.a, form.b)
     tree = ResolutionTree()
     i0, cls = _node_invariants(
         form, "the germ vanishes on a curve through the origin")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from folsing import fatou
+from folsing import fatou, jsonio
 from folsing.errors import (
     FloatOverflow,
     GridTooLarge,
@@ -23,6 +23,7 @@ from folsing.fatou import (
     MAX_CENSUS_POINTS,
     MAX_PETALS,
     PETAL_RUN,
+    PETAL_SCAN,
     NumericGerm,
     _advance,
     _census_kernel,
@@ -213,6 +214,69 @@ class TestTranslationCoordinate:
             fatou_coordinate(f, -0.05, n_max=100)
         assert info.value.payload["increment"] == 8.134109066304518e-07
 
+    # (germ coefficients, query point) of the benchmark's family z + a z^2 +
+    # b z^3 at -dist/a, with the float.hex of value, b and cauchy_increment
+    # computed with numpy scalars before the module moved to Python complexes
+    WORKLOAD_PINS = [
+        ([1.0, 1.0, 0.0], -0.05, ("0x1.107b7de602000p+4", "0x0.0p+0"),
+         ("0x1.0000000000000p+0", "-0x0.0p+0"), "0x1.f000000000000p-32"),
+        ([1.0, 2.0, -1.0], -0.015, ("0x1.cf7aaeb503000p+4", "0x0.0p+0"),
+         ("0x1.4000000000000p+0", "-0x0.0p+0"), "0x1.e800000000000p-32"),
+        ([1.0, 3.0, 1.0], -0.02, ("0x1.c62b650206000p+3", "0x0.0p+0"),
+         ("0x1.c71c71c71c71cp-1", "-0x0.0p+0"), "0x1.0800000000000p-30"),
+    ]
+
+    @pytest.mark.parametrize("coeffs, z, value, b, increment", WORKLOAD_PINS)
+    def test_workload_germs_bit_for_bit(self, coeffs, z, value, b, increment):
+        est = fatou_coordinate(NumericGerm(coeffs), z, n_max=100000)
+        assert (est.value.real.hex(), est.value.imag.hex()) == value
+        assert (est.b.real.hex(), est.b.imag.hex()) == b
+        assert est.cauchy_increment.hex() == increment
+
+    def test_complex_two_petal_germ_to_rounding(self):
+        # CPython and numpy round complex division differently, so a germ
+        # with complex data keeps the former value to rounding level only
+        f = NumericGerm([1.0, 0.0, 1 + 1j])
+        est = fatou_coordinate(f, 0.05 * cmath.exp(3j * math.pi / 8),
+                               n_max=100000)
+        assert est.p == 2
+        want = 137.70976636535488
+        assert abs(est.value - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0,
+                                     -0.0, -1.0])
+    def test_cauchy_tol_not_positive_finite_is_refused(self, tol, monkeypatch):
+        # with nan no increment would ever exceed it, an uncertified answer
+        def refuse(*args):
+            raise AssertionError("orbit advanced")
+
+        monkeypatch.setattr(fatou, "_advance", refuse)
+        monkeypatch.setattr(fatou, "_horner", refuse)
+        with pytest.raises(ZeroInput) as info:
+            fatou_coordinate(NumericGerm([1.0, 1.0]), -0.05, n_max=1000,
+                             cauchy_tol=tol)
+        jsonio.validate(info.value.to_json(), "error")
+
+    @pytest.mark.parametrize("coeffs", [[1.0, 1.0], [1.0, 1e-11]])
+    def test_scan_stops_after_petal_scan_steps(self, coeffs):
+        # from -1e-320 the orbit stands still; with 1e-11 the product a' Z
+        # underflows to 0 and reads as no growth rather than dividing by it
+        assert PETAL_SCAN == 2000
+        with pytest.raises(NotInPetal) as info:
+            fatou_coordinate(NumericGerm(coeffs), -1e-320)
+        assert info.value.payload["scanned"] == PETAL_SCAN
+
+    @pytest.mark.parametrize("coeffs, z", [
+        ([1.0, 1.0], 1.25e154 + 0.6e154j),        # one step lands there
+        ([1.0, 1.5e308 + 1.5e308j], -0.05),       # so does the coefficient
+    ])
+    def test_finite_points_past_the_doubles_leave_the_disc(self, coeffs, z):
+        # complex abs raises OverflowError on a finite point whose modulus
+        # passes the doubles; for the disc test its modulus is inf
+        with pytest.raises(NotInPetal) as info:
+            fatou_coordinate(NumericGerm(coeffs), z)
+        assert info.value.payload["step"] == 1
+
     def test_petal_count_at_the_cap(self):
         p = MAX_PETALS
         f = NumericGerm([1.0] + [0.0] * (p - 1) + [1.0])
@@ -300,6 +364,24 @@ class TestOrbitCensus:
         with pytest.raises(ZeroInput):
             orbit_census(par, 2.0, max_iter=100)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"grid": 1}, {"grid": 2}, {"grid": 0}, {"grid": -4},
+        {"radius": 0.0}, {"radius": -0.0}, {"radius": -0.3},
+        {"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0}, {"tol": -1.0},
+    ])
+    def test_refused_before_the_grid_is_built(self, kwargs, grid_built):
+        # grids 1 and 2 keep no point inside the disc, radius 0 keeps the
+        # fixed point alone, and a tol that is not positive and finite
+        # leaves every orbit undecided
+        args = {"radius": 0.3, "max_iter": 10, "grid": 4, **kwargs}
+        with pytest.raises(ZeroInput) as info:
+            orbit_census(NumericGerm([1.0, 1.0]), **args)
+        jsonio.validate(info.value.to_json(), "error")
+
+    def test_smallest_grid_samples_points(self):
+        c = orbit_census(NumericGerm([1.0, 1.0]), 0.3, max_iter=10, grid=3)
+        assert c["total"] > 0
+
     def test_deterministic(self):
         rot = NumericGerm([cmath.exp(2j * math.pi / 5)])
         assert orbit_census(rot, 0.3, max_iter=1000) == \
@@ -345,7 +427,8 @@ class TestOrbitCensus:
 
 
 class TestFloatErrorState:
-    """numpy's floating-point state is set once per call, not per step."""
+    """numpy's floating-point state is set once per census, not per step;
+    the translation coordinate computes on Python complexes and sets none."""
 
     @pytest.fixture()
     def entries(self, monkeypatch):
@@ -360,8 +443,9 @@ class TestFloatErrorState:
         return seen
 
     def test_fatou_enters_once(self, entries):
+        # once at most, and now never: no numpy in the translation coordinate
         fatou_coordinate(reciprocal_model(), -0.05, n_max=20000)
-        assert entries == [{"all": "ignore"}]
+        assert entries == []
 
     def test_census_enters_once(self, entries):
         orbit_census(NumericGerm([1.0, 1.0]), 0.4, max_iter=1000)

@@ -9,6 +9,11 @@ each module in ``src/folsing`` with the standard library's ``ast``:
 - no module imports numpy when it is itself imported.  The exact core never
   computes with floats, and a cold command should not pay for numpy; the
   functions that do compute with it import it in their bodies;
+- only ``fatou._census_kernel`` and ``fatou.orbit_census``, which vectorize
+  the census across grid points, and ``towers._chosen_root``, which finds
+  the roots of a minimal polynomial, import numpy at all (an
+  ``if TYPE_CHECKING:`` block aside), so the numpy boundary cannot creep
+  back into the scalar code;
 - every function, method or class of the package, undecorated or a class
   or static method, is referenced by name somewhere in ``src``, ``tests``
   or ``perfbench``, so dead definitions do not pile up.  Other decorated
@@ -122,19 +127,20 @@ def _import_time_nodes(body):
             yield from _import_time_nodes(getattr(node, field, []))
 
 
+def _imports_numpy(node) -> bool:
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and not node.level:
+        names = [node.module or ""]
+    else:
+        return False
+    return any(name.split(".")[0] == "numpy" for name in names)
+
+
 def import_time_numpy(path: Path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    out = []
-    for node in _import_time_nodes(tree.body):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and not node.level:
-            names = [node.module or ""]
-        else:
-            continue
-        if any(name.split(".")[0] == "numpy" for name in names):
-            out.append(f"{path.name}:{node.lineno}")
-    return out
+    return [f"{path.name}:{node.lineno}"
+            for node in _import_time_nodes(tree.body) if _imports_numpy(node)]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -151,6 +157,57 @@ def test_checker_flags_import_time_numpy(tmp_path):
                     "class C:\n    import numpy.linalg\n"
                     "def f():\n    import numpy as np\n    return np\n")
     assert import_time_numpy(path) == ["m.py:5", "m.py:9"]
+
+
+# (module file, enclosing function) allowed to import numpy
+NUMPY_HOMES = {("fatou.py", "_census_kernel"), ("fatou.py", "orbit_census"),
+               ("towers.py", "_chosen_root")}
+
+
+def numpy_imports_outside_homes(path: Path):
+    """Imports of numpy outside ``NUMPY_HOMES``, ``if TYPE_CHECKING:``
+    blocks excluded."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if _imports_numpy(node) and (path.name, function) not in NUMPY_HOMES:
+            out.append(f"{path.name}:{node.lineno}")
+        if (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+                and node.test.id == "TYPE_CHECKING"):
+            children = node.orelse
+        else:
+            children = ast.iter_child_nodes(node)
+        for child in children:
+            visit(child, function)
+
+    visit(tree, None)
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_numpy_only_in_its_homes(path):
+    assert numpy_imports_outside_homes(path) == []
+
+
+def test_checker_flags_numpy_outside_its_homes(tmp_path):
+    source = ("from typing import TYPE_CHECKING\n"
+              "if TYPE_CHECKING:\n    import numpy as np\n"
+              "import numpy.linalg\n"
+              "def orbit_census():\n    import numpy as np\n    return np\n"
+              "def helper():\n    from numpy import roots\n    return roots\n"
+              "def _census_kernel():\n"
+              "    def inner():\n        import numpy\n    return inner\n")
+    elsewhere = tmp_path / "m.py"
+    elsewhere.write_text(source)
+    assert numpy_imports_outside_homes(elsewhere) == [
+        "m.py:4", "m.py:6", "m.py:9", "m.py:13"]
+    home = tmp_path / "fatou.py"
+    home.write_text(source)
+    assert numpy_imports_outside_homes(home) == [
+        "fatou.py:4", "fatou.py:9", "fatou.py:13"]
 
 
 def _definitions(tree: ast.Module):

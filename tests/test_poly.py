@@ -17,6 +17,7 @@ from folsing.poly import (
     MultiPoly,
     OneFormGerm,
     VectorFieldGerm,
+    coefficient_tower,
     compose,
     dualize,
     render_poly,
@@ -169,6 +170,14 @@ class TestMultiPoly:
         q = X + Y
         s = p + q
         assert s.coefficient((0, 1)) == GaussianRational(1, 0)
+
+    def test_coefficient_tower(self):
+        # Q(i) coefficients lie in the trivial tower itself, not in None
+        gaussian = X + Y.scale(GaussianRational(0, 1))
+        assert coefficient_tower(gaussian) is TRIVIAL
+        assert coefficient_tower() is TRIVIAL
+        T, r2 = TRIVIAL.adjoin_root([-2, 0, 1], name="r2")
+        assert coefficient_tower(gaussian, MultiPoly(2, {(1, 0): r2})) is T
 
     def test_variable_count_guard(self):
         with pytest.raises(VariableCountMismatch):
