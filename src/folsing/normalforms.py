@@ -17,6 +17,18 @@ recomposing from scratch.  The center manifold series runs on the same
 engine.  The certificate ``conjugacy_residual`` deliberately composes
 once more, independently, with the one-shot ``poly.compose``.
 
+A slice is a dict from packed exponents to coefficients.  An exponent
+(e_1, ..., e_n) packs to the int sum e_k 256^(n - k), so adding exponents
+is one int addition, and packed exponents of one degree sort in
+``exponents`` order.  No digit can carry: only monomials of degree at most
+the order enter a slice, and ``check_order`` refuses every order above
+``MAX_ORDER``, which is below 256.  The coefficients are chosen once per
+solve from the field (``_kernel``).  Over Q(i) they are int triples
+(a, b, d) for (a + b*i)/d, d > 0: products and sums of triples stay
+unreduced, sums over the lcm of the two denominators, and each finished
+entry is reduced by one gcd.  Tower coefficients keep their own
+arithmetic.  Both go through one degree loop.
+
 On top of the engine sit the named reductions: full linearization in the
 absence of small divisors and resonances, the minimal resonant model,
 separatrix straightening for saddles, the zero-eigenvalue reduction that
@@ -28,7 +40,8 @@ with one zero eigenvalue (center manifold, shift, and the residue pair
 
 from __future__ import annotations
 
-from operator import add
+from math import gcd, lcm
+from operator import mul
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .errors import (
@@ -50,10 +63,9 @@ from .poly import (
     _trusted,
     coefficient_tower,
     compose,
-    exponents,
     scalar_to_json,
 )
-from .scalars import ONE
+from .scalars import ONE, GaussianRational, _triple, gaussian_triple
 
 Exponent = Tuple[int, ...]
 Decide = Callable[[int, Exponent, object], bool]
@@ -65,124 +77,256 @@ def _demote(c):
     return c if g is None else g
 
 
-Slice = Dict[Exponent, object]
+# {packed exponent: coefficient} of one degree, coefficients in a kernel's
+# format
+Slice = Dict[int, object]
 
 
-def _pruned(terms: Slice) -> Slice:
-    return {e: c for e, c in terms.items() if not c.is_zero()}
+def _pack(e: Exponent) -> int:
+    """The exponent as base-256 digits, the first variable highest."""
+    return int.from_bytes(bytes(e), "big")
 
 
-def _add_product(acc: Slice, a: Slice, b: Slice, sign: int = 1) -> None:
-    """acc += sign * a * b for {exponent: scalar} dicts; zeros stay in acc."""
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
-            p = c1 * c2 if sign > 0 else -(c1 * c2)
-            acc[e] = acc[e] + p if e in acc else p
+def _unpack(key: int, n: int) -> Exponent:
+    return tuple(key.to_bytes(n, "big"))
 
 
-def _derivative_slice(terms: Slice, var: int) -> Slice:
+def _bit(j: int, n: int) -> int:
+    """The packed exponent of x_j among n variables."""
+    return 1 << 8 * (n - 1 - j)
+
+
+class _Triples:
+    """Q(i) coefficients as int triples (a, b, d) for (a + b*i)/d, d > 0.
+
+    A triple in a table or a solved slice is in lowest terms; products,
+    sums and int multiples of them are not, until ``finish`` reduces each
+    entry once.
+    """
+
+    unit = (1, 0, 1)
+    lift = staticmethod(gaussian_triple)
+
+    @staticmethod
+    def lower(t) -> GaussianRational:
+        return _triple(*t)
+
+    @staticmethod
+    def scaled(t, k: int):
+        """k * t for an int k, not reduced."""
+        a, b, d = t
+        return a * k, b * k, d
+
+    @staticmethod
+    def add_products(acc: Slice, left: Slice, right: Slice) -> None:
+        """acc += left * right, adding over the lcm of the denominators."""
+        for e1, (a1, b1, d1) in left.items():
+            for e2, (a2, b2, d2) in right.items():
+                e = e1 + e2
+                re = a1 * a2 - b1 * b2
+                im = a1 * b2 + b1 * a2
+                d = d1 * d2
+                got = acc.get(e)
+                if got is None:
+                    acc[e] = (re, im, d)
+                    continue
+                a, b, t = got
+                if t == d:
+                    acc[e] = (a + re, b + im, d)
+                else:
+                    g = gcd(t, d)
+                    u, v = d // g, t // g
+                    acc[e] = (a * u + re * v, b * u + im * v, t * u)
+
+    @staticmethod
+    def finish(acc: Slice) -> Slice:
+        """The nonzero entries of ``acc``, each in lowest terms."""
+        out = {}
+        for e, (a, b, d) in acc.items():
+            if a or b:
+                if d != 1:
+                    g = gcd(a, b, d)
+                    if g != 1:
+                        a //= g
+                        b //= g
+                        d //= g
+                out[e] = (a, b, d)
+        return out
+
+    @staticmethod
+    def divide(t, s: GaussianRational):
+        """t / s in lowest terms, for a nonzero scalar s."""
+        a, b, d = t
+        p, q, r = gaussian_triple(s)
+        re, im, d = (a * p + b * q) * r, (b * p - a * q) * r, d * (p * p + q * q)
+        g = gcd(re, im, d)
+        return re // g, im // g, d // g
+
+    @staticmethod
+    def divisors(lam: Tuple) -> Callable[[Exponent, int], GaussianRational]:
+        """delta(Q, i) = <Q, lambda> - lambda_i, on numerators over the lcm
+        of the denominators of lambda."""
+        triples = [gaussian_triple(l) for l in lam]
+        den = lcm(*(t[2] for t in triples))
+        re = [a * (den // d) for a, _, d in triples]
+        im = [b * (den // d) for _, b, d in triples]
+
+        def delta(q: Exponent, i: int) -> GaussianRational:
+            return _triple(sum(map(mul, q, re)) - re[i],
+                           sum(map(mul, q, im)) - im[i], den)
+
+        return delta
+
+
+class _Scalars:
+    """Tower coefficients, alone or among GaussianRationals, in their own
+    arithmetic."""
+
+    unit = ONE
+
+    @staticmethod
+    def lift(c):
+        return c
+
+    lower = lift
+
+    @staticmethod
+    def scaled(c, k: int):
+        return c * k
+
+    @staticmethod
+    def add_products(acc: Slice, left: Slice, right: Slice) -> None:
+        for e1, c1 in left.items():
+            for e2, c2 in right.items():
+                e = e1 + e2
+                p = c1 * c2
+                acc[e] = acc[e] + p if e in acc else p
+
+    @staticmethod
+    def finish(acc: Slice) -> Slice:
+        return {e: c for e, c in acc.items() if not c.is_zero()}
+
+    @staticmethod
+    def divide(c, s):
+        return c * s.inverse()
+
+    @staticmethod
+    def divisors(lam: Tuple) -> Callable[[Exponent, int], object]:
+        def delta(q: Exponent, i: int):
+            w = -lam[i]
+            for l, k in zip(lam, q):
+                if k:
+                    w = w + l * k
+            return w
+
+        return delta
+
+
+def _kernel(polys: Sequence[MultiPoly]):
+    """The coefficient arithmetic of a solve: ``_Triples`` when every
+    coefficient of ``polys`` lies in Q(i), ``_Scalars`` otherwise."""
+    if all(type(c) is GaussianRational for p in polys for c in p.terms.values()):
+        return _Triples
+    return _Scalars
+
+
+def _negated_derivative(kernel, terms: Slice, j: int, n: int) -> Slice:
+    """-d/dx_j of a slice in n variables."""
+    bit = _bit(j, n)
+    shift = 8 * (n - 1 - j)
     out = {}
-    for e, c in terms.items():
-        k = e[var]
+    for e, t in terms.items():
+        k = (e >> shift) & 255
         if k:
-            out[e[:var] + (k - 1,) + e[var + 1:]] = c * k
-    return out
-
-
-def _merged(slices: List[Slice]) -> Slice:
-    return {e: c for s in slices for e, c in s.items()}
-
-
-def _unit_slice(j: int, n: int) -> Slice:
-    return {tuple(int(k == j) for k in range(n)): ONE}
-
-
-def _raised_weights(weights: Dict[Exponent, object], lam: Tuple, n: int,
-                    d: int) -> Dict[Exponent, object]:
-    """<Q, lambda> for every Q of degree d, in ``exponents`` order, from the
-    weights of degree d - 1: <Q, lambda> = <Q - e_j, lambda> + lambda_j with
-    j the first variable of Q, one addition each."""
-    out = {}
-    for exps in exponents(n, d):
-        j = next(k for k, q in enumerate(exps) if q)
-        out[exps] = weights[exps[:j] + (exps[j] - 1,) + exps[j + 1:]] + lam[j]
+            out[e - bit] = kernel.scaled(t, -k)
     return out
 
 
 class _OnlineComposition:
     """Degree slices of ``polys(maps)`` while the maps are still being solved for.
 
-    ``maps[j][m]`` is the degree-m slice of the j-th map as an
-    ``{exponent: scalar}`` dict; ``maps[j][0]`` is empty, because every map
-    vanishes at the origin.  The caller appends slice m of every map before
-    it asks for slice m + 1 of the composition.
+    ``maps[j][m]`` is the degree-m slice of the j-th map; ``maps[j][0]`` is
+    empty, because every map vanishes at the origin, and ``maps[j][1]`` is
+    empty or the unit slice of x_j.  The caller appends slice m of every
+    map before it asks for slice m + 1 of the composition.  Source
+    monomials of degree above ``order`` are left out.
 
     The table holds T[Q][k], the degree-k slice of prod_j maps[j]^Q_j.  With
     j the first index where Q_j > 0, T[Q][k] = sum_m maps[j][m] T[Q - e_j][k - m]
-    and T[e_j] = maps[j].  Every source monomial has degree at least 2, so
-    slice k of the composition reads only map slices below k: each table
-    slice is computed once, when it is first asked for, and never changes.
+    and T[e_j] = maps[j]; the m = 1 term is T[Q - e_j][k - 1] moved by x_j.
+    Every source monomial has degree at least 2, so slice k of the
+    composition reads only map slices below k: each table slice is
+    computed once, when it is first asked for, and never changes.
     """
 
-    __slots__ = ("maps", "sources", "table")
+    __slots__ = ("maps", "kernel", "sources", "steps", "table")
 
-    def __init__(self, polys: Sequence[MultiPoly], maps: List[List[Slice]]):
+    def __init__(self, polys: Sequence[MultiPoly], maps: List[List[Slice]],
+                 order: int, kernel):
         self.maps = maps
+        self.kernel = kernel
         self.sources = []
+        # packed Q: (j, packed Q - e_j, degree of Q - e_j)
+        self.steps: Dict[int, Tuple[int, int, int]] = {}
         for poly in polys:
             terms = []
             for q, c in poly.terms.items():
-                if sum(q) < 2:
+                degree = sum(q)
+                if degree < 2:
                     raise InternalInvariantViolation(
                         "online composition needs source monomials of degree >= 2",
                         exponents=list(q))
-                terms.append((q, c, sum(q)))
+                if degree <= order:
+                    terms.append((self._step(q, degree), {0: kernel.lift(c)},
+                                  degree))
             self.sources.append(terms)
-        self.table: Dict[Exponent, Dict[int, Slice]] = {}
+        self.table: Dict[int, Dict[int, Slice]] = {q: {} for q in self.steps}
+
+    def _step(self, q: Exponent, degree: int) -> int:
+        """The packed ``q``, after recording the steps from it down to a
+        variable."""
+        top = key = _pack(q)
+        while degree and key not in self.steps:
+            j = next(k for k, e in enumerate(q) if e)
+            q = q[:j] + (q[j] - 1,) + q[j + 1:]
+            degree -= 1
+            rest = _pack(q)
+            self.steps[key] = (j, rest, degree)
+            key = rest
+        return top
 
     def slice(self, d: int) -> List[Slice]:
-        """The degree-d slice of each poly(maps), as new dicts the caller owns."""
+        """The degree-d slice of each poly(maps), not yet ``finish``ed, as
+        new dicts the caller owns."""
         out = []
+        add_products = self.kernel.add_products
         for terms in self.sources:
             acc: Slice = {}
             for q, c, degree in terms:
-                if degree > d:
-                    continue
-                for e, t in self._power(q, d).items():
-                    p = c * t
-                    acc[e] = acc[e] + p if e in acc else p
-            out.append(_pruned(acc))
+                if degree <= d:
+                    add_products(acc, c, self._power(q, d))
+            out.append(acc)
         return out
 
-    def _power(self, q: Exponent, k: int) -> Slice:
-        j = 0
-        while not q[j]:
-            j += 1
-        rest = q[:j] + (q[j] - 1,) + q[j + 1:]
-        low = sum(rest)
+    def _power(self, q: int, k: int) -> Slice:
+        j, rest, low = self.steps[q]
         if not low:
             return self.maps[j][k]
-        row = self.table.get(q)
-        if row is None:
-            row = self.table[q] = {}
+        row = self.table[q]
         got = row.get(k)
         if got is not None:
             return got
         factor = self.maps[j]
-        acc: Slice = {}
-        for m in range(1, k - low + 1):
+        if factor[1]:
+            (bit,) = factor[1]
+            acc = {bit + e: t for e, t in self._power(rest, k - 1).items()}
+        else:
+            acc = {}
+        for m in range(2, k - low + 1):
             a = factor[m]
-            if not a:
-                continue
-            b = self._power(rest, k - m)
-            for e1, c1 in a.items():
-                unit = c1.is_one()
-                for e2, c2 in b.items():
-                    e = tuple(map(add, e1, e2))
-                    p = c2 if unit else c1 * c2
-                    acc[e] = acc[e] + p if e in acc else p
-        got = row[k] = _pruned(acc)
+            if a:
+                self.kernel.add_products(acc, a, self._power(rest, k - m))
+        got = row[k] = self.kernel.finish(acc)
         return got
 
 
@@ -235,7 +379,9 @@ class ConjugacyResult:
 
 # The highest truncation order the series entries take, checked before any
 # resonance enumeration or series work.  Dense linearization grows steeply:
-# on a dense quadratic field it takes 2.3 s at order 30 and 3.1 s at 32.
+# ``linearize`` on a dense quadratic field takes 0.75 s at order 30 and
+# 1.2 s at 32 (start-up included, best of 5 on 2 shared cores).  The cap
+# also keeps every exponent digit of a packed slice below 256.
 MAX_ORDER = 32
 
 
@@ -252,29 +398,31 @@ def solve_conjugacy(field: VectorFieldGerm, decide: Decide, order: int,
 
     ``decide(i, Q, delta)`` returns True to push the (i, Q) coefficient
     into the coordinate change and False to keep it in the reduced field.
-    An order above ``MAX_ORDER`` is refused.
+    It is consulted only where the defect coefficient is nonzero, in
+    ``exponents`` order within each component and degree: where it is
+    zero, neither choice changes anything.  An order above ``MAX_ORDER``
+    is refused.
     """
     check_order(order)
     lam = _diagonal_lambdas(field)
     n = field.nvars
     linear = field.homogeneous_component(1)
     nonlinear = [field.components[i] - linear.components[i] for i in range(n)]
+    kernel = _kernel(field.components)
+    delta_of = kernel.divisors(lam)
     # degree slices: maps[j] of x_j + h_j, hs[i] of h_i and gs[i] of g_i;
     # index = degree, the lowest entries empty
-    maps = [[{}, _unit_slice(j, n)] for j in range(n)]
-    engine = _OnlineComposition(nonlinear, maps)
+    maps = [[{}, {_bit(j, n): kernel.unit}] for j in range(n)]
+    engine = _OnlineComposition(nonlinear, maps, order, kernel)
     hs: List[List[Slice]] = [[{}, {}] for _ in range(n)]
     gs: List[List[Slice]] = [[{}, {}] for _ in range(n)]
-    # dh[(i, j, a)] = degree-a slice of d(h_i)/dx_j, derived when a kept
+    # dh[(i, j, a)] = degree-a slice of -d(h_i)/dx_j, derived when a kept
     # slice of g first reads it
     dh: Dict[Tuple[int, int, int], Slice] = {}
     kept: Dict[Tuple[int, Exponent], object] = {}
-    # <Q, lambda> for every Q of the current degree; delta subtracts lambda_i
-    weights = {exps: lam[exps.index(1)] for exps in exponents(n, 1)}
 
     for d in range(2, order + 1):
         composed = engine.slice(d)
-        weights = _raised_weights(weights, lam, n, d)
         for i in range(n):
             # degree-d slice of X(id + h) - Dh * g
             defect = composed[i]
@@ -285,27 +433,26 @@ def solve_conjugacy(field: VectorFieldGerm, decide: Decide, order: int,
                         continue
                     dha = dh.get((i, j, a))
                     if dha is None:
-                        dha = dh[(i, j, a)] = _derivative_slice(hs[i][a + 1], j)
+                        dha = dh[(i, j, a)] = _negated_derivative(
+                            kernel, hs[i][a + 1], j, n)
                     if dha:
-                        _add_product(defect, dha, g, -1)
+                        kernel.add_products(defect, dha, g)
+            defect = kernel.finish(defect)
             h_d: Slice = {}
             g_d: Slice = {}
-            for exps, weight in weights.items():
-                rhs = defect.get(exps)
-                rhs_zero = rhs is None or rhs.is_zero()
-                delta = weight - lam[i]
+            for e in sorted(defect, reverse=True):
+                rhs = defect[e]
+                exps = _unpack(e, n)
+                delta = delta_of(exps, i)
                 if decide(i, exps, delta):
                     if delta.is_zero():
-                        if rhs_zero:
-                            continue
                         raise ZeroDivisorDelta(
                             "resonant coefficient cannot be removed",
                             component=i + 1, exponents=list(exps))
-                    if not rhs_zero:
-                        h_d[exps] = rhs * delta.inverse()
-                elif not rhs_zero:
-                    g_d[exps] = rhs
-                    kept[(i, exps)] = rhs
+                    h_d[e] = kernel.divide(rhs, delta)
+                else:
+                    g_d[e] = rhs
+                    kept[(i, exps)] = kernel.lower(rhs)
             hs[i].append(h_d)
             gs[i].append(g_d)
         for i in range(n):
@@ -313,10 +460,23 @@ def solve_conjugacy(field: VectorFieldGerm, decide: Decide, order: int,
 
     # the slices of h and g hold nonzero coefficients, all of degree >= 2
     variables = [MultiPoly.variable(j, n) for j in range(n)]
-    transform = [variables[i] + _trusted(n, _merged(hs[i])) for i in range(n)]
-    normal = VectorFieldGerm([linear.components[i] + _trusted(n, _merged(gs[i]))
-                              for i in range(n)])
+    transform = [variables[i] + _trusted(n, {
+        _unpack(e, n): kernel.lower(t) for s in hs[i] for e, t in s.items()})
+        for i in range(n)]
+    normal = VectorFieldGerm([linear.components[i] + _trusted(n, {
+        q: c for (k, q), c in kept.items() if k == i}) for i in range(n)])
     return ConjugacyResult(pattern, order, lam, transform, normal, kept)
+
+
+def _graded(poly: MultiPoly, order: int, lift) -> Dict[int, Slice]:
+    """The terms of ``poly`` of degree at most ``order`` as degree slices,
+    coefficients lifted by ``lift``."""
+    out: Dict[int, Slice] = {}
+    for e, c in poly.terms.items():
+        degree = sum(e)
+        if degree <= order:
+            out.setdefault(degree, {})[_pack(e)] = lift(c)
+    return out
 
 
 def conjugacy_residual(field: VectorFieldGerm, result: ConjugacyResult) -> List[MultiPoly]:
@@ -324,18 +484,33 @@ def conjugacy_residual(field: VectorFieldGerm, result: ConjugacyResult) -> List[
 
     X(H) comes from the one-shot ``compose``, never from the online table
     that produced H: a wrong slice of that table would otherwise cancel out
-    of the certificate.
+    of the certificate.  Its terms are lifted to the coefficients of
+    ``_kernel``, each product of a term of dH_i/dx_j and a term of the j-th
+    reduced component of degree at most the order is subtracted from them,
+    and only what remains is negated and made a MultiPoly.
     """
     n = field.nvars
     order = result.order
+    check_order(order)
     rhs = compose(field.components, result.transform, order)
+    reduced = result.normal_form.components
+    kernel = _kernel([*rhs, *result.transform, *reduced])
+    lift = kernel.lift
+    sides = [_graded(p, order, lift) for p in reduced]
     out = []
     for i in range(n):
-        lhs = MultiPoly.zero(n)
-        for j in range(n):
-            lhs = lhs + result.transform[i].derivative(j).mul_trunc(
-                result.normal_form.components[j], order)
-        out.append(lhs - rhs[i])
+        # X(H)_i - sum_j dH_i/dx_j X_reduced,j, negated where it is not zero
+        acc = {_pack(e): lift(c) for e, c in rhs[i].terms.items()}
+        # H_i by degree: a term of degree d differentiates to degree d - 1
+        own = _graded(result.transform[i], order + 1, lift)
+        for j, side in enumerate(sides):
+            for d1, terms in own.items():
+                left = _negated_derivative(kernel, terms, j, n)
+                for d2, right in side.items():
+                    if left and d1 - 1 + d2 <= order:
+                        kernel.add_products(acc, left, right)
+        out.append(_trusted(n, {_unpack(e, n): kernel.lower(kernel.scaled(t, -1))
+                                for e, t in kernel.finish(acc).items()}))
     return out
 
 
@@ -512,36 +687,38 @@ def center_manifold_series(field: VectorFieldGerm, order: int) -> MultiPoly:
 
     Expects eigenvalues (1, 0); solves A(c, y2) = c'(y2) B(c, y2) degree by
     degree, which is always possible because the strong multiplier is 1.
+    An order above ``MAX_ORDER`` is refused.
     """
+    check_order(order)
     lam = _diagonal_lambdas(field)
     if not lam[1].is_zero() or lam[0].is_zero():
         raise WrongClass("center manifold expects eigenvalues (mu, 0)")
     comp_a, comp_b = field.components
     linear = field.homogeneous_component(1)
     a_nl = comp_a - linear.components[0]
-    mu_inv = lam[0].inverse()
-    # degree slices of c, of c' and of B(c, y2); the map y2 is linear
+    kernel = _kernel(field.components)
+    # degree slices of c, of -c' and of B(c, y2); the map y2 is linear, and
+    # the packed exponent of y2^k is k
     cs: List[Slice] = [{}, {}]
     dc: List[Slice] = [{}]
     bs: List[Slice] = [{}, {}]
-    maps = [cs, [{}, _unit_slice(1, 2)]]
-    engine = _OnlineComposition([comp_b, a_nl], maps)
+    maps = [cs, [{}, {1: kernel.unit}]]
+    engine = _OnlineComposition([comp_b, a_nl], maps, order, kernel)
+    minus_mu = -lam[0]
     for k in range(2, order + 1):
         b_k, a_k = engine.slice(k)
-        # degree-k slice of c' B(c, y2) - A(c, y2): c' starts in degree 1
+        # degree-k slice of A(c, y2) - c' B(c, y2): c' starts in degree 1
         # and B in degree 2, so it reads c only below degree k
-        rhs = {e: -v for e, v in a_k.items()}
         for a in range(1, k - 1):
-            _add_product(rhs, dc[a], bs[k - a])
-        coeff = rhs.get((0, k))
-        c_k = {}
-        if coeff is not None and not coeff.is_zero():
-            c_k[(0, k)] = coeff * mu_inv
+            kernel.add_products(a_k, dc[a], bs[k - a])
+        rhs = kernel.finish(a_k).get(k)
+        c_k = {} if rhs is None else {k: kernel.divide(rhs, minus_mu)}
         cs.append(c_k)
-        dc.append(_derivative_slice(c_k, 1))
-        bs.append(b_k)
+        dc.append(_negated_derivative(kernel, c_k, 1, 2))
+        bs.append(kernel.finish(b_k))
         maps[1].append({})
-    return MultiPoly(2, _merged(cs))
+    return _trusted(2, {_unpack(e, 2): kernel.lower(t)
+                        for s in cs for e, t in s.items()})
 
 
 def saddle_node_prepare(field: VectorFieldGerm, order: int = 12) -> SaddleNodeData:

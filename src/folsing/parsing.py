@@ -52,7 +52,7 @@ from .scalars import (
     ZERO,
     GaussianRational,
     _triple,
-    gaussian_triple,
+    max_bit_length,
     power,
 )
 
@@ -180,9 +180,7 @@ def _mul_terms(t1: Terms, t2: Terms) -> Terms:
 def _words(t1: Terms, t2: Terms) -> int:
     """64-bit words of the longest numerator or denominator of ``t1`` and
     ``t2``, at least 1."""
-    bits = 0
-    for a, b, d in map(gaussian_triple, chain(t1.values(), t2.values())):
-        bits = max(bits, a.bit_length(), b.bit_length(), d.bit_length())
+    bits = max_bit_length(chain(t1.values(), t2.values()))
     return max(1, (bits + 63) // 64)
 
 

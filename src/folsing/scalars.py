@@ -252,6 +252,15 @@ def gaussian_triple(z: GaussianRational) -> Tuple[int, int, int]:
     return z._a, z._b, z._d
 
 
+def max_bit_length(zs) -> int:
+    """The bit length of the longest a, b or d among the z = (a + b*i)/d
+    of ``zs``, 0 for none: that of the bitwise or of every |a|, |b| and d."""
+    acc = 0
+    for z in zs:
+        acc |= abs(z._a) | abs(z._b) | z._d
+    return acc.bit_length()
+
+
 ZERO = GaussianRational(0, 0)
 ONE = GaussianRational(1, 0)
 I = GaussianRational(0, 1)

@@ -155,6 +155,16 @@ class TestBasicCommands:
         path = Path(__file__).parent / "pinned" / pinned
         assert out == path.read_text(encoding="utf-8")
 
+    def test_linearize_dense_pinned(self, runner):
+        # every monomial through degree 24, with coefficients of growing
+        # height: the solver's table at its densest
+        expr = ("(2*x+1/3*x^2+5/7*x*y-1/11*y^2)*ddx"
+                "+(3*y+1/13*x^2-2/17*y^2+1/19*x*y)*ddy")
+        out = invoke_ok(runner, ["linearize", "--expr", expr,
+                                 "--order", "24"]).stdout
+        path = Path(__file__).parent / "pinned" / "linearize_dense_order24.json"
+        assert out == path.read_text(encoding="utf-8")
+
     def test_holonomy_order_reaches_the_preparation(self, runner):
         # contact order p + 1 = 7 needs a working order of 2p + 1 = 13
         doc = json_out(runner, ["holonomy", "--expr", "x^7*ddx + y*ddy",

@@ -20,6 +20,7 @@ from folsing.errors import (
 )
 from folsing.normalforms import (
     MAX_ORDER,
+    ConjugacyResult,
     _diagonal_lambdas,
     center_manifold_series,
     conjugacy_residual,
@@ -34,7 +35,7 @@ from folsing.normalforms import (
 )
 from folsing.parsing import parse_field
 from folsing.poly import MultiPoly, VectorFieldGerm, compose, exponents, scalar_to_json
-from folsing.scalars import GaussianRational
+from folsing.scalars import ONE, GaussianRational
 from folsing.towers import TRIVIAL
 
 
@@ -533,6 +534,162 @@ class TestOnlineEngineMatchesRecomposition:
             lambda: _reference_solve(field, DECIDE[pattern], 9, pattern))
 
 
+def _residual_by_multipoly(field, transform, normal, order):
+    """DH * X_reduced - X(H) with MultiPoly arithmetic alone."""
+    n = field.nvars
+    rhs = compose(field.components, transform, order)
+    out = []
+    for i in range(n):
+        lhs = MultiPoly.zero(n)
+        for j in range(n):
+            lhs = lhs + transform[i].derivative(j).mul_trunc(
+                normal.components[j], order)
+        out.append(lhs - rhs[i])
+    return out
+
+
+def _sqrt2_field(lam1, lam2):
+    r = _sqrt2()
+    return VectorFieldGerm([
+        MultiPoly(2, {(1, 0): lam1, (2, 0): 1 + r, (1, 1): -r,
+                      (0, 2): Fraction(2, 3) - r, (1, 2): 3}),
+        MultiPoly(2, {(0, 1): lam2, (2, 0): r, (1, 1): Fraction(1, 2),
+                      (0, 3): 1 - 2 * r})])
+
+
+# one field per ring and pattern: linearization has no resonant monomial,
+# so every nonlinear coefficient of its transform is determined; the
+# resonant model keeps y^2 in the first component
+CERTIFIED = {
+    ("Q(i)", "linearize"): (
+        lambda: parse_field("(2*x + x^2 - 1/3*i*x*y + y^3)*ddx"
+                            " + (3*y + (1+2*i)*x^2 + 1/5*y^2)*ddy"),
+        poincare_linearize, normalforms._Triples),
+    ("Q(i)", "resonant"): (
+        lambda: parse_field("(2*x + x^2 + (1-i)*y^2 + x*y^2)*ddx"
+                            " + (y + 1/2*i*x*y + y^3)*ddy"),
+        resonant_normal_form, normalforms._Triples),
+    ("sqrt2", "linearize"): (lambda: _sqrt2_field(2, 3), poincare_linearize,
+                             normalforms._Scalars),
+    ("sqrt2", "resonant"): (lambda: _sqrt2_field(2, 1), resonant_normal_form,
+                            normalforms._Scalars),
+}
+
+
+def _bumped(polys, i, exps):
+    """``polys`` with 1 added to the coefficient of x^exps in polys[i]."""
+    out = list(polys)
+    out[i] = out[i] + MultiPoly.monomial(ONE, exps)
+    return out
+
+
+def _certified(key):
+    make, solve, kernel = CERTIFIED[key]
+    field = make()
+    assert normalforms._kernel(field.components) is kernel
+    return field, solve(field, order=5)
+
+
+class TestResidualCatchesWrongAnswers:
+    """The certificate against MultiPoly arithmetic, on valid results and on
+    results with one coefficient changed, over both coefficient kernels."""
+
+    @pytest.mark.parametrize("key", sorted(CERTIFIED), ids="-".join)
+    def test_valid_result(self, key):
+        field, result = _certified(key)
+        got = conjugacy_residual(field, result)
+        assert all(r.is_zero() for r in got)
+        assert got == _residual_by_multipoly(
+            field, result.transform, result.normal_form, result.order)
+
+    @pytest.mark.parametrize("ring", ["Q(i)", "sqrt2"])
+    def test_changed_transform(self, ring):
+        field, result = _certified((ring, "linearize"))
+        changed = 0
+        for i, p in enumerate(result.transform):
+            for exps in p.terms:
+                if sum(exps) < 2:
+                    continue
+                transform = _bumped(result.transform, i, exps)
+                wrong = ConjugacyResult(result.pattern, result.order,
+                                        result.lambdas, transform,
+                                        result.normal_form, result.kept)
+                got = conjugacy_residual(field, wrong)
+                assert not all(r.is_zero() for r in got), (i, exps)
+                assert got == _residual_by_multipoly(
+                    field, transform, result.normal_form, result.order)
+                changed += 1
+        assert changed > 10
+
+    @pytest.mark.parametrize("key", sorted(CERTIFIED), ids="-".join)
+    def test_changed_normal_form(self, key):
+        field, result = _certified(key)
+        normal = result.normal_form.components
+        for i, p in enumerate(normal):
+            for exps in p.terms:
+                changed = VectorFieldGerm(_bumped(normal, i, exps))
+                wrong = ConjugacyResult(result.pattern, result.order,
+                                        result.lambdas, result.transform,
+                                        changed, result.kept)
+                got = conjugacy_residual(field, wrong)
+                assert not all(r.is_zero() for r in got), (i, exps)
+                assert got == _residual_by_multipoly(
+                    field, result.transform, changed, result.order)
+        if key[1] == "resonant":
+            assert result.kept
+
+
+class TestPackingBoundary:
+    def test_sparse_invariant_plane_at_the_cap(self):
+        # x^2 in the first component puts every power of x up to x^MAX_ORDER
+        # into the transform: the largest exponent the packing has to hold
+        field = parse_field("(x + x^2)*ddx + (5/2*y + x*y + y*z)*ddy"
+                            " + (17/3*z + x^2 + z^2)*ddz")
+        pattern = "invariant-plane"
+        got = _outcome(lambda: _engine(field, pattern, MAX_ORDER))
+        assert got == _outcome(lambda: _reference_solve(
+            field, DECIDE[pattern], MAX_ORDER, pattern))
+        transform = got[3]
+        assert max(max(e) for p in transform for e in p.terms) == MAX_ORDER
+        result = invariant_plane_reduce(field, order=MAX_ORDER)
+        assert_conjugates(field, result)
+
+
+class TestObstructionOrder:
+    """The first obstruction in component order, then in ``exponents``
+    order, is the one reported."""
+
+    @pytest.mark.parametrize("expr, detail", [
+        # eigenvalues (1, 1, 2): x*y and y^2 are both resonant in the third
+        # component, and x*y comes first
+        ("x*ddx + y*ddy + (2*z + y^2 + x*y - 3*y^2)*ddz",
+         {"component": 3, "exponents": [1, 1, 0]}),
+        # eigenvalues (1, -1): x^2*y in the first component and x*y^2 in
+        # the second are resonant in degree 3
+        ("(x - x^2*y)*ddx + (-y + 2*x*y^2)*ddy",
+         {"component": 1, "exponents": [2, 1]}),
+    ])
+    def test_first_obstruction_named(self, expr, detail):
+        field = parse_field(expr)
+        with pytest.raises(ZeroDivisorDelta) as info:
+            solve_conjugacy(field, DECIDE["linearize"], 5)
+        assert info.value.payload == detail
+
+    def test_decide_sees_only_nonzero_defects(self):
+        field = parse_field("(2*x + y^3)*ddx + (3*y + x^2)*ddy")
+        seen = []
+
+        def decide(i, q, delta):
+            seen.append((i, q))
+            return True
+
+        result = solve_conjugacy(field, decide, 7)
+        # every nonzero defect coefficient is solved into a nonzero one of H
+        assert seen == [(i, q) for d in range(2, 8) for i in range(2)
+                        for q in exponents(2, d)
+                        if q in result.transform[i].terms]
+
+
 class TestNoRecomposition:
     """The solvers grow one table; only the certificate composes in one shot."""
 
@@ -604,6 +761,16 @@ class TestOrderCap:
         with pytest.raises(RequestTooLarge):
             mattei_moussu_criterion(parse_field("x*ddx - 2*y*ddy"),
                                     order=100000)
+
+    def test_center_manifold_and_residual(self, no_work):
+        field = parse_field("x*ddx + y^2*ddy")
+        with pytest.raises(RequestTooLarge):
+            center_manifold_series(field, MAX_ORDER + 1)
+        result = ConjugacyResult("custom", MAX_ORDER + 1, (ONE, ONE),
+                                 [MultiPoly.variable(j, 2) for j in range(2)],
+                                 field, {})
+        with pytest.raises(RequestTooLarge):
+            conjugacy_residual(field, result)
 
     def test_the_cap_answers(self):
         field = parse_field("2*x*ddx + 3*y*ddy + x^2*ddy")

@@ -13,6 +13,8 @@ from folsing.scalars import (
     ONE,
     ZERO,
     format_gaussian,
+    gaussian_triple,
+    max_bit_length,
     power,
 )
 
@@ -168,3 +170,13 @@ def test_power_squares_no_further_than_the_top_bit():
         assert len(products) == want
     g = GaussianRational(Fraction(2, 3), -1)
     assert g ** 5 == g * g * g * g * g and g ** -2 == (g * g).inverse()
+
+
+@given(st.lists(st.builds(GaussianRational,
+                          st.fractions(max_denominator=2 ** 70),
+                          st.fractions(max_denominator=2 ** 70))))
+@settings(max_examples=60, deadline=None)
+def test_max_bit_length(values):
+    want = max((x.bit_length() for z in values for x in gaussian_triple(z)),
+               default=0)
+    assert max_bit_length(values) == want
