@@ -48,6 +48,7 @@ from .poly import (
     MultiPoly,
     OneFormGerm,
     VectorFieldGerm,
+    _kernel,
     _trusted,
     coefficient_tower,
     dualize,
@@ -268,18 +269,12 @@ def detect_resonances(lambdas: Sequence, max_degree: int) -> List[Tuple[int, Tup
     """
     lams = [coerce_scalar(v) for v in lambdas]
     n = len(lams)
+    delta = _kernel((), lams).divisors(lams)
     out = []
     for total in range(2, max_degree + 1):
         for q in exponents(n, total):
-            acc = None
-            for qj, lj in zip(q, lams):
-                if qj == 0:
-                    continue
-                term = lj * qj
-                acc = term if acc is None else acc + term
             for i in range(n):
-                delta = acc - lams[i]
-                if delta.is_zero():
+                if delta(q, i).is_zero():
                     out.append((i + 1, q))
     out.sort(key=lambda iq: (iq[0], sum(iq[1]), iq[1]))
     return out

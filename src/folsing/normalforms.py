@@ -15,19 +15,16 @@ one table per solve holds the degree slices of every needed product of
 powers of the maps, and each degree adds one slice per entry instead of
 recomposing from scratch.  The center manifold series runs on the same
 engine.  The certificate ``conjugacy_residual`` deliberately composes
-once more, independently, with the one-shot ``poly.compose``.
+once more, independently, with the one-shot ``poly.compose``: it shares
+only the arithmetic primitives with the solvers (the degree slices,
+packed exponents and coefficient kernels of ``poly``), never the table
+that produced H.
 
-A slice is a dict from packed exponents to coefficients.  An exponent
-(e_1, ..., e_n) packs to the int sum e_k 256^(n - k), so adding exponents
-is one int addition, and packed exponents of one degree sort in
-``exponents`` order.  No digit can carry: only monomials of degree at most
-the order enter a slice, and ``check_order`` refuses every order above
-``MAX_ORDER``, which is below 256.  The coefficients are chosen once per
-solve from the field (``_kernel``).  Over Q(i) they are int triples
-(a, b, d) for (a + b*i)/d, d > 0: products and sums of triples stay
-unreduced, sums over the lcm of the two denominators, and each finished
-entry is reduced by one gcd.  Tower coefficients keep their own
-arithmetic.  Both go through one degree loop.
+Only monomials of degree at most the order (order + 1 in the certificate)
+enter a slice, so the digits of packed exponents are as wide as the bit
+length of that degree.  The coefficient kernel is chosen once per solve
+from the field (``poly._kernel``): int triples over Q(i), the scalars' own
+arithmetic over towers, both through one degree loop.
 
 On top of the engine sit the named reductions: full linearization in the
 absence of small divisors and resonances, the minimal resonant model,
@@ -40,8 +37,6 @@ with one zero eigenvalue (center manifold, shift, and the residue pair
 
 from __future__ import annotations
 
-from math import gcd, lcm
-from operator import mul
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .errors import (
@@ -59,13 +54,18 @@ from .errors import (
 from .local import classify_singularity, detect_resonances, domain_classification, eigen_pair
 from .poly import (
     MultiPoly,
+    Slice,
     VectorFieldGerm,
+    _bit,
+    _graded,
+    _kernel,
+    _pack,
     _trusted,
+    _unpack,
     coefficient_tower,
     compose,
     scalar_to_json,
 )
-from .scalars import ONE, GaussianRational, _triple, gaussian_triple
 
 Exponent = Tuple[int, ...]
 Decide = Callable[[int, Exponent, object], bool]
@@ -77,166 +77,16 @@ def _demote(c):
     return c if g is None else g
 
 
-# {packed exponent: coefficient} of one degree, coefficients in a kernel's
-# format
-Slice = Dict[int, object]
-
-
-def _pack(e: Exponent) -> int:
-    """The exponent as base-256 digits, the first variable highest."""
-    return int.from_bytes(bytes(e), "big")
-
-
-def _unpack(key: int, n: int) -> Exponent:
-    return tuple(key.to_bytes(n, "big"))
-
-
-def _bit(j: int, n: int) -> int:
-    """The packed exponent of x_j among n variables."""
-    return 1 << 8 * (n - 1 - j)
-
-
-class _Triples:
-    """Q(i) coefficients as int triples (a, b, d) for (a + b*i)/d, d > 0.
-
-    A triple in a table or a solved slice is in lowest terms; products,
-    sums and int multiples of them are not, until ``finish`` reduces each
-    entry once.
-    """
-
-    unit = (1, 0, 1)
-    lift = staticmethod(gaussian_triple)
-
-    @staticmethod
-    def lower(t) -> GaussianRational:
-        return _triple(*t)
-
-    @staticmethod
-    def scaled(t, k: int):
-        """k * t for an int k, not reduced."""
-        a, b, d = t
-        return a * k, b * k, d
-
-    @staticmethod
-    def add_products(acc: Slice, left: Slice, right: Slice) -> None:
-        """acc += left * right, adding over the lcm of the denominators."""
-        for e1, (a1, b1, d1) in left.items():
-            for e2, (a2, b2, d2) in right.items():
-                e = e1 + e2
-                re = a1 * a2 - b1 * b2
-                im = a1 * b2 + b1 * a2
-                d = d1 * d2
-                got = acc.get(e)
-                if got is None:
-                    acc[e] = (re, im, d)
-                    continue
-                a, b, t = got
-                if t == d:
-                    acc[e] = (a + re, b + im, d)
-                else:
-                    g = gcd(t, d)
-                    u, v = d // g, t // g
-                    acc[e] = (a * u + re * v, b * u + im * v, t * u)
-
-    @staticmethod
-    def finish(acc: Slice) -> Slice:
-        """The nonzero entries of ``acc``, each in lowest terms."""
-        out = {}
-        for e, (a, b, d) in acc.items():
-            if a or b:
-                if d != 1:
-                    g = gcd(a, b, d)
-                    if g != 1:
-                        a //= g
-                        b //= g
-                        d //= g
-                out[e] = (a, b, d)
-        return out
-
-    @staticmethod
-    def divide(t, s: GaussianRational):
-        """t / s in lowest terms, for a nonzero scalar s."""
-        a, b, d = t
-        p, q, r = gaussian_triple(s)
-        re, im, d = (a * p + b * q) * r, (b * p - a * q) * r, d * (p * p + q * q)
-        g = gcd(re, im, d)
-        return re // g, im // g, d // g
-
-    @staticmethod
-    def divisors(lam: Tuple) -> Callable[[Exponent, int], GaussianRational]:
-        """delta(Q, i) = <Q, lambda> - lambda_i, on numerators over the lcm
-        of the denominators of lambda."""
-        triples = [gaussian_triple(l) for l in lam]
-        den = lcm(*(t[2] for t in triples))
-        re = [a * (den // d) for a, _, d in triples]
-        im = [b * (den // d) for _, b, d in triples]
-
-        def delta(q: Exponent, i: int) -> GaussianRational:
-            return _triple(sum(map(mul, q, re)) - re[i],
-                           sum(map(mul, q, im)) - im[i], den)
-
-        return delta
-
-
-class _Scalars:
-    """Tower coefficients, alone or among GaussianRationals, in their own
-    arithmetic."""
-
-    unit = ONE
-
-    @staticmethod
-    def lift(c):
-        return c
-
-    lower = lift
-
-    @staticmethod
-    def scaled(c, k: int):
-        return c * k
-
-    @staticmethod
-    def add_products(acc: Slice, left: Slice, right: Slice) -> None:
-        for e1, c1 in left.items():
-            for e2, c2 in right.items():
-                e = e1 + e2
-                p = c1 * c2
-                acc[e] = acc[e] + p if e in acc else p
-
-    @staticmethod
-    def finish(acc: Slice) -> Slice:
-        return {e: c for e, c in acc.items() if not c.is_zero()}
-
-    @staticmethod
-    def divide(c, s):
-        return c * s.inverse()
-
-    @staticmethod
-    def divisors(lam: Tuple) -> Callable[[Exponent, int], object]:
-        def delta(q: Exponent, i: int):
-            w = -lam[i]
-            for l, k in zip(lam, q):
-                if k:
-                    w = w + l * k
-            return w
-
-        return delta
-
-
-def _kernel(polys: Sequence[MultiPoly]):
-    """The coefficient arithmetic of a solve: ``_Triples`` when every
-    coefficient of ``polys`` lies in Q(i), ``_Scalars`` otherwise."""
-    if all(type(c) is GaussianRational for p in polys for c in p.terms.values()):
-        return _Triples
-    return _Scalars
-
-
-def _negated_derivative(kernel, terms: Slice, j: int, n: int) -> Slice:
-    """-d/dx_j of a slice in n variables."""
-    bit = _bit(j, n)
-    shift = 8 * (n - 1 - j)
+def _negated_derivative(kernel, terms: Slice, j: int, n: int,
+                        width: int) -> Slice:
+    """-d/dx_j of a slice in n variables, packed with digits of ``width``
+    bits."""
+    bit = _bit(j, n, width)
+    shift = width * (n - 1 - j)
+    mask = (1 << width) - 1
     out = {}
     for e, t in terms.items():
-        k = (e >> shift) & 255
+        k = (e >> shift) & mask
         if k:
             out[e - bit] = kernel.scaled(t, -k)
     return out
@@ -249,7 +99,8 @@ class _OnlineComposition:
     empty, because every map vanishes at the origin, and ``maps[j][1]`` is
     empty or the unit slice of x_j.  The caller appends slice m of every
     map before it asks for slice m + 1 of the composition.  Source
-    monomials of degree above ``order`` are left out.
+    monomials of degree above ``order`` are left out.  Exponents are packed
+    with digits of ``width`` bits, enough to hold ``order``.
 
     The table holds T[Q][k], the degree-k slice of prod_j maps[j]^Q_j.  With
     j the first index where Q_j > 0, T[Q][k] = sum_m maps[j][m] T[Q - e_j][k - m]
@@ -259,12 +110,13 @@ class _OnlineComposition:
     computed once, when it is first asked for, and never changes.
     """
 
-    __slots__ = ("maps", "kernel", "sources", "steps", "table")
+    __slots__ = ("maps", "kernel", "width", "sources", "steps", "table")
 
     def __init__(self, polys: Sequence[MultiPoly], maps: List[List[Slice]],
-                 order: int, kernel):
+                 order: int, kernel, width: int):
         self.maps = maps
         self.kernel = kernel
+        self.width = width
         self.sources = []
         # packed Q: (j, packed Q - e_j, degree of Q - e_j)
         self.steps: Dict[int, Tuple[int, int, int]] = {}
@@ -285,12 +137,12 @@ class _OnlineComposition:
     def _step(self, q: Exponent, degree: int) -> int:
         """The packed ``q``, after recording the steps from it down to a
         variable."""
-        top = key = _pack(q)
+        top = key = _pack(q, self.width)
         while degree and key not in self.steps:
             j = next(k for k, e in enumerate(q) if e)
             q = q[:j] + (q[j] - 1,) + q[j + 1:]
             degree -= 1
-            rest = _pack(q)
+            rest = _pack(q, self.width)
             self.steps[key] = (j, rest, degree)
             key = rest
         return top
@@ -412,8 +264,9 @@ def solve_conjugacy(field: VectorFieldGerm, decide: Decide, order: int,
     delta_of = kernel.divisors(lam)
     # degree slices: maps[j] of x_j + h_j, hs[i] of h_i and gs[i] of g_i;
     # index = degree, the lowest entries empty
-    maps = [[{}, {_bit(j, n): kernel.unit}] for j in range(n)]
-    engine = _OnlineComposition(nonlinear, maps, order, kernel)
+    width = order.bit_length()
+    maps = [[{}, {_bit(j, n, width): kernel.unit}] for j in range(n)]
+    engine = _OnlineComposition(nonlinear, maps, order, kernel, width)
     hs: List[List[Slice]] = [[{}, {}] for _ in range(n)]
     gs: List[List[Slice]] = [[{}, {}] for _ in range(n)]
     # dh[(i, j, a)] = degree-a slice of -d(h_i)/dx_j, derived when a kept
@@ -434,7 +287,7 @@ def solve_conjugacy(field: VectorFieldGerm, decide: Decide, order: int,
                     dha = dh.get((i, j, a))
                     if dha is None:
                         dha = dh[(i, j, a)] = _negated_derivative(
-                            kernel, hs[i][a + 1], j, n)
+                            kernel, hs[i][a + 1], j, n, width)
                     if dha:
                         kernel.add_products(defect, dha, g)
             defect = kernel.finish(defect)
@@ -442,7 +295,7 @@ def solve_conjugacy(field: VectorFieldGerm, decide: Decide, order: int,
             g_d: Slice = {}
             for e in sorted(defect, reverse=True):
                 rhs = defect[e]
-                exps = _unpack(e, n)
+                exps = _unpack(e, n, width)
                 delta = delta_of(exps, i)
                 if decide(i, exps, delta):
                     if delta.is_zero():
@@ -461,22 +314,12 @@ def solve_conjugacy(field: VectorFieldGerm, decide: Decide, order: int,
     # the slices of h and g hold nonzero coefficients, all of degree >= 2
     variables = [MultiPoly.variable(j, n) for j in range(n)]
     transform = [variables[i] + _trusted(n, {
-        _unpack(e, n): kernel.lower(t) for s in hs[i] for e, t in s.items()})
+        _unpack(e, n, width): kernel.lower(t)
+        for s in hs[i] for e, t in s.items()})
         for i in range(n)]
     normal = VectorFieldGerm([linear.components[i] + _trusted(n, {
         q: c for (k, q), c in kept.items() if k == i}) for i in range(n)])
     return ConjugacyResult(pattern, order, lam, transform, normal, kept)
-
-
-def _graded(poly: MultiPoly, order: int, lift) -> Dict[int, Slice]:
-    """The terms of ``poly`` of degree at most ``order`` as degree slices,
-    coefficients lifted by ``lift``."""
-    out: Dict[int, Slice] = {}
-    for e, c in poly.terms.items():
-        degree = sum(e)
-        if degree <= order:
-            out.setdefault(degree, {})[_pack(e)] = lift(c)
-    return out
 
 
 def conjugacy_residual(field: VectorFieldGerm, result: ConjugacyResult) -> List[MultiPoly]:
@@ -496,20 +339,22 @@ def conjugacy_residual(field: VectorFieldGerm, result: ConjugacyResult) -> List[
     reduced = result.normal_form.components
     kernel = _kernel([*rhs, *result.transform, *reduced])
     lift = kernel.lift
-    sides = [_graded(p, order, lift) for p in reduced]
+    # the transform is read through degree order + 1
+    width = (order + 1).bit_length()
+    sides = [_graded(p, order, lift, width) for p in reduced]
     out = []
     for i in range(n):
         # X(H)_i - sum_j dH_i/dx_j X_reduced,j, negated where it is not zero
-        acc = {_pack(e): lift(c) for e, c in rhs[i].terms.items()}
+        acc = {_pack(e, width): lift(c) for e, c in rhs[i].terms.items()}
         # H_i by degree: a term of degree d differentiates to degree d - 1
-        own = _graded(result.transform[i], order + 1, lift)
+        own = _graded(result.transform[i], order + 1, lift, width)
         for j, side in enumerate(sides):
             for d1, terms in own.items():
-                left = _negated_derivative(kernel, terms, j, n)
+                left = _negated_derivative(kernel, terms, j, n, width)
                 for d2, right in side.items():
                     if left and d1 - 1 + d2 <= order:
                         kernel.add_products(acc, left, right)
-        out.append(_trusted(n, {_unpack(e, n): kernel.lower(kernel.scaled(t, -1))
+        out.append(_trusted(n, {_unpack(e, n, width): kernel.lower(kernel.scaled(t, -1))
                                 for e, t in kernel.finish(acc).items()}))
     return out
 
@@ -697,13 +542,14 @@ def center_manifold_series(field: VectorFieldGerm, order: int) -> MultiPoly:
     linear = field.homogeneous_component(1)
     a_nl = comp_a - linear.components[0]
     kernel = _kernel(field.components)
+    width = order.bit_length()
     # degree slices of c, of -c' and of B(c, y2); the map y2 is linear, and
     # the packed exponent of y2^k is k
     cs: List[Slice] = [{}, {}]
     dc: List[Slice] = [{}]
     bs: List[Slice] = [{}, {}]
     maps = [cs, [{}, {1: kernel.unit}]]
-    engine = _OnlineComposition([comp_b, a_nl], maps, order, kernel)
+    engine = _OnlineComposition([comp_b, a_nl], maps, order, kernel, width)
     minus_mu = -lam[0]
     for k in range(2, order + 1):
         b_k, a_k = engine.slice(k)
@@ -714,10 +560,10 @@ def center_manifold_series(field: VectorFieldGerm, order: int) -> MultiPoly:
         rhs = kernel.finish(a_k).get(k)
         c_k = {} if rhs is None else {k: kernel.divide(rhs, minus_mu)}
         cs.append(c_k)
-        dc.append(_negated_derivative(kernel, c_k, 1, 2))
+        dc.append(_negated_derivative(kernel, c_k, 1, 2, width))
         bs.append(kernel.finish(b_k))
         maps[1].append({})
-    return _trusted(2, {_unpack(e, 2): kernel.lower(t)
+    return _trusted(2, {_unpack(e, 2, width): kernel.lower(t)
                         for s in cs for e, t in s.items()})
 
 

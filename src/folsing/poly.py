@@ -9,14 +9,22 @@ MultiPoly's own arithmetic are normal by construction and are built with
 ``_trusted``, which does not look at their coefficients again.
 ``mul_trunc`` and ``inverse_trunc`` are the truncated power-series product
 and inverse, and ``exponents`` enumerates the monomials of one degree.
-``compose`` substitutes polynomials for the variables.  Over Q(i) it
-computes on Gaussian-integer numerators with one denominator per
-polynomial, ``({exponent: (a, b)}, d)``: its table of powers chains many
-products, and each is reduced once, by its content, instead of once per
-coefficient.  ``mul_trunc`` keeps the scalar loop, because a lone product
-does not repay converting its operands and its result.  ``shift`` moves
-the origin by the binomial theorem, with the powers of each shift shared by
-all the polynomials it moves.
+``compose`` substitutes polynomials for the variables.
+
+The exact series kernel lives here too, shared by ``compose`` and the
+solvers of ``normalforms``.  A *slice* is a dict from packed exponents to
+coefficients: (e_1, ..., e_n) packs to the int sum e_k 2^(w (n - k)) for a
+digit width w, so multiplying monomials is one int addition, and packed
+exponents of one degree sort in ``exponents`` order.  Each caller derives
+w from the largest degree it can form, so no digit carries.  ``_kernel``
+chooses the coefficient format once per call: ``_Triples`` (int triples
+(a, b, d) for (a + b*i)/d, products and sums left unreduced until
+``finish`` reduces each entry by one gcd) when every coefficient lies in
+Q(i), ``_Scalars`` (the scalars' own arithmetic) for towers.
+``mul_trunc`` keeps the scalar loop, because a lone product does not repay
+converting its operands and its result.  ``shift`` moves the origin by the
+binomial theorem, with the powers of each shift shared by all the
+polynomials it moves.
 VectorFieldGerm and OneFormGerm are thin wrappers holding components, with
 the classical plane duality  A dx + B dy  <->  B d/dx - A d/dy  and wedge
 products used throughout the resolution and integrability checks.
@@ -26,9 +34,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from math import comb, gcd, lcm
-from operator import add, sub
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from operator import add, mul, sub
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     DivisionByZero,
@@ -37,8 +46,10 @@ from .errors import (
     ZeroInput,
 )
 from .scalars import (
+    ONE,
     ZERO,
     GaussianRational,
+    _lowest,
     _triple,
     coerce_scalar,
     gaussian_triple,
@@ -163,12 +174,22 @@ class MultiPoly:
             raise VariableCountMismatch(
                 f"polynomials in {self.nvars} and {other.nvars} variables")
 
-    def __add__(self, other):
+    def _as_poly(self, other) -> Optional["MultiPoly"]:
+        """``other`` as a polynomial in the variables of ``self``: a scalar
+        (int, Fraction, GaussianRational or tower element) as a constant, a
+        MultiPoly as itself once its variable count is checked, anything
+        else as None."""
+        if isinstance(other, MultiPoly):
+            self._check(other)
+            return other
         if isinstance(other, (int, Fraction, GaussianRational)) or hasattr(other, "tower"):
-            other = MultiPoly.constant(other, self.nvars)
-        if not isinstance(other, MultiPoly):
+            return MultiPoly.constant(other, self.nvars)
+        return None
+
+    def __add__(self, other):
+        other = self._as_poly(other)
+        if other is None:
             return NotImplemented
-        self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             if e in out:
@@ -187,9 +208,8 @@ class MultiPoly:
         return _trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)) or hasattr(other, "tower"):
-            other = MultiPoly.constant(other, self.nvars)
-        if not isinstance(other, MultiPoly):
+        other = self._as_poly(other)
+        if other is None:
             return NotImplemented
         return self + (-other)
 
@@ -197,11 +217,13 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)) or hasattr(other, "tower"):
-            return self.scale(other)
-        if not isinstance(other, MultiPoly):
+        poly = self._as_poly(other)
+        if poly is None:
             return NotImplemented
-        return self.mul_trunc(other, math.inf)
+        if poly is not other:
+            # a scalar: scaling skips the product loop's exponent sums
+            return self.scale(other)
+        return self.mul_trunc(poly, math.inf)
 
     __rmul__ = __mul__
 
@@ -266,9 +288,8 @@ class MultiPoly:
         return power(self, n, MultiPoly.constant(1, self.nvars))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = MultiPoly.constant(other, self.nvars)
-        if not isinstance(other, MultiPoly):
+        other = self._as_poly(other)
+        if other is None:
             return NotImplemented
         return (self - other).is_zero()
 
@@ -380,160 +401,277 @@ def _trusted(nvars: int, terms: Dict[Exponent, object]) -> MultiPoly:
     return out
 
 
+# {packed exponent: coefficient} of one degree, coefficients in a kernel's
+# format
+Slice = Dict[int, object]
+
+
+def _pack(e: Exponent, width: int) -> int:
+    """The exponent as digits of ``width`` bits, the first variable highest."""
+    key = 0
+    for k in e:
+        key = key << width | k
+    return key
+
+
+def _unpack(key: int, n: int, width: int) -> Exponent:
+    """The exponent of n variables that ``_pack`` packed to ``key``."""
+    base = 1 << width
+    out = ()
+    for _ in range(n - 1):
+        key, k = divmod(key, base)
+        out = (k,) + out
+    return (key,) + out
+
+
+def _bit(j: int, n: int, width: int) -> int:
+    """The packed exponent of x_j among n variables."""
+    return 1 << width * (n - 1 - j)
+
+
+def _graded(poly: MultiPoly, order: Union[int, float], lift,
+            width: int) -> Dict[int, Slice]:
+    """The terms of ``poly`` of degree at most ``order`` as degree slices,
+    coefficients lifted by ``lift``."""
+    out: Dict[int, Slice] = {}
+    for e, c in poly.terms.items():
+        degree = sum(e)
+        if degree <= order:
+            out.setdefault(degree, {})[_pack(e, width)] = lift(c)
+    return out
+
+
+class _Triples:
+    """Q(i) coefficients as int triples (a, b, d) for (a + b*i)/d, d > 0.
+
+    A triple in a table or a finished slice is in lowest terms; products,
+    sums and int multiples of them are not, until ``finish`` reduces each
+    entry once.
+    """
+
+    unit = (1, 0, 1)
+    lift = staticmethod(gaussian_triple)
+
+    @staticmethod
+    def lower(t) -> GaussianRational:
+        """The GaussianRational of a triple already in lowest terms: an
+        entry of a ``finish``ed slice, a quotient of ``divide``, or one of
+        those negated by ``scaled(t, -1)``."""
+        return _lowest(*t)
+
+    @staticmethod
+    def scaled(t, k: int):
+        """k * t for an int k, not reduced."""
+        a, b, d = t
+        return a * k, b * k, d
+
+    @staticmethod
+    def add_products(acc: Slice, left: Slice, right: Slice) -> None:
+        """acc += left * right, adding over the lcm of the denominators."""
+        for e1, (a1, b1, d1) in left.items():
+            for e2, (a2, b2, d2) in right.items():
+                e = e1 + e2
+                re = a1 * a2 - b1 * b2
+                im = a1 * b2 + b1 * a2
+                d = d1 * d2
+                got = acc.get(e)
+                if got is None:
+                    acc[e] = (re, im, d)
+                    continue
+                a, b, t = got
+                if t == d:
+                    acc[e] = (a + re, b + im, d)
+                else:
+                    g = gcd(t, d)
+                    u, v = d // g, t // g
+                    acc[e] = (a * u + re * v, b * u + im * v, t * u)
+
+    @staticmethod
+    def finish(acc: Slice) -> Slice:
+        """The nonzero entries of ``acc``, each in lowest terms."""
+        out = {}
+        for e, (a, b, d) in acc.items():
+            if a or b:
+                if d != 1:
+                    g = gcd(a, b, d)
+                    if g != 1:
+                        a //= g
+                        b //= g
+                        d //= g
+                out[e] = (a, b, d)
+        return out
+
+    @staticmethod
+    def divide(t, s: GaussianRational):
+        """t / s in lowest terms, for a nonzero scalar s."""
+        a, b, d = t
+        p, q, r = gaussian_triple(s)
+        re, im, d = (a * p + b * q) * r, (b * p - a * q) * r, d * (p * p + q * q)
+        g = gcd(re, im, d)
+        return re // g, im // g, d // g
+
+    @staticmethod
+    def divisors(lam: Sequence) -> Callable[[Exponent, int], GaussianRational]:
+        """delta(Q, i) = <Q, lambda> - lambda_i, on numerators over the lcm
+        of the denominators of lambda."""
+        triples = [gaussian_triple(l) for l in lam]
+        den = lcm(*(t[2] for t in triples))
+        re = [a * (den // d) for a, _, d in triples]
+        im = [b * (den // d) for _, b, d in triples]
+
+        def delta(q: Exponent, i: int) -> GaussianRational:
+            return _triple(sum(map(mul, q, re)) - re[i],
+                           sum(map(mul, q, im)) - im[i], den)
+
+        return delta
+
+
+class _Scalars:
+    """Tower coefficients, alone or among GaussianRationals, in their own
+    arithmetic."""
+
+    unit = ONE
+
+    @staticmethod
+    def lift(c):
+        return c
+
+    lower = lift
+
+    @staticmethod
+    def scaled(c, k: int):
+        return c * k
+
+    @staticmethod
+    def add_products(acc: Slice, left: Slice, right: Slice) -> None:
+        for e1, c1 in left.items():
+            for e2, c2 in right.items():
+                e = e1 + e2
+                p = c1 * c2
+                acc[e] = acc[e] + p if e in acc else p
+
+    @staticmethod
+    def finish(acc: Slice) -> Slice:
+        return {e: c for e, c in acc.items() if not c.is_zero()}
+
+    @staticmethod
+    def divide(c, s):
+        return c * s.inverse()
+
+    @staticmethod
+    def divisors(lam: Sequence) -> Callable[[Exponent, int], object]:
+        def delta(q: Exponent, i: int):
+            w = -lam[i]
+            for l, k in zip(lam, q):
+                if k:
+                    w = w + l * k
+            return w
+
+        return delta
+
+
+def _kernel(polys: Sequence[MultiPoly], scalars: Sequence = ()):
+    """The coefficient arithmetic for ``polys`` and ``scalars``: ``_Triples``
+    when every coefficient and every scalar lies in Q(i), ``_Scalars``
+    otherwise."""
+    if all(type(c) is GaussianRational
+           for c in chain(scalars, *(p.terms.values() for p in polys))):
+        return _Triples
+    return _Scalars
+
+
 def compose(polys: Sequence[MultiPoly], maps: Sequence[MultiPoly],
             order: Union[int, float] = math.inf) -> List[MultiPoly]:
     """Each ``poly(maps)``, dropping every term of total degree above
     ``order`` (which may be ``math.inf``).
 
-    One table of truncated powers of the maps serves all of ``polys``.  It
-    grows one product per exponent when the exponents come in order, and by
-    squaring otherwise.  Every term of the image of x^E has degree at least
+    Every term of the image of x^E has degree at least
     sum_j E_j ord_0(maps[j]), so a source monomial whose bound exceeds
     ``order`` is skipped.  Only the E_j > 0 enter the sum: a map with a
     constant term bounds nothing, and a zero map (order +inf) skips exactly
     the monomials that contain its variable.
 
-    The coefficient type picks the arithmetic of the table, the images and
-    the final sum of c * image.  Over Q(i) the table holds Gaussian-integer
-    numerators with one denominator per power (``_numerators``): a product
-    multiplies ints and is reduced once, by its content, and each output
-    coefficient is put in lowest terms once, where the sum ends.  A table
-    chains many products, so this pays for the conversion; a lone
-    ``mul_trunc`` would not, and keeps the scalar loop.  Tower coefficients
-    use ``mul_trunc`` here too.
+    The arithmetic is that of the solvers in ``normalforms``: degree slices
+    in the coefficient format of ``_kernel``.  The largest
+    sum_j E_j deg(maps[j]) over the kept terms, capped by ``order``, bounds
+    every exponent of every product formed, so its bit length is the width
+    of a digit.  One table of graded truncated powers of the maps serves all
+    of ``polys``.  It grows one product per exponent when the exponents come
+    in order, and by squaring otherwise.  A product adds the products of
+    each pair of slices whose degrees sum to at most ``order``, then
+    finishes each slice once.  The image of x^E is the product of its
+    powers, and every c * image of a poly goes into one accumulator,
+    finished once at the end.
     """
     if any(poly.nvars != len(maps) for poly in polys):
         raise VariableCountMismatch("wrong number of substitution polynomials")
     nv = maps[0].nvars
-    if all(type(c) is GaussianRational
-           for p in (*polys, *maps) for c in p.terms.values()):
-        lift, mul, total = _numerators, _numerator_mul, _numerator_sum
-    else:
-        lift, mul, total = _same, MultiPoly.mul_trunc, _scalar_sum
+    kernel = _kernel([*polys, *maps])
+    add_products, finish, lift = kernel.add_products, kernel.finish, kernel.lift
     orders = [m.order_at_origin() for m in maps]
-    tables = [{1: lift(m.truncate(order))} for m in maps]
+    # a zero map counts as degree 0: the powers of the other maps in its
+    # terms are still formed, and must fit the digits
+    degrees = [max(m.total_degree(), 0) for m in maps]
+    sources = []
+    top = 0
+    for poly in polys:
+        kept = []
+        for exps, c in poly.terms.items():
+            if sum(e * o for e, o in zip(exps, orders) if e) <= order:
+                kept.append((exps, c))
+                top = max(top, sum(map(mul, exps, degrees)))
+        sources.append(kept)
+    width = min(top, order).bit_length()
+    tables: List[Dict[int, Dict[int, Slice]]] = [{} for _ in maps]
 
-    def map_power(j: int, e: int):
+    def product(left: Dict[int, Slice], right: Dict[int, Slice]):
+        """left * right, degrees above order left out, each slice finished."""
+        acc: Dict[int, Slice] = {}
+        for d1, s1 in left.items():
+            for d2, s2 in right.items():
+                d = d1 + d2
+                if d <= order:
+                    got = acc.get(d)
+                    if got is None:
+                        got = acc[d] = {}
+                    add_products(got, s1, s2)
+        return {d: s for d, s in ((d, finish(s)) for d, s in acc.items()) if s}
+
+    def map_power(j: int, e: int) -> Dict[int, Slice]:
         table = tables[j]
         got = table.get(e)
         if got is None:
-            if e - 1 in table:
-                got = mul(table[e - 1], table[1], order)
+            if e == 1:
+                got = _graded(maps[j], order, lift, width)
+            elif e - 1 in table:
+                got = product(table[e - 1], table[1])
             else:
                 # by squaring, so that a lone high power such as x^1000000
                 # in a blow-up chart costs about log2(e) products
                 half = map_power(j, e // 2)
-                got = mul(half, half, order)
+                got = product(half, half)
                 if e & 1:
                     table[e - 1] = got
-                    got = mul(got, table[1], order)
+                    got = product(got, table[1])
             table[e] = got
         return got
 
+    one = {0: {0: kernel.unit}}
     out = []
-    for poly in polys:
-        # (c, image of x^E), with image None for E = 0
-        terms = []
-        for exps, c in poly.terms.items():
-            if sum(e * o for e, o in zip(exps, orders) if e) > order:
-                continue
-            image = None
+    for kept in sources:
+        acc: Slice = {}
+        for exps, c in kept:
+            image = one
             for j, e in enumerate(exps):
                 if e:
                     power = map_power(j, e)
-                    image = power if image is None else mul(image, power, order)
-            terms.append((c, image))
-        out.append(total(nv, terms))
+                    image = power if image is one else product(image, power)
+            coefficient = {0: lift(c)}
+            for s in image.values():
+                add_products(acc, coefficient, s)
+        out.append(_trusted(nv, {_unpack(key, nv, width): kernel.lower(t)
+                                 for key, t in finish(acc).items()}))
     return out
-
-
-def _same(p: MultiPoly) -> MultiPoly:
-    return p
-
-
-def _scalar_sum(nv: int, terms) -> MultiPoly:
-    """sum c * image over MultiPoly images, one scalar sum per term."""
-    one = (0,) * nv
-    acc: Dict[Exponent, object] = {}
-    for c, image in terms:
-        products = ([(one, c)] if image is None
-                    else [(e, c * v) for e, v in image.terms.items()])
-        for e, v in products:
-            if e in acc:
-                s = acc[e] + v
-                if s.is_zero():
-                    del acc[e]
-                else:
-                    acc[e] = s
-            else:
-                acc[e] = v
-    return _trusted(nv, acc)
-
-
-# A polynomial over Q(i) as Gaussian-integer numerators over one positive
-# denominator: ({exponent: (a, b)}, d) is sum (a + b*i)/d x^exponent.
-Numerators = Tuple[Dict[Exponent, Tuple[int, int]], int]
-
-
-def _numerators(p: MultiPoly) -> Numerators:
-    """``p``, whose coefficients are GaussianRationals, over the lcm of
-    their denominators."""
-    triples = [(e, gaussian_triple(c)) for e, c in p.terms.items()]
-    d = lcm(*(t[2] for _, t in triples))
-    return {e: (a * (d // t), b * (d // t)) for e, (a, b, t) in triples}, d
-
-
-def _numerator_mul(p: Numerators, q: Numerators,
-                   order: Union[int, float]) -> Numerators:
-    """``MultiPoly.mul_trunc`` on numerators: ints multiply, the
-    denominators multiply, and the product is divided by its content."""
-    bounded = order < math.inf
-    right = [(e2, a2, b2, sum(e2)) for e2, (a2, b2) in q[0].items()]
-    out: Dict[Exponent, Tuple[int, int]] = {}
-    for e1, (a1, b1) in p[0].items():
-        room = order - sum(e1) if bounded else order
-        if room < 0:
-            continue
-        for e2, a2, b2, d2 in right:
-            if d2 > room:
-                continue
-            e = tuple(map(add, e1, e2))
-            re = a1 * a2 - b1 * b2
-            im = a1 * b2 + b1 * a2
-            got = out.get(e)
-            out[e] = (re, im) if got is None else (got[0] + re, got[1] + im)
-    out = {e: v for e, v in out.items() if v[0] or v[1]}
-    d = p[1] * q[1]
-    if d != 1:
-        g = gcd(d, *(x for v in out.values() for x in v))
-        if g != 1:
-            out = {e: (a // g, b // g) for e, (a, b) in out.items()}
-            d //= g
-    return out, d
-
-
-def _numerator_sum(nv: int, terms) -> MultiPoly:
-    """sum c * image over numerator images, on the lcm of the
-    denominators of the c * image; each coefficient is put in lowest terms
-    once, by ``_triple``."""
-    scaled = []
-    for c, image in terms:
-        num, d = ({(0,) * nv: (1, 0)}, 1) if image is None else image
-        ca, cb, cd = gaussian_triple(c)
-        scaled.append((ca, cb, cd * d, num))
-    den = lcm(*(t[2] for t in scaled))
-    acc: Dict[Exponent, Tuple[int, int]] = {}
-    for ca, cb, d, num in scaled:
-        f = den // d
-        ca *= f
-        cb *= f
-        for e, (a, b) in num.items():
-            re = ca * a - cb * b
-            im = ca * b + cb * a
-            got = acc.get(e)
-            acc[e] = (re, im) if got is None else (got[0] + re, got[1] + im)
-    return _trusted(nv, {e: _triple(a, b, den)
-                         for e, (a, b) in acc.items() if a or b})
 
 
 def shift(polys: Sequence[MultiPoly], shifts: Sequence) -> List[MultiPoly]:

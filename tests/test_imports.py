@@ -29,9 +29,15 @@ each module in ``src/folsing`` with the standard library's ``ast``:
   a bool, so generated code stays in one place;
 - no module but ``scalars`` touches the attributes ``_a``, ``_b`` and
   ``_d`` of a GaussianRational.  Others read the triple through
-  ``scalars.gaussian_triple`` and build one with ``scalars._triple``, so
-  the integer format of Q(i), which ``poly.compose`` computes with, has
-  one owner;
+  ``scalars.gaussian_triple`` and build one with ``scalars._triple`` or,
+  from a triple in lowest terms, ``scalars._lowest``;
+- ``scalars.gaussian_triple`` is named only in ``poly._Triples``, the
+  coefficient kernel that ``poly.compose`` and the ``normalforms`` solvers
+  compute with, and in ``local._residues``, which maps Q(i) to a prime
+  field.  So the integer format of Q(i) has one home for series arithmetic;
+- arithmetic is chosen by testing ``type(c) is GaussianRational`` over
+  many coefficients only in ``poly._kernel``, so one function decides how
+  exact coefficients are represented in hot loops;
 - no module calls ``json.dump`` or ``json.dumps``: ``jsonio.dumps`` is the
   package's one JSON emitter, so every document has the same layout.
 """
@@ -397,6 +403,132 @@ def test_checker_flags_a_private_triple_read(tmp_path):
     home = tmp_path / "scalars.py"
     home.write_text(source)
     assert private_triple_reads(home) == []
+
+
+def _named_outside(path: Path, homes, matches):
+    """"file:line name" for every node for which ``matches`` returns a name,
+    unless a function or class that encloses it is one of the (module file,
+    name) pairs of ``homes``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = []
+
+    def visit(node, home):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef))
+                and (path.name, node.name) in homes):
+            home = True
+        name = matches(node)
+        if name and not home:
+            out.append((node.lineno, node.col_offset, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, home)
+
+    visit(tree, False)
+    return [f"{path.name}:{line} {name}" for line, _, name in sorted(out)]
+
+
+# (module file, enclosing function or class) allowed to read triples
+TRIPLE_READERS = {("poly.py", "_Triples"), ("local.py", "_residues")}
+
+
+def _gaussian_triple_name(node):
+    if isinstance(node, ast.Name) and node.id == "gaussian_triple":
+        return node.id
+    if isinstance(node, ast.Attribute) and node.attr == "gaussian_triple":
+        return node.attr
+    return None
+
+
+def gaussian_triple_uses(path: Path):
+    """Reads of ``gaussian_triple`` outside ``TRIPLE_READERS``; imports
+    bind the name without reading it."""
+    return _named_outside(path, TRIPLE_READERS, _gaussian_triple_name)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_gaussian_triple_only_in_its_readers(path):
+    assert gaussian_triple_uses(path) == []
+
+
+def test_checker_flags_a_gaussian_triple_elsewhere(tmp_path):
+    source = ("from scalars import gaussian_triple\n"
+              "import scalars\n"
+              "class _Triples:\n"
+              "    lift = staticmethod(gaussian_triple)\n"
+              "    def divide(t, s):\n        return gaussian_triple(s)\n"
+              "def _residues(c):\n    return scalars.gaussian_triple(c)\n"
+              "def helper(c):\n    return gaussian_triple(c)\n")
+    elsewhere = tmp_path / "m.py"
+    elsewhere.write_text(source)
+    assert gaussian_triple_uses(elsewhere) == [
+        "m.py:4 gaussian_triple", "m.py:6 gaussian_triple",
+        "m.py:8 gaussian_triple", "m.py:10 gaussian_triple"]
+    poly = tmp_path / "poly.py"
+    poly.write_text(source)
+    assert gaussian_triple_uses(poly) == [
+        "poly.py:8 gaussian_triple", "poly.py:10 gaussian_triple"]
+    local = tmp_path / "local.py"
+    local.write_text(source)
+    assert gaussian_triple_uses(local) == [
+        "local.py:4 gaussian_triple", "local.py:6 gaussian_triple",
+        "local.py:10 gaussian_triple"]
+
+
+KERNEL_CHOICE_HOME = ("poly.py", "_kernel")
+
+
+COMPREHENSIONS = (ast.GeneratorExp, ast.ListComp, ast.SetComp, ast.DictComp)
+
+
+def _tests_gaussian_type(node) -> bool:
+    """``type(x) is GaussianRational`` or ``is not``, either way round."""
+    if not (isinstance(node, ast.Compare)
+            and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)):
+        return False
+    sides = [node.left, *node.comparators]
+    return (any(isinstance(x, ast.Call) and isinstance(x.func, ast.Name)
+                and x.func.id == "type" for x in sides)
+            and any(isinstance(x, ast.Name) and x.id == "GaussianRational"
+                    for x in sides))
+
+
+def _type_test_over_many(node):
+    if isinstance(node, COMPREHENSIONS) and any(
+            map(_tests_gaussian_type, ast.walk(node))):
+        return "type-is-GaussianRational"
+    return None
+
+
+def kernel_choices(path: Path):
+    """Comprehensions that test ``type(c) is GaussianRational`` over many
+    coefficients, outside ``KERNEL_CHOICE_HOME``.  One scalar's type test,
+    as in a coercion, is not a choice of arithmetic."""
+    return _named_outside(path, {KERNEL_CHOICE_HOME}, _type_test_over_many)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_arithmetic_chosen_only_by_the_kernel(path):
+    assert kernel_choices(path) == []
+
+
+def test_checker_flags_a_kernel_choice(tmp_path):
+    source = ("def _kernel(polys):\n"
+              "    return all(type(c) is GaussianRational for c in polys)\n"
+              "def compose(polys):\n"
+              "    if all(type(c) is GaussianRational for c in polys):\n"
+              "        return 1\n"
+              "    if type(polys[0]) is not GaussianRational:\n"
+              "        return 2\n"
+              "    return [GaussianRational is type(c) for c in polys]\n")
+    elsewhere = tmp_path / "m.py"
+    elsewhere.write_text(source)
+    assert kernel_choices(elsewhere) == [
+        "m.py:2 type-is-GaussianRational", "m.py:4 type-is-GaussianRational",
+        "m.py:8 type-is-GaussianRational"]
+    poly = tmp_path / "poly.py"
+    poly.write_text(source)
+    assert kernel_choices(poly) == ["poly.py:4 type-is-GaussianRational",
+                                    "poly.py:8 type-is-GaussianRational"]
 
 
 JSON_EMITTERS = {"dump", "dumps"}

@@ -207,6 +207,35 @@ class TestResonances:
         assert (3, (1, 1, 0)) in got
         assert (3, (0, 2, 0)) in got
 
+    # spectra of small integer multiples of one unit, so that resonances
+    # occur, and of two units, so that some do not
+    R2 = TRIVIAL.adjoin_root([-2, 0, 1], name="r2")[1]
+    UNITS = {"gaussian": GaussianRational(Fraction(1, 3), Fraction(-1, 2)),
+             "rational": Fraction(2, 5), "tower": R2}
+
+    @pytest.mark.parametrize("unit", sorted(UNITS))
+    @given(st.lists(st.integers(-4, 4), min_size=2, max_size=3),
+           st.lists(st.integers(-1, 1), min_size=3, max_size=3),
+           st.integers(2, 6))
+    @settings(max_examples=25, deadline=None)
+    def test_against_brute_force(self, unit, multiples, offsets, max_degree):
+        u = self.UNITS[unit]
+        lams = [u * k + GaussianRational(0, 1) * m if unit == "gaussian"
+                else u * k + m
+                for k, m in zip(multiples, offsets)]
+        n = len(lams)
+        want = []
+        for q in itertools.product(range(max_degree + 1), repeat=n):
+            if 2 <= sum(q) <= max_degree:
+                for i in range(n):
+                    delta = -lams[i]
+                    for l, k in zip(lams, q):
+                        delta = delta + l * k
+                    if delta == 0:
+                        want.append((i + 1, q))
+        want.sort(key=lambda iq: (iq[0], sum(iq[1]), iq[1]))
+        assert detect_resonances(lams, max_degree) == want
+
 
 class TestDomains:
     def test_poincare(self):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from folsing import local, normalforms
+from folsing import local, normalforms, poly
 from folsing.errors import (
     LinearPartNotPrepared,
     NotPoincareDomain,
@@ -564,15 +564,15 @@ CERTIFIED = {
     ("Q(i)", "linearize"): (
         lambda: parse_field("(2*x + x^2 - 1/3*i*x*y + y^3)*ddx"
                             " + (3*y + (1+2*i)*x^2 + 1/5*y^2)*ddy"),
-        poincare_linearize, normalforms._Triples),
+        poincare_linearize, poly._Triples),
     ("Q(i)", "resonant"): (
         lambda: parse_field("(2*x + x^2 + (1-i)*y^2 + x*y^2)*ddx"
                             " + (y + 1/2*i*x*y + y^3)*ddy"),
-        resonant_normal_form, normalforms._Triples),
+        resonant_normal_form, poly._Triples),
     ("sqrt2", "linearize"): (lambda: _sqrt2_field(2, 3), poincare_linearize,
-                             normalforms._Scalars),
+                             poly._Scalars),
     ("sqrt2", "resonant"): (lambda: _sqrt2_field(2, 1), resonant_normal_form,
-                            normalforms._Scalars),
+                            poly._Scalars),
 }
 
 

@@ -183,6 +183,20 @@ class TestMultiPoly:
         with pytest.raises(VariableCountMismatch):
             X + MultiPoly.variable(0, 3)
 
+    @pytest.mark.parametrize("scalar", [1, Fraction(2, 3),
+                                        GaussianRational(1, -2), R2, R2 + 1],
+                             ids=["int", "Fraction", "Gaussian", "tower",
+                                  "tower-sum"])
+    def test_equals_a_scalar_as_a_constant(self, scalar):
+        # every scalar that + - * accept compares with ==, towers included
+        const = MultiPoly.constant(scalar, 2)
+        assert const == scalar
+        assert scalar == const
+        assert const != scalar + 1
+        assert const + scalar == const * 2
+        assert (const - scalar).is_zero()
+        assert X * scalar == X * const
+
     def test_render_graded_lex(self):
         p = Y + X + X * X
         assert str(p) == "x+y+x^2"
@@ -334,6 +348,65 @@ class TestCompose:
             got = compose([p, r * X], maps, order)
             assert [g.terms for g in got] == [
                 composed_by_products(q, maps, order).terms for q in (p, r * X)]
+
+
+class TestComposePacking:
+    """Packed exponents take digits as wide as the largest output degree:
+    degrees at the edges of 8 bits, past the doubles' exponent fields, and
+    sources and maps in different numbers of variables."""
+
+    I = GaussianRational(0, 1)
+
+    @pytest.mark.parametrize("top", [255, 256, 257])
+    def test_degrees_at_a_digit_boundary(self, top):
+        # x^top becomes (x + i y)^top, with y^top among its terms, and
+        # x^(top-2) y becomes (x + i y)^(top-2) (x y - 1/2), also of degree top
+        p = MultiPoly(2, {(top, 0): GaussianRational(-3, Fraction(1, 7)),
+                          (top - 2, 1): GaussianRational(Fraction(2, 3), 1),
+                          (0, 3): 1, (1, 0): Fraction(-1, 5)})
+        maps = [X + Y.scale(self.I), X * Y - Fraction(1, 2)]
+        full = composed_by_products(p, maps, math.inf)
+        assert full.total_degree() == top
+        for order in (math.inf, top, top - 1, 255):
+            got, = compose([p], maps, order)
+            assert got.terms == (full if order == math.inf
+                                 else full.truncate(order)).terms
+
+    def test_unbounded_order_with_x_to_the_300(self):
+        p = MultiPoly(2, {(300, 0): GaussianRational(1, -1), (0, 2): 3})
+        maps = [Y.scale(Fraction(1, 3)) - X.scale(self.I), X * Y + 2]
+        got, = compose([p], maps, math.inf)
+        assert got.degree_in(1) == 300
+        assert got.terms == composed_by_products(p, maps, math.inf).terms
+
+    three = st.builds(lambda d: MultiPoly(3, d), st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * 3), gaussian_coeffs, max_size=4))
+    two = st.builds(lambda d: MultiPoly(2, d), st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)), gaussian_coeffs,
+        max_size=3))
+    one = st.builds(lambda d: MultiPoly(1, d), st.dictionaries(
+        st.tuples(st.integers(0, 3)), gaussian_coeffs, max_size=3))
+    orders = st.one_of(st.integers(0, 6), st.just(math.inf))
+
+    @given(st.lists(three, min_size=1, max_size=2),
+           st.lists(two, min_size=3, max_size=3), orders)
+    @settings(max_examples=40, deadline=None)
+    def test_three_variables_into_two(self, polys, maps, order):
+        # the shape of a homogeneous form dehomogenized, F(x, y, 1)
+        got = compose(polys, maps, order)
+        assert [g.nvars for g in got] == [2] * len(polys)
+        assert [g.terms for g in got] == [
+            composed_by_products(p, maps, order).terms for p in polys]
+
+    @given(st.lists(two, min_size=1, max_size=2),
+           st.lists(one, min_size=2, max_size=2), orders)
+    @settings(max_examples=40, deadline=None)
+    def test_two_variables_into_one(self, polys, maps, order):
+        # the shape of a restriction to a parametrized line
+        got = compose(polys, maps, order)
+        assert [g.nvars for g in got] == [1] * len(polys)
+        assert [g.terms for g in got] == [
+            composed_by_products(p, maps, order).terms for p in polys]
 
 
 class TestShift:
