@@ -153,23 +153,12 @@ class WrongShapeError(ZeroInput):
             offender=str(offender))
 
 
-def _homogeneous_valuation(h: MultiPoly, var: int) -> int:
-    if h.is_zero():
-        return 0
-    return min(e[var] for e in h.terms)
-
-
 def _dehomogenize(h: MultiPoly, var: int) -> MultiPoly:
-    """Set variable ``var`` to 1, mapping the rest to a 2-variable polynomial."""
-    rest = [k for k in range(3) if k != var]
-    terms = {}
-    for e, c in h.terms.items():
-        key = (e[rest[0]], e[rest[1]])
-        if key in terms:
-            terms[key] = terms[key] + c
-        else:
-            terms[key] = c
-    return MultiPoly(2, terms)
+    """Set variable ``var`` of a homogeneous ``h`` to 1, mapping the rest
+    in order to the two variables of a planar polynomial.  Homogeneity
+    makes the map injective on monomials, so no coefficients combine."""
+    a, b = [k for k in range(3) if k != var]
+    return MultiPoly(2, {(e[a], e[b]): c for e, c in h.terms.items()})
 
 
 def _homogenize(p: MultiPoly, var: int, degree: int) -> MultiPoly:
@@ -194,7 +183,7 @@ def _homogeneous_gcd3(comps: Sequence[MultiPoly]) -> Optional[MultiPoly]:
     the gcd of the z0 = 1 slices, so the bivariate routine does all the work.
     """
     nonzero = [h for h in comps if not h.is_zero()]
-    v = min(_homogeneous_valuation(h, 0) for h in nonzero)
+    v = min(h.order_in(0) for h in nonzero)
     g2: Optional[MultiPoly] = None
     for h in nonzero:
         slice2 = _dehomogenize(h, 0)
@@ -228,12 +217,7 @@ def homogeneous_to_affine(field: HomogeneousField3, chart: str = "a") -> VectorF
     rest = [k for k in range(3) if k != i]
     xv = MultiPoly.variable(0, 2)
     yv = MultiPoly.variable(1, 2)
-    one = MultiPoly.constant(GaussianRational(1), 2)
-    sub = [None, None, None]
-    sub[i] = one
-    sub[rest[0]] = xv
-    sub[rest[1]] = yv
-    h = compose(field.components, sub)
+    h = [_dehomogenize(c, i) for c in field.components]
     p = h[rest[0]] - xv * h[i]
     q = h[rest[1]] - yv * h[i]
     if p.is_zero() and q.is_zero():

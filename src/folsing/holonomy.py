@@ -5,10 +5,10 @@ singular point is the exponential of the eigenvalue ratio; for rational
 ratios it is an exact root of unity.  For a germ with one zero eigenvalue
 the return map around the strong separatrix is the formal time-one map of
 tau times the reduced transversal dynamics, tau a transcendental loop
-weight.  That is the flow of the dynamics for time tau: the Picard
-iteration solves for the flow as a polynomial in its time, and tau is
-that time.  The first deviation from the identity appears exactly at
-degree p + 1.
+weight.  That is the flow of the dynamics for time tau: through each
+power of z its Lie series is a polynomial in the time, and tau is that
+time.  The first deviation from the identity appears exactly at degree
+p + 1.
 
 A nonconstant analytic invariant function forces every singular point of
 the resolved object to be of rational-ratio type with trivial resonant
@@ -265,8 +265,9 @@ def _trunc_z(poly: MultiPoly, order: int) -> MultiPoly:
 def saddle_node_holonomy(p: int, modulus, order: int = 6) -> GermSeries:
     """Return map around the strong separatrix of the reduced model.
 
-    Integrates the transversal dynamics dz/dt = z^{p+1} / (1 + c z^p)
-    from the identity by Picard iteration, one power of z per step.  The
+    The flow of the transversal dynamics dz/dt = G(z) = z^{p+1} / (1 + c z^p)
+    for time t is the Lie series sum t^n/n! L^n(z) with L = G d/dz; L^n(z)
+    starts at z^{np+1}, so at most (order - 1)/p terms reach the order.  The
     loop of formal weight tau is the flow for time tau, so the flow's
     polynomial in (t, z) is the germ in (tau, z): tangent to the identity,
     with first deviation tau at z^{p+1}.
@@ -279,29 +280,16 @@ def saddle_node_holonomy(p: int, modulus, order: int = 6) -> GermSeries:
             "truncation order must reach the first deviation",
             order=order, required=p + 1)
     lam = coerce_scalar(modulus)
-    # G(w) = w^{p+1} (1 + lam w^p)^{-1}, expanded through z-degree ``order``
-    G = {}
-    j = 0
-    while p + 1 + j * p <= order:
-        G[p + 1 + j * p] = power(-lam, j, ONE)
-        j += 1
-
-    y = MultiPoly.variable(1, 2)  # variables (t, z)
-    for k in range(2, order + 1):
-        # the z^k part of G(y) reads y only below z^k, which is final
-        acc = y
-        e = 1
-        rhs = MultiPoly.zero(2)
-        for m in sorted(G):
-            if m > k:
-                break
-            while e < m:
-                acc = _trunc_z(acc * y, k)
-                e += 1
-            rhs = rhs + acc.scale(G[m])
-        # the z^k part of y is the t-integral of the z^k part of G(y)
-        y = y + MultiPoly(2, {(t + 1, d): c * Fraction(1, t + 1)
-                              for (t, d), c in rhs.terms.items() if d == k})
+    # t G(z), G(z) = z^{p+1} (1 + lam z^p)^{-1} expanded through z^order
+    tG = MultiPoly(2, {(1, p + 1 + j * p): power(-lam, j, ONE)
+                       for j in range((order - 1) // p)})
+    y = term = MultiPoly.variable(1, 2)  # variables (t, z)
+    n = 0
+    while not term.is_zero():
+        n += 1
+        # t^n/n! L^n(z) from its predecessor
+        term = _trunc_z(tG * term.derivative(1), order).scale(Fraction(1, n))
+        y = y + term
     return GermSeries(y, order)
 
 

@@ -142,36 +142,39 @@ def diff_json(expected: Any, actual: Any, path: str = "$") -> List[str]:
     compared with a tight relative tolerance so that serialization round
     trips cannot produce spurious diffs.
     """
-    expected = to_jsonable(expected)
-    actual = to_jsonable(actual)
     diffs: List[str] = []
+    _diff(to_jsonable(expected), to_jsonable(actual), path, diffs)
+    return diffs
+
+
+def _diff(expected: Any, actual: Any, path: str, diffs: List[str]) -> None:
+    """Append the mismatches of two plain JSON documents to ``diffs``."""
     if isinstance(expected, dict) and isinstance(actual, dict):
         for key in sorted(expected):
             if key not in actual:
                 diffs.append(f"{path}.{key}: missing from actual output")
             else:
-                diffs.extend(diff_json(expected[key], actual[key], f"{path}.{key}"))
+                _diff(expected[key], actual[key], f"{path}.{key}", diffs)
         for key in sorted(actual):
             if key not in expected:
                 diffs.append(f"{path}.{key}: unexpected key (value {actual[key]!r})")
-        return diffs
+        return
     if isinstance(expected, list) and isinstance(actual, list):
         if len(expected) != len(actual):
             diffs.append(f"{path}: length {len(actual)} != expected {len(expected)}")
-            return diffs
+            return
         for i, (e, a) in enumerate(zip(expected, actual)):
-            diffs.extend(diff_json(e, a, f"{path}[{i}]"))
-        return diffs
+            _diff(e, a, f"{path}[{i}]", diffs)
+        return
     if isinstance(expected, float) or isinstance(actual, float):
         if isinstance(expected, (int, float)) and isinstance(actual, (int, float)) \
                 and not isinstance(expected, bool) and not isinstance(actual, bool) \
                 and _floats_close(float(expected), float(actual)):
-            return diffs
+            return
         diffs.append(f"{path}: {actual!r} != expected {expected!r}")
-        return diffs
+        return
     if type(expected) is not type(actual) or expected != actual:
         diffs.append(f"{path}: {actual!r} != expected {expected!r}")
-    return diffs
 
 
 def schema_names() -> List[str]:

@@ -230,10 +230,12 @@ class ConjugacyResult:
 
 
 # The highest truncation order the series entries take, checked before any
-# resonance enumeration or series work.  Dense linearization grows steeply:
-# ``linearize`` on a dense quadratic field takes 0.75 s at order 30 and
-# 1.2 s at 32 (start-up included, best of 5 on 2 shared cores).  The cap
-# also keeps every exponent digit of a packed slice below 256.
+# resonance enumeration or series work.  It is sized on dense fields, whose
+# cost grows steeply with the order.  At order 32 the dense inputs of
+# ``ORDER_COMMANDS`` in tests/test_cli.py take, start-up included (best of
+# 5 on 2 shared cores): ``normal-form resonant`` 1.03 s, ``linearize``
+# 0.82 s, ``first-integral`` 0.39 s, ``normal-form siegel`` 0.29 s,
+# ``normal-form dulac`` 0.22 s and ``holonomy`` on a saddle-node 0.21 s.
 MAX_ORDER = 32
 
 

@@ -13,6 +13,7 @@ import signal
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ import folsing
 from folsing import jsonio
 from folsing.cli import corpus_run, main, shipped_corpus_root
 from folsing.normalforms import MAX_ORDER
+from folsing.scalars import GaussianRational
 
 CUSP = "2*y*ddx + 3*x^2*ddy"
 EULER = "x^2*ddx + (y - x)*ddy"
@@ -568,11 +570,25 @@ class TestExitCodes:
         assert err["detail"] == detail
         jsonio.validate(err, "error")
 
+    DENSE_X = "1/3*x^2+5/7*x*y-1/11*y^2"
+    DENSE_Y = "1/13*x^2-2/17*y^2+1/19*x*y"
     ORDER_COMMANDS = [
         ["linearize", "--expr", "2*x*ddx+3*y*ddy"],
         ["normal-form", "siegel", "--expr", "x*ddx-2*y*ddy+x^2*ddy"],
         ["holonomy", "--expr", "x^2*ddx+y*ddy"],
         ["first-integral", "--expr", "x*ddx-2*y*ddy"],
+        # MAX_ORDER is sized on dense fields: at the cap each of these
+        # answers in about a second or less
+        ["linearize", "--expr", f"(2*x+{DENSE_X})*ddx+(3*y+{DENSE_Y})*ddy"],
+        ["normal-form", "resonant", "--expr",
+         f"(x+{DENSE_X})*ddx+(2*y+{DENSE_Y})*ddy"],
+        ["normal-form", "siegel", "--expr",
+         f"(x+{DENSE_X})*ddx+(-2*y+{DENSE_Y})*ddy"],
+        ["normal-form", "dulac", "--expr", f"(x+{DENSE_X})*ddx+({DENSE_Y})*ddy"],
+        ["first-integral", "--expr", f"(x+{DENSE_X})*ddx+(-y+{DENSE_Y})*ddy"],
+        ["holonomy", "--expr", "x^2*ddx + (y + 1/3*x*y)*ddy"],
+        ["holonomy", "--expr",
+         "(x^2 + 1/2*x*y)*ddx + (y + 1/3*x*y + 2*y^2)*ddy"],
     ]
 
     @pytest.mark.parametrize("args", ORDER_COMMANDS)
@@ -826,6 +842,20 @@ class TestJsonIO:
     def test_diff_json_float_tolerance(self):
         assert jsonio.diff_json({"v": 0.1}, {"v": 0.1 + 1e-13}) == []
         assert jsonio.diff_json({"v": 0.1}, {"v": 0.2}) != []
+
+    def test_diff_json_converts_toolkit_objects_and_keeps_message_order(self):
+        expected = {"b": {"q": Fraction(1, 2), "r": [1, 2]},
+                    "a": (GaussianRational(1, 2), 0.5), "d": True}
+        actual = {"a": ["1+2*i", 0.25], "b": {"r": [1, 2, 3], "s": None},
+                  3: 1, "d": 1}
+        assert jsonio.diff_json(expected, actual, "doc") == [
+            "doc.a[1]: 0.25 != expected 0.5",
+            "doc.b.q: missing from actual output",
+            "doc.b.r: length 3 != expected 2",
+            "doc.b.s: unexpected key (value None)",
+            "doc.d: 1 != expected True",
+            "doc.3: unexpected key (value 1)",
+        ]
 
     def test_schema_inventory(self):
         names = jsonio.schema_names()

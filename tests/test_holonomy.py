@@ -35,7 +35,7 @@ from folsing.local import classify_singularity
 from folsing.normalforms import diagonalize_linear_part, resonant_normal_form
 from folsing.parsing import parse_field, parse_form, parse_poly
 from folsing.poly import MultiPoly, OneFormGerm, VectorFieldGerm, dualize
-from folsing.scalars import GaussianRational
+from folsing.scalars import ONE, GaussianRational, coerce_scalar, power
 from folsing.towers import TRIVIAL
 
 
@@ -105,11 +105,42 @@ def tau_poly(coeffs):
 
 
 TAU = tau_poly({1: 1})
+SQRT2, R2 = TRIVIAL.adjoin_root([-2, 0, 1], name="r2")
 small_q = st.fractions(min_value=-8, max_value=8, max_denominator=4)
 
 
 def _trunc_z(y, order):
     return MultiPoly(2, {e: c for e, c in y.terms.items() if e[1] <= order})
+
+
+def picard_flow(p, lam, order):
+    """Reference for ``saddle_node_holonomy``: the flow of dz/dt = G(z) =
+    z^{p+1} / (1 + lam z^p) for time t by Picard iteration, one power of z
+    per step, as a polynomial in (t, z)."""
+    lam = coerce_scalar(lam)
+    G = {}
+    j = 0
+    while p + 1 + j * p <= order:
+        G[p + 1 + j * p] = power(-lam, j, ONE)
+        j += 1
+
+    y = MultiPoly.variable(1, 2)
+    for k in range(2, order + 1):
+        # the z^k part of G(y) reads y only below z^k, which is final
+        acc = y
+        e = 1
+        rhs = MultiPoly.zero(2)
+        for m in sorted(G):
+            if m > k:
+                break
+            while e < m:
+                acc = _trunc_z(acc * y, k)
+                e += 1
+            rhs = rhs + acc.scale(G[m])
+        # the z^k part of y is the t-integral of the z^k part of G(y)
+        y = y + MultiPoly(2, {(t + 1, d): c * Fraction(1, t + 1)
+                              for (t, d), c in rhs.terms.items() if d == k})
+    return y
 
 
 class TestSaddleNodeHolonomy:
@@ -155,6 +186,18 @@ class TestSaddleNodeHolonomy:
         lhs = _trunc_z(y.derivative(0) * (MultiPoly.constant(1, 2) + yp.scale(lam)),
                        order)
         assert lhs == _trunc_z(yp * y, order)
+
+    @pytest.mark.parametrize("p", range(1, 6))
+    @pytest.mark.parametrize("lam", [GaussianRational(Fraction(2, 3), -1), 0, R2 + 1],
+                             ids=["gaussian", "zero", "one-plus-sqrt2"])
+    def test_lie_series_equals_the_picard_flow(self, p, lam):
+        # the flow through z^k does not depend on the order beyond k
+        flow = picard_flow(p, lam, 16)
+        for order in range(p + 1, 17):
+            germ = saddle_node_holonomy(p, lam, order=order)
+            reference = GermSeries(flow, order)
+            assert germ.poly == reference.poly
+            assert germ.to_json() == reference.to_json()
 
 
 class TestRenderTau:
@@ -243,9 +286,6 @@ class TestNecessaryConditions:
         js = verdict.to_json()
         assert js["verdict"] == "PassesNecessaryConditions"
         assert js["leaves"][0]["status"] == "ok"
-
-
-SQRT2, R2 = TRIVIAL.adjoin_root([-2, 0, 1], name="r2")
 
 
 def _leaf(field):
