@@ -17,6 +17,8 @@ import cmath
 import functools
 import json
 import math
+import re
+import sys
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -24,50 +26,31 @@ from typing import List, Optional, Tuple
 
 import click
 
-from . import __version__, jsonio, towers
-from .blowup import blow_up_field, tangent_cone, wedge_certificate
-from .cp2 import (
-    LINE_INVARIANT,
-    fol_space_dimension,
-    foliation_degree,
-    homogeneous_to_affine,
-    infinity_tangent_form,
-    jouanolou,
-    line_at_infinity_invariant,
-    riccati_recognize,
-    tangency_count,
-    tangency_samples,
+# Names that the command table and the shared helpers read are imported
+# from errors, local, parsing, poly and towers.  The other modules are held
+# as the unrun modules the package registered, and each runs when a command
+# first calls into it.
+from . import (
+    __version__,
+    blowup,
+    cp2,
+    fatou,
+    holonomy,
+    jsonio,
+    normalforms,
+    sectors,
+    towers,
 )
 from .errors import (
+    DEFAULT_MAX_BLOWUPS,
+    PETAL_RUN,
     IntegralDegreeExceeded,
+    RequestTooLarge,
     ToolkitError,
     WrongClass,
     ZeroInput,
 )
-from .fatou import (
-    PETAL_RUN,
-    NumericGerm,
-    attracting_directions,
-    fatou_coordinate,
-    orbit_census,
-    repelling_directions,
-)
-from .holonomy import (
-    construct_first_integral_homogeneous,
-    linear_holonomy,
-    mattei_moussu_criterion,
-    saddle_node_holonomy,
-    verify_first_integral,
-)
 from .local import classify_singularity
-from .normalforms import (
-    conjugacy_residual,
-    dulac_reduce,
-    poincare_linearize,
-    resonant_normal_form,
-    saddle_node_prepare,
-    siegel_straighten,
-)
 from .parsing import (
     iter_expressions,
     parse_any,
@@ -78,16 +61,11 @@ from .parsing import (
     render_poly,
 )
 from .poly import MultiPoly, OneFormGerm, VectorFieldGerm, dualize
-from .resolve import DEFAULT_MAX_BLOWUPS, verify_ledger
-from .resolve import resolve as resolve_tree
-from .sectors import (
-    EigenData,
-    admissible_monomials,
-    positive_sector,
-    sheaf_singular_directions,
-    solution_sectors,
-)
 from .towers import tower_caps
+
+# ``folsing.resolve`` is the function the package exports, so the module is
+# read from sys.modules, where the package registered it
+resolve = sys.modules["folsing.resolve"]
 
 
 # =====================================================================
@@ -126,6 +104,24 @@ class PositiveFloat(click.FloatRange):
         if not math.isfinite(value):
             self.fail(f"{value!r} is not a finite number.", param, ctx)
         return value
+
+
+class Rational(click.ParamType):
+    """An exact rational in the parser's literal syntax: an integer or p/q.
+
+    ``Fraction`` alone would also read exponents, and expand 1e999999999 to
+    a billion digits.
+    """
+
+    name = "rational"
+
+    def convert(self, value, param, ctx):
+        if re.fullmatch(r"\s*[+-]?\d+(/\d+)?\s*", value):
+            try:
+                return Fraction(value)
+            except (ValueError, ZeroDivisionError):
+                pass  # a zero denominator, or more digits than int reads
+        self.fail(f"{value!r} is not a rational number p or p/q.", param, ctx)
 
 
 def input_options(fn):
@@ -219,11 +215,11 @@ def payload_analyze(obj) -> dict:
 
 def payload_blowup(obj) -> dict:
     field = _as_field(obj)
-    cone = tangent_cone(field)
+    cone = blowup.tangent_cone(field)
     charts = []
     for chart in (1, 2):
-        transformed, meta = blow_up_field(field, chart)
-        certificate = wedge_certificate(field, transformed, chart)
+        transformed, meta = blowup.blow_up_field(field, chart)
+        certificate = blowup.wedge_certificate(field, transformed, chart)
         charts.append({
             "transform": meta.to_json(),
             "field": render_field(transformed),
@@ -242,8 +238,8 @@ def payload_blowup(obj) -> dict:
 
 def payload_resolution_summary(obj) -> dict:
     """Compact digest of a resolution, used for corpus expectations."""
-    tree = resolve_tree(obj)
-    _, ledger_ok = verify_ledger(tree)
+    tree = resolve.resolve(obj)
+    _, ledger_ok = resolve.verify_ledger(tree)
     leaves = sorted(n.classification.tag for n in tree.nodes if n.final)
     return {
         "blowups": tree.blowup_count,
@@ -258,15 +254,15 @@ def payload_resolution_summary(obj) -> dict:
 def payload_conjugacy(obj, kind: str, order: int) -> dict:
     field = _as_field(obj)
     builder = {
-        "linearize": poincare_linearize,
-        "resonant": resonant_normal_form,
-        "siegel": siegel_straighten,
-        "dulac": dulac_reduce,
+        "linearize": normalforms.poincare_linearize,
+        "resonant": normalforms.resonant_normal_form,
+        "siegel": normalforms.siegel_straighten,
+        "dulac": normalforms.dulac_reduce,
     }[kind]
     result = builder(field, order=order)
     payload = result.to_json()
     payload["residual_zero"] = all(
-        r.is_zero() for r in conjugacy_residual(field, result))
+        r.is_zero() for r in normalforms.conjugacy_residual(field, result))
     return payload
 
 
@@ -276,11 +272,12 @@ def payload_holonomy(obj, base: int = 0, order: int = 6) -> dict:
     if cls.tag == "SaddleNode":
         # an --order above 12 raises the working order too: the residue
         # at contact order p + 1 needs working order 2p + 1
-        data = saddle_node_prepare(field, order=max(12, order))
-        germ = saddle_node_holonomy(data.p, data.modulus, order=order)
+        data = normalforms.saddle_node_prepare(field, order=max(12, order))
+        germ = holonomy.saddle_node_holonomy(data.p, data.modulus,
+                                             order=order)
         return {"kind": "saddle-node", "data": data.to_json(),
                 "germ": germ.to_json()}
-    multiplier = linear_holonomy(field, base_index=base)
+    multiplier = holonomy.linear_holonomy(field, base_index=base)
     return {"kind": "linear", "multiplier": multiplier.to_json()}
 
 
@@ -290,11 +287,12 @@ def payload_first_integral(obj, order: int = 8,
     field = _as_field(obj)
     if form is None:
         form = dualize(field)
-    verdict = mattei_moussu_criterion(obj, order=order, max_blowups=max_blowups)
+    verdict = holonomy.mattei_moussu_criterion(obj, order=order,
+                                               max_blowups=max_blowups)
     payload = {"criterion": verdict.to_json()}
     if verdict.passes():
         try:
-            result = construct_first_integral_homogeneous(obj)
+            result = holonomy.construct_first_integral_homogeneous(obj)
         except IntegralDegreeExceeded:
             # a refusal to expand says nothing about the germ: the command
             # fails instead of reporting a construction outcome
@@ -303,44 +301,45 @@ def payload_first_integral(obj, order: int = 8,
             payload["construction_error"] = exc.to_json()
         else:
             payload["integral"] = result.to_json()
-            payload["verified"] = verify_first_integral(form, result.integral)
+            payload["verified"] = holonomy.verify_first_integral(
+                form, result.integral)
     return payload
 
 
 def payload_cp2_degree(obj, chart: str = "a") -> dict:
-    return foliation_degree(_as_field(obj), chart=chart).to_json()
+    return cp2.foliation_degree(_as_field(obj), chart=chart).to_json()
 
 
 def payload_cp2_infinity(obj) -> dict:
     field = _as_field(obj)
     return {
-        "invariant": line_at_infinity_invariant(field),
-        "tangency_form": render_poly(infinity_tangent_form(field)),
+        "invariant": cp2.line_at_infinity_invariant(field),
+        "tangency_form": render_poly(cp2.infinity_tangent_form(field)),
     }
 
 
-def payload_cp2_tangency(obj, slope: Optional[str], count: int,
+def payload_cp2_tangency(obj, slope: Optional[Fraction], count: int,
                          seed: int) -> dict:
     field = _as_field(obj)
     if slope is not None:
-        t = tangency_count(field, Fraction(slope))
-        entry = {"slope": str(Fraction(slope))}
-        if t is LINE_INVARIANT:
+        t = cp2.tangency_count(field, slope)
+        entry = {"slope": str(slope)}
+        if t is cp2.LINE_INVARIANT:
             entry["count"] = None
             entry["invariant_line"] = True
         else:
             entry["count"] = t
             entry["invariant_line"] = False
         return entry
-    return tangency_samples(field, count=count, seed=seed)
+    return cp2.tangency_samples(field, count=count, seed=seed)
 
 
 def payload_sectors(gamma: list, alpha: Optional[list], maxdeg: int) -> dict:
-    data = EigenData(gamma, alpha=alpha)
-    partition = solution_sectors(data)
-    sheaf = sheaf_singular_directions(data, maxdeg)
-    sector, info = positive_sector(data, maxdeg)
-    admissible = admissible_monomials(data, sector, maxdeg)
+    data = sectors.EigenData(gamma, alpha=alpha)
+    partition = sectors.solution_sectors(data)
+    sheaf = sectors.sheaf_singular_directions(data, maxdeg)
+    sector, info = sectors.positive_sector(data, maxdeg)
+    admissible = sectors.admissible_monomials(data, sector, maxdeg)
     return {
         "gamma": [str(g) for g in gamma],
         "partition": partition.to_json(),
@@ -352,10 +351,10 @@ def payload_sectors(gamma: list, alpha: Optional[list], maxdeg: int) -> dict:
 
 def payload_fatou(coeffs: List[complex], z: complex, n_max: int,
                   tol: float) -> dict:
-    germ = NumericGerm(coeffs)
-    estimate = fatou_coordinate(germ, z, n_max=n_max, cauchy_tol=tol)
-    att = attracting_directions(estimate.a, estimate.p)
-    rep = repelling_directions(estimate.a, estimate.p)
+    germ = fatou.NumericGerm(coeffs)
+    estimate = fatou.fatou_coordinate(germ, z, n_max=n_max, cauchy_tol=tol)
+    att = fatou.attracting_directions(estimate.a, estimate.p)
+    rep = fatou.repelling_directions(estimate.a, estimate.p)
     return {
         "backend": "numpy",
         "estimate": estimate.to_json(),
@@ -366,8 +365,9 @@ def payload_fatou(coeffs: List[complex], z: complex, n_max: int,
 
 def payload_census(coeffs: List[complex], radius: float, max_iter: int,
                    grid: int, tol: float) -> dict:
-    germ = NumericGerm(coeffs)
-    census = orbit_census(germ, radius, max_iter=max_iter, grid=grid, tol=tol)
+    germ = fatou.NumericGerm(coeffs)
+    census = fatou.orbit_census(germ, radius, max_iter=max_iter, grid=grid,
+                                tol=tol)
     return {"backend": "numpy", **census}
 
 
@@ -499,8 +499,8 @@ def cmd_resolve(expr, infile, tower_depth, ext_degree, max_blowups, fmt,
     """Resolve the singularity by iterated blow-ups, with a verified ledger."""
     obj = _parse_object(expr, infile)
     with tower_caps(depth=tower_depth, degree=ext_degree):
-        tree = resolve_tree(obj, max_blowups=max_blowups)
-        _, ledger_ok = verify_ledger(tree)
+        tree = resolve.resolve(obj, max_blowups=max_blowups)
+        _, ledger_ok = resolve.verify_ledger(tree)
     if dot_path is not None:
         try:
             Path(dot_path).write_text(tree.to_dot(), encoding="utf-8")
@@ -591,7 +591,7 @@ def cmd_cp2_infinity(expr, infile):
 
 @cmd_cp2.command("tangency")
 @input_options
-@click.option("--slope", default=None, metavar="RATIONAL",
+@click.option("--slope", type=Rational(), default=None, metavar="RATIONAL",
               help="Single exact slope, e.g. 3 or -5/7.")
 @click.option("--count", type=click.IntRange(min=1), default=5,
               show_default=True,
@@ -624,7 +624,8 @@ def cmd_cp2_tangency(expr, infile, slope, count, seed, fmt):
 @toolkit_errors
 def cmd_cp2_dimension(degree):
     """Dimension of the space of degree-d foliations of the plane."""
-    _echo_payload({"degree": degree, "dimension": fol_space_dimension(degree)})
+    _echo_payload({"degree": degree,
+                   "dimension": cp2.fol_space_dimension(degree)})
 
 
 @main.group("gen")
@@ -642,7 +643,7 @@ def cmd_gen():
 @toolkit_errors
 def cmd_gen_jouanolou(degree, chart, plain):
     """Degree-n example with no algebraic invariant curve."""
-    field = homogeneous_to_affine(jouanolou(degree), chart)
+    field = cp2.homogeneous_to_affine(cp2.jouanolou(degree), chart)
     text = render_field(field)
     if plain:
         click.echo(text)
@@ -658,6 +659,10 @@ def cmd_gen_jouanolou(degree, chart, plain):
 @toolkit_errors
 def cmd_gen_riccati(base_degree, plain):
     """Fibration-compatible example, quadratic in the second variable."""
+    if base_degree > cp2.MAX_RICCATI_BASE_DEGREE:
+        raise RequestTooLarge("base degree above the cap of the Riccati template",
+                              base_degree=base_degree,
+                              limit=cp2.MAX_RICCATI_BASE_DEGREE)
     text = f"(x^{base_degree} - x)*ddx + (y^2 + x*y + 1)*ddy"
     field = parse_field(text)
     canonical = render_field(field)
@@ -667,7 +672,7 @@ def cmd_gen_riccati(base_degree, plain):
     _echo_payload({
         "base_degree": base_degree,
         "field": canonical,
-        "recognized": riccati_recognize(field).to_json(),
+        "recognized": cp2.riccati_recognize(field).to_json(),
     })
 
 

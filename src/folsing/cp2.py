@@ -541,6 +541,16 @@ class RiccatiData:
         }
 
 
+# The highest base degree N that ``folsing gen riccati-template`` accepts.
+# Its recognition factors the base x^N - x = x (x^(N-1) - 1) over Q(i).  For
+# N - 1 > 36 the cyclotomic factor Phi_(N-1) has degree above 6 over Q(i)
+# (phi(N-1) > 6, or phi(N-1) / 2 > 6 when 4 divides N - 1), past the default
+# extension-degree cap, so every larger N ends in extension-degree-exceeded,
+# and the factoring grows fast: 0.17 s at N = 37 and at most 0.6 s below
+# it, 1.8 s at 40, 46 s at 64 and over 60 s at 100.
+MAX_RICCATI_BASE_DEGREE = 37
+
+
 def riccati_recognize(field: VectorFieldGerm):
     """Match P(x) d/dx + (a(x) y^2 + b(x) y + c(x)) d/dy, or NOT_RICCATI.
 

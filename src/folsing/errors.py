@@ -2,7 +2,8 @@
 
 Every domain error raised by the library derives from ToolkitError and carries a
 stable machine-readable code plus an optional payload, so the CLI can emit a
-uniform JSON error object on stderr and exit 1.
+uniform JSON error object on stderr and exit 1.  Beside ``RequestTooLarge``
+sit the two budgets the command line reads when it builds its options.
 """
 
 from __future__ import annotations
@@ -192,6 +193,17 @@ class FloatOverflow(ToolkitError):
 
 
 # ---------------------------------------------------------------- caps
+# Two budgets that the command line reads as option defaults or bounds when
+# it builds its command table.  They live here rather than in the modules
+# that spend them, so that building the table runs neither of those.
+# The blow-ups ``resolve.resolve`` performs before it gives up.
+DEFAULT_MAX_BLOWUPS = 64
+# The consecutive increases of Re(w) the petal scan of
+# ``fatou.fatou_coordinate`` asks for.  The scan looks at most n_max // 2
+# steps ahead, so n_max must be at least twice this.
+PETAL_RUN = 50
+
+
 class RequestTooLarge(ToolkitError):
     """A request exceeds a documented cap of the module that serves it, and
     is refused before any of its work is done."""

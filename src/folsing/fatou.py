@@ -50,6 +50,7 @@ import math
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
+    PETAL_RUN,
     FloatOverflow,
     GridTooLarge,
     NotInPetal,
@@ -475,10 +476,7 @@ def _inverted(a: complex, z: complex) -> complex:
     return -1.0 / az if az else complex(math.nan, math.nan)
 
 
-# The consecutive increases of Re(w) the petal scan asks for.  The scan
-# looks at most n_max // 2 steps ahead, so n_max must be at least twice this.
-PETAL_RUN = 50
-# The most steps the petal scan takes looking for that run.
+# The most steps the petal scan takes looking for a run of ``PETAL_RUN``.
 PETAL_SCAN = 2000
 
 
@@ -589,6 +587,12 @@ def petal_points(f: NumericGerm, count: int, scale: float = 0.1,
 # --------------------------------------------------------------------------
 # The most grid points a census samples, checked before the grid is built.
 MAX_CENSUS_POINTS = 1 << 20
+# The most grid points times steps, grid^2 * max_iter, a census may ask for,
+# checked next.  An irrational rotation, whose orbits all run to max_iter,
+# advances about 9e7 of them per second on 2 shared cores (grid 20, 10^6
+# steps: 4.5 s, the defaults of the command line), so the largest census
+# accepted takes about 11 s.
+MAX_CENSUS_STEPS = 10 ** 9
 
 
 def orbit_census(h: NumericGerm, radius: float, max_iter: int = 1000000,
@@ -600,7 +604,8 @@ def orbit_census(h: NumericGerm, radius: float, max_iter: int = 1000000,
 
     A radius that is not positive, a grid below 3 (whose even rounding, 2,
     keeps no point inside the disc), a ``tol`` that is not a positive
-    finite number and a grid of more than ``MAX_CENSUS_POINTS`` points are
+    finite number, a grid of more than ``MAX_CENSUS_POINTS`` points and
+    more than ``MAX_CENSUS_STEPS`` grid points times ``max_iter`` are
     refused before any array is built.
     """
     import numpy as np
@@ -621,6 +626,11 @@ def orbit_census(h: NumericGerm, radius: float, max_iter: int = 1000000,
         raise GridTooLarge("the census grid has too many points",
                            grid=grid, points=grid * grid,
                            limit=MAX_CENSUS_POINTS)
+    if grid * grid * max_iter > MAX_CENSUS_STEPS:
+        raise RequestTooLarge("the census asks for too many orbit steps",
+                              grid=grid, max_iter=max_iter,
+                              steps=grid * grid * max_iter,
+                              limit=MAX_CENSUS_STEPS)
     # scaling the unit grid, unlike linspace(-radius, radius), never forms
     # the difference 2 * radius, which overflows for radius near the top
     # of the doubles

@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .errors import (
+    DEFAULT_MAX_BLOWUPS,
     DegenerateEigenData,
     DicriticalInput,
     FloatOverflow,
@@ -53,7 +54,7 @@ from .poly import (
     render_poly,
     scalar_to_json,
 )
-from .resolve import DEFAULT_MAX_BLOWUPS, resolve
+from .resolve import resolve
 from .scalars import (
     ONE,
     ZERO,

@@ -39,6 +39,7 @@ import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
+from . import sectors
 from .errors import (
     VariableCountMismatch,
     WrongClass,
@@ -56,7 +57,6 @@ from .poly import (
     lift_poly,
 )
 from .scalars import GaussianRational, coerce_scalar, fraction_sqrt, gaussian_triple
-from .sectors import zero_position
 from .towers import (
     FieldTower,
     tp_deg,
@@ -324,7 +324,7 @@ def domain_classification(lambdas: Sequence) -> DomainResult:
     if not lambdas:
         raise ZeroInput("empty spectrum")
     pts, numeric = _to_points(lambdas)
-    position = zero_position(pts)
+    position = sectors.zero_position(pts)
     return DomainResult(_DOMAINS[position], position, numeric)
 
 
@@ -333,7 +333,7 @@ def separating_line_exists(lambdas: Sequence, index: int = 0) -> bool:
     every other eigenvalue strictly on the other?"""
     pts, _ = _to_points(lambdas)
     sep = [pts[index]] + [-p for k, p in enumerate(pts) if k != index]
-    return zero_position(sep) == "outside"
+    return sectors.zero_position(sep) == "outside"
 
 
 # ---------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .blowup import (
     divisor_children,
 )
 from .errors import (
+    DEFAULT_MAX_BLOWUPS,
     BlowupBudgetExceeded,
     NonIsolatedSingularity,
     WrongClass,
@@ -40,8 +41,6 @@ from .poly import (
     dualize,
 )
 from .towers import FieldTower
-
-DEFAULT_MAX_BLOWUPS = 64
 
 
 class ResolutionNode:

@@ -16,6 +16,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -492,6 +493,37 @@ class TestExitCodes:
         assert result.stdout == ""
         assert "NaN" not in result.stderr and "Infinity" not in result.stderr
 
+    @pytest.mark.parametrize("slope", ["1/0", "abc", "nan", "inf", "0.5",
+                                       "1e999999999", "1" * 5000, "1/-2"])
+    def test_usage_error_slope_not_rational(self, runner, slope):
+        # read by the option's type: Fraction raised ZeroDivisionError or
+        # ValueError inside the command, and expanded the exponent first
+        result = _within(10, runner.invoke, main, [
+            "cp2", "tangency", "--expr", JOUANOLOU2, "--slope", slope])
+        assert result.exit_code == 2
+        assert "is not a rational number" in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("slope, text", [("3", "3"), ("-5/7", "-5/7"),
+                                             (" 4/6 ", "2/3"), ("+0", "0")])
+    def test_slope_is_read_exactly(self, runner, slope, text):
+        doc = json_out(runner, ["cp2", "tangency", "--expr", JOUANOLOU2,
+                                "--slope", slope])
+        assert doc["slope"] == text
+
+    def test_riccati_template_at_the_cap_answers(self, runner):
+        # the base x^37 - x splits into factors of degree at most 6 over
+        # Q(i); one degree more is refused before anything is parsed
+        doc = _within(10, json_out, runner, [
+            "gen", "riccati-template", "--base-degree", "37"])
+        assert doc["base_degree"] == 37
+        start = time.perf_counter()
+        result = _within(1, runner.invoke, main, [
+            "gen", "riccati-template", "--base-degree", "38"])
+        assert time.perf_counter() - start < 0.1
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["error"] == "request-too-large"
+
     def test_domain_error_float_overflow(self, runner):
         # finite input whose petal chart overflows the doubles
         result = runner.invoke(main, ["fatou", "--coeffs", "1,1e200",
@@ -559,6 +591,15 @@ class TestExitCodes:
         (["fatou", "--coeffs", ",".join(["1"] + ["0"] * 20 + ["0.3"] * 48),
           "--z", "0.01+0.001i", "--n-max", "2000"],
          {"petals": 21, "limit": 20}),
+        # the default 10^6 steps at every point of a 1000 x 1000 grid
+        (["orbit-census", "--coeffs", "1,1", "--radius", "0.3",
+          "--grid", "1000"],
+         {"grid": 1000, "max_iter": 10 ** 6, "steps": 10 ** 12,
+          "limit": 10 ** 9}),
+        (["gen", "riccati-template", "--base-degree", "38"],
+         {"base_degree": 38, "limit": 37}),
+        (["gen", "riccati-template", "--base-degree", str(10 ** 9)],
+         {"base_degree": 10 ** 9, "limit": 37}),
     ])
     def test_domain_error_request_too_large(self, runner, args, detail):
         # each of these ran for seconds or never ended before it was capped
@@ -805,6 +846,116 @@ print(json.dumps({"numpy_on_import": before, "missing": missing,
         assert self._report(self.IMPORT_SCRIPT) == {
             "numpy_on_import": False, "missing": [],
             "numpy_after_fatou": False, "numpy_after_census": True}
+
+
+class TestLazyModules:
+    """The package registers every library module without running it, and a
+    command runs only the modules it calls.  Each check starts a fresh
+    interpreter, where no earlier test has run the modules yet."""
+
+    # A registered module runs on its first attribute read, and becomes a
+    # plain module then; type() reads no attribute.
+    STATE = """
+import json, sys, types
+def registered():
+    return sorted(n[len("folsing."):] for n in sys.modules
+                  if n.startswith("folsing."))
+def ran():
+    return sorted(n[len("folsing."):] for n, m in sys.modules.items()
+                  if n.startswith("folsing.") and type(m) is types.ModuleType)
+"""
+    IMPORT_SCRIPT = STATE + """
+import folsing.cli
+print(json.dumps({"registered": registered(), "ran": ran()}), file=sys.stderr)
+"""
+    FATOU_SCRIPT = STATE + """
+from folsing.cli import main
+try:
+    main(["fatou", "--coeffs", "1,1", "--z", "-0.05"])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "ran": ran()}), file=sys.stderr)
+"""
+    NAMES_SCRIPT = STATE + """
+import folsing
+from folsing import jsonio
+report = {"ran_on_import": ran(),
+          "jsonio": jsonio is sys.modules["folsing.jsonio"]}
+report["resolve"] = [folsing.resolve.__module__, folsing.resolve.__name__]
+report["ran_after_resolve"] = ran()
+report["missing"] = [n for n in folsing.__all__ if not hasattr(folsing, n)]
+print(json.dumps(report), file=sys.stderr)
+"""
+    LIBRARY = sorted(p.stem for p in Path(folsing.__file__).parent.glob("*.py")
+                     if p.stem not in ("__init__", "cli"))
+    # what the command table and its shared helpers need
+    CLI_IMPORTS = ["cli", "errors", "local", "parsing", "poly", "scalars",
+                   "towers", "zassenhaus"]
+
+    def test_cli_import_registers_every_module_and_runs_few(self):
+        report = TestColdPath._report(self.IMPORT_SCRIPT)
+        assert report["registered"] == sorted(self.LIBRARY + ["cli"])
+        assert report["ran"] == self.CLI_IMPORTS
+
+    def test_fatou_runs_no_exact_module_it_does_not_call(self):
+        report = TestColdPath._report(self.FATOU_SCRIPT)
+        assert report["code"] == 0
+        assert report["ran"] == sorted(self.CLI_IMPORTS + ["fatou", "jsonio"])
+
+    def test_package_names_resolve_on_first_read(self):
+        report = TestColdPath._report(self.NAMES_SCRIPT)
+        # the function, which shadowed the module when it was re-exported
+        assert report["resolve"] == ["folsing.resolve", "resolve"]
+        assert report["ran_on_import"] == []
+        assert report["jsonio"] is True
+        assert {"resolve", "blowup", "local"} <= set(report["ran_after_resolve"])
+        assert not {"fatou", "cp2", "holonomy", "normalforms", "jsonio"} & set(
+            report["ran_after_resolve"])
+        assert report["missing"] == []
+
+    # one command line per leaf of the command table
+    COMMANDS = {
+        "analyze": ["--expr", CUSP],
+        "blowup": ["--expr", HAMILTONIAN],
+        "resolve": ["--expr", CUSP],
+        "linearize": ["--expr", "2*x*ddx + (3*y + x^2)*ddy", "--order", "4"],
+        "normal-form": ["resonant", "--expr", "x*ddx + (2*y + x^2)*ddy"],
+        "holonomy": ["--expr", EULER],
+        "first-integral": ["--expr", SADDLE],
+        "cp2 degree": ["--expr", JOUANOLOU2],
+        "cp2 infinity": ["--expr", JOUANOLOU2],
+        "cp2 tangency": ["--expr", JOUANOLOU2, "--slope", "-5/7"],
+        "cp2 dimension": ["--degree", "3"],
+        "gen jouanolou": ["--degree", "3"],
+        "gen riccati-template": ["--base-degree", "5"],
+        "sectors": ["--gamma", "1,i"],
+        "fatou": ["--coeffs", "1,1", "--z", "-0.05"],
+        "orbit-census": ["--coeffs", "1,1", "--radius", "0.3",
+                         "--max-iter", "100", "--grid", "6"],
+        "corpus run": [],
+    }
+
+    def test_every_command_has_a_line(self):
+        def leaves(group, prefix):
+            for name, command in group.commands.items():
+                if isinstance(command, click.Group):
+                    yield from leaves(command, prefix + [name])
+                else:
+                    yield " ".join(prefix + [name])
+
+        assert sorted(leaves(main, [])) == sorted(self.COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_first_command_of_a_process_answers_as_in_process(self, runner,
+                                                              command):
+        # a module that runs too late, or not at all, shows here: in this
+        # process every module has long been loaded
+        args = command.split() + self.COMMANDS[command]
+        fresh = run_cli_process(args)
+        here = runner.invoke(main, args)
+        assert fresh.returncode == 0, fresh.stderr
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == (
+            here.exit_code, here.stdout, here.stderr)
 
 
 # ---------------------------------------------------------------------

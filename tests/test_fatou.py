@@ -21,6 +21,7 @@ from folsing.errors import (
 )
 from folsing.fatou import (
     MAX_CENSUS_POINTS,
+    MAX_CENSUS_STEPS,
     MAX_PETALS,
     PETAL_RUN,
     PETAL_SCAN,
@@ -424,6 +425,30 @@ class TestOrbitCensus:
         # 1023 rounds up to the even 1024, exactly 2^20 points
         with pytest.raises(grid_built):
             orbit_census(NumericGerm([1.0, 1.0]), 0.4, max_iter=10, grid=grid)
+
+
+    @pytest.mark.parametrize("grid, max_iter", [
+        (20, 2500001), (19, 2500001), (1000, 1001), (1024, 10 ** 6),
+        (4, 10 ** 18)])
+    def test_steps_above_the_cap_are_refused_before_building(
+            self, grid, max_iter, grid_built):
+        # an irrational rotation runs every orbit to max_iter, so the cost
+        # is grid^2 * max_iter steps
+        with pytest.raises(RequestTooLarge) as info:
+            orbit_census(NumericGerm([1.0, 1.0]), 0.4, max_iter=max_iter,
+                         grid=grid)
+        assert info.value.code == "request-too-large"
+        assert info.value.payload["limit"] == MAX_CENSUS_STEPS == 10 ** 9
+        assert info.value.payload["steps"] > MAX_CENSUS_STEPS
+
+    @pytest.mark.parametrize("grid, max_iter", [
+        (20, 10 ** 6), (19, 2500000), (1000, 1000), (12, 1000)])
+    def test_steps_at_or_below_the_cap_are_built(self, grid, max_iter,
+                                                 grid_built):
+        # the command line's defaults (grid 20, 10^6 steps) among them
+        with pytest.raises(grid_built):
+            orbit_census(NumericGerm([1.0, 1.0]), 0.4, max_iter=max_iter,
+                         grid=grid)
 
 
 class TestFloatErrorState:

@@ -89,11 +89,16 @@ def _used_names(tree: ast.Module):
 
 
 def _exported(tree: ast.Module):
+    """The names of a literal ``__all__``; one computed at run time, as the
+    package's is, exempts no import."""
     for node in tree.body:
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__"
                         for t in node.targets)):
-            return set(ast.literal_eval(node.value))
+            try:
+                return set(ast.literal_eval(node.value))
+            except ValueError:
+                return set()
     return set()
 
 
