@@ -225,12 +225,18 @@ def homogeneous_to_affine(field: HomogeneousField3, chart: str = "a") -> VectorF
     return VectorFieldGerm([p, q])
 
 
+def _planar(field: VectorFieldGerm) -> Tuple[MultiPoly, MultiPoly]:
+    """The two components of a planar field: the one place where a field in
+    any other number of variables is refused."""
+    if field.nvars != 2:
+        raise VariableCountMismatch("expected a planar field")
+    return field.components
+
+
 def affine_to_homogeneous(field: VectorFieldGerm, chart: str = "a") -> HomogeneousField3:
     """Homogeneous representative with vanishing chart component."""
     i = _chart_index(chart)
-    if field.nvars != 2:
-        raise VariableCountMismatch("expected a planar field")
-    p, q = field.components
+    p, q = _planar(field)
     if p.is_zero() and q.is_zero():
         raise ZeroInput("zero field")
     m = max(p.total_degree(), q.total_degree())
@@ -299,7 +305,7 @@ def _top_part_radial(field: VectorFieldGerm) -> Tuple[int, bool, MultiPoly]:
     The binary form is x*Q_d - y*P_d; it vanishes identically exactly when
     the top-degree part is a polynomial multiple of the radial field.
     """
-    p, q = field.components
+    p, q = _planar(field)
     d = max(p.total_degree(), q.total_degree())
     pd = p.homogeneous_component(d)
     qd = q.homogeneous_component(d)
@@ -316,9 +322,7 @@ def foliation_degree(field: VectorFieldGerm, chart: str = "a",
     With ``cross_check`` the degree is recomputed after transferring to a
     different chart and the two answers are required to agree.
     """
-    if field.nvars != 2:
-        raise VariableCountMismatch("expected a planar field")
-    p, q = field.components
+    p, q = _planar(field)
     if p.is_zero() and q.is_zero():
         raise ZeroInput("zero field")
     g = gcd_xy(p, q)
@@ -356,7 +360,7 @@ def tangency_count(field: VectorFieldGerm, lam) -> Union[int, _Sentinel]:
     Computed as the degree of lam*P(x, lam*x) - Q(x, lam*x); the sentinel
     ``LINE_INVARIANT`` is returned when that polynomial vanishes identically.
     """
-    p, q = field.components
+    p, q = _planar(field)
     xv = MultiPoly.variable(0, 1)
     sub = [xv, xv.scale(lam)]
     p_sub, q_sub = compose([p, q], sub)
@@ -559,9 +563,7 @@ def riccati_recognize(field: VectorFieldGerm):
     constant nonzero P has no affine invariant fiber (flagged, since the
     compactified picture puts the interesting fiber at infinity).
     """
-    if field.nvars != 2:
-        raise VariableCountMismatch("expected a planar field")
-    p, q = field.components
+    p, q = _planar(field)
     if p.is_zero() and q.is_zero():
         raise ZeroInput("zero field")
     if p.degree_in(1) > 0:

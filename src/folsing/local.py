@@ -59,6 +59,7 @@ from .poly import (
 from .scalars import GaussianRational, coerce_scalar, fraction_sqrt, gaussian_triple
 from .towers import (
     FieldTower,
+    factor_univariate,
     tp_deg,
     tp_gcd,
     tp_trim,
@@ -243,19 +244,13 @@ def eigen_pair(vf: VectorFieldGerm):
     a, b, c, d = (base.element(v) for v in (a, b, c, d))
     tr = a + d
     det = a * d - b * c
-    # t^2 - tr t + det
-    char = [det, -tr, base.one()]
-    from .towers import roots_in_tower
-
-    roots, hard = roots_in_tower(char, base)
-    if roots:
-        if len(roots) == 1 and roots[0][1] == 2:
-            lam = roots[0][0]
-            return base, lam, lam
-        if len(roots) == 2:
-            ordered = sorted((r for r, _ in roots), key=lambda e: e.sort_key())
-            return base, ordered[1], ordered[0]
-    mp, _ = hard[0]
+    # t^2 - tr t + det: a double root, two simple ones, or irreducible
+    _, factors = factor_univariate([det, -tr, base.one()], base)
+    mp = factors[0][0]
+    if len(mp) == 2:
+        roots = sorted((-h[0] for h, m in factors for _ in range(m)),
+                       key=lambda e: e.sort_key())
+        return base, roots[1], roots[0]
     ext, lam1 = base.adjoin_root(mp, name=f"e{base.depth + 1}")
     lam2 = ext.element(tr) - lam1
     return ext, lam1, lam2

@@ -1,9 +1,9 @@
 """Dynamic algebraic field towers over the Gaussian rationals.
 
 A FieldTower is a chain of simple algebraic extensions: the base field is
-Q(i) (or plain Q), and each level adjoins a root of a monic irreducible
-polynomial over the level below, its ``parent``.  The elements of a
-depth-0 tower are the GaussianRationals themselves.  Over a tower of depth
+Q(i), and each level adjoins a root of a monic irreducible polynomial over
+the level below, its ``parent``.  The elements of a depth-0 tower are the
+GaussianRationals themselves.  Over a tower of depth
 >= 1 they are FieldElements: coordinate vectors over the power basis of
 the top generator, whose entries are elements of the parent, so every
 operation is polynomial arithmetic over the parent modulo the top minimal
@@ -14,12 +14,12 @@ its own tower.
 
 The module also provides a small dense univariate-polynomial toolkit (the
 ``tp_*`` functions) over any of the package's exact scalars, and complete
-univariate factorization over a tower: a quadratic over Q or Q(i) splits
-by an exact square root of its discriminant, Zassenhaus (module
-``zassenhaus``) factors higher degrees over Q, the norm f * conj(f)
-reaches Q(i), and a Trager norm descent lifts factorizations through the
-extension levels.  Degree and depth caps convert runaway extensions into
-clean errors.
+univariate factorization over a tower: a quadratic over Q(i) splits by an
+exact square root of its discriminant, and every other squarefree
+polynomial goes through one Trager norm descent, from Q(i) down to Q
+(where Zassenhaus, module ``zassenhaus``, factors it) and from each
+extension level down to its parent.  Degree and depth caps convert
+runaway extensions into clean errors.
 """
 
 from __future__ import annotations
@@ -41,11 +41,11 @@ from .errors import (
 )
 from .scalars import (
     GaussianRational,
+    I,
     ONE,
     ZERO,
     _co,
     format_gaussian,
-    fraction_sqrt,
     gaussian_sqrt,
     power,
 )
@@ -89,19 +89,16 @@ class TowerLevel:
 
 
 class FieldTower:
-    """Immutable chain of algebraic extensions over Q(i) or Q."""
+    """Immutable chain of algebraic extensions over Q(i)."""
 
-    __slots__ = ("base", "levels", "parent")
+    __slots__ = ("levels", "parent")
 
-    def __init__(self, base: str = "gaussian", levels: tuple = (), parent=None):
-        if base not in ("gaussian", "rational"):
-            raise ValueError("base must be 'gaussian' or 'rational'")
-        self.base = base
+    def __init__(self, levels: tuple = (), parent=None):
         self.levels = levels
         # the tower one level down, in which the coordinates of our
         # elements and the coefficients of the top minimal polynomial lie
         if parent is None and levels:
-            parent = FieldTower(base, levels[:-1])
+            parent = FieldTower(levels[:-1])
         self.parent = parent
 
     # -- identity ------------------------------------------------------
@@ -120,12 +117,12 @@ class FieldTower:
             return True
         if not isinstance(other, FieldTower):
             return NotImplemented
-        return (self.base == other.base and self.depth == other.depth
+        return (self.depth == other.depth
                 and all(a.minpoly == b.minpoly
                         for a, b in zip(self.levels, other.levels)))
 
     def __hash__(self):
-        return hash((self.base, self.depth, tuple(lev.degree for lev in self.levels)))
+        return hash((self.depth, tuple(lev.degree for lev in self.levels)))
 
     def is_prefix_of(self, other: "FieldTower") -> bool:
         while other.depth > self.depth:
@@ -135,7 +132,7 @@ class FieldTower:
     def describe(self) -> dict:
         """JSON-safe structural description (generator names + minimal polys)."""
         return {
-            "base": self.base,
+            "base": "gaussian",
             "levels": [
                 {
                     "name": lev.name,
@@ -148,10 +145,8 @@ class FieldTower:
         }
 
     def __repr__(self):
-        if not self.levels:
-            return f"FieldTower({self.base})"
         names = ",".join(lev.name for lev in self.levels)
-        return f"FieldTower({self.base}; {names})"
+        return f"FieldTower(gaussian; {names})" if names else "FieldTower(gaussian)"
 
     # -- element construction ------------------------------------------
     def element(self, x):
@@ -168,11 +163,7 @@ class FieldTower:
             if g is NotImplemented:
                 raise TypeError(f"cannot coerce {type(x).__name__} into tower")
             x = g
-        if self.levels:
-            return self._pad([self.parent.element(x)])
-        if self.base == "rational" and not x.is_rational():
-            raise TowerMismatch("imaginary constant in a rational-base tower")
-        return x
+        return self._pad([self.parent.element(x)]) if self.levels else x
 
     def _pad(self, coeffs: list) -> "FieldElement":
         """The element with the leading coordinates ``coeffs`` (at most the
@@ -228,12 +219,11 @@ class FieldTower:
             )
         emb = _chosen_root([complex(c) for c in coeffs])
         lev = TowerLevel(name or f"a{self.depth + 1}", tuple(coeffs), emb)
-        new = FieldTower(self.base, self.levels + (lev,), parent=self)
+        new = FieldTower(self.levels + (lev,), parent=self)
         return new, new.gen()
 
 
-TRIVIAL = FieldTower("gaussian")
-TRIVIAL_RATIONAL = FieldTower("rational")
+TRIVIAL = FieldTower()
 
 
 def _chosen_root(coeffs_complex: List[complex]) -> complex:
@@ -599,11 +589,11 @@ def factor_univariate(coeffs: Sequence, tower: FieldTower):
     Returns ``(unit, [(monic_irreducible_ascending_coeffs, multiplicity)])``
     with the product of unit and factor powers equal to the input.
     Factors are sorted deterministically (degree, then coefficient order).
-    The squarefree part is split by ``_factor_base`` over Q or Q(i) (a
-    quadratic there by an exact square root of its discriminant) and by
-    the Trager norm descent over a tower of depth >= 1.  A quadratic skips
-    the squarefree part: its discriminant alone tells a square from a
-    squarefree polynomial.
+    The squarefree part is split by ``_factor_squarefree``: a quadratic
+    over Q(i) by an exact square root of its discriminant, everything else
+    by the Trager norm descent to the field below (Q under Q(i), the parent
+    under a tower level).  A quadratic skips the squarefree part: its
+    discriminant alone tells a square from a squarefree polynomial.
     """
     p = tp_trim([tower.element(c) for c in coeffs])
     if not p:
@@ -649,31 +639,32 @@ def _factor_with_multiplicities(f: list, tower: FieldTower) -> List[tuple]:
 
 
 def _factor_squarefree(f: list, tower: FieldTower) -> List[list]:
-    if tp_deg(f) <= 1:
-        return [f] if tp_deg(f) == 1 else []
-    if tower.depth == 0:
-        return _factor_base(f, tower)
-    return _factor_trager(f, tower)
+    """Monic irreducible factors of a squarefree monic f over ``tower``.
 
-
-def _factor_base(f: List[GaussianRational], tower: FieldTower) -> List[list]:
-    """Factor a squarefree monic polynomial over Q(i) or Q.
-
-    A quadratic t^2 + b*t + c splits exactly when its discriminant
-    b^2 - 4c has a square root s in the base field, into t - (-b +- s)/2;
-    otherwise it is irreducible.  Higher degrees go to Zassenhaus over Q,
-    and over Q(i) through the Trager norm first.
+    Over Q(i) a quadratic t^2 + b*t + c splits exactly when its
+    discriminant b^2 - 4c has a square root s there, into t - (-b +- s)/2;
+    otherwise it is irreducible.  Every other f goes through the Trager
+    descent: from Q(i) to Q, where the norm is f * conj(f) and Zassenhaus
+    factors it, or from the top level of a tower to its parent, where the
+    norm is a resultant and the parent factors it.
     """
-    gaussian = tower.base == "gaussian"
-    if len(f) == 3:
+    n = tp_deg(f)
+    if n <= 1:
+        return [f] if n == 1 else []
+    if tower.depth:
+        return _factor_trager(
+            f, tower.gen(), tower.levels[-1].degree,
+            lambda g: _squarefree_or_none(_norm_resultant(g, tower)),
+            lambda norm: [[tower.element(c) for c in h] for h in
+                          _factor_squarefree(tp_monic(norm), tower.parent)])
+    if n == 2:
         c, b, _ = f
-        disc = b * b - 4 * c
-        s = gaussian_sqrt(disc) if gaussian else fraction_sqrt(disc.as_fraction())
+        s = gaussian_sqrt(b * b - 4 * c)
         if s is None:
             return [f]
         half = Fraction(1, 2)
         return [[(b - s) * half, ONE], [(b + s) * half, ONE]]
-    return _factor_gaussian(f) if gaussian else _factor_rational(f)
+    return _factor_trager(f, I, 2, _gaussian_norm, _factor_rational)
 
 
 def _factor_rational(f: List[GaussianRational]) -> List[list]:
@@ -687,58 +678,48 @@ def _factor_rational(f: List[GaussianRational]) -> List[list]:
             for G in factor_squarefree(F)]
 
 
-def _factor_gaussian(f: List[GaussianRational]) -> List[list]:
-    """Monic irreducible factors over Q(i) of a squarefree polynomial, by the
-    Trager norm: for g(t) = f(t - s*i) with N = g * conj(g) squarefree, the
-    irreducible factors of g are gcd(g, h) for the factors h of N over Q."""
-    n = tp_deg(f)
-    # N is squarefree iff g and conj(g) are coprime; each pair of roots of
-    # f and conj(f) rules out at most one shift s
-    for s in range(n * n + 1):
-        g = tp_compose(f, [GaussianRational(0, -s), ONE]) if s else f
-        conj = [c.conjugate() for c in g]
-        if tp_deg(tp_gcd(g, conj)) == 0:
-            break
-    else:
-        raise InternalInvariantViolation("no squarefree norm shift found")
-    norm = tp_mul(g, conj)
-    out = []
-    for h in _factor_rational(norm):
-        h = tp_gcd(g, h)
-        if tp_deg(h) >= 1:
-            out.append(tp_compose(h, [GaussianRational(0, s), ONE]) if s else h)
-    return out
+def _factor_trager(f: list, alpha, d: int, squarefree_norm, factor_below) -> List[list]:
+    """Trager norm descent (Trager, SYMSAC 1976): the monic irreducible
+    factors of a squarefree monic f over K(alpha), alpha of degree d over K.
 
-
-def _factor_trager(f: list, tower: FieldTower) -> List[list]:
-    """Trager norm descent: factor squarefree monic f over K(alpha) given
-    factorization over K (= the tower one level down)."""
-    alpha = tower.gen()
-    n, d = tp_deg(f), tower.levels[-1].degree
-    # the norm of f(t - c*alpha) is squarefree unless b + c*a = b' + c*a'
-    # for roots b, b' of the conjugates of f under alpha -> a and -> a',
-    # a != a': at most n^2 d(d-1)/2 shifts c = 0, 1, -1, 2, -2, ... fail
+    ``squarefree_norm(g)`` is the norm of g down to K when that norm is
+    squarefree, and None otherwise; ``factor_below(N)`` gives the monic
+    irreducible factors of a squarefree N over K, with their coefficients
+    in K(alpha).  For a shift c with a squarefree norm N of
+    g(t) = f(t - c*alpha), the factors of f are gcd(f, h(t + c*alpha)) for
+    the factors h of N.
+    """
+    n, one = tp_deg(f), f[-1]
+    # the norm of g is squarefree unless b + c*a = b' + c*a' for roots b, b'
+    # of the conjugates of f under alpha -> a and -> a', a != a': at most
+    # n^2 d(d-1)/2 shifts c = 0, 1, -1, 2, -2, ... fail
     for k in range(n * n * d * (d - 1) // 2 + 1):
         c = (k + 1) // 2 if k % 2 else -(k // 2)
-        shifted = tp_compose(f, [alpha * (-c), tower.one()]) if c else f
-        norm = _norm_resultant(shifted, tower)
-        if tp_deg(tp_gcd(norm, tp_derivative(norm))) == 0:
+        norm = squarefree_norm(tp_compose(f, [alpha * -c, one]) if c else f)
+        if norm is not None:
             break
     else:
         raise InternalInvariantViolation("no squarefree norm shift found")
-    norm_factors = _factor_squarefree(tp_monic(norm), tower.parent)
     out = []
-    for nf in norm_factors:
-        lifted = [tower.element(x) for x in nf]
-        if c:
-            lifted = tp_compose(lifted, [alpha * c, tower.one()])
-        h = tp_gcd(f, lifted)
+    for h in factor_below(norm):
+        h = tp_gcd(f, tp_compose(h, [alpha * c, one]) if c else h)
         if tp_deg(h) >= 1:
-            out.append(tp_monic(h))
-    total = sum(tp_deg(h) for h in out)
-    if total != tp_deg(f):
+            out.append(h)
+    if sum(tp_deg(h) for h in out) != n:
         raise InternalInvariantViolation("Trager descent lost factors")
     return out
+
+
+def _gaussian_norm(g: List[GaussianRational]) -> Optional[list]:
+    """g * conj(g), the norm of g from Q(i) down to Q, or None unless it is
+    squarefree.  For squarefree g that holds when g and conj(g) are
+    coprime, a gcd of degree deg g rather than one of degree 2 deg g."""
+    conj = [c.conjugate() for c in g]
+    return tp_mul(g, conj) if tp_deg(tp_gcd(g, conj)) == 0 else None
+
+
+def _squarefree_or_none(p: list) -> Optional[list]:
+    return p if tp_deg(tp_gcd(p, tp_derivative(p))) == 0 else None
 
 
 def _norm_resultant(g: list, tower: FieldTower) -> list:
@@ -768,21 +749,3 @@ def _interpolate(ys: list, field: FieldTower) -> list:
     for k in range(n - 2, -1, -1):
         acc = tp_add(tp_mul(acc, [field.element(-k), field.one()]), [c[k]])
     return acc
-
-
-def roots_in_tower(coeffs: Sequence, tower: FieldTower):
-    """Roots of a univariate polynomial that lie in ``tower``.
-
-    Returns ``(rational_roots, irreducible_factors)`` where rational_roots is a
-    list of (root FieldElement, multiplicity) and irreducible_factors is a list
-    of (monic coefficients, multiplicity) for the factors of degree >= 2.
-    """
-    _, factors = factor_univariate(coeffs, tower)
-    roots = []
-    hard = []
-    for h, mult in factors:
-        if tp_deg(h) == 1:
-            roots.append((-h[0], mult))
-        else:
-            hard.append((h, mult))
-    return roots, hard

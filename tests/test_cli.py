@@ -76,6 +76,31 @@ def _within(seconds, fn, *args):
         signal.signal(signal.SIGALRM, old)
 
 
+# every subcommand that reads an expression, with the schema (or the
+# format) of what it prints on success
+SWEEP_COMMANDS = [
+    (["analyze"], "analysis"),
+    (["blowup"], "blowup"),
+    (["resolve"], "resolution"),
+    (["resolve", "--format", "dot"], "dot"),
+    (["linearize"], "conjugacy"),
+    (["normal-form", "resonant"], "conjugacy"),
+    (["normal-form", "siegel"], "conjugacy"),
+    (["normal-form", "dulac"], "conjugacy"),
+    (["holonomy"], "holonomy"),
+    (["holonomy", "--base", "1"], "holonomy"),
+    (["first-integral"], "first_integral"),
+    (["cp2", "degree"], "cp2_degree"),
+    (["cp2", "degree", "--chart", "b"], "cp2_degree"),
+    (["cp2", "infinity"], "cp2_infinity"),
+    (["cp2", "tangency"], "tangency"),
+    (["cp2", "tangency", "--slope", "1"], "tangency"),
+    (["cp2", "tangency", "--format", "csv"], "csv"),
+]
+# a three-variable field, a 1-form, a bare polynomial, zero and a field
+# without a singular point
+SWEEP_SOURCES = ["lorenz.vf", "x*dx+y*dy", "x^2", "0", "ddx"]
+
 # few terms whose coefficients grow by about 60 bits per power
 TALL_POWER = "(123456789/987654321+x*y+17/19*y)^90*ddx"
 
@@ -700,6 +725,9 @@ class TestExitCodes:
         (["analyze", "--in", "lorenz.vf"], "variable-count-mismatch"),
         (["holonomy", "--in", "lorenz.vf"], "variable-count-mismatch"),
         (["blowup", "--in", "lorenz.vf"], "variable-count-mismatch"),
+        (["cp2", "infinity", "--in", "lorenz.vf"], "variable-count-mismatch"),
+        (["cp2", "tangency", "--slope", "1", "--in", "lorenz.vf"],
+         "variable-count-mismatch"),
         # parses to a bare zero polynomial, not a field
         (["resolve", "--expr", "0*ddx+0*ddy"], "zero-input"),
     ])
@@ -728,6 +756,36 @@ class TestExitCodes:
         err = json.loads(result.stderr)
         assert err["error"] == "wrong-class"
         jsonio.validate(err, "error")
+
+    @pytest.mark.parametrize("source", SWEEP_SOURCES,
+                             ids=["lorenz", "radial-form", "polynomial",
+                                  "zero", "constant"])
+    @pytest.mark.parametrize("command, schema", SWEEP_COMMANDS,
+                             ids=[" ".join(c) for c, _ in SWEEP_COMMANDS])
+    def test_every_input_ends_the_documented_way(self, runner, command,
+                                                 schema, source):
+        """Exit 0 with a valid document, exit 1 with a valid error
+        document, or exit 2; never a traceback."""
+        if source.endswith(".vf"):
+            source = ["--in", str(shipped_corpus_root() / source)]
+        else:
+            source = ["--expr", source]
+        result = runner.invoke(main, command + source)
+        assert result.exception is None or isinstance(result.exception,
+                                                      SystemExit), result.exc_info
+        assert "Traceback" not in result.stderr
+        if result.exit_code == 0:
+            if schema == "dot":
+                assert result.stdout.startswith("digraph resolution {")
+            elif schema == "csv":
+                assert result.stdout.startswith("slope,count\n")
+            else:
+                jsonio.validate(json.loads(result.stdout), schema)
+        elif result.exit_code == 1:
+            assert result.stdout == ""
+            jsonio.validate(json.loads(result.stderr), "error")
+        else:
+            assert result.exit_code == 2
 
     def test_domain_error_blowup_budget(self, runner):
         # I_0 = 39800 at the origin: the budget, not the multiplicity

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import folsing.towers as towers
 from folsing.cli import main, shipped_corpus_root
@@ -20,17 +20,17 @@ from folsing.errors import (
 from folsing.scalars import GaussianRational, fraction_sqrt, gaussian_sqrt
 from folsing.towers import (
     TRIVIAL,
-    TRIVIAL_RATIONAL,
-    FieldTower,
     factor_univariate,
-    roots_in_tower,
     tp_deg,
+    tp_derivative,
     tp_divmod,
     tp_gcd,
+    tp_monic,
     tp_mul,
     tp_resultant,
     tp_trim,
 )
+from test_local import _within
 
 
 @pytest.fixture(scope="module")
@@ -48,15 +48,6 @@ class TestConstruction:
     def test_gaussian_base_contains_i(self):
         e = TRIVIAL.element(GaussianRational(0, 1))
         assert (e * e + 1).is_zero()
-
-    def test_rational_base_rejects_i(self):
-        with pytest.raises(TowerMismatch):
-            TRIVIAL_RATIONAL.element(GaussianRational(0, 1))
-
-    def test_adjoin_i_over_rationals(self):
-        T, j = TRIVIAL_RATIONAL.adjoin_root([1, 0, 1], name="j")
-        assert (j * j + 1).is_zero()
-        assert T.ext_degree() == 2
 
     def test_adjoin_i_over_gaussian_fails(self):
         with pytest.raises(ReducibleMinimalPolynomial):
@@ -145,29 +136,23 @@ coeff = st.integers(min_value=-5, max_value=5)
 class TestDepthZeroElements:
     """A depth-0 tower's elements are GaussianRationals, not wrappers."""
 
-    @pytest.mark.parametrize("tower", [TRIVIAL, TRIVIAL_RATIONAL],
-                             ids=["QQ_I", "QQ"])
     @pytest.mark.parametrize("value", [3, Fraction(-2, 7), GaussianRational(5, 0)],
                              ids=["int", "Fraction", "GaussianRational"])
-    def test_element_is_a_gaussian_rational(self, tower, value):
-        e = tower.element(value)
+    def test_element_is_a_gaussian_rational(self, value):
+        e = TRIVIAL.element(value)
         assert type(e) is GaussianRational and e == value
 
-    @pytest.mark.parametrize("tower", [TRIVIAL, TRIVIAL_RATIONAL],
-                             ids=["QQ_I", "QQ"])
-    def test_zero_and_one(self, tower):
-        assert type(tower.zero()) is GaussianRational and tower.zero().is_zero()
-        assert type(tower.one()) is GaussianRational and tower.one().is_one()
+    def test_zero_and_one(self):
+        assert type(TRIVIAL.zero()) is GaussianRational and TRIVIAL.zero().is_zero()
+        assert type(TRIVIAL.one()) is GaussianRational and TRIVIAL.one().is_one()
 
-    @pytest.mark.parametrize("tower", [TRIVIAL, TRIVIAL_RATIONAL],
-                             ids=["QQ_I", "QQ"])
-    def test_factors_are_gaussian_rationals(self, tower):
-        # 2 (t^2 + 1)(t - 1/2)^2: t^2 + 1 splits over Q(i) only
+    def test_factors_are_gaussian_rationals(self):
+        # 2 (t^2 + 1)(t - 1/2)^2, with t^2 + 1 = (t - i)(t + i)
         unit, fac = factor_univariate(
-            product(tower, [2], [1, 0, 1], [Fraction(-1, 2), 1], [Fraction(-1, 2), 1]),
-            tower)
+            product(TRIVIAL, [2], [1, 0, 1], [Fraction(-1, 2), 1], [Fraction(-1, 2), 1]),
+            TRIVIAL)
         assert type(unit) is GaussianRational and unit == 2
-        assert len(fac) == (3 if tower is TRIVIAL else 2)
+        assert len(fac) == 3
         assert all(type(c) is GaussianRational for h, _ in fac for c in h)
 
 
@@ -261,8 +246,7 @@ class TestFactorization:
         assert len(fac) == 2 and all(m == 1 for _, m in fac)
 
     def test_rational_base_keeps_irreducible(self):
-        _, fac = factor_univariate([1, 0, 1], TRIVIAL_RATIONAL)
-        assert len(fac) == 1 and tp_deg(fac[0][0]) == 2
+        assert strings_over_q([1, 0, 1]) == [(["1", "0", "1"], 1)]
 
     def test_multiplicities(self):
         _, fac = factor_univariate([0, 0, 1, 2, 1], TRIVIAL)  # t^2 (t+1)^2
@@ -277,17 +261,16 @@ class TestFactorization:
         T2, r2 = sqrt2_tower
         _, fac = factor_univariate([T2.element(-2), T2.zero(), T2.one()], T2)
         assert len(fac) == 2
-        roots, hard = roots_in_tower([T2.element(-2), T2.zero(), T2.one()], T2)
-        assert not hard
-        assert sorted(str(r) for r, _ in roots) == ["(-1)*r2", "r2"]
+        assert [[str(c) for c in h] for h, _ in fac] == [["(-1)*r2", "1"], ["r2", "1"]]
 
     def test_deep_tower_factor(self, deep_tower):
         T3, c3 = deep_tower
         # (t - c3)(t - r2) expanded, must re-split
         r2 = T3.gen(1)
         p = tp_mul([-c3, T3.one()], [-r2, T3.one()])
-        roots, hard = roots_in_tower(p, T3)
-        assert not hard and len(roots) == 2
+        _, fac = factor_univariate(p, T3)
+        assert sorted(fac, key=str) == sorted(
+            [([-c3, T3.one()], 1), ([-r2, T3.one()], 1)], key=str)
 
     def test_norm_shift_past_five(self, sqrt2_tower):
         # the roots m*r2, m = -5..5, make the norm of f(t - c*r2) square
@@ -296,10 +279,10 @@ class TestFactorization:
         p = [T2.one()]
         for m in range(-5, 6):
             p = tp_mul(p, [r2 * -m, T2.one()])
-        roots, hard = roots_in_tower(p, T2)
-        assert not hard
-        assert sorted(roots, key=lambda rm: rm[0].sort_key()) == sorted(
-            ((r2 * m, 1) for m in range(-5, 6)), key=lambda rm: rm[0].sort_key())
+        _, fac = factor_univariate(p, T2)
+        assert all(len(h) == 2 and mult == 1 for h, mult in fac)
+        assert sorted((-h[0] for h, _ in fac), key=lambda r: r.sort_key()) == sorted(
+            (r2 * m for m in range(-5, 6)), key=lambda r: r.sort_key())
 
     def test_irreducible_stays(self, sqrt2_tower):
         T2, _ = sqrt2_tower
@@ -338,27 +321,36 @@ def factor_strings(coeffs, tower):
     return [([str(c) for c in h], m) for h, m in fac]
 
 
+def strings_over_q(coeffs):
+    """factor_strings over Q, for a squarefree monic polynomial with
+    rational coefficients: the Zassenhaus factors that the descent from
+    Q(i) works with, in factor_univariate's order."""
+    fac = towers._factor_rational([TRIVIAL.element(c) for c in coeffs])
+    fac.sort(key=lambda h: (tp_deg(h), [c.sort_key() for c in h]))
+    return [([str(c) for c in h], 1) for h in fac]
+
+
 class TestBaseFactorization:
     """Factorizations over Q and Q(i) whose answers are known in closed form."""
 
-    @pytest.mark.parametrize("tower", [TRIVIAL_RATIONAL, TRIVIAL],
+    @pytest.mark.parametrize("factor", [strings_over_q,
+                                        lambda p: factor_strings(p, TRIVIAL)],
                              ids=["Q", "Q(i)"])
     @pytest.mark.parametrize("poly", [SD4, SD8], ids=["sd4", "sd8"])
-    def test_swinnerton_dyer_irreducible(self, poly, tower):
+    def test_swinnerton_dyer_irreducible(self, poly, factor):
         # they split mod every prime into factors of degree <= 2, so the
         # modular factors must be recombined before irreducibility shows
-        assert factor_strings(poly, tower) == [([str(c) for c in poly], 1)]
+        assert factor(poly) == [([str(c) for c in poly], 1)]
 
     def test_t4_plus_1(self):
-        assert factor_strings([1, 0, 0, 0, 1], TRIVIAL_RATIONAL) == [
+        assert strings_over_q([1, 0, 0, 0, 1]) == [
             (["1", "0", "0", "0", "1"], 1)]
         assert factor_strings([1, 0, 0, 0, 1], TRIVIAL) == [
             (["-i", "0", "1"], 1), (["i", "0", "1"], 1)]
 
     def test_cyclotomic_12(self):
         phi12 = [1, 0, -1, 0, 1]
-        assert factor_strings(phi12, TRIVIAL_RATIONAL) == [
-            (["1", "0", "-1", "0", "1"], 1)]
+        assert strings_over_q(phi12) == [(["1", "0", "-1", "0", "1"], 1)]
         assert factor_strings(phi12, TRIVIAL) == [
             (["-1", "-i", "1"], 1), (["-1", "i", "1"], 1)]
 
@@ -369,10 +361,10 @@ class TestBaseFactorization:
 
     def test_coefficients_past_64_bits(self):
         big, bigger = 2 ** 70 + 3, 3 ** 50
-        p = product(TRIVIAL_RATIONAL, [-big, 1], [5, bigger, 1])
+        p = product(TRIVIAL, [-big, 1], [5, bigger, 1])
         assert max(abs(c.as_fraction()) for c in p) > 2 ** 64
         expected = [([str(-big), "1"], 1), (["5", str(bigger), "1"], 1)]
-        assert factor_strings(p, TRIVIAL_RATIONAL) == expected
+        assert strings_over_q(p) == expected
         p = product(TRIVIAL, [-big, 1], [5, bigger, 1], [2 ** 65 * I, 1])
         assert factor_strings(p, TRIVIAL) == [
             ([str(-big), "1"], 1), ([f"{2 ** 65}*i", "1"], 1),
@@ -395,34 +387,40 @@ def _fraction(r):
 
 
 class TestFactorizationAgainstSympy:
-    """sympy's ``factor_list`` over QQ and QQ_I as a reference factorizer."""
+    """sympy's ``factor_list`` over QQ and QQ_I as a reference factorizer:
+    over QQ for the Zassenhaus step of the descent, on squarefree monic
+    products, over QQ_I for factor_univariate."""
 
-    @pytest.mark.parametrize("tower, domain",
-                             [(TRIVIAL_RATIONAL, "QQ"), (TRIVIAL, "QQ_I")],
-                             ids=["QQ", "QQ_I"])
+    @pytest.mark.parametrize("domain", ["QQ", "QQ_I"])
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
-    def test_matches_factor_list(self, sympy, tower, domain, data):
-        factor = st.lists(scalars(tower), min_size=2, max_size=5).filter(
-            lambda f: not f[-1].is_zero())
-        p = product(tower, *data.draw(st.lists(factor, min_size=1,
-                                               max_size=3)))
-        assert_matches_sympy(sympy, p, tower, domain)
+    def test_matches_factor_list(self, sympy, domain, data):
+        factor = st.lists(scalars(imaginary=domain == "QQ_I"), min_size=2,
+                          max_size=5).filter(lambda f: not f[-1].is_zero())
+        p = product(TRIVIAL, *data.draw(st.lists(factor, min_size=1,
+                                                 max_size=3)))
+        if domain == "QQ":
+            p = tp_monic(p)
+            assume(tp_deg(tp_gcd(p, tp_derivative(p))) == 0)
+            ours = [(h, 1) for h in towers._factor_rational(p)]
+        else:
+            ours = factor_univariate(p, TRIVIAL)[1]
+        assert_matches_sympy(sympy, p, ours, domain)
 
 
-def scalars(tower):
-    """Gaussian rationals (rationals over the rational base) with small
+def scalars(imaginary=True):
+    """Gaussian rationals (rationals unless ``imaginary``) with small
     numerators and denominators."""
-    im = st.just(0) if tower is TRIVIAL_RATIONAL else st.integers(-4, 4)
+    im = st.integers(-4, 4) if imaginary else st.just(0)
     return st.builds(lambda a, b, d: GaussianRational(Fraction(a, d),
                                                       Fraction(b, d)),
                      st.integers(-4, 4), im, st.integers(1, 3))
 
 
-def assert_matches_sympy(sympy, p, tower, domain):
-    """factor_univariate(p) and sympy's factor_list give the same monic
-    factors with the same multiplicities."""
-    _, ours = factor_univariate(p, tower)
+def assert_matches_sympy(sympy, p, ours, domain):
+    """The (factor, multiplicity) pairs ``ours`` of p and sympy's
+    factor_list give the same monic factors with the same
+    multiplicities."""
     t = sympy.Symbol("t")
     ref = sympy.Poly([_sympy_coeff(sympy, c.as_gaussian_or_none())
                       for c in reversed(p)], t, domain=domain)
@@ -435,41 +433,37 @@ def assert_matches_sympy(sympy, p, tower, domain):
 
 
 @st.composite
-def quadratics(draw, tower):
-    """A quadratic over ``tower`` times a nonzero unit: half of them built
-    from drawn roots or a drawn discriminant, half drawn freely."""
-    scalar = scalars(tower)
-    one = tower.one()
+def quadratics(draw):
+    """A quadratic over Q(i) times a nonzero unit: half of them built from
+    drawn roots or a drawn discriminant, half drawn freely."""
+    scalar = scalars()
+    one = TRIVIAL.one()
     unit = draw(scalar.filter(lambda u: not u.is_zero()))
     kind = draw(st.sampled_from(["equal", "zero", "conjugate", "disc", "free",
                                  "free", "free", "free"]))
     if kind == "free":
         return [draw(scalar), draw(scalar), unit]
     if kind == "disc":
-        # b^2 - 4c = D: purely imaginary over Q(i), negative over Q
+        # b^2 - 4c = D, purely imaginary
         b = draw(scalar)
-        k = draw(st.integers(1, 12))
-        disc = GaussianRational(0, k) if tower is TRIVIAL else GaussianRational(-k)
+        disc = GaussianRational(0, draw(st.integers(1, 12)))
         p = [(b * b - disc) * Fraction(1, 4), b, one]
     else:
-        # conjugate roots give rational coefficients over either base
-        r = draw(scalars(TRIVIAL) if kind == "conjugate" else scalar)
+        # conjugate roots give rational coefficients
+        r = draw(scalar)
         other = {"equal": r, "zero": 0 * r, "conjugate": r.conjugate()}[kind]
         p = tp_mul([-r, one], [-other, one])
     return [c * unit for c in p]
 
 
 class TestQuadraticsAgainstSympy:
-    """Quadratics over Q and Q(i) split by an exact square root of their
+    """Quadratics over Q(i) split by an exact square root of their
     discriminant; sympy's ``factor_list`` is the reference."""
 
-    @pytest.mark.parametrize("tower, domain",
-                             [(TRIVIAL_RATIONAL, "QQ"), (TRIVIAL, "QQ_I")],
-                             ids=["QQ", "QQ_I"])
-    @given(data=st.data())
+    @given(quadratics())
     @settings(max_examples=80, deadline=None)
-    def test_matches_factor_list(self, sympy, tower, domain, data):
-        assert_matches_sympy(sympy, data.draw(quadratics(tower)), tower, domain)
+    def test_matches_factor_list(self, sympy, p):
+        assert_matches_sympy(sympy, p, factor_univariate(p, TRIVIAL)[1], "QQ_I")
 
 
 class TestExactSquareRoot:
@@ -497,32 +491,29 @@ class TestExactSquareRoot:
         assert gaussian_sqrt(value) == over_qi
         if value.is_rational():
             assert fraction_sqrt(value.as_fraction()) == over_q
-        # t^2 - value splits over a base exactly when the root lies in it
-        for tower, root in ((TRIVIAL, over_qi), (TRIVIAL_RATIONAL, over_q)):
-            if tower is TRIVIAL_RATIONAL and not value.is_rational():
-                continue
-            _, fac = factor_univariate([-value, 0, 1], tower)
-            assert sum(m for _, m in fac) == (1 if root is None else 2)
+        # t^2 - value splits exactly when the root lies in Q(i)
+        _, fac = factor_univariate([-value, 0, 1], TRIVIAL)
+        assert sum(m for _, m in fac) == (1 if over_qi is None else 2)
 
 
 class TestQuadraticsBypassTheFactorizer:
     def test_corpus_sends_no_quadratic_to_zassenhaus_or_the_norm(self, monkeypatch):
         """``resolve`` and ``first-integral`` on every shipped corpus file
-        factor their quadratics over Q and Q(i) in closed form."""
+        factor their quadratics over Q(i) in closed form."""
         quadratics_seen, leaked = [], []
 
         def spy_on(name, calls):
             original = getattr(towers, name)
 
             def spy(f, *args):
-                if tp_deg(f) == 2:
+                if tp_deg(f) == 2 and type(f[-1]) is GaussianRational:
                     calls.append((name, [str(c) for c in f]))
                 return original(f, *args)
 
             monkeypatch.setattr(towers, name, spy)
 
-        spy_on("_factor_base", quadratics_seen)
-        spy_on("_factor_gaussian", leaked)
+        spy_on("_factor_squarefree", quadratics_seen)
+        spy_on("_factor_trager", leaked)
         spy_on("_factor_rational", leaked)
         runner = CliRunner()
         for case in sorted(shipped_corpus_root().iterdir()):
@@ -543,7 +534,7 @@ def sqrt2_quadratics(draw):
     """A quadratic over Q(i)(sqrt 2) times a nonzero unit: a square, a
     product of two drawn roots, or drawn freely."""
     scalar = st.builds(lambda a, b: SQRT2.element(a) + R2 * b,
-                       scalars(TRIVIAL), scalars(TRIVIAL))
+                       scalars(), scalars())
     one = SQRT2.one()
     unit = draw(scalar.filter(lambda u: not u.is_zero()))
     kind = draw(st.sampled_from(["square", "split", "free"]))
@@ -575,12 +566,10 @@ class TestQuadraticShortcut:
         assert [[type(c) for c in h] for h, _ in got[1]] == \
             [[type(c) for c in h] for h, _ in want[1]]
 
-    @pytest.mark.parametrize("tower", [TRIVIAL_RATIONAL, TRIVIAL],
-                             ids=["Q", "Q(i)"])
-    @given(data=st.data())
+    @given(quadratics())
     @settings(max_examples=80, deadline=None)
-    def test_depth_zero(self, tower, data):
-        self.assert_same(data.draw(quadratics(tower)), tower)
+    def test_depth_zero(self, p):
+        self.assert_same(p, TRIVIAL)
 
     @given(sqrt2_quadratics())
     @settings(max_examples=40, deadline=None)
@@ -599,21 +588,21 @@ class TestQuadraticShortcut:
         assert factors == [([-r, one], 2)]
 
 
-# Depth-2 towers: Q(i)(sqrt 2)(cbrt 2), and the rational-base
-# Q(s2)(w) with s2^2 = 2 and w^2 = 1 + s2, whose top minimal polynomial
-# has a coefficient outside the base field.
+# Depth-2 towers: Q(i)(sqrt 2)(cbrt 2), and Q(i)(s2)(w) with s2^2 = 2
+# and w^2 = 1 + s2, whose top minimal polynomial has a coefficient outside
+# the base field.
 CBRT2, C3 = SQRT2.adjoin_root([-2, 0, 0, 1], name="c3")
-QS2, S2 = TRIVIAL_RATIONAL.adjoin_root([-2, 0, 1], name="s2")
+QS2, S2 = TRIVIAL.adjoin_root([-2, 0, 1], name="s2")
 NESTED, W = QS2.adjoin_root([-(S2 + 1), 0, 1], name="w")
-DEPTH_TWO = {"gaussian": (CBRT2, TRIVIAL), "rational": (NESTED, TRIVIAL_RATIONAL)}
+DEPTH_TWO = {"cbrt2": CBRT2, "nested": NESTED}
 
 
-def depth_two_elements(tower, base):
+def depth_two_elements(tower):
     """Elements of a depth-2 tower with small base-field coordinates."""
     g1, g2 = tower.gen(1), tower.gen(2)
     basis = [g1 ** j * g2 ** k for k in range(tower.levels[1].degree)
              for j in range(tower.levels[0].degree)]
-    return st.lists(scalars(base), min_size=len(basis), max_size=len(basis)).map(
+    return st.lists(scalars(), min_size=len(basis), max_size=len(basis)).map(
         lambda cs: sum((b * c for b, c in zip(basis, cs)), tower.zero()))
 
 
@@ -621,7 +610,7 @@ def depth_two_elements(tower, base):
 def depth_three():
     """Each depth-2 tower with sqrt 5 adjoined on top."""
     return {key: tower.adjoin_root([-5, 0, 1], name="r5")[0]
-            for key, (tower, _) in DEPTH_TWO.items()}
+            for key, tower in DEPTH_TWO.items()}
 
 
 class TestDepthTwo:
@@ -632,8 +621,8 @@ class TestDepthTwo:
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_field_axioms(self, key, data):
-        tower, base = DEPTH_TWO[key]
-        a, b, c = (data.draw(depth_two_elements(tower, base)) for _ in range(3))
+        tower = DEPTH_TWO[key]
+        a, b, c = (data.draw(depth_two_elements(tower)) for _ in range(3))
         assert a * (b + c) == a * b + a * c
         assert (a * b) * c == a * (b * c)
         assert (a - b) + b == a
@@ -647,13 +636,13 @@ class TestDepthTwo:
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_lift_keeps_equality_and_hash(self, depth_three, key, data):
-        tower, base = DEPTH_TWO[key]
-        a = data.draw(depth_two_elements(tower, base))
+        tower = DEPTH_TWO[key]
+        a = data.draw(depth_two_elements(tower))
         lifted = depth_three[key].element(a)
         assert lifted.tower.depth == 3
         assert lifted == a and a == lifted and hash(lifted) == hash(a)
         # an element of the depth-1 tower below
-        low = tower.parent.gen() * data.draw(scalars(base)) + data.draw(scalars(base))
+        low = tower.parent.gen() * data.draw(scalars()) + data.draw(scalars())
         assert tower.element(low) == low and hash(tower.element(low)) == hash(low)
         assert hash(lifted * 0 + low) == hash(low)
 
@@ -680,7 +669,7 @@ class TestDepthTwo:
         for e, text, js, key in cases:
             assert (str(e), e.to_json(), e.sort_key()) == (text, js, key)
 
-    def test_pinned_rational_elements(self):
+    def test_pinned_nested_elements(self):
         s2 = NESTED.element(S2)
         cases = [
             (W * s2 - 2, "-2+(s2)*w", [["-2", "0"], ["0", "1"]],
@@ -693,23 +682,34 @@ class TestDepthTwo:
         for e, text, js, key in cases:
             assert (str(e), e.to_json(), e.sort_key()) == (text, js, key)
 
-    @pytest.mark.parametrize("key, base, levels", [
-        ("gaussian", "gaussian",
+    @pytest.mark.parametrize("key, levels", [
+        ("cbrt2",
          [("r2", 2, ["-2", "0", "1"], (-1.4142135623730951, 0.0)),
           ("c3", 3, [["-2", "0"], ["0", "0"], ["0", "0"], ["1", "0"]],
            (-0.6299605249474369, -1.091123635971722))]),
-        ("rational", "rational",
+        ("nested",
          [("s2", 2, ["-2", "0", "1"], (-1.4142135623730951, 0.0)),
           ("w", 2, [["-1", "-1"], ["0", "0"], ["1", "0"]],
            (0.0, -0.6435942529055827))]),
     ])
-    def test_pinned_describe(self, key, base, levels):
-        d = DEPTH_TWO[key][0].describe()
-        assert d["base"] == base
+    def test_pinned_describe(self, key, levels):
+        d = DEPTH_TWO[key].describe()
+        assert d["base"] == "gaussian"
         got = [(lev["name"], lev["degree"], lev["minpoly"]) for lev in d["levels"]]
         assert got == [level[:3] for level in levels]
         for lev, (*_, emb) in zip(d["levels"], levels):
             assert lev["embedding"] == pytest.approx(list(emb), abs=1e-12)
+
+    def test_pinned_factorization_within_budget(self):
+        # about 1.7 s with the squarefree test gcd(g, conj g) at the Q(i)
+        # step; gcd(N, N') of twice the degree there takes about 50 s
+        i, one = CBRT2.element(I), CBRT2.one()
+        p = product(CBRT2, [-i, one], [-C3, one], [-i - C3, one], [5, 0, 1])
+        unit, fac = _within(10, factor_univariate, p, CBRT2)
+        assert unit == 1
+        assert [([str(c) for c in h], m) for h, m in fac] == [
+            (["-i+(-1)*c3", "1"], 1), (["-i", "1"], 1), (["(-1)*c3", "1"], 1),
+            (["5", "0", "1"], 1)]
 
     def test_towers_built_separately_are_equal_and_mix(self):
         T2, r2 = TRIVIAL.adjoin_root([-2, 0, 1], name="r2")
