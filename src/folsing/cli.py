@@ -467,12 +467,10 @@ def main() -> None:
 
 @main.command("analyze")
 @input_options
-@tower_options
 @toolkit_errors
-def cmd_analyze(expr, infile, tower_depth, ext_degree):
+def cmd_analyze(expr, infile):
     """Classify the singular point at the origin."""
-    with tower_caps(depth=tower_depth, degree=ext_degree):
-        _echo_payload(payload_analyze(_parse_object(expr, infile)))
+    _echo_payload(payload_analyze(_parse_object(expr, infile)))
 
 
 @main.command("blowup")

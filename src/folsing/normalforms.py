@@ -13,12 +13,11 @@ below degree d.  So the composition is built online (a relaxed power
 series, after van der Hoeven, "Relax, but don't be too lazy", JSC 2002):
 one table per solve holds the degree slices of every needed product of
 powers of the maps, and each degree adds one slice per entry instead of
-recomposing from scratch.  The center manifold series runs on the same
-engine.  The certificate ``conjugacy_residual`` deliberately composes
-once more, independently, with the one-shot ``poly.compose``: it shares
-only the arithmetic primitives with the solvers (the degree slices,
-packed exponents and coefficient kernels of ``poly``), never the table
-that produced H.
+recomposing from scratch.  The certificate ``conjugacy_residual``
+deliberately composes once more, independently, with the one-shot
+``poly.compose``: it shares only the arithmetic primitives with the
+solvers (the degree slices, packed exponents and coefficient kernels of
+``poly``), never the table that produced H.
 
 Only monomials of degree at most the order (order + 1 in the certificate)
 enter a slice, so the digits of packed exponents are as wide as the bit
@@ -29,10 +28,13 @@ arithmetic over towers, both through one degree loop.
 On top of the engine sit the named reductions: full linearization in the
 absence of small divisors and resonances, the minimal resonant model,
 separatrix straightening for saddles, the zero-eigenvalue reduction that
-empties the center-free monomials, an invariant-plane reduction in three
-variables, and the full preparation of a degenerate unipotent-free germ
-with one zero eigenvalue (center manifold, shift, and the residue pair
-``(p, lambda)``).
+empties the center-free monomials, the straightening of the center
+manifold, and an invariant-plane reduction in three variables.  Each is a
+pattern of the one engine, so each answer comes with the coordinate
+change that ``conjugacy_residual`` certifies.  The full preparation of a
+degenerate unipotent-free germ with one zero eigenvalue runs two of them
+in turn, ``dulac_reduce`` and ``center_straighten``, and reads the
+residue pair ``(p, lambda)`` off the straightened field.
 """
 
 from __future__ import annotations
@@ -418,6 +420,25 @@ def dulac_reduce(field: VectorFieldGerm, order: int = 8) -> ConjugacyResult:
         field, lambda i, q, delta: q[1] == 0, order, pattern="center-clear")
 
 
+def center_straighten(field: VectorFieldGerm, order: int = 8) -> ConjugacyResult:
+    """For eigenvalues (mu, 0): straighten the formal center manifold.
+
+    Only the pure powers of y2 in the first component are solved, with
+    divisor -mu, so the transform is (y1 + c(y2), y2), where y1 = c(y2) is
+    the graph of the unique formal invariant curve tangent to the kernel,
+    and the reduced first component vanishes on y1 = 0.  The reduced field
+    is [A - c' B, B] composed with the transform.  An order above
+    ``MAX_ORDER`` is refused first.
+    """
+    check_order(order)
+    lam = _diagonal_lambdas(field)
+    if field.nvars != 2 or not lam[1].is_zero() or lam[0].is_zero():
+        raise WrongClass("center manifold expects eigenvalues (mu, 0)")
+    return solve_conjugacy(
+        field, lambda i, q, delta: i == 0 and q[0] == 0, order,
+        pattern="center-manifold")
+
+
 def invariant_plane_reduce(field: VectorFieldGerm, order: int = 8) -> ConjugacyResult:
     """Three variables: make the plane y3 = 0 invariant with linear dynamics on it.
 
@@ -511,15 +532,12 @@ class SaddleNodeData:
     y1 = c(y2) in the reduced coordinates.
     """
 
-    __slots__ = ("p", "modulus", "center", "prepared", "order")
+    __slots__ = ("p", "modulus", "center")
 
-    def __init__(self, p: int, modulus, center: Dict[int, object],
-                 prepared: VectorFieldGerm, order: int):
+    def __init__(self, p: int, modulus, center: Dict[int, object]):
         self.p = p
         self.modulus = modulus
         self.center = center
-        self.prepared = prepared
-        self.order = order
 
     def to_json(self) -> dict:
         return {
@@ -529,53 +547,15 @@ class SaddleNodeData:
         }
 
 
-def center_manifold_series(field: VectorFieldGerm, order: int) -> MultiPoly:
-    """Graph y1 = c(y2) of the formal invariant curve tangent to the kernel.
-
-    Expects eigenvalues (1, 0); solves A(c, y2) = c'(y2) B(c, y2) degree by
-    degree, which is always possible because the strong multiplier is 1.
-    An order above ``MAX_ORDER`` is refused.
-    """
-    check_order(order)
-    lam = _diagonal_lambdas(field)
-    if not lam[1].is_zero() or lam[0].is_zero():
-        raise WrongClass("center manifold expects eigenvalues (mu, 0)")
-    comp_a, comp_b = field.components
-    linear = field.homogeneous_component(1)
-    a_nl = comp_a - linear.components[0]
-    kernel = _kernel(field.components)
-    width = order.bit_length()
-    # degree slices of c, of -c' and of B(c, y2); the map y2 is linear, and
-    # the packed exponent of y2^k is k
-    cs: List[Slice] = [{}, {}]
-    dc: List[Slice] = [{}]
-    bs: List[Slice] = [{}, {}]
-    maps = [cs, [{}, {1: kernel.unit}]]
-    engine = _OnlineComposition([comp_b, a_nl], maps, order, kernel, width)
-    minus_mu = -lam[0]
-    for k in range(2, order + 1):
-        b_k, a_k = engine.slice(k)
-        # degree-k slice of A(c, y2) - c' B(c, y2): c' starts in degree 1
-        # and B in degree 2, so it reads c only below degree k
-        for a in range(1, k - 1):
-            kernel.add_products(a_k, dc[a], bs[k - a])
-        rhs = kernel.finish(a_k).get(k)
-        c_k = {} if rhs is None else {k: kernel.divide(rhs, minus_mu)}
-        cs.append(c_k)
-        dc.append(_negated_derivative(kernel, c_k, 1, 2, width))
-        bs.append(kernel.finish(b_k))
-        maps[1].append({})
-    return _trusted(2, {_unpack(e, 2, width): kernel.lower(t)
-                        for s in cs for e, t in s.items()})
-
-
 def saddle_node_prepare(field: VectorFieldGerm, order: int = 12) -> SaddleNodeData:
     """Reduce a germ with exactly one zero eigenvalue to residue data.
 
     Pipeline: eigenbasis, time normalization of the strong multiplier to 1,
-    removal of center-free monomials, center-manifold straightening, then
-    the contact order ``p + 1`` and the residue of the transverse
-    multiplier.  Raises ``TruncationTooSmall`` when the working order
+    removal of center-free monomials (``dulac_reduce``), center-manifold
+    straightening (``center_straighten``, whose reduced field vanishes in
+    its first component on y1 = 0), then the contact order ``p + 1`` and
+    the residue of the transverse multiplier, read off that reduced field
+    by term filters.  Raises ``TruncationTooSmall`` when the working order
     cannot certify the residue (it needs order >= 2p + 1).
     """
     info = classify_singularity(field)
@@ -583,33 +563,24 @@ def saddle_node_prepare(field: VectorFieldGerm, order: int = 12) -> SaddleNodeDa
         raise WrongClass(
             "preparation expects one zero and one nonzero eigenvalue",
             found=info.tag)
-    diag, matrix, lam, tower = diagonalize_linear_part(field)
+    diag, _, lam, _ = diagonalize_linear_part(field)
     if lam[0].is_zero():
-        # put the nonzero multiplier first
-        swap = [MultiPoly.variable(1, 2), MultiPoly.variable(0, 2)]
-        diag = VectorFieldGerm(compose(diag.components[::-1], swap))
+        # put the nonzero multiplier first: swap the components and the
+        # exponents of every term
+        diag = VectorFieldGerm([
+            _trusted(2, {e[::-1]: c for e, c in comp.terms.items()})
+            for comp in diag.components[::-1]])
         lam = (lam[1], lam[0])
     diag = diag.scale(lam[0].inverse())
 
-    reduced = dulac_reduce(diag, order)
-    work = reduced.normal_form
-    c = center_manifold_series(work, order)
+    work = dulac_reduce(diag, order).normal_form
+    straight = center_straighten(work, order)
+    comp_a, comp_b = straight.normal_form.components
 
-    # shift: new y1 is the old y1 - c(y2)
-    y1 = MultiPoly.variable(0, 2)
-    y2 = MultiPoly.variable(1, 2)
-    lift = [y1 + c, y2]
-    comp_a, comp_b = work.components
-    shifted_a, shifted_b = compose(
-        [comp_a - c.derivative(1).mul_trunc(comp_b, order), comp_b], lift, order)
-
-    # restrictions to the center manifold y1 = 0
-    on_center = [MultiPoly.zero(2), y2]
-    center_slice_a, b_slice = compose([shifted_a, shifted_b], on_center, order)
-    if not center_slice_a.is_zero():
-        raise InternalInvariantViolation(
-            "center manifold fails to straighten the first component")
-    transverse = shifted_a.divide_by_var_power(0, 1)
+    # restrictions to the center manifold y1 = 0; the division refuses any
+    # term of the first component free of y1
+    transverse = comp_a.divide_by_var_power(0, 1)
+    b_slice = _trusted(2, {e: v for e, v in comp_b.terms.items() if not e[0]})
 
     if b_slice.is_zero():
         raise TruncationTooSmall(
@@ -623,10 +594,12 @@ def saddle_node_prepare(field: VectorFieldGerm, order: int = 12) -> SaddleNodeDa
             required=2 * p + 1)
 
     unit = b_slice.divide_by_var_power(1, p_plus_1)
-    transverse_slice = transverse.substitute(on_center)
+    transverse_slice = _trusted(
+        2, {e: v for e, v in transverse.terms.items() if not e[0]})
     quotient = transverse_slice.mul_trunc(unit.inverse_trunc(p), p)
     modulus = quotient.coefficient((0, p))
 
-    prepared = VectorFieldGerm([shifted_a, shifted_b])
-    center = {k[1]: v for k, v in c.terms.items()}
-    return SaddleNodeData(p, modulus, center, prepared, order)
+    # the transform is (y1 + c(y2), y2)
+    center = {e[1]: v for e, v in straight.transform[0].terms.items()
+              if not e[0]}
+    return SaddleNodeData(p, modulus, center)

@@ -38,6 +38,10 @@ each module in ``src/folsing`` with the standard library's ``ast``:
 - arithmetic is chosen by testing ``type(c) is GaussianRational`` over
   many coefficients only in ``poly._kernel``, so one function decides how
   exact coefficients are represented in hot loops;
+- ``normalforms._OnlineComposition`` is constructed only inside
+  ``normalforms.solve_conjugacy``, so every series solver (the center
+  manifold and the saddle-node preparation included) is a pattern of the
+  one conjugacy engine, whose answers ``conjugacy_residual`` certifies;
 - no module calls ``json.dump`` or ``json.dumps``: ``jsonio.dumps`` is the
   package's one JSON emitter, so every document has the same layout.
 """
@@ -534,6 +538,51 @@ def test_checker_flags_a_kernel_choice(tmp_path):
     poly.write_text(source)
     assert kernel_choices(poly) == ["poly.py:4 type-is-GaussianRational",
                                     "poly.py:8 type-is-GaussianRational"]
+
+
+ENGINE_HOME = ("normalforms.py", "solve_conjugacy")
+
+
+def _engine_construction(node):
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(
+            func, "id", None)
+        if name == "_OnlineComposition":
+            return name
+    return None
+
+
+def engine_constructions(path: Path):
+    """Calls of ``_OnlineComposition`` outside ``ENGINE_HOME``."""
+    return _named_outside(path, {ENGINE_HOME}, _engine_construction)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_online_composition_built_only_by_the_engine(path):
+    assert engine_constructions(path) == []
+
+
+def test_checker_flags_an_online_composition_elsewhere(tmp_path):
+    source = ("class _OnlineComposition:\n"
+              "    def copy(self):\n"
+              "        return _OnlineComposition()\n"
+              "def solve_conjugacy(field):\n"
+              "    return _OnlineComposition(field)\n"
+              "def center_manifold_series(field):\n"
+              "    engine = _OnlineComposition(field)\n"
+              "    return normalforms._OnlineComposition(engine)\n")
+    elsewhere = tmp_path / "m.py"
+    elsewhere.write_text(source)
+    assert engine_constructions(elsewhere) == [
+        "m.py:3 _OnlineComposition", "m.py:5 _OnlineComposition",
+        "m.py:7 _OnlineComposition", "m.py:8 _OnlineComposition"]
+    home = tmp_path / "normalforms.py"
+    home.write_text(source)
+    assert engine_constructions(home) == [
+        "normalforms.py:3 _OnlineComposition",
+        "normalforms.py:7 _OnlineComposition",
+        "normalforms.py:8 _OnlineComposition"]
 
 
 JSON_EMITTERS = {"dump", "dumps"}

@@ -22,7 +22,7 @@ from folsing.normalforms import (
     MAX_ORDER,
     ConjugacyResult,
     _diagonal_lambdas,
-    center_manifold_series,
+    center_straighten,
     conjugacy_residual,
     diagonalize_linear_part,
     dulac_reduce,
@@ -226,14 +226,28 @@ class TestDiagonalShortcut:
         assert got_tower is tower
 
 
+def _center_graph(result):
+    """c in the transform (y1 + c(y2), y2) of the center pattern."""
+    return result.transform[0] - MultiPoly.variable(0, 2)
+
+
 class TestCenterManifold:
     def test_euler_factorials(self):
         # strong coordinate u = y - x, center v = x:
         # invariant graph u = sum (k-1)! v^k
         field = parse_field("(x - y^2)*ddx + y^2*ddy")
-        c = center_manifold_series(field, order=7)
+        result = center_straighten(field, order=7)
+        c = _center_graph(result)
+        assert set(c.terms) == {(0, k) for k in range(2, 8)}
         for k in range(2, 8):
             assert c.coefficient((0, k)) == math.factorial(k - 1)
+        assert result.transform[1] == MultiPoly.variable(1, 2)
+        assert_conjugates(field, result)
+
+    def test_wrong_class(self):
+        for expr in ("x*ddx + 2*y*ddy", "x^2*ddx + y*ddy", "x^2*ddx + y^2*ddy"):
+            with pytest.raises(WrongClass):
+                center_straighten(parse_field(expr), order=6)
 
 
 class TestSaddleNodePrepare:
@@ -285,6 +299,11 @@ class TestSaddleNodePrepare:
         data = saddle_node_prepare(parse_field("(x + 2*x*y)*ddx + y^2*ddy"))
         js = data.to_json()
         assert js["p"] == 1 and js["lambda"] == "2"
+
+    def test_zero_eigenvalue_first(self):
+        # residue_two with the variables swapped
+        data = saddle_node_prepare(parse_field("x^2*ddx + (y + 2*x*y)*ddy"))
+        assert (data.p, data.modulus) == (1, 2)
 
 
 TAIL_EXPS = [(2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)]
@@ -519,9 +538,21 @@ class TestOnlineEngineMatchesRecomposition:
            st.integers(2, 9))
     @settings(max_examples=25, deadline=None)
     def test_center_manifold(self, field, order):
-        new = center_manifold_series(field, order)
-        old = _reference_center_manifold(field, order)
-        assert str(new) == str(old) and new == old
+        result = center_straighten(field, order)
+        assert_conjugates(field, result)
+        new = _center_graph(result)
+        c = _reference_center_manifold(field, order)
+        assert str(new) == str(c) and new == c
+        # the former route: shift [A - c' B, B] along the graph y1 = c(y2)
+        comp_a, comp_b = field.components
+        former = compose(
+            [comp_a - c.derivative(1).mul_trunc(comp_b, order), comp_b],
+            [MultiPoly.variable(0, 2) + c, MultiPoly.variable(1, 2)], order)
+        got = result.normal_form.components
+        assert [str(p) for p in got] == [str(p) for p in former]
+        assert list(got) == former
+        # the straightened first component vanishes on y1 = 0
+        assert all(e[0] for e in got[0].terms)
 
     @pytest.mark.parametrize("ring", ["integer", "rational", "sqrt2"])
     @given(data=st.data())
@@ -699,7 +730,7 @@ class TestNoRecomposition:
         original = normalforms.compose
 
         def counting(*args, **kwargs):
-            seen.append(args[2])
+            seen.append(args[2] if len(args) > 2 else None)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(normalforms, "compose", counting)
@@ -711,7 +742,18 @@ class TestNoRecomposition:
         assert calls == []
 
     def test_center_manifold_never_composes(self, calls):
-        center_manifold_series(parse_field("(x - y^2)*ddx + y^2*ddy"), order=8)
+        center_straighten(parse_field("(x - y^2)*ddx + y^2*ddy"), order=8)
+        assert calls == []
+
+    def test_saddle_node_composes_only_for_the_eigenbasis(self, calls):
+        saddle_node_prepare(parse_field("x^2*ddx + (y - x)*ddy"), order=12)
+        # the one composition is the untruncated change to the eigenbasis
+        assert calls == [None]
+
+    @pytest.mark.parametrize("expr", ["(x + 2*x*y)*ddx + y^2*ddy",
+                                      "x^2*ddx + (y + 2*x*y)*ddy"])
+    def test_diagonal_saddle_node_never_composes(self, calls, expr):
+        saddle_node_prepare(parse_field(expr), order=12)
         assert calls == []
 
     def test_residual_composes_once(self, calls):
@@ -765,7 +807,7 @@ class TestOrderCap:
     def test_center_manifold_and_residual(self, no_work):
         field = parse_field("x*ddx + y^2*ddy")
         with pytest.raises(RequestTooLarge):
-            center_manifold_series(field, MAX_ORDER + 1)
+            center_straighten(field, MAX_ORDER + 1)
         result = ConjugacyResult("custom", MAX_ORDER + 1, (ONE, ONE),
                                  [MultiPoly.variable(j, 2) for j in range(2)],
                                  field, {})
