@@ -374,7 +374,7 @@ def _leaf_formally_linearizable(node, order: int) -> bool:
     if top < 2:
         return True
     try:
-        diag, _, _, _ = diagonalize_linear_part(dualize(node.form))
+        diag = diagonalize_linear_part(dualize(node.form))[0]
     except DegenerateEigenData:
         return False
     return not resonant_normal_form(diag, order=top).kept

@@ -16,21 +16,26 @@ exceeds a half-turn, and on its boundary when a gap is exactly a half-turn.
 Only eigenvalues above Q(i) are placed by their numeric embedding, and the
 result is flagged.
 
-Intersection multiplicity of two plane curves at the origin is computed by
-Fulton's algorithm: the intersection axioms reduce I_0(F, G) to subtractions
-G <- G - c x^k F in K[x, y] and splittings F = y H, where each splitting adds
-the x-adic order of G(x, 0) to the count.  Only a common branch through the
-origin (a gcd vanishing there) makes the multiplicity infinite.
+Intersection multiplicity of two plane curves at the origin is read off the
+tangent cones when they are transverse: I_0(F, G) = m_F m_G exactly when the
+lowest forms of F and G share no line (Fulton, Algebraic Curves, section 3.3,
+property 5), which one gcd of the two forms decides.  Cones that share a
+line go on to Fulton's algorithm: the intersection axioms reduce I_0(F, G)
+to subtractions G <- G - c x^k F in K[x, y] and splittings F = y H, where
+each splitting adds the x-adic order of G(x, 0) to the count.  Only a common
+branch through the origin (a gcd vanishing there) makes the multiplicity
+infinite.
 
-``gcd_xy`` is the greatest common divisor in K[x, y], by primitive Euclid in
-y over K[x] on ``MultiPoly`` itself: pseudo-remainders A lc(B) - lc(A) y^k B,
-with each content divided out by ``MultiPoly.divide_exact``, which callers
-that remove a common factor use too.  Coprime inputs, the usual case, skip
-Euclid: two univariate gcds of slices at integer points certify coprimality
-first; over Q and Q(i) they are taken modulo one prime.  ``line_slice`` is
-that restriction of a bivariate polynomial to a line x = t or y = t, as a
-coefficient list over a tower; the blow-up, the tangent-cone factorization
-and the Riccati fibers restrict with it too.
+``gcd_xy`` is the greatest common divisor in K[x, y], by subresultant Euclid
+in y over K[x] on ``MultiPoly`` itself: pseudo-remainders A lc(B) - lc(A) y^k B,
+each divided by its known factor of K[x] with ``MultiPoly.divide_exact``,
+which callers that remove a common factor use too.  Over Q and Q(i), coprime
+inputs, the usual case, skip Euclid: two univariate gcds of slices at
+integer points, taken modulo one prime, certify coprimality first.  Over a
+proper tower Euclid always runs.  ``line_slice`` is that restriction of a
+bivariate polynomial to a line x = t or y = t, as a coefficient list over a
+tower; the blow-up, the tangent-cone factorization and the Riccati fibers
+restrict with it too.
 """
 
 from __future__ import annotations
@@ -60,7 +65,6 @@ from .scalars import GaussianRational, coerce_scalar, fraction_sqrt, gaussian_tr
 from .towers import (
     FieldTower,
     factor_univariate,
-    tp_deg,
     tp_gcd,
     tp_trim,
 )
@@ -364,63 +368,46 @@ def _x_poly(coeffs: list) -> MultiPoly:
 
 
 def _pseudo_remainder(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Pseudo-remainder of a by b in y over K[x] (fraction-free)."""
+    """lc(b)^(deg a - deg b + 1) a mod b in y over K[x] (fraction-free)."""
     db = b.degree_in(1)
     lc_b = _lead_y(b, 0)
+    steps = a.degree_in(1) - db + 1
     while a and a.degree_in(1) >= db:
         a = a * lc_b - _lead_y(a, a.degree_in(1) - db) * b
-    return a
+        steps -= 1
+    return a * lc_b ** steps if a and steps else a
 
 
 def gcd_xy(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Greatest common divisor in K[x, y] (primitive Euclid in y over K[x]),
-    normalized so its graded-lex leading coefficient is 1."""
+    """Greatest common divisor in K[x, y] (subresultant Euclid in y over
+    K[x]), normalized so its graded-lex leading coefficient is 1."""
     if f.is_zero():
         return _gcd_normalize(g)
     if g.is_zero():
         return _gcd_normalize(f)
     tower = coefficient_tower(f, g)
-    if _certified_coprime(f, g, tower):
+    if tower.depth == 0 and _coprime_mod_p(f, g):
         return MultiPoly.constant(tower.one(), 2)
     ca, a = _primitive(lift_poly(f, tower), tower)
     cb, b = _primitive(lift_poly(g, tower), tower)
     content = _x_poly(tp_gcd(ca, cb))
+    if a.degree_in(1) < b.degree_in(1):
+        a, b = b, a
+    # each pseudo-remainder sheds a factor of K[x] known in advance (the
+    # subresultant sequence of Collins and Brown), so no gcd in K[x] runs
+    # between the inputs' contents and the last remainder's
+    lc = h = MultiPoly.constant(tower.one(), 2)
     while b.degree_in(1) > 0:
-        if a.degree_in(1) < b.degree_in(1):
-            a, b = b, a
-            continue
+        delta = a.degree_in(1) - b.degree_in(1)
         r = _pseudo_remainder(a, b)
-        a, b = b, (_primitive(r, tower)[1] if r else r)
+        if r.is_zero():
+            # b is the gcd up to its content
+            return _gcd_normalize(content * _primitive(b, tower)[1])
+        a, b = b, r.divide_exact(lc * h ** delta)
+        lc = _lead_y(a, 0)
+        h = (lc ** delta).divide_exact(h ** (delta - 1)) if delta else h
     # a nonzero b free of y is a unit times the stripped content
-    return _gcd_normalize(content * a if b.is_zero() else content)
-
-
-def _certified_coprime(f: MultiPoly, g: MultiPoly, tower: FieldTower) -> bool:
-    """True when f and g provably share no non-constant factor.
-
-    Let h divide f and g with deg_y h >= 1.  Its leading coefficient in y
-    divides those of f and g, so at any x = t where neither of theirs
-    vanishes, h(t, y) keeps its degree and divides gcd(f(t, y), g(t, y)).
-    Constant slice gcds at such a t for x, and likewise for y, leave no room
-    for h.  A non-constant slice gcd proves nothing (t may be unlucky), so
-    False only means "not certified".  Over Q and Q(i) the slices are
-    taken modulo a prime (``_coprime_mod_p``).
-    """
-    if tower.depth == 0:
-        return _coprime_mod_p(f, g)
-    for var in (0, 1):
-        other = 1 - var
-        t = 1
-        while True:
-            fs, gs = line_slice(f, var, t, tower), line_slice(g, var, t, tower)
-            # leading coefficients vanish at finitely many t
-            if (tp_deg(fs) == f.degree_in(other)
-                    and tp_deg(gs) == g.degree_in(other)):
-                break
-            t += 1
-        if tp_deg(tp_gcd(fs, gs)) > 0:
-            return False
-    return True
+    return _gcd_normalize(content)
 
 
 # p = 1 (mod 4), so i has an image mod p: p = 5 (mod 8) makes 2 a
@@ -430,17 +417,23 @@ CERT_I = pow(2, (CERT_PRIME - 1) // 4, CERT_PRIME)
 
 
 def _coprime_mod_p(f: MultiPoly, g: MultiPoly) -> bool:
-    """The slice certificate of ``_certified_coprime`` over Q(i), with the
-    slices reduced modulo p = CERT_PRIME and i sent to CERT_I.
+    """True when f and g over Q(i) provably share no non-constant factor,
+    from two slice gcds taken modulo p = CERT_PRIME with i sent to CERT_I.
 
-    That map is reduction modulo a prime P of Z[i] over p, defined on the
-    local ring R of Z[i] at P once p divides no denominator of f and g.  R
-    is a discrete valuation ring, so by Gauss's lemma a common factor h with
-    deg_y h >= 1 can be taken in R[x, y] with a nonzero reduction, and so
-    can its cofactors.  Where both leading coefficients in y survive at
-    x = t mod p, degrees add up only if h(t, y) mod p keeps deg_y h, so it
-    divides both slice gcds mod p: a constant gcd mod p leaves no room for
-    h, as in the exact certificate.
+    Over the field itself: let h divide f and g with deg_y h >= 1.  Its
+    leading coefficient in y divides those of f and g, so at any x = t where
+    neither of theirs vanishes, h(t, y) keeps its degree and divides
+    gcd(f(t, y), g(t, y)).  Constant slice gcds at such a t for x, and
+    likewise for y, leave no room for h.
+
+    Modulo p: the map is reduction modulo a prime P of Z[i] over p, defined
+    on the local ring R of Z[i] at P once p divides no denominator of f and
+    g.  R is a discrete valuation ring, so by Gauss's lemma h can be taken
+    in R[x, y] with a nonzero reduction, and so can its cofactors.  Where
+    both leading coefficients in y survive at x = t mod p, degrees add up
+    only if h(t, y) mod p keeps deg_y h, so it divides both slice gcds mod
+    p, and the argument above goes through.  A non-constant slice gcd proves
+    nothing (t or p may be unlucky), so False only means "not certified".
     """
     fr, gr = _residues(f), _residues(g)
     if fr is None or gr is None:
@@ -496,8 +489,13 @@ def _gcd_normalize(p: MultiPoly) -> MultiPoly:
 
 def intersection_number(f: MultiPoly, g: MultiPoly) -> Union[int, float]:
     """Intersection multiplicity of the plane curves f = 0 and g = 0 at the
-    origin (infinity when they share a branch through it), by Fulton's
-    algorithm (Algebraic Curves, section 3.3)."""
+    origin (infinity when they share a branch through it), following
+    Fulton (Algebraic Curves, section 3.3).
+
+    I_0(f, g) = m_f m_g, the product of the orders at the origin, exactly
+    when the tangent cones (the lowest forms) share no line, and then f and
+    g share no branch there; one gcd of the two forms decides it.  Only
+    pairs whose cones meet go on to the gcd of f and g and Fulton's loop."""
     if f.nvars != 2 or g.nvars != 2:
         raise ZeroInput("intersection numbers are planar (2 variables)")
     # a curve missing the origin meets nothing there, even the zero polynomial
@@ -505,6 +503,10 @@ def intersection_number(f: MultiPoly, g: MultiPoly) -> Union[int, float]:
         return 0
     if f.is_zero() or g.is_zero():
         return math.inf
+    m, n = f.order_at_origin(), g.order_at_origin()
+    common_line = gcd_xy(f.homogeneous_component(m), g.homogeneous_component(n))
+    if common_line.total_degree() == 0:
+        return m * n
     # a common factor that is a unit at the origin leaves I_0 unchanged, so
     # only one vanishing there matters and nothing needs dividing out
     h = gcd_xy(f, g)

@@ -64,7 +64,6 @@ from .poly import (
     _pack,
     _trusted,
     _unpack,
-    coefficient_tower,
     compose,
     scalar_to_json,
 )
@@ -476,19 +475,17 @@ def _eigenvector(mat, lam):
 def diagonalize_linear_part(field: VectorFieldGerm):
     """Diagonalize a two-variable germ via its eigenbasis.
 
-    Returns ``(new_field, matrix, lambdas, tower)`` where ``matrix`` is the
-    column eigenbasis P and ``new_field`` the germ in the new coordinates
-    z with y = P z.  Raises when the linear part is defective.
+    Returns ``(new_field, lambdas)``, the germ in the coordinates z with
+    y = P z for the column eigenbasis P, and its diagonal entries.  Raises
+    when the linear part is defective.
     """
     if field.nvars != 2:
         raise WrongClass("eigenbasis preparation handles two variables")
     mat = field.linear_part_matrix()
     if mat[0][1].is_zero() and mat[1][0].is_zero():
-        # the diagonal entries are the eigenvalues, already in the
-        # coefficients' tower: nothing to factor
-        tower = coefficient_tower(*field.components)
-        return field, [[1, 0], [0, 1]], (mat[0][0], mat[1][1]), tower
-    tower, lam1, lam2 = eigen_pair(field)
+        # the diagonal entries are the eigenvalues: nothing to factor
+        return field, (mat[0][0], mat[1][1])
+    _, lam1, lam2 = eigen_pair(field)
     lam1, lam2 = _demote(lam1), _demote(lam2)
     if not (lam1 - lam2).is_zero():
         v1 = _eigenvector(mat, lam1)
@@ -515,8 +512,7 @@ def diagonalize_linear_part(field: VectorFieldGerm):
         pulled[0].scale(q00) + pulled[1].scale(q01),
         pulled[0].scale(q10) + pulled[1].scale(q11),
     ]
-    return (VectorFieldGerm(new_components), [[p00, p01], [p10, p11]],
-            (lam1, lam2), tower)
+    return VectorFieldGerm(new_components), (lam1, lam2)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +559,7 @@ def saddle_node_prepare(field: VectorFieldGerm, order: int = 12) -> SaddleNodeDa
         raise WrongClass(
             "preparation expects one zero and one nonzero eigenvalue",
             found=info.tag)
-    diag, _, lam, _ = diagonalize_linear_part(field)
+    diag, lam = diagonalize_linear_part(field)
     if lam[0].is_zero():
         # put the nonzero multiplier first: swap the components and the
         # exponents of every term

@@ -420,6 +420,40 @@ class TestGcdXY:
         tree = _within(30, resolve, field)
         assert verify_ledger(tree)[1]
 
+    def test_resolve_uncertified_components_within_budget(self):
+        # a chart child's components (degrees 29 and 30) are coprime, but
+        # their slices at y = 1 share a root, so the mod-p certificate
+        # fails; their tangent cones are transverse and settle I_0 = 4
+        field = parse_field("(y^2 - x^3 + (x+y)^15)*ddx"
+                            " + (y^2 + x^5 + (x-2*y)^16)*ddy")
+        tree = _within(10, resolve, field)
+        assert verify_ledger(tree)[1]
+        assert [n.i0 for n in tree.nodes] == [6, 4, 1, 1, 1, 1, 1, 1, 2]
+
+    def test_resolve_tower_cones_sharing_a_line_within_budget(self):
+        # the cone (y^2 - 2x^2)^2 puts children over Q(i)(sqrt 2) whose
+        # cones meet, so Euclid runs over the tower on coprime components
+        field = parse_field("((y^2-2*x^2)^2*(1+x) + x^5 + y^6)*ddx"
+                            " + ((y^2-2*x^2)^2*(2+y) + 3*y^5 + x^7)*ddy")
+        tree = _within(10, resolve, field)
+        assert verify_ledger(tree)[1]
+
+    def test_transverse_cones_decide_without_gcd_of_curves(self, monkeypatch):
+        # cones y^2 and x^2 share no line: I_0 = m_f m_g, and gcd_xy only
+        # ever sees the two lowest forms
+        seen = []
+
+        def recorder(f, g):
+            seen.extend((f, g))
+            return gcd_xy(f, g)
+
+        monkeypatch.setattr(local, "gcd_xy", recorder)
+        f = Y * Y - X ** 3 + (X + Y) ** 9
+        g = X * X + X * Y ** 3 + (X - Y) ** 8
+        assert intersection_number(f, g) == 4
+        assert seen
+        assert all(p == p.homogeneous_component(p.total_degree()) for p in seen)
+
     def test_divide_exact(self):
         f = (X + Y) ** 2 * (X - Y)
         q = f.divide_exact(X + Y)
@@ -449,7 +483,7 @@ class TestGcdAgainstSympy:
     """sympy's ``gcd`` over QQ and QQ_I as a reference for ``gcd_xy``.
 
     Every draw plants a common factor, and the coprimality certificate is
-    switched off, so primitive Euclid runs each time."""
+    switched off, so subresultant Euclid runs each time."""
 
     @pytest.mark.parametrize("domain", ["QQ", "QQ_I"])
     @given(data=st.data())
@@ -460,7 +494,7 @@ class TestGcdAgainstSympy:
         h = data.draw(_bivariate(scalars, 2))
         f, g = f * h, g * h
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(local, "_certified_coprime", lambda *args: False)
+            mp.setattr(local, "_coprime_mod_p", lambda *args: False)
             ours = gcd_xy(f, g)
         x, y = sympy.symbols("x y")
 
@@ -493,7 +527,7 @@ SOMETIMES_P = st.integers(1, 20).map(lambda k: P * (k - 18) if k > 18 else k % 3
 
 def _euclid_only(f, g):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(local, "_certified_coprime", lambda *args: False)
+        mp.setattr(local, "_coprime_mod_p", lambda *args: False)
         return gcd_xy(f, g)
 
 
