@@ -32,7 +32,10 @@ Orbit kernels.  ``_advance`` runs one loop per Horner length, compiled
 once from a template with Horner's scheme nested into one expression and
 the loop unrolled into passes of steps, so a step is a few float or
 complex operations and the disc test, with no inner loop (and on floats
-no call).  A real germ at a real point iterates in float
+no call).  A pass that starts in a box around the fixed point skips its
+disc tests: a growth bound on the moduli, with Horner's rounding error,
+proves that no step of it can leave the disc (``_certified_box``), so
+the outputs do not change.  A real germ at a real point iterates in float
 arithmetic: with zero imaginary parts complex arithmetic does the same IEEE
 operations on the real parts, so every iterate is bit-identical in its real
 part to the complex one.  The census advances only the orbits still
@@ -97,6 +100,10 @@ def _horner_coefficients(coeffs: Sequence[complex],
 # both); on complexes abs keeps raising OverflowError once the modulus of a
 # finite point passes the doubles.
 _DISC_TESTS = {True: "lo <= z <= radius", False: "abs(z) <= radius"}
+# The box test that opens each pass: no abs, which could raise on a finite
+# point, and nan or inf fail it.
+_BOX_TESTS = {True: "-safe < z < safe",
+              False: "-safe < z.real < safe and -safe < z.imag < safe"}
 
 
 # The generated orbit loop runs passes of ``_UNROLL`` steps, and nests at
@@ -123,8 +130,11 @@ def _orbit_kernel(length: int, real: bool) -> Callable:
     operations in the same order as a loop over the coefficients, without
     that loop, for germs of any length.  The loop runs over
     ``itertools.repeat`` in passes of ``_UNROLL`` steps, then the remaining
-    steps; each step is followed by its own disc test, so an orbit that
-    leaves the disc ends at that very step.
+    steps.  A pass that starts inside the box |Re z|, |Im z| < ``safe``,
+    which ``_certified_box`` proves to keep every step of the pass in the
+    disc, runs its steps alone; any other pass, and the remaining steps,
+    follow each step with its own disc test, so an orbit that leaves the
+    disc ends at that very step.
     """
     params = ", ".join("c%d" % k for k in range(length))
     step = []
@@ -135,18 +145,81 @@ def _orbit_kernel(length: int, real: bool) -> Callable:
             expr = "acc"
         expr = "%s * z + c%d" % (_factor(expr), k)
     step.append("z = %s * z" % _factor(expr))
-    step += ["if not (%s):" % _DISC_TESTS[real], "    return nan"]
-    lines = (["def orbit(z, steps, lo, radius, %s):" % params,
+    tested = step + ["if not (%s):" % _DISC_TESTS[real], "    return nan"]
+    lines = (["def orbit(z, steps, lo, radius, safe, %s):" % params,
               "    passes, rest = divmod(max(steps, 0), %d)" % _UNROLL,
-              "    for _ in repeat(None, passes):"]
-             + ["        " + line for line in step * _UNROLL]
+              "    for _ in repeat(None, passes):",
+              "        if %s:" % _BOX_TESTS[real]]
+             + ["            " + line for line in step * _UNROLL]
+             + ["        else:"]
+             + ["            " + line for line in tested * _UNROLL]
              + ["    for _ in repeat(None, rest):"]
-             + ["        " + line for line in step]
+             + ["        " + line for line in tested]
              + ["    return z"])
     namespace = {"nan": math.nan, "repeat": itertools.repeat}
     exec(compile("\n".join(lines) + "\n", "<orbit kernel>", "exec"),
          namespace)
     return namespace["orbit"]
+
+
+# The certificate of ``_certified_box``: the relative slack of its growth
+# bound, the longest Horner scheme that slack covers, the cap on the moduli
+# it certifies and the number of boxes it tries, each half the last.
+_SLACK = 2.0 ** -30
+_CERTIFIED_LENGTH = 1 << 16
+_CERTIFIED_CAP = 1.0
+_HALVINGS = 60
+
+
+def _certified_box(clist: Sequence[complex], radius: float) -> float:
+    """The largest of the half-widths rho = top / 2, top / 4, ... (``top``
+    the radius capped at 1) from whose box |Re z|, |Im z| < rho a pass of
+    ``_UNROLL`` orbit steps provably stays in the disc, or 0, a box that
+    holds no point, when none of ``_HALVINGS`` does.
+
+    Let L = len(clist), m_k = |c_k| and g(r) = r * sum m_k r^(L-1-k), the
+    Horner scheme on the moduli, increasing in r.  While |z| <= 1 and
+    sum m_k <= 2^1000, every partial sum of the scheme stays below 2^1001,
+    so nothing overflows, and Horner's rounding bound (Higham, Accuracy and
+    Stability of Numerical Algorithms, sections 3.6 and 5.1; a complex
+    product errs by at most sqrt(2) gamma_2 relatively) gives
+    |fl f(z)| <= (1 + gamma_{4L}) g(|z|) + (L + 1) 2^-1071, the last term
+    the absolute error of underflow, which products by |z| <= 1 cannot
+    grow.  G(r) = (1 + s) g(r) + (L + 1) 2^-1068, evaluated in floats with
+    s = ``_SLACK``, bounds that from above for every L up to
+    ``_CERTIFIED_LENGTH``, the rounding of the moduli and of G's own
+    evaluation included, and is increasing.
+
+    A point of the box has modulus below sqrt(2) rho <= R_0 = 1.5 rho (a
+    normal float, as top is at least 2^-900).  If R_n = G(R_{n-1}) stays at
+    most B = top (1 - s) for n = 1 .. ``_UNROLL``, then by induction the
+    n-th iterate has modulus at most R_n <= B <= 1: it is finite,
+    ``lo <= z <= radius`` holds, and ``abs(z) <= radius`` neither rounds
+    past the radius nor raises.  Each disc test of the pass would pass, so
+    the pass may skip them and still end at the same point.
+    """
+    mods = [_modulus(c) for c in clist]
+    # a radius that is nan or not positive fails the first test
+    top = min(radius, _CERTIFIED_CAP)
+    if not (top >= 2.0 ** -900 and len(mods) <= _CERTIFIED_LENGTH
+            and sum(mods) <= 2.0 ** 1000):
+        return 0.0
+    bound = top * (1 - _SLACK)
+    underflow = (len(mods) + 1) * 2.0 ** -1068
+    rho = top / 2
+    for _ in range(_HALVINGS):
+        r = 1.5 * rho
+        for _ in range(_UNROLL):
+            acc = 0.0
+            for m in mods:
+                acc = acc * r + m
+            r = (1 + _SLACK) * (acc * r) + underflow
+            if not r <= bound:
+                break
+        else:
+            return rho
+        rho /= 2
+    return 0.0
 
 
 def _advance(coeffs: Sequence[complex], z: complex, steps: int,
@@ -158,7 +231,8 @@ def _advance(coeffs: Sequence[complex], z: complex, steps: int,
     floats: with zero imaginary parts, complex ``*``, ``+`` and ``abs`` do the
     same IEEE operations on the real parts, so the real part of every
     iterate is the one complex arithmetic gives; only the sign of a zero
-    imaginary part can differ.
+    imaginary part can differ.  Passes that start in the box of
+    ``_certified_box`` skip their disc tests, which could not fail.
     """
     # a float or numpy scalar from the caller becomes a Python complex
     z = complex(z)
@@ -169,7 +243,8 @@ def _advance(coeffs: Sequence[complex], z: complex, steps: int,
         z = z.real
         clist = [c.real for c in clist]
     orbit = _orbit_kernel(len(clist), real)
-    return complex(orbit(z, steps, -radius, radius, *clist))
+    return complex(orbit(z, steps, -radius, radius,
+                         _certified_box(clist, radius), *clist))
 
 
 # Values of the trajectory block a census decides at once (steps times live
@@ -478,6 +553,11 @@ def _inverted(a: complex, z: complex) -> complex:
 
 # The most steps the petal scan takes looking for a run of ``PETAL_RUN``.
 PETAL_SCAN = 2000
+# The largest n_max fatou_coordinate takes, checked before any work: 10^8
+# steps of z + z^2 take about 3 s on 2 shared Xeon cores.  Past about 10^6
+# steps the rounding of w ~ n alone exceeds the default ``cauchy_tol``
+# (10^7 steps end in slow-convergence, increment 7.6e-7).
+MAX_FATOU_STEPS = 10 ** 8
 
 
 def fatou_coordinate(f: NumericGerm, z: complex, n_max: int = 100000,
@@ -489,12 +569,17 @@ def fatou_coordinate(f: NumericGerm, z: complex, n_max: int = 100000,
     in a petal is checked operationally: within ``PETAL_SCAN`` steps the
     real part in the inverted chart must grow for ``PETAL_RUN`` consecutive
     steps, so an n_max below twice that run is refused before any work, as
-    is a ``cauchy_tol`` that is not positive and finite.  A germ with more
-    than ``MAX_PETALS`` petals is refused before its reduction.
+    are an n_max above ``MAX_FATOU_STEPS`` and a ``cauchy_tol`` that is not
+    positive and finite.  A germ with more than ``MAX_PETALS`` petals is
+    refused before its reduction.
     """
     if n_max < 2 * PETAL_RUN:
         raise TruncationTooSmall("iteration budget too small for the petal scan",
                                  n_max=n_max, minimum=2 * PETAL_RUN)
+    if n_max > MAX_FATOU_STEPS:
+        raise RequestTooLarge("the translation coordinate asks for too many "
+                              "orbit steps", n_max=n_max,
+                              limit=MAX_FATOU_STEPS)
     if not (cauchy_tol > 0 and math.isfinite(cauchy_tol)):
         raise ZeroInput("the Cauchy tolerance must be a positive finite number")
     if not f.is_tangent_to_identity():

@@ -414,6 +414,9 @@ def gcd_xy(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 # quadratic non-residue, and 2^((p - 1)/4) is a square root of -1
 CERT_PRIME = 2147483629
 CERT_I = pow(2, (CERT_PRIME - 1) // 4, CERT_PRIME)
+# The admissible slices _coprime_mod_p tries per variable before it gives
+# up on the certificate.
+SLICE_TRIES = 3
 
 
 def _coprime_mod_p(f: MultiPoly, g: MultiPoly) -> bool:
@@ -433,7 +436,9 @@ def _coprime_mod_p(f: MultiPoly, g: MultiPoly) -> bool:
     both leading coefficients in y survive at x = t mod p, degrees add up
     only if h(t, y) mod p keeps deg_y h, so it divides both slice gcds mod
     p, and the argument above goes through.  A non-constant slice gcd proves
-    nothing (t or p may be unlucky), so False only means "not certified".
+    nothing (t or p may be unlucky): for each variable up to ``SLICE_TRIES``
+    values of t where both leading coefficients survive are tried, and one
+    constant slice gcd suffices.  False only means "not certified".
     """
     fr, gr = _residues(f), _residues(g)
     if fr is None or gr is None:
@@ -443,15 +448,20 @@ def _coprime_mod_p(f: MultiPoly, g: MultiPoly) -> bool:
         other = 1 - var
         size_f, size_g = deg_f[other] + 1, deg_g[other] + 1
         # lc(f) lc(g), a polynomial in the variable set to t, has at most
-        # deg f + deg g roots in it unless it vanishes mod p
-        for t in range(1, deg_f[var] + deg_g[var] + 2):
+        # deg f + deg g roots in it unless it vanishes mod p, so the range
+        # holds SLICE_TRIES values of t where both survive
+        unlucky = 0
+        for t in range(1, deg_f[var] + deg_g[var] + 1 + SLICE_TRIES):
             fs = _slice_mod(fr, var, t, size_f)
             gs = _slice_mod(gr, var, t, size_g)
-            if len(fs) == size_f and len(gs) == size_g:
+            if len(fs) < size_f or len(gs) < size_g:
+                continue
+            if len(_gcd(fs, gs, CERT_PRIME)) == 1:
                 break
+            unlucky += 1
+            if unlucky == SLICE_TRIES:
+                return False
         else:
-            return False
-        if len(_gcd(fs, gs, CERT_PRIME)) > 1:
             return False
     return True
 

@@ -616,6 +616,9 @@ class TestExitCodes:
         (["fatou", "--coeffs", ",".join(["1"] + ["0"] * 20 + ["0.3"] * 48),
           "--z", "0.01+0.001i", "--n-max", "2000"],
          {"petals": 21, "limit": 20}),
+        (["fatou", "--coeffs", "1,1", "--z", "-0.05", "--n-max",
+          str(10 ** 10)],
+         {"n_max": 10 ** 10, "limit": 10 ** 8}),
         # the default 10^6 steps at every point of a 1000 x 1000 grid
         (["orbit-census", "--coeffs", "1,1", "--radius", "0.3",
           "--grid", "1000"],

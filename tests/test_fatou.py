@@ -22,6 +22,7 @@ from folsing.errors import (
 from folsing.fatou import (
     MAX_CENSUS_POINTS,
     MAX_CENSUS_STEPS,
+    MAX_FATOU_STEPS,
     MAX_PETALS,
     PETAL_RUN,
     PETAL_SCAN,
@@ -202,6 +203,22 @@ class TestTranslationCoordinate:
                 fatou_coordinate(f, z, n_max=2 * PETAL_RUN - 1)
             assert info.value.code == "truncation-too-small"
             assert info.value.payload == {"n_max": 99, "minimum": 100}
+
+    def test_n_max_above_the_cap_is_refused(self, monkeypatch):
+        # 10^10 steps ran for about seven minutes before the cap; the
+        # refusal comes before the petal scan and the orbit loop
+        def refuse(*args):
+            raise AssertionError("orbit advanced")
+
+        monkeypatch.setattr(fatou, "_advance", refuse)
+        monkeypatch.setattr(fatou, "_horner", refuse)
+        assert MAX_FATOU_STEPS == 10 ** 8
+        for n_max in (MAX_FATOU_STEPS + 1, 10 ** 10):
+            with pytest.raises(RequestTooLarge) as info:
+                fatou_coordinate(NumericGerm([1.0, 1.0]), -0.05, n_max=n_max)
+            assert info.value.payload == {"n_max": n_max,
+                                          "limit": MAX_FATOU_STEPS}
+            jsonio.validate(info.value.to_json(), "error")
 
     def test_n_max_at_twice_the_petal_run(self):
         # the smallest budget passes the scan after exactly PETAL_RUN steps
@@ -883,8 +900,72 @@ class TestBlockedCensusAndUnrolledAdvance:
         assert depth == 0 and 30 <= deepest < 100
         coeffs = [1.0] + [0.001] * 299
         z = -0.05 if real else -0.05 + 0.01j
-        assert orbit(z, 40, -0.5, 0.5, *coeffs[::-1]) == _advance(coeffs, z,
-                                                                   40, 0.5)
+        safe = fatou._certified_box(coeffs[::-1], 0.5)
+        assert safe > 0.05
+        assert orbit(z, 40, -0.5, 0.5, safe, *coeffs[::-1]) == _advance(
+            coeffs, z, 40, 0.5)
+
+
+_box_fractions = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nextafter(1.0, 0.0),
+                     -math.nextafter(1.0, 0.0)]),
+    st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+
+
+class TestCertifiedBox:
+    """Passes that start in the box of ``_certified_box`` skip their disc
+    tests: the box must keep a whole pass in the disc, a wider one must
+    show in the kernel comparisons, and the benchmark's germs must get a
+    box that holds their orbits."""
+
+    @given(_germ_coefficients(),
+           st.sampled_from([1e-200, 0.25, 0.5, 1.0, 4.0, 1e6, 1e300,
+                            math.inf]),
+           _box_fractions, _box_fractions)
+    @settings(max_examples=300, deadline=None)
+    def test_a_pass_from_the_box_stays_in_the_disc(self, coeffs, radius, x,
+                                                   y):
+        rho = fatou._certified_box(_horner_coefficients(coeffs, radius),
+                                   radius)
+        assert 0 <= rho <= min(radius, 1.0) / 2
+        z = complex(x * rho, y * rho)
+        for _ in range(fatou._UNROLL):
+            z = _reference_advance(coeffs, z, 1, math.inf)
+            assert cmath.isfinite(z) and abs(z) <= radius
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+    def test_no_box_tests_every_step(self, radius):
+        # the empty box leaves even the fixed point to the disc test
+        assert fatou._certified_box([1.0, 1.0], radius) == 0.0
+        for z in (0j, complex(-0.0, 0.0)):
+            _check_advance([1.0, 1.0], z, 32, radius)
+
+    def test_a_box_as_wide_as_the_disc_fails_a_comparison(self, monkeypatch):
+        # z -> 2 z at the step counts of
+        # test_leaving_at_every_position_of_a_pass: an orbit that leaves
+        # the disc in the second pass, which starts inside that box, comes
+        # out of that pass finite
+        monkeypatch.setattr(fatou, "_certified_box",
+                            lambda clist, radius: radius)
+        failed = 0
+        for q in range(17, 33):
+            z = complex(0.75 / 2 ** (q - 1))
+            for n in (q - 1, q, 48):
+                try:
+                    _check_advance([2.0], z, n, 1.0)
+                except AssertionError:
+                    failed += 1
+        assert failed > 0
+
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    @pytest.mark.parametrize("b", [-1, 0, 1])
+    def test_workload_germs_get_a_sixteenth_of_the_radius(self, a, b):
+        # the petal scan leaves their orbits well inside radius / 16, so
+        # every pass after the scan skips its disc tests
+        germ = NumericGerm([1.0, float(a), float(b)])
+        clist = [c.real for c in _horner_coefficients(germ.coeffs,
+                                                      germ.radius)]
+        assert fatou._certified_box(clist, germ.radius) >= germ.radius / 16
 
 
 class TestKernelBoundary:

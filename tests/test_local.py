@@ -573,6 +573,14 @@ class TestCoprimeModP:
         g = h * parse_poly(TestGcdXY.COPRIME_8)
         assert not local._coprime_mod_p(f, g)
 
+    def test_unlucky_slice_is_retried(self):
+        # the lines meet at (1, 1), so the slices x = 1 and y = 1 share a
+        # root; the next admissible slices certify the pair
+        f, g = X - Y, X + Y - MultiPoly.constant(2, 2)
+        assert local.SLICE_TRIES >= 2
+        assert local._coprime_mod_p(f, g)
+        assert gcd_xy(f, g) == MultiPoly.constant(1, 2)
+
     def test_resolve_binomial_powers_within_budget(self):
         result = _within(10, CliRunner().invoke, main,
                          ["resolve", "--expr", "(x+y)^20*ddx+(x-y)^19*ddy"])
