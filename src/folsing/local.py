@@ -507,7 +507,7 @@ def intersection_number(f: MultiPoly, g: MultiPoly) -> Union[int, float]:
     g share no branch there; one gcd of the two forms decides it.  Only
     pairs whose cones meet go on to the gcd of f and g and Fulton's loop."""
     if f.nvars != 2 or g.nvars != 2:
-        raise ZeroInput("intersection numbers are planar (2 variables)")
+        raise VariableCountMismatch("intersection numbers are planar (2 variables)")
     # a curve missing the origin meets nothing there, even the zero polynomial
     if not f.constant_term().is_zero() or not g.constant_term().is_zero():
         return 0

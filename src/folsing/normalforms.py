@@ -98,7 +98,7 @@ class _OnlineComposition:
 
     ``maps[j][m]`` is the degree-m slice of the j-th map; ``maps[j][0]`` is
     empty, because every map vanishes at the origin, and ``maps[j][1]`` is
-    empty or the unit slice of x_j.  The caller appends slice m of every
+    the unit slice of x_j.  The caller appends slice m of every
     map before it asks for slice m + 1 of the composition.  Source
     monomials of degree above ``order`` are left out.  Exponents are packed
     with digits of ``width`` bits, enough to hold ``order``.
@@ -170,11 +170,8 @@ class _OnlineComposition:
         if got is not None:
             return got
         factor = self.maps[j]
-        if factor[1]:
-            (bit,) = factor[1]
-            acc = {bit + e: t for e, t in self._power(rest, k - 1).items()}
-        else:
-            acc = {}
+        (bit,) = factor[1]
+        acc = {bit + e: t for e, t in self._power(rest, k - 1).items()}
         for m in range(2, k - low + 1):
             a = factor[m]
             if a:

@@ -15,8 +15,10 @@ here is sign combinatorics of those cosines:
 * which (j, Q) slots admit nonzero coefficients on a given sector,
 * the induced polynomial action on leaf constants.
 
-Directions are unnormalized GaussianRational vectors, and every comparison
-is an exact sign test on rational cross and dot products.  The same sorted
+Directions are unnormalized GaussianRational vectors, ordered exactly by an
+angle key (quadrant, rational slope) that is one value per ray: rays are
+deduplicated by their key, and the arc and half-turn tests are key
+comparisons after turning the directions to a common origin.  The same sorted
 rays decide convex position (``zero_position``, which ``local`` uses for the
 eigenvalue domains too): 0 is outside the hull of nonzero points exactly
 when some gap between angularly consecutive rays exceeds a half-turn.  Input scalars
@@ -101,17 +103,13 @@ def _angle_key(v):
     return (3, -re / im)
 
 
-def _same_ray(a, b) -> bool:
-    return _sign(_cross(a, b)) == 0 and _sign(_dot(a, b)) > 0
-
-
 def _sorted_rays(vectors: Iterable) -> List:
-    rays: List = []
+    """The first vector given on each ray, in angle order; two vectors lie
+    on one ray exactly when their angle keys are equal."""
+    rays: Dict = {}
     for v in vectors:
-        if not any(_same_ray(v, r) for r in rays):
-            rays.append(v)
-    rays.sort(key=_angle_key)
-    return rays
+        rays.setdefault(_angle_key(v), v)
+    return [rays[k] for k in sorted(rays)]
 
 
 def zero_position(points: Sequence) -> str:
@@ -137,16 +135,11 @@ def zero_position(points: Sequence) -> str:
 
 
 def _in_open_arc(v, start, end) -> bool:
-    """Is direction v strictly inside the counterclockwise arc start -> end?"""
-    b = v * start.conjugate()
-    c = end * start.conjugate()
-    kc = _angle_key(c)
-    if kc[0] == 0 and kc[1] == 0:
-        return False
-    kb = _angle_key(b)
-    if kb[0] == 0 and kb[1] == 0:
-        return False
-    return kb < kc
+    """Is direction v strictly inside the counterclockwise arc start -> end?
+
+    Turned by conj(start), the arc starts at key (0, 0), the direction 1."""
+    t = start.conjugate()
+    return (0, 0) < _angle_key(v * t) < _angle_key(end * t)
 
 
 def _gap_sample(start, end):
@@ -248,7 +241,7 @@ class Sector:
     def __init__(self, start, end):
         self.start = _to_value(start)
         self.end = _to_value(end)
-        if _same_ray(self.start, self.end):
+        if _angle_key(self.start) == _angle_key(self.end):
             raise ZeroInput("empty sector (equal boundary directions)")
 
     def contains(self, direction) -> bool:
@@ -355,9 +348,10 @@ class SheafDirections:
 
 # The most (component, monomial) pairs the sheaf directions may enumerate:
 # n - 1 components times the monomials of degree <= maxdeg in n - 1
-# variables.  The sectors command costs about 0.3 ms per pair: 0.94 s for
-# 2652 pairs (--gamma 1,2 --maxdeg 50), 1.35 s for 5313 (--gamma 1,2,3
-# --maxdeg 20).
+# variables.  The worst case puts the pairs' directions on distinct rays;
+# there the sectors command takes, start-up included, 0.41 s for 4032 pairs
+# (--gamma 1,i --maxdeg 62) and 0.24 s for 3990 (--gamma 1,1+i,2-i
+# --maxdeg 18) on two shared Xeon cores.
 MAX_SHEAF_RECORDS = 4096
 
 
@@ -481,25 +475,17 @@ class AdmissibleMonomialSet:
 def _obtuse_on_sector(w, sector: Sector) -> bool:
     """Is cos(arg w - theta) < 0 for every direction theta strictly inside?
 
-    Checked by a rotation walk: nonstrict negativity of the dot product at
-    the endpoints and at quarter-turn samples, strict at interior samples.
-    Consecutive samples are less than a half turn apart, so nonstrict
-    negativity at all of them pins the whole closed arc inside the closed
-    half-plane; an interior strict sample then rules out the boundary case.
+    The theta with cos(arg w - theta) < 0 fill the open half-turn
+    counterclockwise from I*w to -I*w.  Turned by conj(I*w), that half-turn
+    is the open upper half-plane, the keys strictly between (0, 0) = key(1)
+    and (2, 0) = key(-1).  The open sector lies inside it exactly when the
+    turned sector does not wrap past 1 (its start key is below its end key)
+    and ends no later than -1; no key is below key(1), so the start needs
+    no further test.
     """
-    samples = [(sector.start, False)]
-    probe = I * sector.start
-    while _in_open_arc(probe, sector.start, sector.end):
-        samples.append((probe, True))
-        probe = I * probe
-    if len(samples) == 1:
-        samples.append((sector.start + sector.end, True))
-    samples.append((sector.end, False))
-    for direction, strict in samples:
-        s = _sign(_dot(w, direction))
-        if s > 0 or (strict and s == 0):
-            return False
-    return True
+    t = (I * w).conjugate()
+    return (_angle_key(sector.start * t) < _angle_key(sector.end * t)
+            <= (2, 0))
 
 
 def admissible_monomials(e: EigenData, sector: Sector, maxdeg: int) -> AdmissibleMonomialSet:

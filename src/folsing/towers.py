@@ -96,9 +96,8 @@ class FieldTower:
     def __init__(self, levels: tuple = (), parent=None):
         self.levels = levels
         # the tower one level down, in which the coordinates of our
-        # elements and the coefficients of the top minimal polynomial lie
-        if parent is None and levels:
-            parent = FieldTower(levels[:-1])
+        # elements and the coefficients of the top minimal polynomial lie;
+        # ``adjoin_root`` passes it for every tower with levels
         self.parent = parent
 
     # -- identity ------------------------------------------------------
@@ -270,20 +269,10 @@ class FieldElement:
     def is_one(self) -> bool:
         return self.coeffs[0].is_one() and self._in_parent()
 
-    def is_rational(self) -> bool:
-        g = self.as_gaussian_or_none()
-        return g is not None and g.is_rational()
-
     # -- conversions ----------------------------------------------------
     def as_gaussian_or_none(self) -> Optional[GaussianRational]:
         """The GaussianRational value if this element lies in the base field."""
         return self.coeffs[0].as_gaussian_or_none() if self._in_parent() else None
-
-    def as_fraction(self) -> Fraction:
-        g = self.as_gaussian_or_none()
-        if g is None or not g.is_rational():
-            raise ValueError("element is not rational")
-        return g.as_fraction()
 
     def __complex__(self) -> complex:
         z = self.tower.levels[-1].embedding

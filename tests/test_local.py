@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from folsing import local
 from folsing.cli import main
+from folsing.errors import VariableCountMismatch
 from folsing.local import (
     classify_singularity,
     detect_resonances,
@@ -614,6 +615,14 @@ class TestIntersectionNumber:
     def test_common_branch_infinite(self):
         assert intersection_number(X * Y, X * (X + Y)) == math.inf
         assert intersection_number(MultiPoly.zero(2), X) == math.inf
+
+    def test_non_planar_refused(self):
+        # the planar checks of local, blowup, cp2 and poly share one error
+        Z3 = MultiPoly.variable(2, 3)
+        for f, g in ((Z3, Z3), (X, Z3), (Z3, Y)):
+            with pytest.raises(VariableCountMismatch) as info:
+                intersection_number(f, g)
+            assert info.value.code == "variable-count-mismatch"
 
     def test_strips_unit_common_factor(self):
         u = X + Y + 1  # unit at the origin

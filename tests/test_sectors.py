@@ -1,16 +1,20 @@
 """Sector combinatorics: partitions, singular directions, admissible slots."""
 
+import hashlib
+import signal
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from folsing import sectors
+from folsing import jsonio, sectors
 from folsing.cli import payload_sectors
 from folsing.errors import (
     DegenerateEigenData,
     InadmissibleCoefficient,
     RequestTooLarge,
     SectorContainsSingularDirection,
+    ZeroInput,
 )
 from folsing.scalars import GaussianRational
 from folsing.sectors import (
@@ -28,6 +32,20 @@ from folsing.sectors import (
 
 G = GaussianRational
 I = G(0, 1)
+
+
+def _within(seconds, fn, *args):
+    """fn(*args), failing the test once it runs past a wall-clock budget."""
+    def overrun(signum, frame):
+        raise TimeoutError(f"over the {seconds} s budget")
+
+    old = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def ray_set(vectors):
@@ -197,6 +215,125 @@ class TestRecordCap:
             assert info.value.payload == {
                 "maxdeg": maxdeg, "components": len(gamma),
                 "limit": MAX_SHEAF_RECORDS}
+
+
+class TestRecordCapBudget:
+    # 2 * C(64, 2) = 4032 pairs, nearly all on distinct rays: the worst
+    # input the cap accepts, so any ray question that scans the rays
+    # pairwise overruns the budget here; the digest pins the output
+    DIGEST = "ca4b074446094950f9eed21511f9265013d66298489603e83c1a18872df41fff"
+
+    def test_cap_input_within_budget_and_unchanged(self):
+        doc = _within(10, payload_sectors, [1, I], None, 62)
+        text = jsonio.dumps(doc)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
+
+
+# ---------------------------------------------------------------- references
+# Answers by cross and dot product signs alone, against which the angle-key
+# tests of sectors are checked: a pairwise ray scan, an open-arc test and a
+# rotation walk over quarter-turn samples.
+_sign, _cross, _dot = sectors._sign, sectors._cross, sectors._dot
+
+
+def _same_ray(a, b):
+    return _cross(a, b) == 0 and _dot(a, b) > 0
+
+
+def reference_sorted_rays(vectors):
+    rays = []
+    for v in vectors:
+        if not any(_same_ray(v, r) for r in rays):
+            rays.append(v)
+    rays.sort(key=sectors._angle_key)
+    return rays
+
+
+def reference_in_open_arc(v, start, end):
+    """v strictly inside the counterclockwise arc start -> end, by signs:
+    within a half-turn the arc is the cone of start and end, past it the
+    complement of the closed cone of end and start."""
+    if _same_ray(start, end) or _same_ray(v, start) or _same_ray(v, end):
+        return False
+    c = _sign(_cross(start, end))
+    left_of_start = _sign(_cross(start, v))
+    right_of_end = _sign(_cross(v, end))
+    if c > 0:
+        return left_of_start > 0 and right_of_end > 0
+    if c == 0:
+        return left_of_start > 0
+    return not (left_of_start <= 0 and right_of_end <= 0)
+
+
+def reference_obtuse_walk(w, sector):
+    """Nonstrict negativity of the dot product at the endpoints and at
+    quarter-turn samples, strict at interior samples."""
+    samples = [(sector.start, False)]
+    probe = I * sector.start
+    while reference_in_open_arc(probe, sector.start, sector.end):
+        samples.append((probe, True))
+        probe = I * probe
+    if len(samples) == 1:
+        samples.append((sector.start + sector.end, True))
+    samples.append((sector.end, False))
+    for direction, strict in samples:
+        s = _sign(_dot(w, direction))
+        if s > 0 or (strict and s == 0):
+            return False
+    return True
+
+
+_parts = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_scales = st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=8)
+_small = st.builds(G, _parts, _parts).filter(lambda v: not v.is_zero())
+# the eight axis and diagonal directions, at positive scales
+_axes = st.builds(lambda v, c: v * c,
+                  st.sampled_from([G(1), G(1, 1), I, G(-1, 1), G(-1),
+                                   G(-1, -1), G(0, -1), G(1, -1)]),
+                  _scales)
+_directions = st.one_of(_small, _axes)
+
+
+@st.composite
+def _direction_lists(draw):
+    """Directions with repeated rays: some are positive multiples of others."""
+    base = draw(st.lists(_directions, min_size=1, max_size=12))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(base) - 1), _scales),
+                          max_size=8))
+    out = base + [base[k] * c for k, c in picks]
+    return draw(st.permutations(out))
+
+
+class TestAngleKeyAgreesWithReferences:
+    @given(_direction_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_sorted_rays(self, vectors):
+        got = sectors._sorted_rays(vectors)
+        want = reference_sorted_rays(vectors)
+        # the same vector objects, so the first one given on each ray
+        assert [id(v) for v in got] == [id(v) for v in want]
+
+    @given(_directions, _directions, _directions, _scales)
+    @settings(max_examples=400, deadline=None)
+    def test_in_open_arc(self, v, start, end, c):
+        for probe in (v, start * c, end * c):
+            assert (sectors._in_open_arc(probe, start, end)
+                    == reference_in_open_arc(probe, start, end))
+
+    @given(_directions, _directions, _directions, _scales)
+    @settings(max_examples=400, deadline=None)
+    def test_obtuse_on_sector(self, w, start, end, c):
+        assume(not _same_ray(start, end))
+        sector = Sector(start, end)
+        # w on the sector's boundary rays and their quarter turns too
+        for probe in (w, start * c, end * c, I * start, -I * end):
+            assert (sectors._obtuse_on_sector(probe, sector)
+                    == reference_obtuse_walk(probe, sector))
+
+    def test_equal_keys_make_an_empty_sector(self):
+        with pytest.raises(ZeroInput):
+            Sector(G(1, 2), G(3, 6))
+        assert Sector(G(1, 2), G(-1, -2)).contains(G(-1, 0))
 
 
 class TestSheafBuiltOnce:
